@@ -6,6 +6,13 @@ works on plain float64 numpy arrays validated by :func:`square_matrix` /
 through :func:`mat_mul` / :func:`mat_vec`, which tick a :class:`MulCounter`;
 oracle helpers such as :func:`mat_pow` stay uncounted on purpose so that cost
 comparisons between algorithms remain honest.
+
+Buffer rule: a kernel overwrites only arrays it has just allocated itself,
+such as the result of a counted product (``I - X A`` is formed in place in
+the product's buffer by :func:`residual_of`, a Horner ``+ X`` is added into
+the product it follows).  Inputs and the arrays held by an iteration state
+are never written, so concurrent branches can share them read-only, and
+every array a step computes for the state it returns is freshly allocated.
 """
 
 from __future__ import annotations
@@ -29,10 +36,12 @@ __all__ = [
     "mat_pow_counted",
     "mat_vec",
     "norms",
+    "residual_of",
     "save_matrix",
     "save_vector",
     "spectral_radius",
     "square_matrix",
+    "subtract_from_identity",
     "vector",
 ]
 
@@ -106,6 +115,24 @@ def mat_mul(a: np.ndarray, b: np.ndarray, ctr: MulCounter) -> np.ndarray:
     return a @ b
 
 
+def subtract_from_identity(r: np.ndarray) -> np.ndarray:
+    """Overwrite the square array ``r`` with ``I - r`` and return it.
+
+    Bitwise equal to ``identity(n) - r``, signed zeros included: off the
+    diagonal ``0.0 - r`` (not ``-r``, which would turn ``+0.0`` into
+    ``-0.0``), on it ``(0.0 - r) + 1.0 == 1.0 - r``.  Only for arrays the
+    caller has just allocated.
+    """
+    np.subtract(0.0, r, out=r)
+    r.flat[:: r.shape[0] + 1] += 1.0
+    return r
+
+
+def residual_of(x: np.ndarray, a: np.ndarray, ctr: MulCounter) -> np.ndarray:
+    """``I - x @ a`` in a fresh array; one counted product."""
+    return subtract_from_identity(mat_mul(x, a, ctr))
+
+
 def mat_vec(a: np.ndarray, v: np.ndarray, ctr: MulCounter) -> np.ndarray:
     """Matrix-vector product; increments ``ctr.mvm`` by exactly one."""
     if a.shape[1] != v.shape[0]:
@@ -158,18 +185,15 @@ class Norms(NamedTuple):
 
 def norms(a: np.ndarray) -> Norms:
     """Frobenius norm and maximum-row-sum (infinity) norm."""
-    return Norms(
-        frobenius=float(np.sqrt(np.sum(a * a))),
-        inf_norm=float(np.max(np.sum(np.abs(a), axis=1))),
-    )
+    return Norms(frobenius=fro_norm(a), inf_norm=inf_norm(a))
 
 
 def fro_norm(a: np.ndarray) -> float:
-    return norms(a).frobenius
+    return float(np.sqrt(np.sum(a * a)))
 
 
 def inf_norm(a: np.ndarray) -> float:
-    return norms(a).inf_norm
+    return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
 class SpectralRadiusError(RuntimeError):

@@ -27,7 +27,7 @@ from math import sqrt
 
 import numpy as np
 
-from .matrix_core import MulCounter, fro_norm, identity, mat_mul
+from .matrix_core import MulCounter, fro_norm, mat_mul, residual_of
 from .series_toolkit import FactorPlan, factored_eval, geometric_apply, horner_eval, nested_eval
 from .splitting import Splitting
 
@@ -141,7 +141,7 @@ def initial_series(split: Splitting, p: int, w: int, order: int = 2) -> NsState:
         g = factored_eval(
             split.residual, split.precond, split.matrix, p, w, ctr, form_y=False
         )
-        f = identity(g.shape[0]) - mat_mul(g, split.matrix, ctr)
+        f = residual_of(g, split.matrix, ctr)
     return NsState(
         estimate=g, residual=f, step=0, order=order, series_order=h, ctr=ctr
     )
@@ -163,7 +163,7 @@ def ns_step(st: NsState, a: np.ndarray, plan: FactorPlan | None = None) -> NsSta
         if plan.order_h != n:
             raise ValueError(f"plan order {plan.order_h} != iteration order {n}")
         g_new = nested_eval(st.residual, st.estimate, a, plan, st.ctr, form_y=False)
-    f_new = identity(g_new.shape[0]) - mat_mul(g_new, a, st.ctr)
+    f_new = residual_of(g_new, a, st.ctr)
     return NsState(
         estimate=g_new,
         residual=f_new,
@@ -197,7 +197,6 @@ def composite_step(
     if order_n < 1:
         raise ValueError("order_n must be >= 1")
     ctr = st.ctr
-    eye = identity(a.shape[0])
 
     series: list[np.ndarray] = []
     residuals: list[np.ndarray] = []
@@ -207,17 +206,20 @@ def composite_step(
         else:
             t_i = geometric_apply(split.residual, split.precond, rate, split.matrix, ctr)
         series.append(t_i)
-        residuals.append(eye - mat_mul(t_i, a, ctr))
+        residuals.append(residual_of(t_i, a, ctr))
 
     t_comp = series[0]
     r_comp = residuals[0]
     for i in range(1, len(series)):
-        t_comp = t_comp + mat_mul(r_comp, series[i], ctr)
+        weighted = mat_mul(r_comp, series[i], ctr)
+        weighted += t_comp
+        t_comp = weighted
         r_comp = mat_mul(r_comp, residuals[i], ctr)
 
     ns_part = horner_eval(st.residual, st.estimate, order_n, ctr)
-    g_new = t_comp + mat_mul(r_comp, ns_part, ctr)
-    f_new = eye - mat_mul(g_new, a, ctr)
+    g_new = mat_mul(r_comp, ns_part, ctr)
+    g_new += t_comp
+    f_new = residual_of(g_new, a, ctr)
     return NsState(
         estimate=g_new,
         residual=f_new,
@@ -238,7 +240,7 @@ def initial_double(split: Splitting, p: int, w: int, order: int = 2) -> DoubleNs
     base = initial_series(split, p, w, order)
     ctr = base.ctr
     l0 = horner_eval(base.residual, base.estimate, order, ctr)
-    accel_res = identity(l0.shape[0]) - mat_mul(l0, split.matrix, ctr)
+    accel_res = residual_of(l0, split.matrix, ctr)
     return DoubleNsState(
         estimate=base.estimate,
         residual=base.residual,
@@ -262,12 +264,11 @@ def double_ns_step(st: DoubleNsState, a: np.ndarray, executor=None) -> DoubleNsS
     path.  Residual law: F_k = (I - L_k A) F_(k-1)^n.
     """
     n = st.order
-    eye = identity(a.shape[0])
 
     def accel_branch(ctr: MulCounter):
-        gamma = eye - mat_mul(st.accel_estimate, a, ctr)
+        gamma = residual_of(st.accel_estimate, a, ctr)
         l_new = horner_eval(gamma, st.accel_estimate, n, ctr)
-        return l_new, eye - mat_mul(l_new, a, ctr)
+        return l_new, residual_of(l_new, a, ctr)
 
     def main_branch(ctr: MulCounter):
         return horner_eval(st.residual, st.estimate, n, ctr)
@@ -284,8 +285,9 @@ def double_ns_step(st: DoubleNsState, a: np.ndarray, executor=None) -> DoubleNsS
         st.ctr.merge(c1)
         st.ctr.merge(c2)
 
-    g_new = l_new + mat_mul(accel_res, ns_part, st.ctr)
-    f_new = eye - mat_mul(g_new, a, st.ctr)
+    g_new = mat_mul(accel_res, ns_part, st.ctr)
+    g_new += l_new
+    f_new = residual_of(g_new, a, st.ctr)
     return DoubleNsState(
         estimate=g_new,
         residual=f_new,
@@ -317,11 +319,11 @@ def additive_correction_step(
     """
     if p < 2:
         raise ValueError("order p must be >= 2")
-    eye = identity(a.shape[0])
-    l_prev = eye - mat_mul(z, a, ctr)
+    l_prev = residual_of(z, a, ctr)
     z_new = horner_eval(l_prev, z, p, ctr)
-    f_prev = eye - mat_mul(g, a, ctr)
-    g_new = g + mat_mul(f_prev, z_new, ctr)
+    f_prev = residual_of(g, a, ctr)
+    g_new = mat_mul(f_prev, z_new, ctr)
+    g_new += g
     return z_new, g_new
 
 

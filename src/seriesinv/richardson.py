@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import MulCounter, identity, mat_mul, mat_vec
+from .matrix_core import MulCounter, identity, mat_mul, mat_vec, residual_of
 from .newton_schulz import DoubleNsState, double_ns_step, initial_double
 from .series_toolkit import horner_eval
 from .splitting import Splitting
@@ -84,7 +84,8 @@ def richardson_step(st: RichardsonState, a: np.ndarray, b: np.ndarray) -> Richar
         raise ValueError("dimension mismatch")
     inner = double_ns_step(st.inner, a)
     sum_fg = horner_eval(inner.residual, inner.estimate, st.q, st.ctr)
-    weight = inner.accel_estimate + mat_mul(inner.accel_residual, sum_fg, st.ctr)
+    weight = mat_mul(inner.accel_residual, sum_fg, st.ctr)
+    weight += inner.accel_estimate
     resid = mat_vec(a, st.theta, st.ctr) - b
     theta = st.theta - mat_vec(weight, resid, st.ctr)
     return RichardsonState(
@@ -104,7 +105,7 @@ def _power_sum(gamma: np.ndarray, n: int, ctr: MulCounter) -> np.ndarray:
     cur = None
     for _ in range(n - 1):
         cur = gamma if cur is None else mat_mul(cur, gamma, ctr)
-        acc = acc + cur
+        acc += cur
     return acc
 
 
@@ -131,11 +132,11 @@ def richardson_recursive_step(
     if a.shape[0] != st.theta.shape[0] or b.shape != st.theta.shape:
         raise ValueError("dimension mismatch")
     prev = st.inner
-    eye = identity(a.shape[0])
 
     if st.omega is None or st.ns_part is None:
         ns_prev = horner_eval(prev.residual, prev.estimate, n, st.ctr)
-        omega_prev = prev.accel_estimate + mat_mul(prev.accel_residual, ns_prev, st.ctr)
+        omega_prev = mat_mul(prev.accel_residual, ns_prev, st.ctr)
+        omega_prev += prev.accel_estimate
     else:
         ns_prev, omega_prev = st.ns_part, st.omega
 
@@ -144,14 +145,15 @@ def richardson_recursive_step(
     s_gamma = _power_sum(gamma, n, st.ctr)
 
     def estimate_part(ctr: MulCounter):
-        g_new = mat_mul(s_gamma, omega_prev - ns_prev, ctr) + ns_prev
-        f_new = eye - mat_mul(g_new, a, ctr)
+        g_new = mat_mul(s_gamma, omega_prev - ns_prev, ctr)
+        g_new += ns_prev
+        f_new = residual_of(g_new, a, ctr)
         ns_new = horner_eval(f_new, g_new, n, ctr)
         return g_new, f_new, ns_new
 
     def accel_part(ctr: MulCounter):
         l_new = mat_mul(s_gamma, prev.accel_estimate, ctr)
-        return l_new, eye - mat_mul(l_new, a, ctr)
+        return l_new, residual_of(l_new, a, ctr)
 
     if executor is None:
         g_new, f_new, ns_new = estimate_part(st.ctr)
@@ -165,7 +167,8 @@ def richardson_recursive_step(
         st.ctr.merge(c1)
         st.ctr.merge(c2)
 
-    omega_new = l_new + mat_mul(accel_res, ns_new, st.ctr)
+    omega_new = mat_mul(accel_res, ns_new, st.ctr)
+    omega_new += l_new
     resid = mat_vec(a, st.theta, st.ctr) - b
     theta = st.theta - mat_vec(omega_new, resid, st.ctr)
     inner_new = DoubleNsState(

@@ -36,7 +36,7 @@ from typing import Union
 
 import numpy as np
 
-from .matrix_core import MulCounter, fro_norm, identity, mat_mul, mat_pow_counted
+from .matrix_core import MulCounter, fro_norm, identity, mat_mul, mat_pow_counted, residual_of
 
 __all__ = [
     "FactorPlan",
@@ -50,6 +50,7 @@ __all__ = [
     "factored_mmm",
     "geometric_apply",
     "horner_eval",
+    "horner_iterates",
     "make_plan",
     "nested_eval",
     "order45_plan",
@@ -263,14 +264,28 @@ def _node_str(node: PlanNode) -> str:
 def _horner_loop(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> np.ndarray:
     z = x
     for _ in range(h - 1):
-        z = mat_mul(y, z, ctr) + x
+        z = mat_mul(y, z, ctr)
+        z += x
     return z
+
+
+def horner_iterates(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> list[np.ndarray]:
+    """Every Horner iterate ``[S_1 X, ..., S_h X]`` from one pass of ``h - 1``
+    products; entry ``i`` is bitwise equal to ``horner_eval(y, x, i + 1)``."""
+    if h < 1:
+        raise ValueError("order h must be >= 1")
+    sums = [x]
+    for _ in range(h - 1):
+        z = mat_mul(y, sums[-1], ctr)
+        z += x
+        sums.append(z)
+    return sums
 
 
 def _formed_y(
     y: np.ndarray | None, x: np.ndarray, a: np.ndarray, ctr: MulCounter
 ) -> np.ndarray:
-    y_eff = identity(x.shape[0]) - mat_mul(x, a, ctr)
+    y_eff = residual_of(x, a, ctr)
     if y is not None and fro_norm(y_eff - y) > 1e-10 * (1.0 + fro_norm(y)):
         raise ValueError("supplied Y does not match I - X A")
     return y_eff
@@ -352,7 +367,7 @@ def factored_eval(
     u = x if p == 0 else _horner_loop(y_eff, x, p + 1, ctr)
     if w == 1:
         return u
-    q = y_eff if p == 0 else identity(x.shape[0]) - mat_mul(u, a, ctr)
+    q = y_eff if p == 0 else residual_of(u, a, ctr)
     return _horner_loop(q, u, w, ctr)
 
 
@@ -363,18 +378,21 @@ def _run_program(
     a: np.ndarray,
     ctr: MulCounter,
 ) -> np.ndarray:
-    eye = identity(x.shape[0])
     env = {"Y": y, "X": x}
     dst = "X"
     for ins in form.program:
         if isinstance(ins, Mul):
             env[ins.dst] = mat_mul(env[ins.lhs], env[ins.rhs], ctr)
         elif isinstance(ins, Residual):
-            env[ins.dst] = eye - mat_mul(env[ins.src], a, ctr)
+            env[ins.dst] = residual_of(env[ins.src], a, ctr)
         elif isinstance(ins, Lin):
-            acc = ins.const * eye if ins.const else np.zeros_like(x)
+            if ins.const:
+                acc = identity(x.shape[0])
+                acc *= ins.const
+            else:
+                acc = np.zeros_like(x)
             for coef, reg in ins.terms:
-                acc = acc + coef * env[reg]
+                acc += coef * env[reg]
             env[ins.dst] = acc
         else:
             raise TypeError(f"bad instruction {ins!r}")
@@ -395,11 +413,12 @@ def _eval_node(
         u = x if node.p == 0 else _eval_node(node.inner, y, x, a, ctr)
         if node.w == 1:
             return u
-        q = y if node.p == 0 else identity(x.shape[0]) - mat_mul(u, a, ctr)
+        q = y if node.p == 0 else residual_of(u, a, ctr)
         return _eval_node(node.outer, q, u, a, ctr)
     if isinstance(node, PrimeWrap):
-        z = _eval_node(node.inner, y, x, a, ctr)
-        return x + mat_mul(y, z, ctr)
+        z = mat_mul(y, _eval_node(node.inner, y, x, a, ctr), ctr)
+        z += x
+        return z
     if isinstance(node, TableForm):
         return _run_program(node, y, x, a, ctr)
     raise TypeError(f"not a plan node: {node!r}")
@@ -451,9 +470,11 @@ def geometric_apply(
     half = order // 2
     t = geometric_apply(y, x, half, a, ctr)
     y_half = mat_pow_counted(y, half, ctr)
-    z = t + mat_mul(y_half, t, ctr)
+    z = mat_mul(y_half, t, ctr)
+    z += t
     if order % 2:
-        z = x + mat_mul(y, z, ctr)
+        z = mat_mul(y, z, ctr)
+        z += x
     return z
 
 

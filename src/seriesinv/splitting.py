@@ -12,7 +12,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .matrix_core import fro_norm, identity, inf_norm, spectral_radius, square_matrix
+from .matrix_core import (
+    fro_norm,
+    identity,
+    inf_norm,
+    spectral_radius,
+    square_matrix,
+    subtract_from_identity,
+)
 
 __all__ = [
     "NotSDDError",
@@ -56,8 +63,15 @@ class Splitting:
     rho_hint: float | None = field(default=None)
 
     def __post_init__(self):
-        b_check = identity(self.matrix.shape[0]) - self.precond @ self.matrix
-        err = fro_norm(b_check - self.residual)
+        diag = np.diagonal(self.precond)
+        if np.count_nonzero(self.precond) == np.count_nonzero(diag):
+            # Diagonal S^-1: the product is a row scaling, equal to the GEMM.
+            product = diag[:, None] * self.matrix
+        else:
+            product = self.precond @ self.matrix
+        b_check = subtract_from_identity(product)
+        b_check -= self.residual
+        err = fro_norm(b_check)
         if err > 1e-12 * fro_norm(self.residual) + 1e-14:
             raise ValueError(
                 f"inconsistent splitting: ||(I - precond A) - residual|| = {err:.3e}"
@@ -74,7 +88,7 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
 
 
 def is_positive_definite(a: np.ndarray, pivot_tol: float | None = None) -> bool:
-    """Positive definiteness via a plain Cholesky attempt.
+    """Positive definiteness via a Cholesky attempt.
 
     A pivot at or below ``pivot_tol`` (default ``1e-12 * ||a||_inf``) counts
     as failure, so near-singular matrices are reported as not PD rather than
@@ -82,20 +96,19 @@ def is_positive_definite(a: np.ndarray, pivot_tol: float | None = None) -> bool:
     """
     a = square_matrix(a)
     a = (a + a.T) / 2.0
-    n = a.shape[0]
     if pivot_tol is None:
         pivot_tol = 1e-12 * inf_norm(a)
-    lower = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - np.dot(lower[j, :j], lower[j, :j])
-        if d <= pivot_tol:
-            return False
-        lower[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (
-                a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]
-            ) / lower[j, j]
-    return True
+    return _passes_cholesky(a, pivot_tol)
+
+
+def _passes_cholesky(sym: np.ndarray, pivot_tol: float) -> bool:
+    """True iff LAPACK factors the symmetric ``sym`` and every pivot
+    ``diag(L)**2`` is above ``pivot_tol``."""
+    try:
+        lower = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.diagonal(lower) ** 2 > pivot_tol))
 
 
 def split_diagonal(a: np.ndarray) -> Splitting:
@@ -112,7 +125,7 @@ def split_diagonal(a: np.ndarray) -> Splitting:
     if np.any(np.abs(diag) <= off_sums):
         raise NotSDDError("matrix is not strictly diagonally dominant")
     precond = np.diag(1.0 / diag)
-    residual = identity(a.shape[0]) - a / diag[:, None]
+    residual = subtract_from_identity(a / diag[:, None])
     return Splitting(
         precond=square_matrix(precond),
         residual=square_matrix(residual),
@@ -129,15 +142,16 @@ def split_scalar(a: np.ndarray, eps: float | None = None) -> Splitting:
     for ill-conditioned A.
     """
     a = _check_symmetric(a)
+    norm = inf_norm(a)
     if eps is None:
-        eps = 1e-3 * inf_norm(a)
+        eps = 1e-3 * norm
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if not is_positive_definite(a):
+    if not _passes_cholesky(a, 1e-12 * norm):
         raise NotSPDError("matrix is not positive definite")
-    alpha = inf_norm(a) / 2.0 + eps
+    alpha = norm / 2.0 + eps
     precond = identity(a.shape[0]) / alpha
-    residual = identity(a.shape[0]) - a / alpha
+    residual = subtract_from_identity(a / alpha)
     return Splitting(
         precond=square_matrix(precond),
         residual=square_matrix(residual),

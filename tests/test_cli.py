@@ -161,6 +161,13 @@ class TestErrorHandling:
         assert rc == 2
         assert "positive definite" in capsys.readouterr().err
 
+    def test_unconverged_rho_is_reported(self, tmp_path):
+        mat = tmp_path / "clustered.mat"
+        save_matrix(mat, random_spd(64, np.random.default_rng(0)))
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            rc = main(["invert", "--matrix", str(mat), "--method", "ns", "--steps", "1"])
+        assert rc == 0
+
     def test_composite_without_rates(self, tmp_path, capsys):
         mat = tmp_path / "a.mat"
         save_matrix(mat, random_spd(3, np.random.default_rng(0)))

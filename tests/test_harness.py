@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from corpus import random_spd
 from seriesinv import (
     HarmonicRegressorSpec,
     MethodSpec,
+    SpectralRadiusError,
     condition_number,
     emit_exponent_surface,
     emit_mmm_surface,
@@ -15,10 +17,11 @@ from seriesinv import (
     parse_run_records,
     records_to_csv,
     run_comparison,
+    spectral_radius,
     split_scalar,
     toolkit_check,
 )
-from seriesinv.harness import CSV_HEADER, series_params
+from seriesinv.harness import CSV_HEADER, _measure_rho, series_params
 
 
 class FakeTimer:
@@ -296,3 +299,15 @@ def test_toolkit_check_smoke():
     ok, lines = toolkit_check(instances=3, dim=4, seed=7, max_order=20)
     assert ok
     assert any("table:h15b" in line for line in lines)
+
+
+def test_unconverged_rho_warns_and_keeps_best_estimate():
+    # clustered top eigenvalues: power iteration hits its cap on this matrix
+    split = split_scalar(random_spd(64, np.random.default_rng(0)))
+    with pytest.raises(SpectralRadiusError) as info:
+        spectral_radius(split.residual, tol=1e-10, max_iter=20000)
+    best = info.value.best_estimate
+    with pytest.warns(RuntimeWarning, match="within 20000 iterations") as caught:
+        rho = _measure_rho(split)
+    assert rho == best
+    assert f"{best:.9g}" in str(caught[0].message)

@@ -24,7 +24,7 @@ from seriesinv import (
     square_matrix,
     table_plans,
 )
-from seriesinv.series_toolkit import TABLE_LABELS
+from seriesinv.series_toolkit import TABLE_LABELS, horner_iterates
 
 
 def toolkit_instance(rng, dim=5):
@@ -69,6 +69,18 @@ class TestHorner:
         x, y, _ = toolkit_instance(rng)
         with pytest.raises(ValueError):
             horner_eval(y, x, 0, MulCounter())
+        with pytest.raises(ValueError):
+            horner_iterates(y, x, 0, MulCounter())
+
+    def test_one_pass_gives_every_order_bitwise(self, rng):
+        # the verify-tables references: one pass of 44 products, order h
+        # bitwise equal to its own Horner evaluation
+        x, y, _ = toolkit_instance(rng)
+        ctr = MulCounter()
+        sums = horner_iterates(y, x, 45, ctr)
+        assert ctr.mmm == 44 and len(sums) == 45
+        for h in range(1, 46):
+            assert sums[h - 1].tobytes() == horner_eval(y, x, h, MulCounter()).tobytes()
 
     def test_missing_y_rejected(self, rng):
         x, _, a = toolkit_instance(rng)

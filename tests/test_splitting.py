@@ -98,6 +98,21 @@ class TestConstructionInvariant:
                 kind="diagonal",
             )
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_checked_with_diagonal_and_dense_precond(self, rng, dense):
+        a = random_spd(5, rng)
+        if dense:
+            precond = np.linalg.inv(a + 0.3 * np.eye(5))
+            assert np.count_nonzero(precond - np.diag(np.diag(precond)))
+        else:
+            precond = np.diag(1.0 / np.diag(a))
+        residual = identity(5) - precond @ a
+        Splitting(precond=precond, residual=residual, matrix=a, kind="test")
+        off = residual.copy()
+        off[1, 3] += 1e-6
+        with pytest.raises(ValueError, match="inconsistent splitting"):
+            Splitting(precond=precond, residual=off, matrix=a, kind="test")
+
 
 class TestContractionProperties:
     @pytest.mark.parametrize("seed", range(10))
@@ -162,7 +177,62 @@ class TestTwoSMinusA:
             assert check_two_s_minus_a(a, sp) == (rho < 1.0)
 
 
+def cholesky_loop_is_pd(a, pivot_tol=None):
+    """The plain Python Cholesky the LAPACK test replaced, kept as its
+    oracle: a pivot at or below ``pivot_tol`` counts as failure."""
+    a = (a + a.T) / 2.0
+    n = a.shape[0]
+    if pivot_tol is None:
+        pivot_tol = 1e-12 * inf_norm(a)
+    lower = np.zeros_like(a)
+    for j in range(n):
+        d = a[j, j] - np.dot(lower[j, :j], lower[j, :j])
+        if d <= pivot_tol:
+            return False
+        lower[j, j] = np.sqrt(d)
+        if j + 1 < n:
+            lower[j + 1 :, j] = (
+                a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]
+            ) / lower[j, j]
+    return True
+
+
+def _with_spectrum(eigs, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigs), len(eigs))))
+    a = (q * np.asarray(eigs)) @ q.T
+    return square_matrix((a + a.T) / 2.0)
+
+
 class TestPositiveDefinite:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_agrees_with_python_cholesky(self, seed):
+        r = np.random.default_rng(seed)
+        dim = 1 + seed
+        cases = [random_spd(dim, r), random_spd(dim, r, shift=1e-6)]
+        if dim >= 2:
+            # indefinite, and near-singular at several distances from the
+            # default pivot tolerance of 1e-12 * ||A||_inf
+            cases.append(_with_spectrum([-0.5] + [1.0] * (dim - 1), r))
+            for small in (0.0, 1e-16, 1e-14, 1e-11, 1e-8):
+                cases.append(_with_spectrum(np.r_[small, r.uniform(0.5, 2.0, dim - 1)], r))
+        for a in cases:
+            assert is_positive_definite(a) == cholesky_loop_is_pd(a)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.eye(3),
+            np.diag([1.0, 1e-300, 2.0]),
+            [[1.0, 2.0], [2.0, 1.0]],
+            [[1.0, 1.0], [1.0, 1.0 + 1e-16]],
+            np.zeros((2, 2)),
+            [[2.0, -1.0], [-1.0, 2.0]],
+        ],
+    )
+    def test_agrees_with_python_cholesky_at_zero_tolerance(self, a):
+        a = square_matrix(a)
+        assert is_positive_definite(a, pivot_tol=0.0) == cholesky_loop_is_pd(a, 0.0)
+
     def test_basic(self):
         assert is_positive_definite(np.eye(3))
         assert not is_positive_definite(square_matrix([[1.0, 2.0], [2.0, 1.0]]))
