@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .harness import (
+    METHODS,
     HarmonicRegressorSpec,
     MethodSpec,
     condition_number,
@@ -81,44 +82,29 @@ def _write_or_print(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_rates(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok)
+def _kinds(command: str) -> list[str]:
+    return [kind for kind, row in METHODS.items() if row.command == command]
 
 
-def _cmd_invert(args) -> int:
-    a = load_matrix(args.matrix)
+def _cmd_run(args) -> int:
     method = MethodSpec(
         kind=args.method,
         order=args.order,
         h=args.h,
-        rates=_parse_rates(args.rates) if args.rates else (),
+        q=args.q,
+        rates=tuple(int(tok) for tok in args.rates.split(",") if tok),
     )
-    zeros = np.zeros(a.shape[0])
-    records = run_comparison(a, zeros, zeros, [method], args.steps, eps=args.eps)
-    _write_or_print(records_to_csv(records), args.csv)
-    last = records[-1]
-    print(
-        f"{last.method}: steps={last.k} final ||I - G A||_F = {last.error_norm:.3e}"
-        f"  mmm={last.mmm_cum}",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_solve(args) -> int:
     a = load_matrix(args.matrix)
-    b = load_vector(args.rhs)
-    if args.theta_star:
-        theta_star = load_vector(args.theta_star)
-    else:
-        # Reference solution for error reporting only.
-        theta_star = np.linalg.solve(a, b)
-    method = MethodSpec(kind=args.method, order=args.order, h=args.h, q=args.q)
+    b = theta_star = np.zeros(a.shape[0])
+    if args.command == "solve":
+        b = load_vector(args.rhs)
+        # Without --theta-star a dense solve is the reference, for reporting only.
+        theta_star = load_vector(args.theta_star) if args.theta_star else np.linalg.solve(a, b)
     records = run_comparison(a, b, theta_star, [method], args.steps, eps=args.eps)
     _write_or_print(records_to_csv(records), args.csv)
     last = records[-1]
     print(
-        f"{last.method}: steps={last.k} final ||theta - theta*|| = "
+        f"{last.method}: steps={last.k} final {args.error_norm} = "
         f"{last.error_norm:.3e}  mmm={last.mmm_cum}",
         file=sys.stderr,
     )
@@ -181,23 +167,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invert", help="run an inversion method on a matrix file")
     p_inv.add_argument("--matrix", required=True)
-    p_inv.add_argument("--method", choices=["ns", "double", "composite", "sri"], required=True)
+    p_inv.add_argument("--method", choices=_kinds("invert"), required=True)
     p_inv.add_argument("--order", type=int, default=2)
     p_inv.add_argument("--h", type=int, default=1)
     p_inv.add_argument("--steps", type=int, default=5)
     p_inv.add_argument("--rates", default="", help="comma-separated composite rates")
     p_inv.add_argument("--eps", type=float, default=None)
     p_inv.add_argument("--csv", default=None)
-    p_inv.set_defaults(func=_cmd_invert)
+    p_inv.set_defaults(func=_cmd_run, q=None, error_norm="||I - G A||_F")
 
     p_solve = sub.add_parser("solve", help="run an estimation method on matrix + rhs")
     p_solve.add_argument("--matrix", required=True)
     p_solve.add_argument("--rhs", required=True)
-    p_solve.add_argument(
-        "--method",
-        choices=["richardson", "richardson-recursive", "ns-estimator"],
-        required=True,
-    )
+    p_solve.add_argument("--method", choices=_kinds("solve"), required=True)
     p_solve.add_argument("--order", type=int, default=2)
     p_solve.add_argument("--q", type=int, default=None)
     p_solve.add_argument("--h", type=int, default=1)
@@ -205,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--theta-star", default=None)
     p_solve.add_argument("--eps", type=float, default=None)
     p_solve.add_argument("--csv", default=None)
-    p_solve.set_defaults(func=_cmd_solve)
+    p_solve.set_defaults(func=_cmd_run, rates="", error_norm="||theta - theta*||")
 
     p_gen = sub.add_parser("gen-harmonic", help="generate the harmonic fixture")
     p_gen.add_argument("--freqs", default="0.10,0.11,0.12")

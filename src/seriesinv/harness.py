@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from math import cos, pi, sin
 
 import numpy as np
@@ -58,6 +60,7 @@ from .splitting import is_positive_definite, split_scalar
 
 __all__ = [
     "CSV_HEADER",
+    "METHODS",
     "HarmonicRegressorSpec",
     "MethodSpec",
     "RunRecord",
@@ -74,8 +77,6 @@ __all__ = [
     "toolkit_check",
 ]
 
-INVERSION_KINDS = ("ns", "double", "composite", "sri")
-ESTIMATOR_KINDS = ("ns-estimator", "richardson", "richardson-recursive")
 DIVERGENCE_FACTOR = 1e3
 
 
@@ -165,11 +166,11 @@ def condition_number(a: np.ndarray) -> float:
 class MethodSpec:
     """One method in a comparison run.
 
-    ``kind`` is one of ns | double | composite | sri (inversion error is
-    tracked) or ns-estimator | richardson | richardson-recursive (the
-    parameter mismatch is tracked).  ``order`` is n (or p for sri), ``h``
-    the initial series order; ``q`` defaults to the order for the
-    Richardson kinds; ``rates`` feeds the composite kind.
+    ``kind`` is a key of :data:`METHODS`, the one list of method kinds.
+    ``order`` is n (or p for sri), ``h`` the initial series order; ``q``
+    (Richardson kinds only) defaults to the order; ``rates`` feeds the
+    composite kind, which needs them.  A spec is checked against its table
+    row when it is built, so a bad one fails before any matrix work.
     """
 
     kind: str
@@ -179,18 +180,31 @@ class MethodSpec:
     rates: tuple[int, ...] = ()
     label: str | None = None
 
+    def __post_init__(self):
+        row = METHODS.get(self.kind)
+        if row is None:
+            raise ValueError(
+                f"unknown method kind {self.kind!r}; expected one of {', '.join(METHODS)}"
+            )
+        if row.takes_rates:
+            CompositeSpec(rates=self.rates)
+        elif self.rates:
+            raise ValueError(f"method {self.kind} takes no rates")
+        if self.q is not None and not row.takes_q:
+            raise ValueError(f"method {self.kind} takes no q")
+        if row.q_is_order and self.q not in (None, self.order):
+            raise ValueError(f"method {self.kind} requires q == order")
+
     def name(self) -> str:
         if self.label:
             return self.label
-        if self.kind == "composite":
-            tag = "-".join(str(x) for x in self.rates)
-            return f"composite:n{self.order}:h{self.h}:r{tag}"
-        if self.kind == "sri":
-            return f"sri:p{self.order}:h{self.h}"
-        if self.kind in ("richardson", "richardson-recursive"):
-            q = self.order if self.q is None else self.q
-            return f"{self.kind}:n{self.order}:q{q}:h{self.h}"
-        return f"{self.kind}:n{self.order}:h{self.h}"
+        return METHODS[self.kind].name.format(
+            kind=self.kind,
+            order=self.order,
+            h=self.h,
+            q=self.order if self.q is None else self.q,
+            rates="-".join(str(x) for x in self.rates),
+        )
 
 
 @dataclass
@@ -215,13 +229,8 @@ def series_params(h: int) -> tuple[int, int]:
     """A (p, w) factorization of the initial series order with minimal cost."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    if h == 1:
-        return 0, 1
-    best = (h - 1, 1)
-    for p, w in split_candidates(h):
-        if factored_mmm(p, w) < factored_mmm(*best):
-            best = (p, w)
-    return best
+    # min keeps the first of equally cheap candidates, so (h - 1, 1) wins ties.
+    return min([(h - 1, 1)] + split_candidates(h), key=lambda pw: factored_mmm(*pw))
 
 
 _RHO_MAX_ITER = 20000
@@ -243,109 +252,135 @@ def _measure_rho(split) -> float:
         return exc.best_estimate
 
 
-def _inversion_states(method: MethodSpec, split, a, steps):
-    """Yield (k, residual_norm, mmm) for an inversion-kind method."""
-    p, w = series_params(method.h)
-    n = method.order
-    if method.kind == "ns":
-        st = initial_series(split, p, w, order=n)
-        yield 0, fro_norm(st.residual), st.ctr.mmm
-        for _ in range(steps):
-            st = ns_step(st, a)
-            yield st.step, fro_norm(st.residual), st.ctr.mmm
-    elif method.kind == "double":
-        st = initial_double(split, p, w, order=n)
-        yield 0, fro_norm(st.residual), st.ctr.mmm
-        for _ in range(steps):
-            st = double_ns_step(st, a)
-            yield st.step, fro_norm(st.residual), st.ctr.mmm
-    elif method.kind == "composite":
-        if not method.rates:
-            raise ValueError("composite method needs rates")
-        spec = CompositeSpec(rates=method.rates)
-        st = initial_series(split, p, w, order=n)
-        yield 0, fro_norm(st.residual), st.ctr.mmm
-        for _ in range(steps):
-            st = composite_step(st, a, split, spec, order_n=n)
-            yield st.step, fro_norm(st.residual), st.ctr.mmm
-    elif method.kind == "sri":
-        st = initial_series(split, p, w, order=n)
-        z = g = st.estimate
-        ctr = st.ctr
-        eye = np.eye(a.shape[0])
-        yield 0, fro_norm(st.residual), ctr.mmm
-        for k in range(1, steps + 1):
-            z, g = additive_correction_step(z, g, a, n, ctr)
-            # residual recomputed for measurement only; stays off the counter
-            yield k, fro_norm(eye - g @ a), ctr.mmm
-    else:
-        raise ValueError(f"unknown inversion kind {method.kind!r}")
+@dataclass(frozen=True)
+class MethodKind:
+    """One row of :data:`METHODS`.
+
+    ``command`` is ``invert`` (error ||I - G A||_F) or ``solve`` (error
+    ||theta - theta*||).  ``start(method, split, a, b, p, w)`` returns the
+    initial state and the step function; ``error(state, b, theta_star)``
+    measures a state; ``exponent(method, k)`` is the predicted power of rho;
+    ``name`` is formatted with the spec's kind, order, h, q and rates.
+    """
+
+    command: str
+    start: Callable
+    error: Callable
+    exponent: Callable
+    name: str
+    takes_q: bool = False
+    q_is_order: bool = False
+    takes_rates: bool = False
 
 
-def _estimator_states(method: MethodSpec, split, a, b, theta_star, steps):
-    """Yield (k, mismatch_norm, mmm) for an estimator-kind method."""
-    p, w = series_params(method.h)
-    n = method.order
-    if method.kind == "ns-estimator":
-        st = initial_series(split, p, w, order=n)
-        theta = mat_vec(st.estimate, b, st.ctr)
-        yield 0, float(np.linalg.norm(theta - theta_star)), st.ctr.mmm
-        for _ in range(steps):
-            st = ns_step(st, a)
-            theta = mat_vec(st.estimate, b, st.ctr)
-            yield st.step, float(np.linalg.norm(theta - theta_star)), st.ctr.mmm
-    elif method.kind in ("richardson", "richardson-recursive"):
-        st = initial_richardson(split, b, p, w, order=n, q=method.q)
-        yield 0, float(np.linalg.norm(st.theta - theta_star)), st.ctr.mmm
-        stepper = (
-            richardson_step if method.kind == "richardson" else richardson_recursive_step
-        )
-        for _ in range(steps):
-            st = stepper(st, a, b)
-            yield st.step, float(np.linalg.norm(st.theta - theta_star)), st.ctr.mmm
-    else:
-        raise ValueError(f"unknown estimator kind {method.kind!r}")
+@dataclass
+class SriState:
+    """The additive scheme's two estimates, with G's residual measured off
+    the counter: the scheme itself never forms it."""
+
+    z: np.ndarray
+    g: np.ndarray
+    residual: np.ndarray
+    ctr: MulCounter
 
 
-def _predicted_exponent(method: MethodSpec, k: int) -> int:
-    n, h = method.order, method.h
-    if method.kind in ("ns", "ns-estimator"):
-        return classical_exponent(k, n, h)
-    if method.kind == "double":
-        return double_exponent(k, n, h)
-    if method.kind == "composite":
-        return composite_exponent(k, n, h, method.rates)
-    if method.kind == "sri":
-        return additive_exponents(k, n, h)[1]
-    if method.kind in ("richardson", "richardson-recursive"):
-        q = n if method.q is None else method.q
-        return cumulative_exponent(k, n, h, q)
-    raise ValueError(f"unknown kind {method.kind!r}")
+def _start_plain(init, stepper, m: MethodSpec, split, a, b, p, w):
+    return init(split, p, w, order=m.order), partial(stepper, a=a)
+
+
+def _start_composite(m: MethodSpec, split, a, b, p, w):
+    spec = CompositeSpec(rates=m.rates)
+    step = partial(composite_step, a=a, split=split, spec=spec, order_n=m.order)
+    return initial_series(split, p, w, order=m.order), step
+
+
+def _start_sri(m: MethodSpec, split, a, b, p, w):
+    st = initial_series(split, p, w, order=m.order)
+
+    def step(s: SriState) -> SriState:
+        z, g = additive_correction_step(s.z, s.g, a, m.order, s.ctr)
+        # residual recomputed for measurement only; stays off the counter
+        return SriState(z, g, np.eye(a.shape[0]) - g @ a, s.ctr)
+
+    return SriState(st.estimate, st.estimate, st.residual, st.ctr), step
+
+
+def _start_richardson(stepper, m: MethodSpec, split, a, b, p, w):
+    st = initial_richardson(split, b, p, w, order=m.order, q=m.q)
+    return st, partial(stepper, a=a, b=b)
+
+
+def _residual_error(st, b, theta_star) -> float:
+    return fro_norm(st.residual)
+
+
+def _estimate_error(st, b, theta_star) -> float:
+    """Mismatch of theta = G b (one counted mvm)."""
+    return float(np.linalg.norm(mat_vec(st.estimate, b, st.ctr) - theta_star))
+
+
+def _theta_error(st, b, theta_star) -> float:
+    return float(np.linalg.norm(st.theta - theta_star))
+
+
+# Keyed by kind; the CLI lists each command's kinds in this order.
+METHODS: dict[str, MethodKind] = {
+    "ns": MethodKind(
+        "invert", partial(_start_plain, initial_series, ns_step), _residual_error,
+        lambda m, k: classical_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
+    ),
+    "double": MethodKind(
+        "invert", partial(_start_plain, initial_double, double_ns_step), _residual_error,
+        lambda m, k: double_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
+    ),
+    "composite": MethodKind(
+        "invert", _start_composite, _residual_error,
+        lambda m, k: composite_exponent(k, m.order, m.h, m.rates),
+        "{kind}:n{order}:h{h}:r{rates}", takes_rates=True,
+    ),
+    "sri": MethodKind(
+        "invert", _start_sri, _residual_error,
+        lambda m, k: additive_exponents(k, m.order, m.h)[1], "{kind}:p{order}:h{h}",
+    ),
+    "richardson": MethodKind(
+        "solve", partial(_start_richardson, richardson_step), _theta_error,
+        lambda m, k: cumulative_exponent(k, m.order, m.h, m.q),
+        "{kind}:n{order}:q{q}:h{h}", takes_q=True,
+    ),
+    "richardson-recursive": MethodKind(
+        "solve", partial(_start_richardson, richardson_recursive_step), _theta_error,
+        lambda m, k: cumulative_exponent(k, m.order, m.h, m.q),
+        "{kind}:n{order}:q{q}:h{h}", takes_q=True, q_is_order=True,
+    ),
+    "ns-estimator": MethodKind(
+        "solve", partial(_start_plain, initial_series, ns_step), _estimate_error,
+        lambda m, k: classical_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
+    ),
+}
 
 
 def _run_method(method: MethodSpec, split, a, b, theta_star, steps, rho, timer):
     started = timer()
+    row = METHODS[method.kind]
     name = method.name()
-    if method.kind in INVERSION_KINDS:
-        states = _inversion_states(method, split, a, steps)
-    else:
-        states = _estimator_states(method, split, a, b, theta_star, steps)
+    state, step = row.start(method, split, a, b, *series_params(method.h))
+    e0 = row.exponent(method, 0)
     records = []
-    err0 = None
-    e0 = _predicted_exponent(method, 0)
-    for k, err, mmm in states:
-        if err0 is None:
+    for k in range(steps + 1):
+        if k > 0:
+            state = step(state)
+        err = row.error(state, b, theta_star)
+        if k == 0:
             err0 = err
-        exponent = _predicted_exponent(method, k)
-        bound = rho ** (exponent - e0) * err0
+        exponent = row.exponent(method, k)
         records.append(
             RunRecord(
                 method=name,
                 k=k,
                 error_norm=err,
-                predicted_bound=bound,
+                predicted_bound=rho ** (exponent - e0) * err0,
                 exponent=exponent,
-                mmm_cum=mmm,
+                mmm_cum=state.ctr.mmm,
                 wall_ns=int(timer() - started),
                 diverged=bool(err > DIVERGENCE_FACTOR * max(err0, 1e-300)),
             )
@@ -548,7 +583,8 @@ def toolkit_check(
         ref_norms = [max(fro_norm(ref), 1e-300) for ref in refs]
         for name, plan in plans:
             ctr = MulCounter()
-            z = nested_eval(y, x, a, plan, ctr, form_y=True)
+            # Y was checked when the splitting was built; only re-form it.
+            z = nested_eval(None, x, a, plan, ctr, form_y=True)
             if ctr.mmm != plan.mmm_cost:
                 count_ok = False
             rel = fro_norm(z - refs[plan.order_h - 1]) / ref_norms[plan.order_h - 1]

@@ -37,6 +37,7 @@ __all__ = [
     "mat_vec",
     "norms",
     "residual_of",
+    "run_branches",
     "save_matrix",
     "save_vector",
     "spectral_radius",
@@ -105,6 +106,21 @@ class MulCounter:
 
     def copy(self) -> "MulCounter":
         return MulCounter(self.mmm, self.mvm)
+
+
+def run_branches(ctr: MulCounter, executor, *branches) -> list:
+    """``branch(counter)`` for each branch, results in branch order.  Serial
+    on ``ctr`` without ``executor``; with one, concurrent on private
+    counters merged into ``ctr`` in branch order.  Branches that share only
+    read-only state give bitwise-identical results either way."""
+    if executor is None:
+        return [branch(ctr) for branch in branches]
+    counters = [MulCounter() for _ in branches]
+    futures = [executor.submit(branch, c) for branch, c in zip(branches, counters)]
+    results = [f.result() for f in futures]
+    for c in counters:
+        ctr.merge(c)
+    return results
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, ctr: MulCounter) -> np.ndarray:

@@ -27,7 +27,7 @@ from math import sqrt
 
 import numpy as np
 
-from .matrix_core import MulCounter, fro_norm, mat_mul, residual_of
+from .matrix_core import MulCounter, fro_norm, mat_mul, residual_of, run_branches
 from .series_toolkit import FactorPlan, factored_eval, geometric_apply, horner_eval, nested_eval
 from .splitting import Splitting
 
@@ -273,17 +273,7 @@ def double_ns_step(st: DoubleNsState, a: np.ndarray, executor=None) -> DoubleNsS
     def main_branch(ctr: MulCounter):
         return horner_eval(st.residual, st.estimate, n, ctr)
 
-    if executor is None:
-        l_new, accel_res = accel_branch(st.ctr)
-        ns_part = main_branch(st.ctr)
-    else:
-        c1, c2 = MulCounter(), MulCounter()
-        fut_a = executor.submit(accel_branch, c1)
-        fut_b = executor.submit(main_branch, c2)
-        l_new, accel_res = fut_a.result()
-        ns_part = fut_b.result()
-        st.ctr.merge(c1)
-        st.ctr.merge(c2)
+    (l_new, accel_res), ns_part = run_branches(st.ctr, executor, accel_branch, main_branch)
 
     g_new = mat_mul(accel_res, ns_part, st.ctr)
     g_new += l_new

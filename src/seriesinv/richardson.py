@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import MulCounter, identity, mat_mul, mat_vec, residual_of
+from .matrix_core import MulCounter, identity, mat_mul, mat_vec, residual_of, run_branches
 from .newton_schulz import DoubleNsState, double_ns_step, initial_double
 from .series_toolkit import horner_eval
 from .splitting import Splitting
@@ -155,17 +155,9 @@ def richardson_recursive_step(
         l_new = mat_mul(s_gamma, prev.accel_estimate, ctr)
         return l_new, residual_of(l_new, a, ctr)
 
-    if executor is None:
-        g_new, f_new, ns_new = estimate_part(st.ctr)
-        l_new, accel_res = accel_part(st.ctr)
-    else:
-        c1, c2 = MulCounter(), MulCounter()
-        fut_a = executor.submit(estimate_part, c1)
-        fut_b = executor.submit(accel_part, c2)
-        g_new, f_new, ns_new = fut_a.result()
-        l_new, accel_res = fut_b.result()
-        st.ctr.merge(c1)
-        st.ctr.merge(c2)
+    (g_new, f_new, ns_new), (l_new, accel_res) = run_branches(
+        st.ctr, executor, estimate_part, accel_part
+    )
 
     omega_new = mat_mul(accel_res, ns_new, st.ctr)
     omega_new += l_new

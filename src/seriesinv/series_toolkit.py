@@ -282,9 +282,15 @@ def horner_iterates(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> li
     return sums
 
 
-def _formed_y(
-    y: np.ndarray | None, x: np.ndarray, a: np.ndarray, ctr: MulCounter
+def _y_for(
+    y: np.ndarray | None, x: np.ndarray, a: np.ndarray, ctr: MulCounter, form_y: bool
 ) -> np.ndarray:
+    """The supplied Y, or with ``form_y`` Y re-formed as ``I - X A`` (one
+    product) and checked against the supplied value, if any."""
+    if not form_y:
+        if y is None:
+            raise ValueError("y is required unless form_y=True")
+        return y
     y_eff = residual_of(x, a, ctr)
     if y is not None and fro_norm(y_eff - y) > 1e-10 * (1.0 + fro_norm(y)):
         raise ValueError("supplied Y does not match I - X A")
@@ -308,13 +314,21 @@ def horner_eval(
     """
     if h < 1:
         raise ValueError("order h must be >= 1")
-    if form_y:
-        if a is None:
-            raise ValueError("form_y=True requires the matrix a")
-        y = _formed_y(y, x, a, ctr)
-    elif y is None:
-        raise ValueError("y is required unless form_y=True")
-    return _horner_loop(y, x, h, ctr)
+    if form_y and a is None:
+        raise ValueError("form_y=True requires the matrix a")
+    return _horner_loop(_y_for(y, x, a, ctr, form_y), x, h, ctr)
+
+
+def _split_node(p: int, w: int) -> Split:
+    outer = Horner(w) if w >= 2 else None
+    return Split(p=p, w=w, inner=Horner(p + 1), outer=outer)
+
+
+@lru_cache(maxsize=128)
+def _split_plan(p: int, w: int) -> FactorPlan:
+    """The plain two-level split with Horner stages, the plan behind
+    :func:`factored_mmm`, :func:`efficiency_index` and :func:`factored_eval`."""
+    return make_plan(_split_node(p, w))
 
 
 def factored_mmm(p: int, w: int) -> int:
@@ -324,18 +338,12 @@ def factored_mmm(p: int, w: int) -> int:
     ``p + 1`` when w == 1 (no outer sum), ``w`` when p == 0 (inner sum is
     just X).
     """
-    if p < 0 or w < 1:
-        raise ValueError("requires p >= 0 and w >= 1")
-    if w == 1:
-        return p + 1
-    if p == 0:
-        return w
-    return p + w + 1
+    return _split_plan(p, w).mmm_cost
 
 
 def efficiency_index(p: int, w: int) -> float:
     """Convergence order gained per multiplication: ``(w(p+1))**(1/count)``."""
-    return float(w * (p + 1)) ** (1.0 / factored_mmm(p, w))
+    return _split_plan(p, w).efficiency_index
 
 
 def factored_eval(
@@ -354,21 +362,7 @@ def factored_eval(
     :func:`factored_mmm`) the count is exactly ``factored_mmm(p, w)``.  With
     ``form_y=False`` the supplied Y is trusted and the count drops by one.
     """
-    if p < 0 or w < 1:
-        raise ValueError("requires p >= 0 and w >= 1")
-    if x.shape != a.shape:
-        raise ValueError(f"dimension mismatch: x {x.shape} vs a {a.shape}")
-    if form_y:
-        y_eff = _formed_y(y, x, a, ctr)
-    else:
-        if y is None:
-            raise ValueError("y is required unless form_y=True")
-        y_eff = y
-    u = x if p == 0 else _horner_loop(y_eff, x, p + 1, ctr)
-    if w == 1:
-        return u
-    q = y_eff if p == 0 else residual_of(u, a, ctr)
-    return _horner_loop(q, u, w, ctr)
+    return nested_eval(y, x, a, _split_plan(p, w), ctr, form_y=form_y)
 
 
 def _run_program(
@@ -439,13 +433,7 @@ def nested_eval(
         raise ValueError("malformed plan: order does not match its tree")
     if x.shape != a.shape:
         raise ValueError(f"dimension mismatch: x {x.shape} vs a {a.shape}")
-    if form_y:
-        y_eff = _formed_y(y, x, a, ctr)
-    else:
-        if y is None:
-            raise ValueError("y is required unless form_y=True")
-        y_eff = y
-    return _eval_node(plan.root, y_eff, x, a, ctr)
+    return _eval_node(plan.root, _y_for(y, x, a, ctr, form_y), x, a, ctr)
 
 
 def geometric_apply(
@@ -640,11 +628,6 @@ def _custom_forms() -> dict[str, TableForm]:
 
 
 _TABLE_FORMS = _custom_forms()
-
-
-def _split_node(p: int, w: int) -> Split:
-    outer = Horner(w) if w >= 2 else None
-    return Split(p=p, w=w, inner=Horner(p + 1), outer=outer)
 
 
 # Catalogue of tabulated factorizations, keyed by order.  Rows whose stated

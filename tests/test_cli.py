@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from seriesinv import (
     save_matrix,
     save_vector,
 )
-from seriesinv.cli import main
+from seriesinv.cli import _build_parser, main
+from seriesinv.harness import METHODS
 from corpus import random_spd
 
 
@@ -174,6 +177,66 @@ class TestErrorHandling:
         rc = main(["invert", "--matrix", str(mat), "--method", "composite",
                    "--steps", "1"])
         assert rc == 2
+
+
+class TestMethodChoices:
+    @staticmethod
+    def choices(command):
+        sub = next(
+            act for act in _build_parser()._actions
+            if isinstance(act, argparse._SubParsersAction)
+        )
+        method = next(act for act in sub.choices[command]._actions if act.dest == "method")
+        return list(method.choices)
+
+    @pytest.mark.parametrize("command", ["invert", "solve"])
+    def test_choices_are_the_table_kinds_in_order(self, command):
+        kinds = [kind for kind, row in METHODS.items() if row.command == command]
+        assert self.choices(command) == kinds
+
+    def test_choice_order_is_pinned(self):
+        assert self.choices("invert") == ["ns", "double", "composite", "sri"]
+        assert self.choices("solve") == ["richardson", "richardson-recursive", "ns-estimator"]
+
+
+class TestMethodValidation:
+    @pytest.fixture
+    def files(self, tmp_path):
+        r = np.random.default_rng(5)
+        a = random_spd(3, r)
+        mat, rhs = tmp_path / "a.mat", tmp_path / "b.vec"
+        save_matrix(mat, a)
+        save_vector(rhs, a @ r.standard_normal(3))
+        return mat, rhs
+
+    @pytest.mark.parametrize("argv,message", [
+        (["invert", "--method", "ns", "--rates", "2,3"], "method ns takes no rates"),
+        (["invert", "--method", "sri", "--rates", "2"], "method sri takes no rates"),
+        (["invert", "--method", "composite", "--rates", "0"], "rates must be positive"),
+        (["solve", "--method", "ns-estimator", "--q", "3"], "method ns-estimator takes no q"),
+        (["solve", "--method", "richardson-recursive", "--order", "3", "--q", "2"],
+         "method richardson-recursive requires q == order"),
+        (["solve", "--method", "richardson-recursive", "--order", "3", "--q", "2",
+          "--steps", "0"], "requires q == order"),
+    ])
+    def test_invalid_method_exits_2(self, files, tmp_path, capsys, argv, message):
+        mat, rhs = files
+        extra = ["--rhs", str(rhs)] if argv[0] == "solve" else []
+        csv_path = tmp_path / "never.csv"
+        rc = main(argv[:1] + ["--matrix", str(mat)] + extra + argv[1:]
+                  + ["--csv", str(csv_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    def test_method_checked_before_the_matrix(self, tmp_path, capsys):
+        mat = tmp_path / "bad.mat"
+        save_matrix(mat, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        rc = main(["invert", "--matrix", str(mat), "--method", "ns", "--rates", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "method ns" in err
+        assert "positive definite" not in err
 
 
 class TestSurfaces:

@@ -21,7 +21,32 @@ from seriesinv import (
     split_scalar,
     toolkit_check,
 )
-from seriesinv.harness import CSV_HEADER, _measure_rho, series_params
+from seriesinv.harness import (
+    CSV_HEADER,
+    DIVERGENCE_FACTOR,
+    METHODS,
+    _measure_rho,
+    series_params,
+)
+from seriesinv.newton_schulz import (
+    CompositeSpec,
+    additive_correction_step,
+    additive_exponents,
+    classical_exponent,
+    composite_exponent,
+    composite_step,
+    double_exponent,
+    double_ns_step,
+    initial_double,
+    initial_series,
+    ns_step,
+)
+from seriesinv.matrix_core import fro_norm, mat_vec
+from seriesinv.richardson import (
+    cumulative_exponent,
+    richardson_recursive_step,
+    richardson_step,
+)
 
 
 class FakeTimer:
@@ -196,6 +221,145 @@ class TestRunComparison:
             == "composite:n2:h1:r2-3"
         )
         assert MethodSpec(kind="ns", order=2, label="mine").name() == "mine"
+
+
+def _reference_states(method, split, a, b, theta_star, steps):
+    """Yield (k, error, mmm), each kind's init and step called by hand."""
+    p, w = series_params(method.h)
+    n, kind = method.order, method.kind
+    if kind == "ns":
+        st = initial_series(split, p, w, order=n)
+        yield 0, fro_norm(st.residual), st.ctr.mmm
+        for _ in range(steps):
+            st = ns_step(st, a)
+            yield st.step, fro_norm(st.residual), st.ctr.mmm
+    elif kind == "double":
+        st = initial_double(split, p, w, order=n)
+        yield 0, fro_norm(st.residual), st.ctr.mmm
+        for _ in range(steps):
+            st = double_ns_step(st, a)
+            yield st.step, fro_norm(st.residual), st.ctr.mmm
+    elif kind == "composite":
+        spec = CompositeSpec(rates=method.rates)
+        st = initial_series(split, p, w, order=n)
+        yield 0, fro_norm(st.residual), st.ctr.mmm
+        for _ in range(steps):
+            st = composite_step(st, a, split, spec, order_n=n)
+            yield st.step, fro_norm(st.residual), st.ctr.mmm
+    elif kind == "sri":
+        st = initial_series(split, p, w, order=n)
+        z = g = st.estimate
+        # k = 0 measures the initial state's residual (for h = 1 the
+        # splitting's B); later steps recompute I - G A off the counter.
+        yield 0, fro_norm(st.residual), st.ctr.mmm
+        for k in range(1, steps + 1):
+            z, g = additive_correction_step(z, g, a, n, st.ctr)
+            yield k, fro_norm(np.eye(a.shape[0]) - g @ a), st.ctr.mmm
+    elif kind == "ns-estimator":
+        st = initial_series(split, p, w, order=n)
+        theta = mat_vec(st.estimate, b, st.ctr)
+        yield 0, float(np.linalg.norm(theta - theta_star)), st.ctr.mmm
+        for _ in range(steps):
+            st = ns_step(st, a)
+            theta = mat_vec(st.estimate, b, st.ctr)
+            yield st.step, float(np.linalg.norm(theta - theta_star)), st.ctr.mmm
+    else:
+        stepper = richardson_step if kind == "richardson" else richardson_recursive_step
+        st = initial_richardson(split, b, p, w, order=n, q=method.q)
+        yield 0, float(np.linalg.norm(st.theta - theta_star)), st.ctr.mmm
+        for _ in range(steps):
+            st = stepper(st, a, b)
+            yield st.step, float(np.linalg.norm(st.theta - theta_star)), st.ctr.mmm
+
+
+def _reference_exponent(method, k):
+    n, h = method.order, method.h
+    if method.kind in ("ns", "ns-estimator"):
+        return classical_exponent(k, n, h)
+    if method.kind == "double":
+        return double_exponent(k, n, h)
+    if method.kind == "composite":
+        return composite_exponent(k, n, h, method.rates)
+    if method.kind == "sri":
+        return additive_exponents(k, n, h)[1]
+    return cumulative_exponent(k, n, h, n if method.q is None else method.q)
+
+
+class TestMethodTable:
+    SPECS = [
+        MethodSpec(kind="ns", order=3),
+        MethodSpec(kind="double", order=2),
+        MethodSpec(kind="composite", order=2, rates=(2, 3)),
+        MethodSpec(kind="sri", order=2),
+        MethodSpec(kind="richardson", order=3, q=2),
+        MethodSpec(kind="richardson-recursive", order=2),
+        MethodSpec(kind="ns-estimator", order=3),
+    ]
+
+    def test_specs_cover_every_kind(self):
+        assert [m.kind for m in self.SPECS] == list(METHODS)
+
+    @pytest.mark.parametrize("h", [1, 4])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda m: m.kind)
+    def test_run_matches_hand_driven_steps(self, fixture, spec, h):
+        a, b, theta = fixture
+        method = MethodSpec(
+            kind=spec.kind, order=spec.order, h=h, q=spec.q, rates=spec.rates
+        )
+        steps = 5
+        recs = run_comparison(a, b, theta, [method], steps, timer=FakeTimer())
+        split = split_scalar(a)
+        rho = _measure_rho(split)
+        ref = list(_reference_states(method, split, a, b, theta, steps))
+        assert [r.k for r in recs] == [k for k, _, _ in ref] == list(range(steps + 1))
+        err0 = ref[0][1]
+        e0 = _reference_exponent(method, 0)
+        for rec, (k, err, mmm) in zip(recs, ref):
+            exponent = _reference_exponent(method, k)
+            assert rec.method == method.name()
+            assert rec.error_norm == err
+            assert rec.predicted_bound == rho ** (exponent - e0) * err0
+            assert rec.exponent == exponent
+            assert rec.mmm_cum == mmm
+            assert rec.diverged == (err > DIVERGENCE_FACTOR * max(err0, 1e-300))
+
+    def test_sri_first_row_is_the_splitting_residual(self):
+        # On this matrix the splitting's B and a recomputed I - S^-1 A
+        # differ in the last bits of their norms; k = 0 reports B.
+        a = random_spd(6, np.random.default_rng(5))
+        split = split_scalar(a)
+        recomputed = fro_norm(np.eye(6) - split.precond @ split.matrix)
+        assert recomputed != fro_norm(split.residual)
+        b = theta = np.ones(6)
+        rec = run_comparison(a, b, theta, [MethodSpec(kind="sri", order=2)], 0)[0]
+        assert rec.error_norm == fro_norm(split.residual)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(kind="bogus"),
+            dict(kind="composite"),
+            dict(kind="composite", rates=(2, 0)),
+            dict(kind="ns", rates=(2, 3)),
+            dict(kind="richardson", rates=(2,)),
+            dict(kind="ns", q=2),
+            dict(kind="ns-estimator", q=3),
+            dict(kind="sri", q=2),
+            dict(kind="richardson-recursive", order=3, q=2),
+        ],
+    )
+    def test_invalid_spec_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            MethodSpec(**kwargs)
+
+    def test_valid_q_accepted(self):
+        assert MethodSpec(kind="richardson", order=3, q=2).name() == "richardson:n3:q2:h1"
+        recursive = MethodSpec(kind="richardson-recursive", order=3, q=3)
+        assert recursive.name() == "richardson-recursive:n3:q3:h1"
+
+    def test_unknown_kind_error_lists_the_kinds(self):
+        with pytest.raises(ValueError, match="ns, double, composite, sri"):
+            MethodSpec(kind="newton")
 
 
 class TestCsv:

@@ -21,6 +21,7 @@ from seriesinv import (
     square_matrix,
     vector,
 )
+from seriesinv.matrix_core import run_branches
 
 
 def mat_mul_naive(a, b):
@@ -229,3 +230,30 @@ class TestFileFormat:
         path.write_text("2\n1 2 3\n4 5\n")
         with pytest.raises(ValueError):
             load_matrix(path)
+
+
+class TestRunBranches:
+    @staticmethod
+    def branches():
+        def first(ctr):
+            ctr.count_mmm(2)
+            return "first"
+
+        def second(ctr):
+            ctr.count_mvm()
+            return "second"
+
+        return first, second
+
+    def test_serial_runs_on_the_shared_counter(self):
+        ctr = MulCounter(1, 1)
+        assert run_branches(ctr, None, *self.branches()) == ["first", "second"]
+        assert (ctr.mmm, ctr.mvm) == (3, 2)
+
+    def test_executor_merges_private_counters(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        ctr = MulCounter(1, 1)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert run_branches(ctr, pool, *self.branches()) == ["first", "second"]
+        assert (ctr.mmm, ctr.mvm) == (3, 2)
