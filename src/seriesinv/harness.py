@@ -186,6 +186,10 @@ class MethodSpec:
             raise ValueError(
                 f"unknown method kind {self.kind!r}; expected one of {', '.join(METHODS)}"
             )
+        if self.order < row.min_order:
+            raise ValueError(f"method {self.kind} requires order >= {row.min_order}")
+        if self.h < 1:
+            raise ValueError("initial series order h must be >= 1")
         if row.takes_rates:
             CompositeSpec(rates=self.rates)
         elif self.rates:
@@ -260,7 +264,8 @@ class MethodKind:
     ||theta - theta*||).  ``start(method, split, a, b, p, w)`` returns the
     initial state and the step function; ``error(state, b, theta_star)``
     measures a state; ``exponent(method, k)`` is the predicted power of rho;
-    ``name`` is formatted with the spec's kind, order, h, q and rates.
+    ``name`` is formatted with the spec's kind, order, h, q and rates;
+    ``min_order`` is the smallest order the step function accepts.
     """
 
     command: str
@@ -268,6 +273,7 @@ class MethodKind:
     error: Callable
     exponent: Callable
     name: str
+    min_order: int = 1
     takes_q: bool = False
     q_is_order: bool = False
     takes_rates: bool = False
@@ -341,6 +347,7 @@ METHODS: dict[str, MethodKind] = {
     "sri": MethodKind(
         "invert", _start_sri, _residual_error,
         lambda m, k: additive_exponents(k, m.order, m.h)[1], "{kind}:p{order}:h{h}",
+        min_order=2,
     ),
     "richardson": MethodKind(
         "solve", partial(_start_richardson, richardson_step), _theta_error,
@@ -546,6 +553,13 @@ def parse_exponent_surface(text: str) -> list[tuple[int, int, int, float, float,
 # ---------------------------------------------------------------------------
 
 
+def _fro_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a ``(k, n, n)`` stack, each bitwise
+    equal to :func:`fro_norm` of that matrix alone."""
+    flat = stack.reshape(len(stack), -1)
+    return np.sqrt(np.sum(flat * flat, axis=1))
+
+
 def toolkit_check(
     instances: int = 50,
     dim: int = 5,
@@ -558,9 +572,13 @@ def toolkit_check(
     Each plan from the table catalogue and from :func:`plan_order` (orders
     2..max_order) is executed on random SPD-derived instances; its result
     must match the straight Horner sum to ``rel_tol`` (relative Frobenius)
-    and its counter delta must equal the predicted count exactly.  Returns
+    on every instance and its counter delta must equal the predicted count
+    exactly.  The instances are split one by one, then stacked, so the
+    references and each plan run once over all of them.  Returns
     (all_ok, report_lines).
     """
+    if instances < 1:
+        raise ValueError("instances must be >= 1")
     rng = np.random.default_rng(seed)
     catalogue = table_plans()
     plans = [
@@ -570,25 +588,28 @@ def toolkit_check(
     ]
     plans += [(f"plan:{h}", plan_order(h)) for h in range(2, max_order + 1)]
 
-    max_ref_order = max(plan.order_h for _, plan in plans)
-    worst: dict[str, float] = {name: 0.0 for name, _ in plans}
-    count_ok = True
+    xs, ys, mats = [], [], []
     for _ in range(instances):
         m = rng.standard_normal((dim, dim))
         a = square_matrix(m @ m.T / dim + 0.5 * np.eye(dim))
         split = split_scalar(a)
-        x, y = split.precond, split.residual
-        # refs[h - 1] is the order-h Horner sum, all from one pass.
-        refs = horner_iterates(y, x, max_ref_order, MulCounter())
-        ref_norms = [max(fro_norm(ref), 1e-300) for ref in refs]
-        for name, plan in plans:
-            ctr = MulCounter()
-            # Y was checked when the splitting was built; only re-form it.
-            z = nested_eval(None, x, a, plan, ctr, form_y=True)
-            if ctr.mmm != plan.mmm_cost:
-                count_ok = False
-            rel = fro_norm(z - refs[plan.order_h - 1]) / ref_norms[plan.order_h - 1]
-            worst[name] = max(worst[name], rel)
+        xs.append(split.precond)
+        ys.append(split.residual)
+        mats.append(a)
+    x, y, a = np.stack(xs), np.stack(ys), np.stack(mats)
+    # refs[h - 1] is the order-h Horner sum of every instance, all from one pass.
+    refs = horner_iterates(y, x, max(plan.order_h for _, plan in plans), MulCounter())
+    ref_norms = [np.maximum(_fro_norms(ref), 1e-300) for ref in refs]
+    worst: dict[str, float] = {}
+    count_ok = True
+    for name, plan in plans:
+        ctr = MulCounter()
+        # Y was checked when each splitting was built; only re-form it.
+        z = nested_eval(None, x, a, plan, ctr, form_y=True)
+        if ctr.mmm != instances * plan.mmm_cost:
+            count_ok = False
+        h = plan.order_h
+        worst[name] = float(np.max(_fro_norms(z - refs[h - 1]) / ref_norms[h - 1]))
 
     ok = count_ok and all(v <= rel_tol for v in worst.values())
     lines = []

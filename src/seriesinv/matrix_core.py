@@ -7,12 +7,21 @@ through :func:`mat_mul` / :func:`mat_vec`, which tick a :class:`MulCounter`;
 oracle helpers such as :func:`mat_pow` stay uncounted on purpose so that cost
 comparisons between algorithms remain honest.
 
+Stacked operands: :func:`mat_mul`, :func:`residual_of` and
+:func:`subtract_from_identity` also take ``(k, n, n)`` stacks of k
+independent instances (``np.matmul`` broadcasts), so one call runs all of
+them.  The counter still counts n x n products: a stacked product of k pairs
+counts k, so a plan run once over a stack of k instances counts k times the
+plan's cost.  Each instance of a stacked result is bitwise equal to the
+same computation on its own ``(n, n)`` operands.
+
 Buffer rule: a kernel overwrites only arrays it has just allocated itself,
 such as the result of a counted product (``I - X A`` is formed in place in
 the product's buffer by :func:`residual_of`, a Horner ``+ X`` is added into
 the product it follows).  Inputs and the arrays held by an iteration state
 are never written, so concurrent branches can share them read-only, and
 every array a step computes for the state it returns is freshly allocated.
+The rule holds for stacks alike: a stacked product is one fresh array.
 """
 
 from __future__ import annotations
@@ -124,28 +133,37 @@ def run_branches(ctr: MulCounter, executor, *branches) -> list:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, ctr: MulCounter) -> np.ndarray:
-    """Dense product ``a @ b``; increments ``ctr.mmm`` by exactly one."""
-    if a.shape[1] != b.shape[0]:
+    """Dense product ``a @ b``; increments ``ctr.mmm`` by one, or by k for
+    stacked ``(k, n, n)`` operands (one per n x n product)."""
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    ctr.count_mmm()
-    return a @ b
+    out = a @ b
+    ctr.count_mmm(1 if out.ndim == 2 else len(out))
+    return out
 
 
 def subtract_from_identity(r: np.ndarray) -> np.ndarray:
-    """Overwrite the square array ``r`` with ``I - r`` and return it.
+    """Overwrite the square array ``r``, or each matrix of a ``(k, n, n)``
+    stack, with ``I - r`` and return it.
 
     Bitwise equal to ``identity(n) - r``, signed zeros included: off the
     diagonal ``0.0 - r`` (not ``-r``, which would turn ``+0.0`` into
-    ``-0.0``), on it ``(0.0 - r) + 1.0 == 1.0 - r``.  Only for arrays the
-    caller has just allocated.
+    ``-0.0``), on it ``(0.0 - r) + 1.0 == 1.0 - r``.  Only for contiguous
+    arrays the caller has just allocated.
     """
+    if not (r.flags.c_contiguous or r.flags.f_contiguous):
+        raise ValueError("subtract_from_identity needs a contiguous array")
     np.subtract(0.0, r, out=r)
-    r.flat[:: r.shape[0] + 1] += 1.0
+    n = r.shape[-1]
+    # Each matrix as one row of n * n entries, a view for C and Fortran
+    # order alike: its diagonal is every (n + 1)-th entry.
+    r.reshape(r.shape[:-2] + (n * n,), order="A")[..., :: n + 1] += 1.0
     return r
 
 
 def residual_of(x: np.ndarray, a: np.ndarray, ctr: MulCounter) -> np.ndarray:
-    """``I - x @ a`` in a fresh array; one counted product."""
+    """``I - x @ a`` in a fresh array; one counted product (k for stacked
+    ``(k, n, n)`` operands)."""
     return subtract_from_identity(mat_mul(x, a, ctr))
 
 

@@ -15,7 +15,8 @@ orders.  This module provides:
 
 * :func:`horner_eval` / :func:`factored_eval` - the two baseline evaluators
   with pinned multiplication counts;
-* :class:`FactorPlan` trees plus :func:`nested_eval` to execute them;
+* :class:`FactorPlan` trees, each lowered once by :func:`make_plan` to a
+  straight-line program, and :func:`nested_eval` to run it;
 * :func:`table_plans` - a catalogue of hand-factored evaluation DAGs for
   orders 2..19 (including the cheaper second variants for orders 5, 9, 10,
   11 and the nested order-15 form);
@@ -30,7 +31,7 @@ assumes Y is already available.  They always differ by exactly one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Union
 
@@ -98,12 +99,22 @@ class PrimeWrap:
     inner: "PlanNode"
 
 
-# Straight-line program instructions for the tabulated forms.
+# Straight-line program instructions.  Every plan is lowered to them once,
+# by :func:`make_plan`; the tabulated forms are written in them directly.
+# ``drop`` names the registers an instruction reads for the last time: the
+# executor lets go of them once it has run, so only live arrays are kept.
 @dataclass(frozen=True)
 class Mul:
+    """dst = lhs @ rhs (one counted product), plus register ``add`` if given."""
+
     dst: str
     lhs: str
     rhs: str
+    add: str | None = None
+    drop: tuple[str, ...] = ()
+
+    def reads(self) -> tuple[str, ...]:
+        return (self.lhs, self.rhs) if self.add is None else (self.lhs, self.rhs, self.add)
 
 
 @dataclass(frozen=True)
@@ -112,6 +123,10 @@ class Residual:
 
     dst: str
     src: str
+    drop: tuple[str, ...] = ()
+
+    def reads(self) -> tuple[str, ...]:
+        return (self.src,)
 
 
 @dataclass(frozen=True)
@@ -121,6 +136,10 @@ class Lin:
     dst: str
     const: float
     terms: tuple[tuple[float, str], ...]
+    drop: tuple[str, ...] = ()
+
+    def reads(self) -> tuple[str, ...]:
+        return tuple(reg for _, reg in self.terms)
 
 
 Instr = Union[Mul, Residual, Lin]
@@ -148,7 +167,8 @@ class FactorPlan:
 
     ``mmm_cost`` is the full-step count (the product forming Y included);
     ``mmm_poly`` assumes Y is supplied.  ``efficiency_index`` is
-    ``order_h ** (1 / mmm_cost)``.
+    ``order_h ** (1 / mmm_cost)``.  ``program``, the tree lowered by
+    :func:`make_plan`, is what every evaluation runs.
     """
 
     order_h: int
@@ -156,73 +176,83 @@ class FactorPlan:
     mmm_cost: int
     mmm_poly: int
     efficiency_index: float
+    program: tuple[Instr, ...] | None = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
-# Node walkers: order, poly-mode cost, nesting depth, validation.
+# Validation and lowering, in one walk of the node tree.
 # ---------------------------------------------------------------------------
 
 
-def _node_order(node: PlanNode) -> int:
-    if isinstance(node, Horner):
-        if node.order < 1:
-            raise ValueError("Horner order must be >= 1")
-        return node.order
-    if isinstance(node, Split):
-        if node.p < 0 or node.w < 1:
-            raise ValueError("Split requires p >= 0 and w >= 1")
-        if node.p >= 1 and _node_order(node.inner) != node.p + 1:
-            raise ValueError(
-                f"Split inner order {_node_order(node.inner)} != p + 1 = {node.p + 1}"
-            )
-        if node.w >= 2:
-            if node.outer is None:
-                raise ValueError("Split with w >= 2 needs an outer node")
-            if _node_order(node.outer) != node.w:
-                raise ValueError(
-                    f"Split outer order {_node_order(node.outer)} != w = {node.w}"
-                )
-        return node.w * (node.p + 1)
-    if isinstance(node, PrimeWrap):
-        return _node_order(node.inner) + 1
-    if isinstance(node, TableForm):
-        return node.order
-    raise TypeError(f"not a plan node: {node!r}")
+def _lower(root: PlanNode) -> tuple[int, tuple[Instr, ...]]:
+    """Validate a node tree and lower it to one straight-line program over
+    registers "Y", "X" and fresh "r0", "r1", ...; returns (order, program).
+    The result is the last instruction's destination ("X" if none)."""
+    program: list[Instr] = []
 
+    def emit(instr, *args) -> str:
+        dst = f"r{len(program)}"
+        program.append(instr(dst, *args))
+        return dst
 
-def _node_poly_cost(node: PlanNode) -> int:
-    if isinstance(node, Horner):
-        return node.order - 1
-    if isinstance(node, Split):
-        cost = 0 if node.p == 0 else _node_poly_cost(node.inner)
-        if node.w >= 2:
-            cost += (0 if node.p == 0 else 1) + _node_poly_cost(node.outer)
-        return cost
-    if isinstance(node, PrimeWrap):
-        return _node_poly_cost(node.inner) + 1
-    if isinstance(node, TableForm):
-        return sum(1 for ins in node.program if isinstance(ins, (Mul, Residual)))
-    raise TypeError(f"not a plan node: {node!r}")
+    def lower(node: PlanNode, y: str, x: str) -> tuple[str, int]:
+        if isinstance(node, Horner):
+            if node.order < 1:
+                raise ValueError("Horner order must be >= 1")
+            z = x
+            for _ in range(node.order - 1):
+                z = emit(Mul, y, z, x)
+            return z, node.order
+        if isinstance(node, Split):
+            if node.p < 0 or node.w < 1:
+                raise ValueError("Split requires p >= 0 and w >= 1")
+            u = x
+            if node.p >= 1:
+                u, order = lower(node.inner, y, x)
+                if order != node.p + 1:
+                    raise ValueError(f"Split inner order {order} != p + 1 = {node.p + 1}")
+            if node.w >= 2:
+                if node.outer is None:
+                    raise ValueError("Split with w >= 2 needs an outer node")
+                q = y if node.p == 0 else emit(Residual, u)
+                u, order = lower(node.outer, q, u)
+                if order != node.w:
+                    raise ValueError(f"Split outer order {order} != w = {node.w}")
+            return u, node.w * (node.p + 1)
+        if isinstance(node, PrimeWrap):
+            z, order = lower(node.inner, y, x)
+            return emit(Mul, y, z, x), order + 1
+        if isinstance(node, TableForm):
+            # The form's own register names, renamed into the program's.
+            env = {"Y": y, "X": x}
+            z = x
+            for ins in node.program:
+                if isinstance(ins, Mul):
+                    add = None if ins.add is None else env[ins.add]
+                    z = emit(Mul, env[ins.lhs], env[ins.rhs], add)
+                elif isinstance(ins, Residual):
+                    z = emit(Residual, env[ins.src])
+                else:
+                    z = emit(Lin, ins.const, tuple((c, env[reg]) for c, reg in ins.terms))
+                env[ins.dst] = z
+            return z, node.order
+        raise TypeError(f"not a plan node: {node!r}")
 
-
-def _node_depth(node: PlanNode) -> int:
-    if isinstance(node, Horner):
-        return 0
-    if isinstance(node, Split):
-        inner = _node_depth(node.inner)
-        outer = _node_depth(node.outer) if node.outer is not None else 0
-        return 1 + max(inner, outer)
-    if isinstance(node, PrimeWrap):
-        return _node_depth(node.inner)
-    if isinstance(node, TableForm):
-        return 1
-    raise TypeError(f"not a plan node: {node!r}")
+    order = lower(root, "Y", "X")[1]
+    # Each register is written once, so the result, written last, is never
+    # read and never dropped.
+    last_read = {reg: i for i, ins in enumerate(program) for reg in ins.reads()}
+    drops: list[list[str]] = [[] for _ in program]
+    for reg, i in last_read.items():
+        drops[i].append(reg)
+    return order, tuple(replace(ins, drop=tuple(d)) for ins, d in zip(program, drops))
 
 
 def make_plan(root: PlanNode) -> FactorPlan:
-    """Validate a node tree and attach its predicted counts."""
-    order = _node_order(root)
-    poly = _node_poly_cost(root)
+    """Validate and lower a node tree; ``mmm_poly`` is the number of ``Mul``
+    and ``Residual`` instructions in its program."""
+    order, program = _lower(root)
+    poly = sum(1 for ins in program if not isinstance(ins, Lin))
     full = poly + 1
     return FactorPlan(
         order_h=order,
@@ -230,6 +260,7 @@ def make_plan(root: PlanNode) -> FactorPlan:
         mmm_cost=full,
         mmm_poly=poly,
         efficiency_index=float(order) ** (1.0 / full),
+        program=program,
     )
 
 
@@ -259,14 +290,6 @@ def _node_str(node: PlanNode) -> str:
 # ---------------------------------------------------------------------------
 # Evaluators.
 # ---------------------------------------------------------------------------
-
-
-def _horner_loop(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> np.ndarray:
-    z = x
-    for _ in range(h - 1):
-        z = mat_mul(y, z, ctr)
-        z += x
-    return z
 
 
 def horner_iterates(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> list[np.ndarray]:
@@ -316,7 +339,14 @@ def horner_eval(
         raise ValueError("order h must be >= 1")
     if form_y and a is None:
         raise ValueError("form_y=True requires the matrix a")
-    return _horner_loop(_y_for(y, x, a, ctr, form_y), x, h, ctr)
+    # A plain loop rather than the plan executor: the hot path of every
+    # step at small n, where the executor's per-instruction work shows.
+    y = _y_for(y, x, a, ctr, form_y)
+    z = x
+    for _ in range(h - 1):
+        z = mat_mul(y, z, ctr)
+        z += x
+    return z
 
 
 def _split_node(p: int, w: int) -> Split:
@@ -365,57 +395,33 @@ def factored_eval(
     return nested_eval(y, x, a, _split_plan(p, w), ctr, form_y=form_y)
 
 
-def _run_program(
-    form: TableForm,
+def _execute(
+    program: tuple[Instr, ...],
     y: np.ndarray,
     x: np.ndarray,
     a: np.ndarray,
     ctr: MulCounter,
 ) -> np.ndarray:
+    """The one plan executor, on ``(n, n)`` operands or ``(k, n, n)`` stacks
+    (every instance in one pass, each bitwise equal to its own 2-D run)."""
     env = {"Y": y, "X": x}
     dst = "X"
-    for ins in form.program:
-        if isinstance(ins, Mul):
-            env[ins.dst] = mat_mul(env[ins.lhs], env[ins.rhs], ctr)
-        elif isinstance(ins, Residual):
-            env[ins.dst] = residual_of(env[ins.src], a, ctr)
-        elif isinstance(ins, Lin):
-            if ins.const:
-                acc = identity(x.shape[0])
-                acc *= ins.const
-            else:
-                acc = np.zeros_like(x)
-            for coef, reg in ins.terms:
-                acc += coef * env[reg]
-            env[ins.dst] = acc
-        else:
-            raise TypeError(f"bad instruction {ins!r}")
+    for ins in program:
         dst = ins.dst
+        if isinstance(ins, Mul):
+            z = mat_mul(env[ins.lhs], env[ins.rhs], ctr)
+            if ins.add is not None:
+                z += env[ins.add]
+        elif isinstance(ins, Residual):
+            z = residual_of(env[ins.src], a, ctr)
+        else:
+            z = np.multiply(identity(x.shape[-1]), ins.const, out=np.empty_like(x))
+            for coef, reg in ins.terms:
+                z += coef * env[reg]
+        env[dst] = z
+        for reg in ins.drop:
+            del env[reg]
     return env[dst]
-
-
-def _eval_node(
-    node: PlanNode,
-    y: np.ndarray,
-    x: np.ndarray,
-    a: np.ndarray,
-    ctr: MulCounter,
-) -> np.ndarray:
-    if isinstance(node, Horner):
-        return _horner_loop(y, x, node.order, ctr)
-    if isinstance(node, Split):
-        u = x if node.p == 0 else _eval_node(node.inner, y, x, a, ctr)
-        if node.w == 1:
-            return u
-        q = y if node.p == 0 else residual_of(u, a, ctr)
-        return _eval_node(node.outer, q, u, a, ctr)
-    if isinstance(node, PrimeWrap):
-        z = mat_mul(y, _eval_node(node.inner, y, x, a, ctr), ctr)
-        z += x
-        return z
-    if isinstance(node, TableForm):
-        return _run_program(node, y, x, a, ctr)
-    raise TypeError(f"not a plan node: {node!r}")
 
 
 def nested_eval(
@@ -428,12 +434,13 @@ def nested_eval(
     form_y: bool = True,
 ) -> np.ndarray:
     """Execute a plan; the counter moves by exactly ``plan.mmm_cost``
-    (``plan.mmm_poly`` with ``form_y=False``)."""
-    if _node_order(plan.root) != plan.order_h:
-        raise ValueError("malformed plan: order does not match its tree")
+    (``plan.mmm_poly`` with ``form_y=False``), times k for operands
+    stacked ``(k, n, n)``."""
+    if plan.program is None:
+        raise ValueError("malformed plan: not built by make_plan")
     if x.shape != a.shape:
         raise ValueError(f"dimension mismatch: x {x.shape} vs a {a.shape}")
-    return _eval_node(plan.root, _y_for(y, x, a, ctr, form_y), x, a, ctr)
+    return _execute(plan.program, _y_for(y, x, a, ctr, form_y), x, a, ctr)
 
 
 def geometric_apply(
@@ -454,7 +461,7 @@ def geometric_apply(
     if order == 1:
         return np.array(x)
     if order <= MAX_PLAN_ORDER:
-        return _eval_node(plan_order(order).root, y, x, a, ctr)
+        return _execute(plan_order(order).program, y, x, a, ctr)
     half = order // 2
     t = geometric_apply(y, x, half, a, ctr)
     y_half = mat_pow_counted(y, half, ctr)
@@ -668,6 +675,7 @@ def table_plans() -> dict[int, list[FactorPlan]]:
     }
 
 
+@lru_cache(maxsize=1)
 def order45_plan() -> FactorPlan:
     """The showcase order-45 nested plan: split p=8, w=5 with a 3x3 split
     inner sum and the factored quartic as the outer sum.  Ten products."""
@@ -690,62 +698,46 @@ def split_candidates(h: int) -> list[tuple[int, int]]:
     return [(d - 1, h // d) for d in range(2, h // 2 + 1) if h % d == 0]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 # Candidate ranking: cheapest first; on ties prefer splits (smaller p first),
-# then wraps, then table forms, then Horner; shallower nesting last.
+# then wraps, then table forms, then Horner.
 _RANK_SPLIT, _RANK_WRAP, _RANK_TABLE, _RANK_HORNER = 0, 1, 2, 3
 _NO_P = 10**9
 
 
 @lru_cache(maxsize=None)
-def _best(h: int, budget: int) -> tuple[int, int, int, int, PlanNode]:
+def _best(h: int, budget: int) -> tuple[int, int, int, PlanNode]:
     """Minimal poly-cost node of order h within a nesting budget.
 
-    Returns (poly_cost, rank, p, depth, node); the tuple prefix is the sort
-    key used for deterministic tie-breaking.
+    Returns (poly_cost, rank, p, node); the tuple prefix is the sort key
+    used for deterministic tie-breaking.
     """
-    cands: list[tuple[int, int, int, int, PlanNode]] = []
-    cands.append((h - 1, _RANK_HORNER, _NO_P, 0, Horner(h)))
+    cands: list[tuple[int, int, int, PlanNode]] = [(h - 1, _RANK_HORNER, _NO_P, Horner(h))]
     if budget >= 1:
-        for _, root in _TABLE_ROOTS.get(h, ()):
-            cands.append(
-                (_node_poly_cost(root), _RANK_TABLE, _NO_P, _node_depth(root), root)
-            )
-        if h == 2:
-            node = Split(p=1, w=1, inner=Horner(2))
-            cands.append((1, _RANK_SPLIT, 1, 1, node))
-        for p, w in split_candidates(h):
-            ic, _, _, idepth, inner = _best(p + 1, budget - 1)
-            oc, _, _, odepth, outer = _best(w, budget - 1)
-            node = Split(p=p, w=w, inner=inner, outer=outer)
-            depth = 1 + max(idepth, odepth)
-            cands.append((ic + 1 + oc, _RANK_SPLIT, p, depth, node))
-        if _is_prime(h) and h >= 3:
-            ic, _, _, idepth, inner = _best(h - 1, budget)
-            cands.append((ic + 1, _RANK_WRAP, _NO_P, idepth, PrimeWrap(inner)))
-    return min(cands, key=lambda c: c[:4])
+        for plan in table_plans().get(h, ()):
+            cands.append((plan.mmm_poly, _RANK_TABLE, _NO_P, plan.root))
+        pairs = split_candidates(h)
+        for p, w in pairs:
+            ic, _, _, inner = _best(p + 1, budget - 1)
+            oc, _, _, outer = _best(w, budget - 1)
+            cands.append((ic + 1 + oc, _RANK_SPLIT, p, Split(p=p, w=w, inner=inner, outer=outer)))
+        if not pairs and h >= 3:  # h is prime
+            ic, _, _, inner = _best(h - 1, budget)
+            cands.append((ic + 1, _RANK_WRAP, _NO_P, PrimeWrap(inner)))
+    return min(cands, key=lambda c: c[:3])
 
 
+@lru_cache(maxsize=None)
 def plan_order(h: int) -> FactorPlan:
     """Minimal-count plan for order h (2..64).
 
     Composite orders search over every divisor pair (p, w) with nested
     sub-plans (including the tabulated forms) down to three nesting levels;
     prime orders wrap the plan for h - 1.  Ties go to the split with the
-    smaller p, then to the shallower tree.
+    smaller p.  Each order is searched and compiled once; later calls return
+    the same plan object.
     """
     if h < 2:
         raise ValueError("plan_order requires h >= 2")
     if h > MAX_PLAN_ORDER:
         raise ValueError(f"plan_order supports h <= {MAX_PLAN_ORDER}")
-    return make_plan(_best(h, _MAX_NESTING)[4])
+    return make_plan(_best(h, _MAX_NESTING)[3])

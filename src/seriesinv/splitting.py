@@ -78,13 +78,25 @@ class Splitting:
             )
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark an array this module just built read-only, without the copy and
+    the checks of :func:`square_matrix`."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
     """Reject clearly asymmetric input, then symmetrize exactly."""
     a = square_matrix(a)
     norm_a = fro_norm(a)
     if fro_norm(a - a.T) > _SYMMETRY_RTOL * max(norm_a, 1e-300):
         raise ValueError("matrix must be symmetric")
-    return square_matrix((a + a.T) / 2.0)
+    sym = (a + a.T) / 2.0
+    # A finite ||A||_F bounds every entry far below overflow; only a huge A
+    # can overflow in a + a.T.
+    if norm_a == np.inf and not np.all(np.isfinite(sym)):
+        raise ValueError("matrix entries must be finite")
+    return _frozen(sym)
 
 
 def is_positive_definite(a: np.ndarray, pivot_tol: float | None = None) -> bool:
@@ -108,7 +120,8 @@ def _passes_cholesky(sym: np.ndarray, pivot_tol: float) -> bool:
         lower = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         return False
-    return bool(np.all(np.diagonal(lower) ** 2 > pivot_tol))
+    # The pivots are positive, so the smallest one decides.
+    return bool(np.diagonal(lower).min() ** 2 > pivot_tol)
 
 
 def split_diagonal(a: np.ndarray) -> Splitting:
@@ -150,11 +163,12 @@ def split_scalar(a: np.ndarray, eps: float | None = None) -> Splitting:
     if not _passes_cholesky(a, 1e-12 * norm):
         raise NotSPDError("matrix is not positive definite")
     alpha = norm / 2.0 + eps
-    precond = identity(a.shape[0]) / alpha
-    residual = subtract_from_identity(a / alpha)
+    # |a_ij| <= 2 alpha keeps a / alpha finite; only 1 / alpha can overflow.
+    if 1.0 / alpha == np.inf:
+        raise ValueError("matrix entries must be finite")
     return Splitting(
-        precond=square_matrix(precond),
-        residual=square_matrix(residual),
+        precond=_frozen(identity(a.shape[0]) / alpha),
+        residual=_frozen(subtract_from_identity(a / alpha)),
         matrix=a,
         kind=SCALAR,
     )

@@ -206,3 +206,24 @@ class TestResidualHelper:
         r = rng.standard_normal((4, 4))
         out = subtract_from_identity(r)
         assert out is r
+
+    def test_stacked_operands(self, rng):
+        # a stack of k instances: k counted products, each matrix bitwise
+        # equal to its own 2-D result, C or Fortran order alike
+        for dim in (1, 3, 6):
+            x, a = rng.standard_normal((4, dim, dim)), rng.standard_normal((4, dim, dim))
+            ctr = MulCounter()
+            got = residual_of(x, a, ctr)
+            assert ctr.mmm == 4 and got.shape == (4, dim, dim)
+            for i in range(4):
+                assert _same_bits(got[i], np.eye(dim) - x[i] @ a[i])
+            r = x @ a
+            want = np.eye(dim) - r
+            assert _same_bits(subtract_from_identity(r.copy()), want)
+            assert _same_bits(subtract_from_identity(np.asfortranarray(r)), want)
+
+    def test_non_contiguous_array_rejected(self, rng):
+        # the diagonal is written through a reshape view, never into a copy
+        r = rng.standard_normal((6, 6))[::2, ::2]
+        with pytest.raises(ValueError):
+            subtract_from_identity(r)

@@ -10,6 +10,7 @@ from seriesinv import (
     save_matrix,
     save_vector,
 )
+from seriesinv import cli, harness
 from seriesinv.cli import _build_parser, main
 from seriesinv.harness import METHODS
 from corpus import random_spd
@@ -218,6 +219,11 @@ class TestMethodValidation:
          "method richardson-recursive requires q == order"),
         (["solve", "--method", "richardson-recursive", "--order", "3", "--q", "2",
           "--steps", "0"], "requires q == order"),
+        (["invert", "--method", "sri", "--order", "1"], "method sri requires order >= 2"),
+        (["invert", "--method", "sri", "--order", "1", "--steps", "0"], "requires order >= 2"),
+        (["invert", "--method", "ns", "--order", "0"], "method ns requires order >= 1"),
+        (["invert", "--method", "double", "--h", "0"], "h must be >= 1"),
+        (["solve", "--method", "richardson", "--h", "0"], "h must be >= 1"),
     ])
     def test_invalid_method_exits_2(self, files, tmp_path, capsys, argv, message):
         mat, rhs = files
@@ -228,6 +234,22 @@ class TestMethodValidation:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not csv_path.exists()
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--method", "sri", "--order", "1"], "requires order >= 2"),
+        (["--method", "ns", "--order", "0"], "requires order >= 1"),
+        (["--method", "double", "--h", "0"], "h must be >= 1"),
+    ])
+    def test_order_and_h_checked_before_any_matrix_work(
+        self, monkeypatch, capsys, extra, message
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "load_matrix", lambda *args: calls.append("load"))
+        monkeypatch.setattr(harness, "split_scalar", lambda *args: calls.append("split"))
+        monkeypatch.setattr(harness, "spectral_radius", lambda *args, **kw: calls.append("rho"))
+        assert main(["invert", "--matrix", "unused.mat"] + extra) == 2
+        assert calls == []
+        assert message in capsys.readouterr().err
 
     def test_method_checked_before_the_matrix(self, tmp_path, capsys):
         mat = tmp_path / "bad.mat"

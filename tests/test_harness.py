@@ -346,6 +346,11 @@ class TestMethodTable:
             dict(kind="ns-estimator", q=3),
             dict(kind="sri", q=2),
             dict(kind="richardson-recursive", order=3, q=2),
+            dict(kind="sri", order=1),
+            dict(kind="ns", order=0),
+            dict(kind="richardson", order=0),
+            dict(kind="double", h=0),
+            dict(kind="ns-estimator", h=-1),
         ],
     )
     def test_invalid_spec_rejected_at_construction(self, kwargs):

@@ -89,6 +89,17 @@ class TestMatMul:
         mat_vec(a, np.zeros(3), ctr)
         assert (ctr.mmm, ctr.mvm) == (5, 1)
 
+    def test_stacked_product_counts_each_pair(self, rng):
+        a = rng.standard_normal((5, 3, 3))
+        b = rng.standard_normal((5, 3, 3))
+        ctr = MulCounter()
+        out = mat_mul(a, b, ctr)
+        assert ctr.mmm == 5
+        for i in range(5):
+            assert np.array_equal(out[i], a[i] @ b[i])
+        with pytest.raises(ValueError):
+            mat_mul(a, rng.standard_normal((5, 4, 3)), MulCounter())
+
     def test_counter_merge(self):
         c1, c2 = MulCounter(2, 1), MulCounter(3, 4)
         c1.merge(c2)

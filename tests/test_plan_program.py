@@ -1,0 +1,315 @@
+"""Compiled plan programs, the one executor, and the stacked verify-tables.
+
+Every plan is lowered once to a straight-line program; ``nested_eval`` and
+``geometric_apply`` run that program, on one ``(n, n)`` instance or on a
+``(k, n, n)`` stack.  ``toolkit_check`` runs each plan once over a stack of
+all its instances; the per-instance loop it replaced is kept here as the
+oracle for its report.
+"""
+
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from corpus import random_spd
+from seriesinv import (
+    MulCounter,
+    fro_norm,
+    factored_eval,
+    geometric_apply,
+    horner_eval,
+    nested_eval,
+    order45_plan,
+    plan_order,
+    plan_str,
+    split_scalar,
+    square_matrix,
+    table_plans,
+    toolkit_check,
+)
+from seriesinv import harness, series_toolkit
+from seriesinv.series_toolkit import TABLE_LABELS, Lin, horner_iterates
+
+
+def all_plans():
+    catalogue = table_plans()
+    plans = [
+        (f"table:{label}", plan)
+        for order in sorted(catalogue)
+        for label, plan in zip(TABLE_LABELS[order], catalogue[order])
+    ]
+    plans += [(f"plan:{h}", plan_order(h)) for h in range(2, 65)]
+    return plans + [("order45", order45_plan())]
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def stacked_instances(dim, count, seed):
+    rng = np.random.default_rng(seed)
+    splits = [split_scalar(random_spd(dim, rng)) for _ in range(count)]
+    x = np.stack([s.precond for s in splits])
+    y = np.stack([s.residual for s in splits])
+    a = np.stack([s.matrix for s in splits])
+    return x, y, a
+
+
+@pytest.mark.parametrize("dim", [2, 5, 6, 16])
+def test_stacked_run_equals_each_2d_run_bitwise(dim):
+    k = 3
+    x, y, a = stacked_instances(dim, k, seed=dim)
+    for name, plan in all_plans():
+        for form_y in (True, False):
+            ctr = MulCounter()
+            z = nested_eval(None if form_y else y, x, a, plan, ctr, form_y=form_y)
+            assert z.shape == (k, dim, dim)
+            cost = plan.mmm_cost if form_y else plan.mmm_poly
+            assert ctr.mmm == k * cost, name
+            for i in range(k):
+                one = MulCounter()
+                ref = nested_eval(None if form_y else y[i], x[i], a[i], plan, one, form_y=form_y)
+                assert one.mmm == cost
+                assert same_bits(z[i], ref), (name, form_y, i)
+
+
+def test_stacked_geometric_apply_and_references_bitwise():
+    x, y, a = stacked_instances(4, 3, seed=1)
+    for order in (1, 2, 7, 45, 64):
+        z = geometric_apply(y, x, order, a, MulCounter())
+        for i in range(3):
+            assert same_bits(z[i], geometric_apply(y[i], x[i], order, a[i], MulCounter()))
+    refs = horner_iterates(y, x, 45, MulCounter())
+    for i in range(3):
+        for h, ref in enumerate(horner_iterates(y[i], x[i], 45, MulCounter())):
+            assert same_bits(refs[h][i], ref)
+
+
+def test_cost_is_the_number_of_counted_instructions():
+    for name, plan in all_plans():
+        counted = [ins for ins in plan.program if not isinstance(ins, Lin)]
+        assert plan.mmm_poly == len(counted) == plan.mmm_cost - 1, name
+
+
+# plan_order's choice for every order, pinned: the search ranks candidates by
+# (cost, kind, p) and keeps the first of equal ones.
+PLAN_ORDER_STRUCTURES = {
+    2: "split(p=1,w=1)",
+    3: "wrap(split(p=1,w=1))",
+    4: "split(p=1,w=2, inner=split(p=1,w=1), outer=split(p=1,w=1))",
+    5: "table(h5b)",
+    6: "split(p=1,w=3, inner=split(p=1,w=1), outer=wrap(split(p=1,w=1)))",
+    7: "table(h7)",
+    8: "split(p=1,w=4, inner=split(p=1,w=1), outer=split(p=1,w=2, inner=split(p=1,w=1), outer=split(p=1,w=1)))",
+    9: "split(p=2,w=3, inner=wrap(split(p=1,w=1)), outer=wrap(split(p=1,w=1)))",
+    10: "split(p=1,w=5, inner=split(p=1,w=1), outer=table(h5b))",
+    11: "wrap(split(p=1,w=5, inner=split(p=1,w=1), outer=table(h5b)))",
+    12: "split(p=1,w=6, inner=split(p=1,w=1), outer=split(p=1,w=3, inner=split(p=1,w=1), outer=wrap(split(p=1,w=1))))",
+    13: "wrap(split(p=1,w=6, inner=split(p=1,w=1), outer=split(p=1,w=3, inner=split(p=1,w=1), outer=wrap(split(p=1,w=1)))))",
+    14: "split(p=1,w=7, inner=split(p=1,w=1), outer=table(h7))",
+    15: "split(p=2,w=5, inner=wrap(split(p=1,w=1)), outer=table(h5b))",
+    16: "split(p=1,w=8, inner=split(p=1,w=1), outer=split(p=1,w=4, inner=split(p=1,w=1), outer=split(p=1,w=2)))",
+    17: "table(h17)",
+    18: "split(p=1,w=9, inner=split(p=1,w=1), outer=split(p=2,w=3, inner=wrap(split(p=1,w=1)), outer=wrap(split(p=1,w=1))))",
+    19: "table(h19)",
+    20: "split(p=1,w=10, inner=split(p=1,w=1), outer=split(p=1,w=5, inner=split(p=1,w=1), outer=table(h5b)))",
+    21: "split(p=2,w=7, inner=wrap(split(p=1,w=1)), outer=table(h7))",
+    22: "split(p=1,w=11, inner=split(p=1,w=1), outer=wrap(split(p=1,w=5, inner=split(p=1,w=1), outer=table(h5b))))",
+    23: "wrap(split(p=1,w=11, inner=split(p=1,w=1), outer=wrap(split(p=1,w=5, inner=split(p=1,w=1), outer=table(h5b)))))",
+    24: "split(p=1,w=12, inner=split(p=1,w=1), outer=split(p=1,w=6, inner=split(p=1,w=1), outer=split(p=1,w=3)))",
+    25: "split(p=4,w=5, inner=table(h5b), outer=table(h5b))",
+    26: "split(p=1,w=13, inner=split(p=1,w=1), outer=wrap(split(p=1,w=6, inner=split(p=1,w=1), outer=split(p=1,w=3))))",
+    27: "split(p=2,w=9, inner=wrap(split(p=1,w=1)), outer=split(p=2,w=3, inner=wrap(split(p=1,w=1)), outer=wrap(split(p=1,w=1))))",
+    28: "split(p=1,w=14, inner=split(p=1,w=1), outer=split(p=1,w=7, inner=split(p=1,w=1), outer=table(h7)))",
+    29: "wrap(split(p=1,w=14, inner=split(p=1,w=1), outer=split(p=1,w=7, inner=split(p=1,w=1), outer=table(h7))))",
+    30: "split(p=1,w=15, inner=split(p=1,w=1), outer=split(p=2,w=5, inner=wrap(split(p=1,w=1)), outer=table(h5b)))",
+    31: "wrap(split(p=1,w=15, inner=split(p=1,w=1), outer=split(p=2,w=5, inner=wrap(split(p=1,w=1)), outer=table(h5b))))",
+    32: "split(p=1,w=16, inner=split(p=1,w=1), outer=split(p=1,w=8, inner=split(p=1,w=1), outer=split(p=1,w=4)))",
+    33: "split(p=2,w=11, inner=wrap(split(p=1,w=1)), outer=wrap(split(p=1,w=5, inner=split(p=1,w=1), outer=table(h5b))))",
+    34: "split(p=1,w=17, inner=split(p=1,w=1), outer=table(h17))",
+    35: "split(p=4,w=7, inner=table(h5b), outer=table(h7))",
+    36: "split(p=1,w=18, inner=split(p=1,w=1), outer=split(p=1,w=9, inner=split(p=1,w=1), outer=split(p=2,w=3)))",
+    37: "wrap(split(p=1,w=18, inner=split(p=1,w=1), outer=split(p=1,w=9, inner=split(p=1,w=1), outer=split(p=2,w=3))))",
+    38: "split(p=1,w=19, inner=split(p=1,w=1), outer=table(h19))",
+    39: "split(p=2,w=13, inner=wrap(split(p=1,w=1)), outer=wrap(split(p=1,w=6, inner=split(p=1,w=1), outer=split(p=1,w=3))))",
+    40: "split(p=1,w=20, inner=split(p=1,w=1), outer=split(p=1,w=10, inner=split(p=1,w=1), outer=table(h10b)))",
+    41: "wrap(split(p=1,w=20, inner=split(p=1,w=1), outer=split(p=1,w=10, inner=split(p=1,w=1), outer=table(h10b))))",
+    42: "split(p=1,w=21, inner=split(p=1,w=1), outer=split(p=2,w=7, inner=wrap(split(p=1,w=1)), outer=table(h7)))",
+    43: "wrap(split(p=1,w=21, inner=split(p=1,w=1), outer=split(p=2,w=7, inner=wrap(split(p=1,w=1)), outer=table(h7))))",
+    44: "split(p=1,w=22, inner=split(p=1,w=1), outer=split(p=1,w=11, inner=split(p=1,w=1), outer=wrap(table(h10b))))",
+    45: "split(p=2,w=15, inner=wrap(split(p=1,w=1)), outer=split(p=2,w=5, inner=wrap(split(p=1,w=1)), outer=table(h5b)))",
+    46: "split(p=1,w=23, inner=split(p=1,w=1), outer=wrap(split(p=1,w=11, inner=split(p=1,w=1), outer=wrap(table(h10b)))))",
+    47: "wrap(split(p=1,w=23, inner=split(p=1,w=1), outer=wrap(split(p=1,w=11, inner=split(p=1,w=1), outer=wrap(table(h10b))))))",
+    48: "split(p=1,w=24, inner=split(p=1,w=1), outer=split(p=1,w=12, inner=split(p=1,w=1), outer=split(p=2,w=4)))",
+    49: "split(p=6,w=7, inner=table(h7), outer=table(h7))",
+    50: "split(p=1,w=25, inner=split(p=1,w=1), outer=split(p=4,w=5, inner=table(h5b), outer=table(h5b)))",
+    51: "split(p=2,w=17, inner=wrap(split(p=1,w=1)), outer=table(h17))",
+    52: "split(p=1,w=26, inner=split(p=1,w=1), outer=split(p=1,w=13, inner=split(p=1,w=1), outer=wrap(split(p=2,w=4))))",
+    53: "wrap(split(p=1,w=26, inner=split(p=1,w=1), outer=split(p=1,w=13, inner=split(p=1,w=1), outer=wrap(split(p=2,w=4)))))",
+    54: "split(p=1,w=27, inner=split(p=1,w=1), outer=split(p=2,w=9, inner=wrap(split(p=1,w=1)), outer=split(p=2,w=3)))",
+    55: "split(p=4,w=11, inner=table(h5b), outer=wrap(split(p=1,w=5, inner=split(p=1,w=1), outer=table(h5b))))",
+    56: "split(p=1,w=28, inner=split(p=1,w=1), outer=split(p=3,w=7, inner=split(p=1,w=2), outer=table(h7)))",
+    57: "split(p=2,w=19, inner=wrap(split(p=1,w=1)), outer=table(h19))",
+    58: "split(p=1,w=29, inner=split(p=1,w=1), outer=wrap(split(p=3,w=7, inner=split(p=1,w=2), outer=table(h7))))",
+    59: "wrap(split(p=1,w=29, inner=split(p=1,w=1), outer=wrap(split(p=3,w=7, inner=split(p=1,w=2), outer=table(h7)))))",
+    60: "split(p=1,w=30, inner=split(p=1,w=1), outer=split(p=1,w=15, inner=split(p=1,w=1), outer=table(h15b)))",
+    61: "wrap(split(p=1,w=30, inner=split(p=1,w=1), outer=split(p=1,w=15, inner=split(p=1,w=1), outer=table(h15b))))",
+    62: "split(p=1,w=31, inner=split(p=1,w=1), outer=wrap(split(p=1,w=15, inner=split(p=1,w=1), outer=table(h15b))))",
+    63: "split(p=2,w=21, inner=wrap(split(p=1,w=1)), outer=split(p=2,w=7, inner=wrap(split(p=1,w=1)), outer=table(h7)))",
+    64: "split(p=1,w=32, inner=split(p=1,w=1), outer=split(p=1,w=16, inner=split(p=1,w=1), outer=split(p=3,w=4)))",
+}
+
+
+def test_every_intermediate_register_is_dropped_after_its_last_read():
+    for name, plan in all_plans():
+        live = {"Y", "X"}
+        for ins in plan.program:
+            assert set(ins.reads()) <= live, name
+            assert ins.dst not in live and ins.dst not in ins.drop, name
+            live.add(ins.dst)
+            assert set(ins.drop) <= set(ins.reads()), name
+            live -= set(ins.drop)
+        result = plan.program[-1].dst if plan.program else "X"
+        assert live - {"Y", "X"} == {result}, name
+
+
+def test_evaluation_keeps_only_live_arrays():
+    # at n = 64 one matrix is 32 KiB; with every register kept to the end
+    # the longest programs would hold 16 of them at once
+    n = 64
+    split = split_scalar(random_spd(n, np.random.default_rng(8)))
+    x, y, a = split.precond, split.residual, split.matrix
+    for name, plan in all_plans():
+        tracemalloc.start()
+        try:
+            nested_eval(y, x, a, plan, MulCounter(), form_y=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5 * x.nbytes, (name, peak / x.nbytes)
+
+
+def test_plan_order_structures_pinned():
+    assert {h: plan_str(plan_order(h)) for h in range(2, 65)} == PLAN_ORDER_STRUCTURES
+
+
+def test_plan_order_is_searched_and_compiled_once():
+    for h in range(2, 65):
+        assert plan_order(h) is plan_order(h)
+
+
+def test_evaluation_never_walks_the_tree(monkeypatch):
+    x, y, a = stacked_instances(5, 2, seed=3)
+    factored_eval(y[0], x[0], a[0], 8, 5, MulCounter())
+    horner_eval(y[0], x[0], 5, MulCounter())
+    toolkit_check(instances=2, dim=5, seed=1)  # every plan compiled beforehand
+
+    def forbidden(*args):
+        raise AssertionError("tree walker called during evaluation")
+
+    for name in ("_lower", "make_plan"):
+        monkeypatch.setattr(series_toolkit, name, forbidden)
+    for _, plan in all_plans():
+        nested_eval(None, x, a, plan, MulCounter())
+        nested_eval(None, x[0], a[0], plan, MulCounter())
+    geometric_apply(y[0], x[0], 200, a[0], MulCounter())
+    factored_eval(y[0], x[0], a[0], 8, 5, MulCounter())
+    horner_eval(y, x, 5, MulCounter())
+    assert toolkit_check(instances=2, dim=5, seed=1)[0]
+
+
+def per_instance_toolkit_check(instances=50, dim=5, seed=0, max_order=45, rel_tol=1e-9):
+    """The loop toolkit_check ran before it stacked its instances: every
+    plan on each instance in turn, with its own Horner references."""
+    rng = np.random.default_rng(seed)
+    plans = [(name, plan) for name, plan in all_plans() if name.startswith("table:")]
+    plans += [(f"plan:{h}", plan_order(h)) for h in range(2, max_order + 1)]
+    max_ref_order = max(plan.order_h for _, plan in plans)
+    worst = {name: 0.0 for name, _ in plans}
+    count_ok = True
+    for _ in range(instances):
+        m = rng.standard_normal((dim, dim))
+        a = square_matrix(m @ m.T / dim + 0.5 * np.eye(dim))
+        split = split_scalar(a)
+        x, y = split.precond, split.residual
+        refs = horner_iterates(y, x, max_ref_order, MulCounter())
+        ref_norms = [max(fro_norm(ref), 1e-300) for ref in refs]
+        for name, plan in plans:
+            ctr = MulCounter()
+            z = nested_eval(None, x, a, plan, ctr, form_y=True)
+            if ctr.mmm != plan.mmm_cost:
+                count_ok = False
+            rel = fro_norm(z - refs[plan.order_h - 1]) / ref_norms[plan.order_h - 1]
+            worst[name] = max(worst[name], rel)
+    ok = count_ok and all(v <= rel_tol for v in worst.values())
+    lines = []
+    for name, plan in plans:
+        status = "ok" if worst[name] <= rel_tol else "FAIL"
+        lines.append(
+            f"{name:<12} order={plan.order_h:<3} mmm={plan.mmm_cost:<3} "
+            f"max_rel_err={worst[name]:.3e} {status}"
+        )
+    if not count_ok:
+        lines.append("FAIL: a counter delta disagreed with its plan's mmm cost")
+    return ok, lines
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+@pytest.mark.parametrize("seed", [0, 11, 29])
+def test_stacked_check_matches_per_instance_oracle(dim, seed):
+    assert toolkit_check(instances=7, dim=dim, seed=seed) == per_instance_toolkit_check(
+        instances=7, dim=dim, seed=seed
+    )
+
+
+def test_default_check_matches_per_instance_oracle():
+    got = toolkit_check()
+    assert got == per_instance_toolkit_check()
+    assert got[0]
+
+
+def test_stacked_norms_equal_fro_norm_bitwise():
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((6, 7, 7))
+    norms = harness._fro_norms(stack)
+    assert [float(v) for v in norms] == [fro_norm(m) for m in stack]
+
+
+def test_dropped_instruction_fails_the_check(monkeypatch):
+    # order 3 is a wrap around the order-2 split: without its last
+    # instruction the program returns the order-2 sum, one product short.
+    plan = plan_order(3)
+    broken = replace(plan, program=plan.program[:-1])
+    monkeypatch.setattr(
+        harness, "plan_order", lambda h: broken if h == 3 else plan_order(h)
+    )
+    ok, lines = toolkit_check(instances=4, dim=5, seed=2)
+    assert not ok
+    line = next(ln for ln in lines if ln.startswith("plan:3 "))
+    assert line.endswith("FAIL")
+    assert lines[-1] == "FAIL: a counter delta disagreed with its plan's mmm cost"
+    assert sum("FAIL" in ln for ln in lines) == 2
+
+
+def test_non_finite_result_fails_the_check(monkeypatch):
+    # a NaN error must not pass as "no worse than the instances before"
+    plan = plan_order(5)
+    program = tuple(
+        replace(ins, const=float("nan")) if isinstance(ins, Lin) and ins.const else ins
+        for ins in plan.program
+    )
+    broken = replace(plan, program=program)
+    monkeypatch.setattr(
+        harness, "plan_order", lambda h: broken if h == 5 else plan_order(h)
+    )
+    ok, lines = toolkit_check(instances=3, dim=4, seed=6)
+    assert not ok
+    line = next(ln for ln in lines if ln.startswith("plan:5 "))
+    assert "max_rel_err=nan" in line and line.endswith("FAIL")
+
+
+def test_zero_instances_rejected():
+    with pytest.raises(ValueError, match="instances must be >= 1"):
+        toolkit_check(instances=0)

@@ -71,6 +71,24 @@ class TestScalarSplit:
         with pytest.raises(NotSPDError):
             split_scalar(square_matrix([[1.0, 2.0], [2.0, 1.0]]), eps=0.1)
 
+    def test_outputs_read_only_and_input_untouched(self, rng):
+        a = np.array(random_spd(4, rng))
+        before = a.tobytes()
+        sp = split_scalar(a)
+        assert a.tobytes() == before
+        for arr in (sp.precond, sp.residual, sp.matrix):
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr, a)
+
+    @pytest.mark.parametrize("a", [
+        1e-320 * np.eye(3),  # SPD, but 1 / alpha overflows
+        np.array([[1.5e308, 1e308], [1e308, 1.5e308]]),  # a + a.T overflows
+    ], ids=["tiny", "huge"])
+    def test_non_finite_results_rejected(self, a):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                split_scalar(a)
+
     def test_default_eps(self, rng):
         a = random_spd(4, rng)
         sp = split_scalar(a)
