@@ -13,6 +13,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -148,7 +149,10 @@ def _cmd_surfaces(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing never changes it, so
+    every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="seriesinv",
         description="Iterative matrix inversion and least-squares benchmarks",

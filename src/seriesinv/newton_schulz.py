@@ -201,10 +201,7 @@ def composite_step(
     series: list[np.ndarray] = []
     residuals: list[np.ndarray] = []
     for rate in spec.rates:
-        if rate == 1:
-            t_i = np.array(split.precond)
-        else:
-            t_i = geometric_apply(split.residual, split.precond, rate, split.matrix, ctr)
+        t_i = geometric_apply(split.residual, split.precond, rate, split.matrix, ctr)
         series.append(t_i)
         residuals.append(residual_of(t_i, a, ctr))
 

@@ -1,25 +1,19 @@
 """Preconditioned splittings A = S - D for SPD matrices.
 
-Both constructors produce the preconditioner S^-1 together with the
-preconditioned residual B = S^-1 D = I - S^-1 A.  Convergence of every
+Both splittings here take S diagonal, so a splitting is defined by A and the
+diagonal s of S; the preconditioner S^-1 and the preconditioned residual
+B = S^-1 D = I - S^-1 A are derived from them once.  Convergence of every
 iteration in this package rests on the spectral radius of B being below one,
 which holds whenever 2S - A is positive definite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix_core import (
-    fro_norm,
-    identity,
-    inf_norm,
-    spectral_radius,
-    square_matrix,
-    subtract_from_identity,
-)
+from .matrix_core import fro_norm, inf_norm, square_matrix, subtract_from_identity
 
 __all__ = [
     "NotSDDError",
@@ -29,7 +23,6 @@ __all__ = [
     "is_positive_definite",
     "split_diagonal",
     "split_scalar",
-    "with_measured_rho",
 ]
 
 DIAGONAL = "diagonal"
@@ -48,34 +41,36 @@ class NotSPDError(ValueError):
 
 @dataclass(frozen=True)
 class Splitting:
-    """Immutable result of a splitting.
+    """Immutable splitting A = S - D with S = diag(``scale``).
 
-    ``precond`` is S^-1, ``residual`` is B = I - S^-1 A, and ``matrix`` keeps
-    the (symmetrized) A the splitting was built from, which the series
-    evaluators need for their residual shortcuts.  ``rho_hint`` is a measured
-    spectral radius of B, filled in lazily by :func:`with_measured_rho`.
+    ``matrix`` is the (symmetrized) A the splitting was built from, which the
+    series evaluators need for their residual shortcuts; it is taken as
+    given, validated by the constructors below.  ``precond`` is S^-1 and
+    ``residual`` is B = I - S^-1 A, both derived from ``matrix`` and
+    ``scale`` when the splitting is built and read-only, so they agree by
+    construction.  The only check is on ``scale``: one positive, finite
+    entry per row of A, with a finite inverse.
     """
 
-    precond: np.ndarray
-    residual: np.ndarray
     matrix: np.ndarray
+    scale: np.ndarray
     kind: str
-    rho_hint: float | None = field(default=None)
+    precond: np.ndarray = field(init=False)
+    residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        diag = np.diagonal(self.precond)
-        if np.count_nonzero(self.precond) == np.count_nonzero(diag):
-            # Diagonal S^-1: the product is a row scaling, equal to the GEMM.
-            product = diag[:, None] * self.matrix
-        else:
-            product = self.precond @ self.matrix
-        b_check = subtract_from_identity(product)
-        b_check -= self.residual
-        err = fro_norm(b_check)
-        if err > 1e-12 * fro_norm(self.residual) + 1e-14:
-            raise ValueError(
-                f"inconsistent splitting: ||(I - precond A) - residual|| = {err:.3e}"
-            )
+        s = _frozen(np.array(self.scale, dtype=np.float64))
+        if s.shape != self.matrix.shape[:1] or not np.all((s > 0.0) & (s < np.inf)):
+            raise ValueError("scale must hold one positive, finite entry per row of the matrix")
+        with np.errstate(over="ignore"):
+            inv = 1.0 / s
+        if not np.all(inv < np.inf):
+            raise ValueError("S^-1 overflows: matrix entries must be finite")
+        object.__setattr__(self, "scale", s)
+        object.__setattr__(self, "precond", _frozen(np.diag(inv)))
+        object.__setattr__(
+            self, "residual", _frozen(subtract_from_identity(self.matrix / s[:, None]))
+        )
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -137,14 +132,7 @@ def split_diagonal(a: np.ndarray) -> Splitting:
     off_sums = np.sum(np.abs(a), axis=1) - np.abs(diag)
     if np.any(np.abs(diag) <= off_sums):
         raise NotSDDError("matrix is not strictly diagonally dominant")
-    precond = np.diag(1.0 / diag)
-    residual = subtract_from_identity(a / diag[:, None])
-    return Splitting(
-        precond=square_matrix(precond),
-        residual=square_matrix(residual),
-        matrix=a,
-        kind=DIAGONAL,
-    )
+    return Splitting(a, diag, DIAGONAL)
 
 
 def split_scalar(a: np.ndarray, eps: float | None = None) -> Splitting:
@@ -162,16 +150,9 @@ def split_scalar(a: np.ndarray, eps: float | None = None) -> Splitting:
         raise ValueError("eps must be positive")
     if not _passes_cholesky(a, 1e-12 * norm):
         raise NotSPDError("matrix is not positive definite")
-    alpha = norm / 2.0 + eps
-    # |a_ij| <= 2 alpha keeps a / alpha finite; only 1 / alpha can overflow.
-    if 1.0 / alpha == np.inf:
-        raise ValueError("matrix entries must be finite")
-    return Splitting(
-        precond=_frozen(identity(a.shape[0]) / alpha),
-        residual=_frozen(subtract_from_identity(a / alpha)),
-        matrix=a,
-        kind=SCALAR,
-    )
+    # |a_ij| <= 2 alpha keeps a / alpha finite; Splitting rejects an
+    # alpha whose inverse overflows.
+    return Splitting(a, np.full(a.shape[0], norm / 2.0 + eps), SCALAR)
 
 
 def check_two_s_minus_a(a: np.ndarray, splitting: Splitting) -> bool:
@@ -181,13 +162,6 @@ def check_two_s_minus_a(a: np.ndarray, splitting: Splitting) -> bool:
     convergence diagnostic that avoids estimating the spectral radius.
     """
     a = square_matrix(a)
-    if a.shape != splitting.precond.shape:
+    if a.shape != splitting.matrix.shape:
         raise ValueError("dimension mismatch between matrix and splitting")
-    s_mat = np.linalg.inv(splitting.precond)
-    return is_positive_definite(2.0 * s_mat - a, pivot_tol=0.0)
-
-
-def with_measured_rho(splitting: Splitting, tol: float = 1e-10, max_iter: int = 10000) -> Splitting:
-    """Return a copy of the splitting with rho_hint measured from B."""
-    rho = spectral_radius(splitting.residual, tol=tol, max_iter=max_iter)
-    return replace(splitting, rho_hint=rho)
+    return is_positive_definite(np.diag(2.0 * splitting.scale) - a, pivot_tol=0.0)

@@ -62,14 +62,22 @@ def call_untouched(fn, *args, **kwargs):
 
 def _writable(obj):
     """A copy of a state or splitting whose arrays are all writable."""
-    changes = {}
+    changes, derived = {}, {}
     for f in fields(obj):
         value = getattr(obj, f.name)
         if isinstance(value, np.ndarray):
-            changes[f.name] = np.array(value)
+            value = np.array(value)
         elif is_dataclass(value) and not isinstance(value, MulCounter):
-            changes[f.name] = _writable(value)
-    return replace(obj, **changes)
+            value = _writable(value)
+        else:
+            continue
+        (changes if f.init else derived)[f.name] = value
+    out = replace(obj, **changes)
+    # Fields derived at construction (a splitting's S^-1 and B) come back
+    # read-only from replace; swap in writable copies of them too.
+    for name, value in derived.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 @pytest.fixture

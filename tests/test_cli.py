@@ -261,6 +261,58 @@ class TestMethodValidation:
         assert "positive definite" not in err
 
 
+class TestParserReuse:
+    """``main`` builds its parser once and shares it between calls."""
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    @staticmethod
+    def run(argv, csv_path, capsys):
+        """Exit code, stdout, stderr and CSV rows without ``wall_ns``."""
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse errors exit 2
+            rc = exc.code
+        out, err = capsys.readouterr()
+        rows = None
+        if csv_path.exists():
+            rows = [line.rsplit(",", 1)[0] for line in csv_path.read_text().splitlines()]
+            csv_path.unlink()
+        return rc, out, err, rows
+
+    def test_calls_in_sequence_match_calls_alone(self, harmonic_files, tmp_path, capsys):
+        # Each call sets what its predecessor set differently (rates, q,
+        # error_norm), so a default that leaked would show in its output.
+        mat, rhs, theta = (str(path) for path in harmonic_files)
+        solve = ["solve", "--matrix", mat, "--rhs", rhs, "--steps", "2"]
+        invert = ["invert", "--matrix", mat, "--steps", "2"]
+        calls = [
+            ["plan", "--order", "12"],
+            invert + ["--method", "composite", "--rates", "2,3"],
+            solve + ["--method", "richardson", "--q", "3", "--theta-star", theta],
+            solve + ["--method", "ns-estimator", "--h", "4"],
+            invert + ["--method", "ns", "--order", "3"],
+            invert + ["--method", "sri", "--order", "1"],
+            invert + ["--method", "bogus"],
+            ["verify-tables", "--instances", "2", "--dim", "3"],
+            ["gen-harmonic", "--out", str(tmp_path / "g.mat")],
+            ["surfaces", "--kind", "fig2", "--n-max", "3", "--k-max", "2"],
+        ]
+        csv_path = tmp_path / "run.csv"
+        calls = [argv + ["--csv", str(csv_path)] if argv[0] in ("invert", "solve") else argv
+                 for argv in calls]
+        alone = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            alone.append(self.run(argv, csv_path, capsys))
+        _build_parser.cache_clear()
+        in_sequence = [self.run(argv, csv_path, capsys) for argv in calls]
+        assert in_sequence == alone
+        assert [rc for rc, *_ in alone] == [0, 0, 0, 0, 0, 2, 2, 0, 0, 0]
+        assert all(rows for _, _, _, rows in alone[1:5])
+
+
 class TestSurfaces:
     @pytest.mark.parametrize("kind", ["fig1", "fig2", "fig3"])
     def test_emits_csv_file(self, tmp_path, kind):

@@ -129,6 +129,17 @@ class TestCompositeStep:
             expected = sp.residual @ expected + sp.precond
             assert fro_norm(st.estimate - expected) <= 1e-11 * fro_norm(expected)
 
+    def test_rate_one_unit_is_s_inverse_at_no_cost(self, rng):
+        # A rate-1 unit contributes T = S^-1 with no product; only its
+        # residual I - S^-1 A, R G and the new residual are counted.
+        a, sp = diag_system(4, 0.9, rng)
+        st = initial_series(sp, 1, 2, order=1)
+        before = st.ctr.mmm
+        new = composite_step(st, a, sp, CompositeSpec((1,)), order_n=1)
+        expected = (np.eye(4) - sp.precond @ a) @ st.estimate + sp.precond
+        assert np.array_equal(new.estimate, expected)
+        assert new.ctr.mmm - before == 3
+
     def test_exponent_law(self, rng):
         # rates (2, 3), n = 2, h = 1: one step gives B^(5 + 2) = B^7
         a, sp = diag_system(4, 0.95, rng)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from seriesinv import (
     split_diagonal,
     split_scalar,
     square_matrix,
-    with_measured_rho,
 )
+from seriesinv.matrix_core import subtract_from_identity
 
 
 class TestDiagonalSplit:
@@ -106,30 +108,63 @@ class TestConstructionInvariant:
             err = fro_norm(resid - sp.residual)
             assert err <= 1e-12 * fro_norm(sp.residual) + 1e-14
 
-    def test_inconsistent_splitting_rejected(self):
-        a = square_matrix([[2.0]])
-        with pytest.raises(ValueError):
-            Splitting(
-                precond=square_matrix([[0.5]]),
-                residual=square_matrix([[0.7]]),
-                matrix=a,
-                kind="diagonal",
-            )
 
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_checked_with_diagonal_and_dense_precond(self, rng, dense):
-        a = random_spd(5, rng)
-        if dense:
-            precond = np.linalg.inv(a + 0.3 * np.eye(5))
-            assert np.count_nonzero(precond - np.diag(np.diag(precond)))
-        else:
-            precond = np.diag(1.0 / np.diag(a))
-        residual = identity(5) - precond @ a
-        Splitting(precond=precond, residual=residual, matrix=a, kind="test")
-        off = residual.copy()
-        off[1, 3] += 1e-6
-        with pytest.raises(ValueError, match="inconsistent splitting"):
-            Splitting(precond=precond, residual=off, matrix=a, kind="test")
+def _same_bits(x, y):
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+class TestSplittingConstructor:
+    @pytest.mark.parametrize("scale", [
+        [1.0, 0.0, 1.0],
+        [1.0, -2.0, 1.0],
+        [1.0, np.nan, 1.0],
+        [1.0, np.inf, 1.0],
+        [1.0, 1.0],
+        [1.0, 1.0, 1.0, 1.0],
+        [[1.0, 1.0, 1.0]],
+        np.ones((3, 3)),
+    ], ids=["zero", "negative", "nan", "inf", "short", "long", "row", "square"])
+    def test_rejects_bad_scale(self, scale):
+        with pytest.raises(ValueError, match="scale must hold"):
+            Splitting(matrix=square_matrix(np.eye(3)), scale=np.array(scale), kind="test")
+
+    def test_rejects_scale_whose_inverse_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raises the error, warns nothing
+            with pytest.raises(ValueError, match="entries must be finite"):
+                Splitting(matrix=square_matrix(np.eye(2)), scale=np.full(2, 1e-320), kind="test")
+
+    def test_derived_arrays_read_only(self, rng):
+        a = random_spd(4, rng)
+        scale = np.linspace(2.0, 3.0, 4)
+        sp = Splitting(matrix=a, scale=scale, kind="test")
+        for arr in (sp.precond, sp.residual, sp.scale):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        scale[0] = 5.0
+        assert sp.scale[0] == 2.0 and sp.precond[0, 0] == 0.5
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8, 17])
+    def test_scalar_split_matches_old_formulas(self, seed, dim):
+        r = np.random.default_rng(seed)
+        eps = [None, 1e-6, 0.3][seed % 3]
+        sp = split_scalar(random_spd(dim, r, shift=[0.5, 1e-6][seed % 2]), eps)
+        norm = inf_norm(sp.matrix)
+        alpha = norm / 2.0 + (1e-3 * norm if eps is None else eps)
+        assert _same_bits(sp.precond, identity(dim) / alpha)
+        assert _same_bits(sp.residual, subtract_from_identity(sp.matrix / alpha))
+        assert np.array_equal(sp.scale, np.full(dim, alpha))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dim", [2, 5, 8, 17])
+    def test_diagonal_split_matches_old_formulas(self, seed, dim):
+        sp = split_diagonal(random_sdd(dim, np.random.default_rng(seed)))
+        d = np.diag(sp.matrix)
+        assert _same_bits(sp.precond, np.diag(1.0 / d))
+        assert _same_bits(sp.residual, subtract_from_identity(sp.matrix / d[:, None]))
+        assert np.array_equal(sp.scale, d)
 
 
 class TestContractionProperties:
@@ -161,12 +196,8 @@ class TestTwoSMinusA:
 
     def test_failing_case(self):
         a = square_matrix([[4.0]])
-        sp = Splitting(
-            precond=square_matrix([[1.0]]),
-            residual=square_matrix([[-3.0]]),
-            matrix=a,
-            kind="diagonal",
-        )
+        sp = Splitting(matrix=a, scale=np.ones(1), kind="diagonal")
+        assert np.array_equal(sp.residual, [[-3.0]])
         assert check_two_s_minus_a(a, sp) is False
 
     @pytest.mark.parametrize("seed", range(10))
@@ -180,14 +211,7 @@ class TestTwoSMinusA:
             pass
         # an intentionally bad scalar preconditioner: S too small
         bad_alpha = float(np.min(np.linalg.eigvalsh(a))) / 4.0
-        splits.append(
-            Splitting(
-                precond=square_matrix(np.eye(4) / bad_alpha),
-                residual=square_matrix(np.eye(4) - a / bad_alpha),
-                matrix=a,
-                kind="scalar",
-            )
-        )
+        splits.append(Splitting(matrix=a, scale=np.full(4, bad_alpha), kind="scalar"))
         for sp in splits:
             rho = spectral_radius(sp.residual, tol=1e-10)
             if abs(rho - 1.0) <= 1e-6:
@@ -259,12 +283,3 @@ class TestPositiveDefinite:
     def test_near_singular_counts_as_failure(self):
         a = square_matrix([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
         assert not is_positive_definite(a)
-
-
-def test_measured_rho_hint(rng):
-    a = random_sdd(4, rng)
-    sp = split_diagonal(a)
-    assert sp.rho_hint is None
-    measured = with_measured_rho(sp)
-    assert measured.rho_hint is not None
-    assert 0.0 <= measured.rho_hint < 1.0
