@@ -261,11 +261,12 @@ class MethodKind:
     """One row of :data:`METHODS`.
 
     ``command`` is ``invert`` (error ||I - G A||_F) or ``solve`` (error
-    ||theta - theta*||).  ``start(method, split, a, b, p, w)`` returns the
-    initial state and the step function; ``error(state, b, theta_star)``
-    measures a state; ``exponent(method, k)`` is the predicted power of rho;
-    ``name`` is formatted with the spec's kind, order, h, q and rates;
-    ``min_order`` is the smallest order the step function accepts.
+    ||theta - theta*||).  ``start(method, split, b, p, w)`` returns the
+    initial state and the step function, which steps on ``split.matrix``;
+    ``error(state, b, theta_star)`` measures a state; ``exponent(method,
+    k)`` is the predicted power of rho; ``name`` is formatted with the
+    spec's kind, order, h, q and rates; ``min_order`` is the smallest order
+    the step function accepts.
     """
 
     command: str
@@ -290,18 +291,19 @@ class SriState:
     ctr: MulCounter
 
 
-def _start_plain(init, stepper, m: MethodSpec, split, a, b, p, w):
-    return init(split, p, w, order=m.order), partial(stepper, a=a)
+def _start_plain(init, stepper, m: MethodSpec, split, b, p, w):
+    return init(split, p, w, order=m.order), partial(stepper, a=split.matrix)
 
 
-def _start_composite(m: MethodSpec, split, a, b, p, w):
+def _start_composite(m: MethodSpec, split, b, p, w):
     spec = CompositeSpec(rates=m.rates)
-    step = partial(composite_step, a=a, split=split, spec=spec, order_n=m.order)
+    step = partial(composite_step, a=split.matrix, split=split, spec=spec, order_n=m.order)
     return initial_series(split, p, w, order=m.order), step
 
 
-def _start_sri(m: MethodSpec, split, a, b, p, w):
+def _start_sri(m: MethodSpec, split, b, p, w):
     st = initial_series(split, p, w, order=m.order)
+    a = split.matrix
 
     def step(s: SriState) -> SriState:
         z, g = additive_correction_step(s.z, s.g, a, m.order, s.ctr)
@@ -311,9 +313,9 @@ def _start_sri(m: MethodSpec, split, a, b, p, w):
     return SriState(st.estimate, st.estimate, st.residual, st.ctr), step
 
 
-def _start_richardson(stepper, m: MethodSpec, split, a, b, p, w):
+def _start_richardson(stepper, m: MethodSpec, split, b, p, w):
     st = initial_richardson(split, b, p, w, order=m.order, q=m.q)
-    return st, partial(stepper, a=a, b=b)
+    return st, partial(stepper, a=split.matrix, b=b)
 
 
 def _residual_error(st, b, theta_star) -> float:
@@ -366,11 +368,11 @@ METHODS: dict[str, MethodKind] = {
 }
 
 
-def _run_method(method: MethodSpec, split, a, b, theta_star, steps, rho, timer):
+def _run_method(method: MethodSpec, split, b, theta_star, steps, rho, timer):
     started = timer()
     row = METHODS[method.kind]
     name = method.name()
-    state, step = row.start(method, split, a, b, *series_params(method.h))
+    state, step = row.start(method, split, b, *series_params(method.h))
     e0 = row.exponent(method, 0)
     records = []
     for k in range(steps + 1):
@@ -406,14 +408,14 @@ def run_comparison(
     timer=None,
     executor=None,
 ) -> list[RunRecord]:
-    """Run every method for ``steps`` steps on the same scalar splitting.
+    """Run every method for ``steps`` steps on the same scalar splitting,
+    and every step on its symmetrized A.
 
     ``timer`` (default ``time.perf_counter_ns``) is injectable so runs can
     be made byte-deterministic.  Methods are independent; with ``executor``
     they run concurrently and the merged records are identical to a serial
     run (sorted by method name, then step).
     """
-    a = square_matrix(a)
     b = vector(b)
     theta_star = vector(theta_star)
     if steps < 0:
@@ -425,11 +427,11 @@ def run_comparison(
 
     if executor is None:
         chunks = [
-            _run_method(m, split, a, b, theta_star, steps, rho, timer) for m in methods
+            _run_method(m, split, b, theta_star, steps, rho, timer) for m in methods
         ]
     else:
         futures = [
-            executor.submit(_run_method, m, split, a, b, theta_star, steps, rho, timer)
+            executor.submit(_run_method, m, split, b, theta_star, steps, rho, timer)
             for m in methods
         ]
         chunks = [f.result() for f in futures]
@@ -591,11 +593,10 @@ def toolkit_check(
     xs, ys, mats = [], [], []
     for _ in range(instances):
         m = rng.standard_normal((dim, dim))
-        a = square_matrix(m @ m.T / dim + 0.5 * np.eye(dim))
-        split = split_scalar(a)
+        split = split_scalar(m @ m.T / dim + 0.5 * np.eye(dim))
         xs.append(split.precond)
         ys.append(split.residual)
-        mats.append(a)
+        mats.append(split.matrix)
     x, y, a = np.stack(xs), np.stack(ys), np.stack(mats)
     # refs[h - 1] is the order-h Horner sum of every instance, all from one pass.
     refs = horner_iterates(y, x, max(plan.order_h for _, plan in plans), MulCounter())

@@ -4,8 +4,8 @@ All variants share one skeleton: an estimate G of A^-1 with residual
 F = I - G A, driven by geometric sums of the residual.  Under exact
 arithmetic every residual is an integer power of the splitting residual
 B = I - S^-1 A, and each variant's power law is exposed here as an integer
-recursion (:func:`residual_exponent`) so tests can pin the measured matrices
-against ``B**e``.
+formula (``*_exponent``) so tests can pin the measured matrices against
+``B**e``.
 
 Variants:
 
@@ -48,7 +48,6 @@ __all__ = [
     "initial_series",
     "ns_step",
     "power_rates",
-    "residual_exponent",
     "run_until_converged",
 ]
 
@@ -60,15 +59,13 @@ class NsState:
     """Snapshot of a single-loop iteration.
 
     ``estimate`` is G_k, ``residual`` is F_k = I - G_k A.  ``order`` is the
-    step order n, ``series_order`` the order h of the initial series.  The
-    counter is shared along the run.
+    step order n.  The counter is shared along the run.
     """
 
     estimate: np.ndarray
     residual: np.ndarray
     step: int
     order: int
-    series_order: int
     ctr: MulCounter
 
 
@@ -87,7 +84,6 @@ class DoubleNsState:
     accel_residual: np.ndarray
     step: int
     order: int
-    series_order: int
     ctr: MulCounter
 
 
@@ -142,9 +138,7 @@ def initial_series(split: Splitting, p: int, w: int, order: int = 2) -> NsState:
             split.residual, split.precond, split.matrix, p, w, ctr, form_y=False
         )
         f = residual_of(g, split.matrix, ctr)
-    return NsState(
-        estimate=g, residual=f, step=0, order=order, series_order=h, ctr=ctr
-    )
+    return NsState(estimate=g, residual=f, step=0, order=order, ctr=ctr)
 
 
 def ns_step(st: NsState, a: np.ndarray, plan: FactorPlan | None = None) -> NsState:
@@ -164,14 +158,7 @@ def ns_step(st: NsState, a: np.ndarray, plan: FactorPlan | None = None) -> NsSta
             raise ValueError(f"plan order {plan.order_h} != iteration order {n}")
         g_new = nested_eval(st.residual, st.estimate, a, plan, st.ctr, form_y=False)
     f_new = residual_of(g_new, a, st.ctr)
-    return NsState(
-        estimate=g_new,
-        residual=f_new,
-        step=st.step + 1,
-        order=n,
-        series_order=st.series_order,
-        ctr=st.ctr,
-    )
+    return NsState(estimate=g_new, residual=f_new, step=st.step + 1, order=n, ctr=st.ctr)
 
 
 def composite_step(
@@ -217,14 +204,7 @@ def composite_step(
     g_new = mat_mul(r_comp, ns_part, ctr)
     g_new += t_comp
     f_new = residual_of(g_new, a, ctr)
-    return NsState(
-        estimate=g_new,
-        residual=f_new,
-        step=st.step + 1,
-        order=order_n,
-        series_order=st.series_order,
-        ctr=ctr,
-    )
+    return NsState(estimate=g_new, residual=f_new, step=st.step + 1, order=order_n, ctr=ctr)
 
 
 def initial_double(split: Splitting, p: int, w: int, order: int = 2) -> DoubleNsState:
@@ -245,7 +225,6 @@ def initial_double(split: Splitting, p: int, w: int, order: int = 2) -> DoubleNs
         accel_residual=accel_res,
         step=0,
         order=order,
-        series_order=base.series_order,
         ctr=ctr,
     )
 
@@ -282,7 +261,6 @@ def double_ns_step(st: DoubleNsState, a: np.ndarray, executor=None) -> DoubleNsS
         accel_residual=accel_res,
         step=st.step + 1,
         order=n,
-        series_order=st.series_order,
         ctr=st.ctr,
     )
 
@@ -361,29 +339,3 @@ def additive_exponents(k: int, p: int, h: int) -> tuple[int, int]:
         e_f = e_f + p * e_l
         e_l = p * e_l
     return e_l, e_f
-
-
-def residual_exponent(
-    kind: str,
-    k: int,
-    n: int,
-    h: int,
-    rates: tuple[int, ...] | None = None,
-) -> int:
-    """Dispatch on the iteration kind; returns e with F_k = B**e.
-
-    For ``"additive"`` the scheme order p is taken equal to n.
-    """
-    if k < 0:
-        raise ValueError("step index must be >= 0")
-    if kind == "classical":
-        return classical_exponent(k, n, h)
-    if kind == "double":
-        return double_exponent(k, n, h)
-    if kind == "composite":
-        if not rates:
-            raise ValueError("composite kind needs rates")
-        return composite_exponent(k, n, h, tuple(rates))
-    if kind == "additive":
-        return additive_exponents(k, n, h)[1]
-    raise ValueError(f"unknown iteration kind: {kind!r}")

@@ -170,7 +170,6 @@ def richardson_recursive_step(
         accel_residual=accel_res,
         step=prev.step + 1,
         order=n,
-        series_order=prev.series_order,
         ctr=st.ctr,
     )
     return RichardsonState(
@@ -195,14 +194,14 @@ def step_exponent_general(k: int, n: int, h: int, q: int) -> int:
 
 
 def step_exponent_qn(k: int, n: int, h: int) -> int:
-    """Step-k mismatch exponent for q == n."""
+    """Step-k mismatch exponent for q == n, the paper's closed form of
+    ``step_exponent_general(k, n, h, n)``."""
     return h * (k * n ** (k + 2) + 2 * n ** (k + 1))
 
 
 def cumulative_exponent(k: int, n: int, h: int, q: int | None = None) -> int:
-    """Sum of per-step exponents over steps 1..k (telescoped form)."""
-    if q is None or q == n:
-        return sum(step_exponent_qn(j, n, h) for j in range(1, k + 1))
+    """Sum of per-step exponents over steps 1..k; ``q`` defaults to n."""
+    q = n if q is None else q
     return sum(step_exponent_general(j, n, h, q) for j in range(1, k + 1))
 
 
@@ -248,14 +247,11 @@ def transient_model(
     """Evaluate the transient model at step k for measured radius rho."""
     if k < 1:
         raise ValueError("transient model starts at step 1")
-    if q is None or q == n:
-        step = step_exponent_qn(k, n, h)
-    else:
-        step = step_exponent_general(k, n, h, q)
+    q = n if q is None else q
     total = cumulative_exponent(k, n, h, q)
     return TransientModel(
         total_exponent=total,
-        step_exponent=step,
+        step_exponent=step_exponent_general(k, n, h, q),
         rho=rho,
         bound=float(rho) ** total * theta0_norm,
     )

@@ -305,43 +305,13 @@ def horner_iterates(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> li
     return sums
 
 
-def _y_for(
-    y: np.ndarray | None, x: np.ndarray, a: np.ndarray, ctr: MulCounter, form_y: bool
-) -> np.ndarray:
-    """The supplied Y, or with ``form_y`` Y re-formed as ``I - X A`` (one
-    product) and checked against the supplied value, if any."""
-    if not form_y:
-        if y is None:
-            raise ValueError("y is required unless form_y=True")
-        return y
-    y_eff = residual_of(x, a, ctr)
-    if y is not None and fro_norm(y_eff - y) > 1e-10 * (1.0 + fro_norm(y)):
-        raise ValueError("supplied Y does not match I - X A")
-    return y_eff
-
-
-def horner_eval(
-    y: np.ndarray | None,
-    x: np.ndarray,
-    h: int,
-    ctr: MulCounter,
-    *,
-    a: np.ndarray | None = None,
-    form_y: bool = False,
-) -> np.ndarray:
-    """``(I + Y + ... + Y^(h-1)) X`` by the Horner recursion.
-
-    Consumes exactly ``h - 1`` products with Y supplied, or ``h`` with
-    ``form_y=True`` (Y is then recomputed as ``I - X A`` and checked against
-    the supplied value, if any).
-    """
+def horner_eval(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> np.ndarray:
+    """``(I + Y + ... + Y^(h-1)) X`` by the Horner recursion, Y supplied;
+    exactly ``h - 1`` products."""
     if h < 1:
         raise ValueError("order h must be >= 1")
-    if form_y and a is None:
-        raise ValueError("form_y=True requires the matrix a")
     # A plain loop rather than the plan executor: the hot path of every
     # step at small n, where the executor's per-instruction work shows.
-    y = _y_for(y, x, a, ctr, form_y)
     z = x
     for _ in range(h - 1):
         z = mat_mul(y, z, ctr)
@@ -435,12 +405,23 @@ def nested_eval(
 ) -> np.ndarray:
     """Execute a plan; the counter moves by exactly ``plan.mmm_cost``
     (``plan.mmm_poly`` with ``form_y=False``), times k for operands
-    stacked ``(k, n, n)``."""
+    stacked ``(k, n, n)``.
+
+    With ``form_y`` Y is formed here as ``I - X A`` (one product) and
+    checked against the supplied value, if any.
+    """
     if plan.program is None:
         raise ValueError("malformed plan: not built by make_plan")
     if x.shape != a.shape:
         raise ValueError(f"dimension mismatch: x {x.shape} vs a {a.shape}")
-    return _execute(plan.program, _y_for(y, x, a, ctr, form_y), x, a, ctr)
+    if form_y:
+        y_formed = residual_of(x, a, ctr)
+        if y is not None and fro_norm(y_formed - y) > 1e-10 * (1.0 + fro_norm(y)):
+            raise ValueError("supplied Y does not match I - X A")
+        y = y_formed
+    elif y is None:
+        raise ValueError("y is required unless form_y=True")
+    return _execute(plan.program, y, x, a, ctr)
 
 
 def geometric_apply(

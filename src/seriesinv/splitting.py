@@ -39,7 +39,7 @@ class NotSPDError(ValueError):
     """Matrix failed the symmetric positive-definiteness check."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Splitting:
     """Immutable splitting A = S - D with S = diag(``scale``).
 
@@ -49,7 +49,8 @@ class Splitting:
     ``residual`` is B = I - S^-1 A, both derived from ``matrix`` and
     ``scale`` when the splitting is built and read-only, so they agree by
     construction.  The only check is on ``scale``: one positive, finite
-    entry per row of A, with a finite inverse.
+    entry per row of A, with a finite inverse.  Splittings compare and hash
+    by identity, as their fields are arrays.
     """
 
     matrix: np.ndarray
@@ -146,8 +147,8 @@ def split_scalar(a: np.ndarray, eps: float | None = None) -> Splitting:
     norm = inf_norm(a)
     if eps is None:
         eps = 1e-3 * norm
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not _passes_cholesky(a, 1e-12 * norm):
         raise NotSPDError("matrix is not positive definite")
     # |a_ij| <= 2 alpha keeps a / alpha finite; Splitting rejects an

@@ -172,6 +172,23 @@ class TestErrorHandling:
             rc = main(["invert", "--matrix", str(mat), "--method", "ns", "--steps", "1"])
         assert rc == 0
 
+    @pytest.mark.parametrize("command", ["invert", "solve"])
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_exits_2(self, tmp_path, capsys, command, eps):
+        r = np.random.default_rng(0)
+        a = random_spd(3, r)
+        mat, rhs, csv_path = tmp_path / "a.mat", tmp_path / "b.vec", tmp_path / "never.csv"
+        save_matrix(mat, a)
+        save_vector(rhs, a @ r.standard_normal(3))
+        extra = {
+            "invert": ["--method", "ns"],
+            "solve": ["--rhs", str(rhs), "--method", "richardson"],
+        }[command]
+        rc = main([command, "--matrix", str(mat), *extra, "--eps", eps, "--csv", str(csv_path)])
+        assert rc == 2
+        assert "eps must be positive and finite" in capsys.readouterr().err
+        assert not csv_path.exists()
+
     def test_composite_without_rates(self, tmp_path, capsys):
         mat = tmp_path / "a.mat"
         save_matrix(mat, random_spd(3, np.random.default_rng(0)))

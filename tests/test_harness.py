@@ -334,6 +334,23 @@ class TestMethodTable:
         rec = run_comparison(a, b, theta, [MethodSpec(kind="sri", order=2)], 0)[0]
         assert rec.error_norm == fro_norm(split.residual)
 
+    def test_steps_run_on_the_symmetrized_matrix(self, fixture):
+        # A within the symmetry tolerance but not bitwise symmetric: every
+        # step must read the splitting's symmetrized A, so the records equal
+        # those of a run on that A.
+        a, b, theta = fixture
+        skew = np.triu(np.full(a.shape, 1e-13 * fro_norm(a)), 1)
+        asym = a + skew
+        sym = (asym + asym.T) / 2.0
+        assert not np.array_equal(asym, asym.T)
+        assert not np.array_equal(sym, a)
+        methods = [
+            MethodSpec(kind=kind, order=2, h=4, rates=(2, 3) if row.takes_rates else ())
+            for kind, row in METHODS.items()
+        ]
+        recs = run_comparison(asym, b, theta, methods, 4, timer=FakeTimer())
+        assert recs == run_comparison(sym, b, theta, methods, 4, timer=FakeTimer())
+
     @pytest.mark.parametrize(
         "kwargs",
         [

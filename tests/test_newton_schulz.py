@@ -23,7 +23,6 @@ from seriesinv import (
     ns_step,
     plan_order,
     power_rates,
-    residual_exponent,
     run_until_converged,
     split_diagonal,
     square_matrix,
@@ -42,7 +41,7 @@ class TestInitialSeries:
         st = initial_series(sp, 0, 1)
         assert np.array_equal(st.estimate, sp.precond)
         assert np.array_equal(st.residual, sp.residual)
-        assert (st.step, st.series_order, st.ctr.mmm) == (0, 1, 0)
+        assert (st.step, st.ctr.mmm) == (0, 0)
 
     def test_identity_matrix(self):
         sp = split_diagonal(np.eye(3))
@@ -292,16 +291,12 @@ class TestAdditiveStep:
 
 
 class TestExponentModels:
-    def test_dispatch_examples(self):
-        assert residual_exponent("classical", 2, 3, 1) == 9
-        assert residual_exponent("double", 1, 2, 1) == 6
-        assert residual_exponent("double", 3, 2, 2) == 112
-        assert residual_exponent("composite", 1, 2, 1, rates=(2, 3)) == 7
-        assert residual_exponent("additive", 2, 3, 1) == 13
-        with pytest.raises(ValueError):
-            residual_exponent("composite", 1, 2, 1)
-        with pytest.raises(ValueError):
-            residual_exponent("mystery", 1, 2, 1)
+    def test_law_examples(self):
+        assert classical_exponent(2, 3, 1) == 9
+        assert double_exponent(1, 2, 1) == 6
+        assert double_exponent(3, 2, 2) == 112
+        assert composite_exponent(1, 2, 1, (2, 3)) == 7
+        assert additive_exponents(2, 3, 1)[1] == 13
 
     def test_double_matches_step_recursion(self):
         for n in range(2, 7):

@@ -59,6 +59,29 @@ class TestStepExponents:
                         k, n, h
                     )
 
+    def test_laws_match_the_branching_oracle(self):
+        # the former q == n branch, kept here as the oracle
+        def cumulative_oracle(k, n, h, q):
+            if q is None or q == n:
+                return sum(step_exponent_qn(j, n, h) for j in range(1, k + 1))
+            return sum(step_exponent_general(j, n, h, q) for j in range(1, k + 1))
+
+        def step_oracle(k, n, h, q):
+            if q is None or q == n:
+                return step_exponent_qn(k, n, h)
+            return step_exponent_general(k, n, h, q)
+
+        for k in range(1, 9):
+            for n in range(1, 7):
+                for h in range(1, 5):
+                    for q in (None, n, n + 1):
+                        total = cumulative_oracle(k, n, h, q)
+                        assert cumulative_exponent(k, n, h, q) == total
+                        tm = transient_model(k, n, h, rho=0.97, q=q, theta0_norm=1.5)
+                        assert tm.total_exponent == total
+                        assert tm.step_exponent == step_oracle(k, n, h, q)
+                        assert tm.bound == 0.97**total * 1.5
+
     def test_closed_form_rejects_first_order(self):
         with pytest.raises(ValueError):
             cumulative_exponent_closed(3, 1, 1)

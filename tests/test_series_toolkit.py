@@ -14,6 +14,7 @@ from seriesinv import (
     fro_norm,
     geometric_apply,
     horner_eval,
+    make_plan,
     mat_pow,
     nested_eval,
     order45_plan,
@@ -57,13 +58,16 @@ class TestHorner:
 
     @pytest.mark.parametrize("h", [1, 2, 5, 11])
     def test_counts_both_conventions(self, rng, h):
+        # Y supplied: h - 1 products; Y formed (through the plan executor,
+        # the one evaluator that forms it): h, the same sum to rounding
         x, y, a = toolkit_instance(rng)
         ctr = MulCounter()
-        horner_eval(y, x, h, ctr)
+        ref = horner_eval(y, x, h, ctr)
         assert ctr.mmm == h - 1
         ctr = MulCounter()
-        horner_eval(y, x, h, ctr, a=a, form_y=True)
+        out = nested_eval(None, x, a, make_plan(Horner(h)), ctr, form_y=True)
         assert ctr.mmm == h
+        assert fro_norm(out - ref) <= 1e-12 * fro_norm(ref)
 
     def test_order_below_one_rejected(self, rng):
         x, y, _ = toolkit_instance(rng)
@@ -83,11 +87,12 @@ class TestHorner:
             assert sums[h - 1].tobytes() == horner_eval(y, x, h, MulCounter()).tobytes()
 
     def test_missing_y_rejected(self, rng):
+        # Y is formed only on request; horner_eval takes no form_y option
         x, _, a = toolkit_instance(rng)
-        with pytest.raises(ValueError):
-            horner_eval(None, x, 3, MulCounter())
-        with pytest.raises(ValueError):
-            horner_eval(None, x, 3, MulCounter(), form_y=True)
+        with pytest.raises(ValueError, match="y is required"):
+            nested_eval(None, x, a, make_plan(Horner(3)), MulCounter(), form_y=False)
+        with pytest.raises(TypeError):
+            horner_eval(None, x, 3, MulCounter(), a=a, form_y=True)
 
 
 class TestFactored:

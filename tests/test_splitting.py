@@ -69,6 +69,11 @@ class TestScalarSplit:
         with pytest.raises(ValueError):
             split_scalar(np.eye(2), eps=-1.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    def test_eps_must_be_finite(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            split_scalar(np.eye(2), eps=eps)
+
     def test_rejects_indefinite(self):
         with pytest.raises(NotSPDError):
             split_scalar(square_matrix([[1.0, 2.0], [2.0, 1.0]]), eps=0.1)
@@ -144,6 +149,14 @@ class TestSplittingConstructor:
                 arr[(0,) * arr.ndim] = 1.0
         scale[0] = 5.0
         assert sp.scale[0] == 2.0 and sp.precond[0, 0] == 0.5
+
+    def test_equality_and_hash_by_identity(self, rng):
+        a = random_spd(4, rng)
+        sp, other = split_scalar(a), split_scalar(a)
+        assert sp == sp and hash(sp) == hash(sp)
+        assert sp != other
+        runs = {sp: "first", other: "second"}
+        assert runs[sp] == "first" and runs[other] == "second"
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("dim", [1, 2, 5, 8, 17])
