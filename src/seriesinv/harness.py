@@ -21,6 +21,7 @@ import numpy as np
 from .matrix_core import (
     MulCounter,
     fro_norm,
+    fro_norms,
     mat_vec,
     spectral_radius,
     SpectralRadiusError,
@@ -422,7 +423,7 @@ def run_comparison(
         raise ValueError("steps must be >= 0")
     if timer is None:
         timer = time.perf_counter_ns
-    split = split_scalar(a, eps)
+    split = split_scalar(square_matrix(a), eps)
     rho = _measure_rho(split)
 
     if executor is None:
@@ -555,13 +556,6 @@ def parse_exponent_surface(text: str) -> list[tuple[int, int, int, float, float,
 # ---------------------------------------------------------------------------
 
 
-def _fro_norms(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a ``(k, n, n)`` stack, each bitwise
-    equal to :func:`fro_norm` of that matrix alone."""
-    flat = stack.reshape(len(stack), -1)
-    return np.sqrt(np.sum(flat * flat, axis=1))
-
-
 def toolkit_check(
     instances: int = 50,
     dim: int = 5,
@@ -575,12 +569,14 @@ def toolkit_check(
     2..max_order) is executed on random SPD-derived instances; its result
     must match the straight Horner sum to ``rel_tol`` (relative Frobenius)
     on every instance and its counter delta must equal the predicted count
-    exactly.  The instances are split one by one, then stacked, so the
-    references and each plan run once over all of them.  Returns
-    (all_ok, report_lines).
+    exactly.  The instances are drawn as one ``(instances, dim, dim)``
+    stack and split in one call, so the splitting, the references and each
+    plan run once over all of them.  Returns (all_ok, report_lines).
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(seed)
     catalogue = table_plans()
     plans = [
@@ -590,27 +586,22 @@ def toolkit_check(
     ]
     plans += [(f"plan:{h}", plan_order(h)) for h in range(2, max_order + 1)]
 
-    xs, ys, mats = [], [], []
-    for _ in range(instances):
-        m = rng.standard_normal((dim, dim))
-        split = split_scalar(m @ m.T / dim + 0.5 * np.eye(dim))
-        xs.append(split.precond)
-        ys.append(split.residual)
-        mats.append(split.matrix)
-    x, y, a = np.stack(xs), np.stack(ys), np.stack(mats)
+    m = rng.standard_normal((instances, dim, dim))
+    split = split_scalar(m @ np.swapaxes(m, -1, -2) / dim + 0.5 * np.eye(dim))
+    x, y, a = split.precond, split.residual, split.matrix
     # refs[h - 1] is the order-h Horner sum of every instance, all from one pass.
     refs = horner_iterates(y, x, max(plan.order_h for _, plan in plans), MulCounter())
-    ref_norms = [np.maximum(_fro_norms(ref), 1e-300) for ref in refs]
+    ref_norms = [np.maximum(fro_norms(ref), 1e-300) for ref in refs]
     worst: dict[str, float] = {}
     count_ok = True
     for name, plan in plans:
         ctr = MulCounter()
-        # Y was checked when each splitting was built; only re-form it.
+        # Y was checked when the splitting was built; only re-form it.
         z = nested_eval(None, x, a, plan, ctr, form_y=True)
         if ctr.mmm != instances * plan.mmm_cost:
             count_ok = False
         h = plan.order_h
-        worst[name] = float(np.max(_fro_norms(z - refs[h - 1]) / ref_norms[h - 1]))
+        worst[name] = float(np.max(fro_norms(z - refs[h - 1]) / ref_norms[h - 1]))
 
     ok = count_ok and all(v <= rel_tol for v in worst.values())
     lines = []

@@ -38,6 +38,7 @@ __all__ = [
     "identity",
     "inf_norm",
     "fro_norm",
+    "fro_norms",
     "load_matrix",
     "load_vector",
     "mat_mul",
@@ -51,6 +52,7 @@ __all__ = [
     "save_vector",
     "spectral_radius",
     "square_matrix",
+    "square_stack",
     "subtract_from_identity",
     "vector",
 ]
@@ -63,10 +65,20 @@ def square_matrix(entries) -> np.ndarray:
     non-finite entries.  The returned array is frozen so it can be shared
     freely across concurrent workers.
     """
+    return _square(entries, (2,))
+
+
+def square_stack(entries) -> np.ndarray:
+    """:func:`square_matrix` for an ``(n, n)`` matrix or a ``(k, n, n)``
+    stack of them, with the same checks and messages."""
+    return _square(entries, (2, 3))
+
+
+def _square(entries, ndims: tuple[int, ...]) -> np.ndarray:
     a = np.array(entries, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim not in ndims or a.shape[-1] != a.shape[-2] or 0 in a.shape:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     a.flags.writeable = False
     return a
@@ -224,6 +236,13 @@ def norms(a: np.ndarray) -> Norms:
 
 def fro_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a * a)))
+
+
+def fro_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a ``(k, n, n)`` stack (a scalar for
+    one matrix), each bitwise equal to :func:`fro_norm` of that matrix
+    alone."""
+    return np.sqrt((a * a).sum(axis=(-2, -1)))
 
 
 def inf_norm(a: np.ndarray) -> float:

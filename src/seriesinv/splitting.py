@@ -5,6 +5,11 @@ diagonal s of S; the preconditioner S^-1 and the preconditioned residual
 B = S^-1 D = I - S^-1 A are derived from them once.  Convergence of every
 iteration in this package rests on the spectral radius of B being below one,
 which holds whenever 2S - A is positive definite.
+
+A splitting may hold a ``(k, n, n)`` stack of k independent matrices:
+:func:`split_scalar` splits a whole stack in one pass, every check a
+reduction over each matrix, and each instance of the result is bitwise equal
+to the splitting of that matrix alone.
 """
 
 from __future__ import annotations
@@ -13,7 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix_core import fro_norm, inf_norm, square_matrix, subtract_from_identity
+from .matrix_core import (
+    fro_norms,
+    inf_norm,
+    square_matrix,
+    square_stack,
+    subtract_from_identity,
+)
 
 __all__ = [
     "NotSDDError",
@@ -49,8 +60,10 @@ class Splitting:
     ``residual`` is B = I - S^-1 A, both derived from ``matrix`` and
     ``scale`` when the splitting is built and read-only, so they agree by
     construction.  The only check is on ``scale``: one positive, finite
-    entry per row of A, with a finite inverse.  Splittings compare and hash
-    by identity, as their fields are arrays.
+    entry per row of A, with a finite inverse.  For a ``(k, n, n)`` stack
+    of matrices every field is a stack: ``scale`` is ``(k, n)``, ``precond``
+    and ``residual`` are ``(k, n, n)``.  Splittings compare and hash by
+    identity, as their fields are arrays.
     """
 
     matrix: np.ndarray
@@ -61,16 +74,21 @@ class Splitting:
 
     def __post_init__(self):
         s = _frozen(np.array(self.scale, dtype=np.float64))
-        if s.shape != self.matrix.shape[:1] or not np.all((s > 0.0) & (s < np.inf)):
+        if s.shape != self.matrix.shape[:-1] or not ((s > 0.0) & (s < np.inf)).all():
             raise ValueError("scale must hold one positive, finite entry per row of the matrix")
-        with np.errstate(over="ignore"):
-            inv = 1.0 / s
-        if not np.all(inv < np.inf):
+        # 1 / s is finite exactly when s > 2**-1024.
+        if not (s > 2.0**-1024).all():
             raise ValueError("S^-1 overflows: matrix entries must be finite")
+        inv = 1.0 / s
+        n = s.shape[-1]
+        precond = np.zeros(self.matrix.shape)
+        # Each matrix as one row of n * n entries: its diagonal is every
+        # (n + 1)-th entry.
+        precond.reshape(s.shape[:-1] + (n * n,))[..., :: n + 1] = inv
         object.__setattr__(self, "scale", s)
-        object.__setattr__(self, "precond", _frozen(np.diag(inv)))
+        object.__setattr__(self, "precond", _frozen(precond))
         object.__setattr__(
-            self, "residual", _frozen(subtract_from_identity(self.matrix / s[:, None]))
+            self, "residual", _frozen(subtract_from_identity(self.matrix / s[..., None]))
         )
 
 
@@ -81,16 +99,23 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_symmetric(a: np.ndarray) -> np.ndarray:
-    """Reject clearly asymmetric input, then symmetrize exactly."""
-    a = square_matrix(a)
-    norm_a = fro_norm(a)
-    if fro_norm(a - a.T) > _SYMMETRY_RTOL * max(norm_a, 1e-300):
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """Reject clearly asymmetric input, then symmetrize exactly.
+
+    ``a`` is a validated matrix or stack; each matrix is tested on its own,
+    ||A - A^T||_F against ||A||_F, both taken on A scaled by a power of two
+    that brings max|A| into [1/2, 1).  The scaling is exact, so the test
+    decides as it would on A itself wherever those norms neither overflow
+    nor underflow, and it cannot overflow however large the entries are.
+    """
+    top = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    unit = np.ldexp(a, -np.frexp(top)[1])
+    skew = unit - unit.swapaxes(-1, -2)
+    if (fro_norms(skew) > _SYMMETRY_RTOL * fro_norms(unit)).any():
         raise ValueError("matrix must be symmetric")
-    sym = (a + a.T) / 2.0
-    # A finite ||A||_F bounds every entry far below overflow; only a huge A
-    # can overflow in a + a.T.
-    if norm_a == np.inf and not np.all(np.isfinite(sym)):
+    sym = (a + a.swapaxes(-1, -2)) / 2.0
+    # Below 2**1023 no sum of two entries can overflow.
+    if (top >= 2.0**1023).any() and not np.isfinite(sym).all():
         raise ValueError("matrix entries must be finite")
     return _frozen(sym)
 
@@ -109,15 +134,17 @@ def is_positive_definite(a: np.ndarray, pivot_tol: float | None = None) -> bool:
     return _passes_cholesky(a, pivot_tol)
 
 
-def _passes_cholesky(sym: np.ndarray, pivot_tol: float) -> bool:
-    """True iff LAPACK factors the symmetric ``sym`` and every pivot
-    ``diag(L)**2`` is above ``pivot_tol``."""
+def _passes_cholesky(sym: np.ndarray, pivot_tol: float | np.ndarray) -> bool:
+    """True iff LAPACK factors the symmetric ``sym`` (each matrix of a
+    stack) and every pivot ``diag(L)**2`` is above ``pivot_tol`` (a float,
+    or one per matrix of the stack)."""
     try:
         lower = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         return False
-    # The pivots are positive, so the smallest one decides.
-    return bool(np.diagonal(lower).min() ** 2 > pivot_tol)
+    # The pivots are positive, so the smallest one of each matrix decides.
+    smallest = lower.diagonal(axis1=-2, axis2=-1).min(axis=-1)
+    return bool((smallest**2 > pivot_tol).all())
 
 
 def split_diagonal(a: np.ndarray) -> Splitting:
@@ -126,7 +153,7 @@ def split_diagonal(a: np.ndarray) -> Splitting:
     S = diag(A), so S^-1 is formed entrywise and B = I - S^-1 A.  Strict
     diagonal dominance with a positive diagonal guarantees rho(B) < 1.
     """
-    a = _check_symmetric(a)
+    a = _symmetrized(square_matrix(a))
     diag = np.diag(a)
     if np.any(diag <= 0.0):
         raise NotSDDError("diagonal entries must be positive")
@@ -139,21 +166,25 @@ def split_diagonal(a: np.ndarray) -> Splitting:
 def split_scalar(a: np.ndarray, eps: float | None = None) -> Splitting:
     """Scalar preconditioner S^-1 = I/alpha with alpha = ||A||_inf / 2 + eps.
 
-    Works for any SPD matrix.  ``eps`` defaults to ``1e-3 * ||A||_inf``; any
-    positive value keeps rho(B) < 1, and smaller values give a smaller radius
-    for ill-conditioned A.
+    Works for any SPD matrix, and for a ``(k, n, n)`` stack of them: each
+    matrix gets its own alpha and passes the same checks, and a stack with
+    one failing matrix raises the error that matrix alone would.  ``eps``
+    defaults to ``1e-3 * ||A||_inf``; any positive value keeps rho(B) < 1,
+    and smaller values give a smaller radius for ill-conditioned A.
     """
-    a = _check_symmetric(a)
-    norm = inf_norm(a)
+    a = _symmetrized(square_stack(a))
+    norm = np.abs(a).sum(axis=-1).max(axis=-1)  # ||A||_inf of each matrix
     if eps is None:
         eps = 1e-3 * norm
-    if not 0.0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    ok = np.logical_and(0.0 < eps, eps < np.inf)
+    if not ok.all():
+        raise ValueError(f"eps must be positive and finite, got {np.extract(~ok, eps)[0]}")
     if not _passes_cholesky(a, 1e-12 * norm):
         raise NotSPDError("matrix is not positive definite")
     # |a_ij| <= 2 alpha keeps a / alpha finite; Splitting rejects an
     # alpha whose inverse overflows.
-    return Splitting(a, np.full(a.shape[0], norm / 2.0 + eps), SCALAR)
+    alpha = norm / 2.0 + eps
+    return Splitting(a, alpha[..., None].repeat(a.shape[-1], axis=-1), SCALAR)
 
 
 def check_two_s_minus_a(a: np.ndarray, splitting: Splitting) -> bool:

@@ -53,6 +53,15 @@ def test_verify_tables_exits_zero(capsys):
     assert out.strip().endswith("PASS")
 
 
+def test_verify_tables_smallest_stack_and_bad_dim(capsys):
+    assert main(["verify-tables", "--instances", "1", "--dim", "1"]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
+    assert main(["verify-tables", "--dim", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dim must be >= 1" in captured.err
+
+
 class TestGenHarmonic:
     def test_writes_matrix_rhs_theta(self, harmonic_files):
         mat, rhs, theta = harmonic_files

@@ -147,6 +147,11 @@ def fixture():
 
 
 class TestRunComparison:
+    def test_rejects_a_stack(self, fixture):
+        a, b, theta = fixture
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            run_comparison(np.stack([a, a]), b, theta, [MethodSpec(kind="ns", order=2)], 1)
+
     def test_zero_steps_yields_initialization_rows(self, fixture):
         a, b, theta = fixture
         recs = run_comparison(

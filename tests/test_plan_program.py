@@ -2,9 +2,9 @@
 
 Every plan is lowered once to a straight-line program; ``nested_eval`` and
 ``geometric_apply`` run that program, on one ``(n, n)`` instance or on a
-``(k, n, n)`` stack.  ``toolkit_check`` runs each plan once over a stack of
-all its instances; the per-instance loop it replaced is kept here as the
-oracle for its report.
+``(k, n, n)`` stack.  ``toolkit_check`` splits all its instances in one
+stacked call and runs each plan once over the stack; the per-instance loop
+it replaced is kept here as the oracle for its report.
 """
 
 import tracemalloc
@@ -30,6 +30,7 @@ from seriesinv import (
     toolkit_check,
 )
 from seriesinv import harness, series_toolkit
+from seriesinv.matrix_core import fro_norms
 from seriesinv.series_toolkit import TABLE_LABELS, Lin, horner_iterates
 
 
@@ -256,12 +257,19 @@ def per_instance_toolkit_check(instances=50, dim=5, seed=0, max_order=45, rel_to
     return ok, lines
 
 
-@pytest.mark.parametrize("dim", range(3, 9))
-@pytest.mark.parametrize("seed", [0, 11, 29])
+@pytest.mark.parametrize("dim", range(1, 9))
+@pytest.mark.parametrize("seed", [*range(20), 29])
 def test_stacked_check_matches_per_instance_oracle(dim, seed):
     assert toolkit_check(instances=7, dim=dim, seed=seed) == per_instance_toolkit_check(
         instances=7, dim=dim, seed=seed
     )
+
+
+@pytest.mark.parametrize("dim", [1, 5, 8])
+def test_single_instance_check_matches_per_instance_oracle(dim):
+    got = toolkit_check(instances=1, dim=dim, seed=dim)
+    assert got == per_instance_toolkit_check(instances=1, dim=dim, seed=dim)
+    assert got[0]
 
 
 def test_default_check_matches_per_instance_oracle():
@@ -272,9 +280,11 @@ def test_default_check_matches_per_instance_oracle():
 
 def test_stacked_norms_equal_fro_norm_bitwise():
     rng = np.random.default_rng(4)
-    stack = rng.standard_normal((6, 7, 7))
-    norms = harness._fro_norms(stack)
-    assert [float(v) for v in norms] == [fro_norm(m) for m in stack]
+    for shape in [(6, 7, 7), (3, 1, 1), (2, 129, 129)]:
+        stack = rng.standard_normal(shape)
+        norms = fro_norms(stack)
+        assert [float(v) for v in norms] == [fro_norm(m) for m in stack]
+        assert float(fro_norms(stack[0])) == fro_norm(stack[0])
 
 
 def test_dropped_instruction_fails_the_check(monkeypatch):
@@ -313,3 +323,13 @@ def test_non_finite_result_fails_the_check(monkeypatch):
 def test_zero_instances_rejected():
     with pytest.raises(ValueError, match="instances must be >= 1"):
         toolkit_check(instances=0)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_dim_rejected_before_any_instance_is_drawn(monkeypatch, dim):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("instances drawn before dim was checked")
+
+    monkeypatch.setattr(harness.np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        toolkit_check(dim=dim)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -139,6 +140,20 @@ class TestSplittingConstructor:
             with pytest.raises(ValueError, match="entries must be finite"):
                 Splitting(matrix=square_matrix(np.eye(2)), scale=np.full(2, 1e-320), kind="test")
 
+    def test_inverse_overflow_threshold_is_exact(self):
+        # every scale near 2**-1024 is accepted exactly when 1 / s is finite
+        scales = 2.0**-1024 + np.arange(-300, 301) * 2.0**-1074
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(1.0 / scales)
+        assert finite.any() and not finite.all()
+        for s, ok in zip(scales, finite):
+            try:
+                Splitting(matrix=square_matrix(np.eye(1)), scale=np.array([s]), kind="test")
+            except ValueError as exc:
+                assert not ok and str(exc) == "S^-1 overflows: matrix entries must be finite"
+            else:
+                assert ok
+
     def test_derived_arrays_read_only(self, rng):
         a = random_spd(4, rng)
         scale = np.linspace(2.0, 3.0, 4)
@@ -178,6 +193,133 @@ class TestSplittingConstructor:
         assert _same_bits(sp.precond, np.diag(1.0 / d))
         assert _same_bits(sp.residual, subtract_from_identity(sp.matrix / d[:, None]))
         assert np.array_equal(sp.scale, d)
+
+
+def _old_symmetry_test_rejects(a):
+    """The unscaled symmetry test the scaled one replaced."""
+    return fro_norm(a - a.T) > 1e-10 * max(fro_norm(a), 1e-300)
+
+
+class TestSymmetryCheck:
+    @pytest.mark.parametrize("a", [
+        [[4e200, 3e200], [1e200, 4e200]],  # ||A||_F overflows
+        [[4e-200, 3e-200], [1e-200, 4e-200]],  # ||A - A^T||_F underflows to 0
+    ], ids=["huge", "tiny"])
+    def test_asymmetry_rejected_at_any_scale(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no overflow warning
+            with pytest.raises(ValueError, match="matrix must be symmetric"):
+                split_scalar(a)
+            with pytest.raises(ValueError, match="matrix must be symmetric"):
+                split_scalar(np.stack([np.eye(2), a]))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_symmetric_matrix_splits_at_any_scale(self, scale):
+        a = scale * np.array([[4.0, 1.0], [1.0, 4.0]])
+        sp = split_scalar(a)
+        assert np.array_equal(sp.matrix, a)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decides_as_the_unscaled_test(self, seed):
+        # The scaling by a power of two is exact, so near the tolerance the
+        # decision is the unscaled test's, not a rounding away from it.
+        r = np.random.default_rng(seed)
+        dim = 2 + seed
+        s = np.asarray(random_spd(dim, r))
+        k = r.standard_normal((dim, dim))
+        t0 = 1e-10 * fro_norm(s) / fro_norm(k - k.T)
+        decisions = set()
+        for t in t0 * np.linspace(1.0 - 1e-3, 1.0 + 1e-3, 101):
+            for scale in (2.0**-40, 1.0, 3.0, 2.0**40):
+                a = scale * (s + t * k)
+                expected = _old_symmetry_test_rejects(a)
+                decisions.add(expected)
+                try:
+                    split_scalar(a)
+                    rejected = False
+                except ValueError as exc:
+                    assert str(exc) == "matrix must be symmetric"
+                    rejected = True
+                assert rejected == expected, (t / t0, scale)
+        assert decisions == {True, False}
+
+
+def _spd_stack(k, n, rng):
+    """k SPD matrices of varied scale, each off symmetric by rounding noise."""
+    mats = [float(10.0 ** rng.integers(-3, 4)) * random_spd(n, rng) for _ in range(k)]
+    noise = 1e-14 * rng.standard_normal((k, n, n)) * np.stack(mats)
+    return np.stack(mats) + noise
+
+
+class TestStackedSplit:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_each_instance_equals_its_own_split(self, n):
+        r = np.random.default_rng(n)
+        for k in range(1, 8):
+            stack = _spd_stack(k, n, r)
+            for eps in (None, 0.05):
+                sp = split_scalar(stack, eps)
+                assert sp.scale.shape == (k, n)
+                for arr in (sp.matrix, sp.precond, sp.residual):
+                    assert arr.shape == (k, n, n)
+                for i in range(k):
+                    one = split_scalar(stack[i], eps)
+                    for name in ("matrix", "scale", "precond", "residual"):
+                        assert _same_bits(getattr(sp, name)[i], getattr(one, name)), (k, i, name)
+
+    @pytest.mark.parametrize("bad", [
+        [[3.0, 1.0], [0.0, 3.0]],
+        [[4e200, 3e200], [1e200, 4e200]],
+        [[1.0, 2.0], [2.0, 1.0]],
+        [[1.0, 1.0], [1.0, 1.0 + 1e-16]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[1.5e308, 1e308], [1e308, 1.5e308]],
+        1e-320 * np.eye(2),
+        np.zeros((2, 2)),
+    ], ids=["asymmetric", "asymmetric-huge", "indefinite", "near-singular", "nan",
+            "sum-overflows", "inverse-overflows", "zero"])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("eps", [None, 0.05, 0.0])
+    def test_one_bad_instance_fails_as_it_would_alone(self, bad, where, eps):
+        stack = _spd_stack(5, 2, np.random.default_rng(where))
+        stack[where] = bad
+
+        def outcome(a):
+            try:
+                with np.errstate(all="ignore"):
+                    split_scalar(a, eps)
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return None
+
+        alone = outcome(bad)
+        # 1e-320 I with eps = 0.05 is a valid splitting; all else fails.
+        assert alone is not None or (eps == 0.05 and bad[0][0] == 1e-320)
+        assert outcome(stack) == alone
+
+    def test_outputs_read_only_and_input_untouched(self, rng):
+        stack = _spd_stack(3, 4, rng)
+        before = stack.tobytes()
+        sp = split_scalar(stack)
+        assert stack.tobytes() == before
+        for arr in (sp.matrix, sp.scale, sp.precond, sp.residual):
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr, stack)
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 3, 4), (2, 2, 3, 3)])
+    def test_rejects_non_square_stacks(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {shape}")):
+            split_scalar(np.ones(shape))
+
+    def test_two_d_entry_points_reject_a_stack(self, rng):
+        stack = _spd_stack(2, 3, rng)
+        message = re.escape("expected a square matrix, got shape (2, 3, 3)")
+        with pytest.raises(ValueError, match=message):
+            square_matrix(stack)
+        with pytest.raises(ValueError, match=message):
+            split_diagonal(stack)
 
 
 class TestContractionProperties:
