@@ -51,7 +51,7 @@ def _cmd_plan(args) -> int:
         f"  best: {plan_str(plan)}  mmm={plan.mmm_cost} (poly {plan.mmm_poly})"
         f"  EI={plan.efficiency_index:.4f}"
     )
-    for table_plan in table_plans().get(h, []):
+    for table_plan in table_plans().get(h, ()):
         print(
             f"  table: {plan_str(table_plan)}  mmm={table_plan.mmm_cost}"
             f" (poly {table_plan.mmm_poly})  EI={table_plan.efficiency_index:.4f}"
@@ -119,7 +119,7 @@ def _cmd_gen_harmonic(args) -> int:
     elif len(freqs) == 3 and not args.bias:
         theta = HarmonicRegressorSpec.default().theta_star
     else:
-        raise SystemExit("--theta is required unless using three frequencies without --bias")
+        raise ValueError("--theta is required unless using three frequencies without --bias")
     spec = HarmonicRegressorSpec(
         frequencies=freqs, num_samples=args.samples, theta_star=theta, bias=args.bias
     )
@@ -193,9 +193,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--csv", default=None)
     p_solve.set_defaults(func=_cmd_run, rates="", error_norm="||theta - theta*||")
 
+    fixture = HarmonicRegressorSpec.default()
     p_gen = sub.add_parser("gen-harmonic", help="generate the harmonic fixture")
-    p_gen.add_argument("--freqs", default="0.10,0.11,0.12")
-    p_gen.add_argument("--samples", type=int, default=80)
+    p_gen.add_argument("--freqs", default=",".join(map(str, fixture.frequencies)))
+    p_gen.add_argument("--samples", type=int, default=fixture.num_samples)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--rhs-out", default=None)
     p_gen.add_argument("--theta-out", default=None)

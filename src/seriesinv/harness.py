@@ -23,6 +23,7 @@ from .matrix_core import (
     fro_norm,
     fro_norms,
     mat_vec,
+    residual_of,
     spectral_radius,
     SpectralRadiusError,
     square_matrix,
@@ -169,9 +170,10 @@ class MethodSpec:
 
     ``kind`` is a key of :data:`METHODS`, the one list of method kinds.
     ``order`` is n (or p for sri), ``h`` the initial series order; ``q``
-    (Richardson kinds only) defaults to the order; ``rates`` feeds the
-    composite kind, which needs them.  A spec is checked against its table
-    row when it is built, so a bad one fails before any matrix work.
+    (Richardson kinds only, at least 1) defaults to the order; ``rates``
+    feeds the composite kind, which needs them.  A spec is checked against
+    its table row when it is built, so a bad one fails before any matrix
+    work.
     """
 
     kind: str
@@ -179,7 +181,6 @@ class MethodSpec:
     h: int = 1
     q: int | None = None
     rates: tuple[int, ...] = ()
-    label: str | None = None
 
     def __post_init__(self):
         row = METHODS.get(self.kind)
@@ -197,12 +198,12 @@ class MethodSpec:
             raise ValueError(f"method {self.kind} takes no rates")
         if self.q is not None and not row.takes_q:
             raise ValueError(f"method {self.kind} takes no q")
+        if self.q is not None and self.q < 1:
+            raise ValueError("q must be >= 1")
         if row.q_is_order and self.q not in (None, self.order):
             raise ValueError(f"method {self.kind} requires q == order")
 
     def name(self) -> str:
-        if self.label:
-            return self.label
         return METHODS[self.kind].name.format(
             kind=self.kind,
             order=self.order,
@@ -309,7 +310,7 @@ def _start_sri(m: MethodSpec, split, b, p, w):
     def step(s: SriState) -> SriState:
         z, g = additive_correction_step(s.z, s.g, a, m.order, s.ctr)
         # residual recomputed for measurement only; stays off the counter
-        return SriState(z, g, np.eye(a.shape[0]) - g @ a, s.ctr)
+        return SriState(z, g, residual_of(g, a, MulCounter()), s.ctr)
 
     return SriState(st.estimate, st.estimate, st.residual, st.ctr), step
 
@@ -481,16 +482,16 @@ def parse_run_records(text: str) -> list[RunRecord]:
     return records
 
 
-def emit_mmm_surface(p_range=range(1, 8), w_range=range(1, 7)) -> str:
+def emit_mmm_surface() -> str:
     """Cost-surface table: order h = w (p + 1) versus count p + w + 1.
 
     Reproduces the plotted surfaces, i.e. the plain two-level formula on
-    the grid; the w == 1 executions actually skip the outer residual and
-    cost p + 1, which :func:`factored_mmm` accounts for.
+    the grid p = 1..7, w = 1..6; the w == 1 executions actually skip the
+    outer residual and cost p + 1, which :func:`factored_mmm` accounts for.
     """
     lines = ["p,w,h,mmm"]
-    for p in p_range:
-        for w in w_range:
+    for p in range(1, 8):
+        for w in range(1, 7):
             lines.append(f"{p},{w},{w * (p + 1)},{p + w + 1}")
     return "\n".join(lines) + "\n"
 
@@ -556,22 +557,23 @@ def parse_exponent_surface(text: str) -> list[tuple[int, int, int, float, float,
 # ---------------------------------------------------------------------------
 
 
-def toolkit_check(
-    instances: int = 50,
-    dim: int = 5,
-    seed: int = 0,
-    max_order: int = 45,
-    rel_tol: float = 1e-9,
-) -> tuple[bool, list[str]]:
+# The plan_order orders verify-tables checks (from 2), and the relative
+# Frobenius error it allows against the Horner sum.
+CHECK_MAX_ORDER = 45
+CHECK_REL_TOL = 1e-9
+
+
+def toolkit_check(instances: int = 50, dim: int = 5, seed: int = 0) -> tuple[bool, list[str]]:
     """Check every catalogued plan against the Horner reference.
 
     Each plan from the table catalogue and from :func:`plan_order` (orders
-    2..max_order) is executed on random SPD-derived instances; its result
-    must match the straight Horner sum to ``rel_tol`` (relative Frobenius)
-    on every instance and its counter delta must equal the predicted count
-    exactly.  The instances are drawn as one ``(instances, dim, dim)``
-    stack and split in one call, so the splitting, the references and each
-    plan run once over all of them.  Returns (all_ok, report_lines).
+    2..``CHECK_MAX_ORDER``) is executed on random SPD-derived instances;
+    its result must match the straight Horner sum to ``CHECK_REL_TOL``
+    (relative Frobenius) on every instance and its counter delta must equal
+    the predicted count exactly.  The instances are drawn as one
+    ``(instances, dim, dim)`` stack and split in one call, so the splitting,
+    the references and each plan run once over all of them.  Returns
+    (all_ok, report_lines).
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
@@ -584,7 +586,7 @@ def toolkit_check(
         for order in sorted(catalogue)
         for label, plan in zip(TABLE_LABELS[order], catalogue[order])
     ]
-    plans += [(f"plan:{h}", plan_order(h)) for h in range(2, max_order + 1)]
+    plans += [(f"plan:{h}", plan_order(h)) for h in range(2, CHECK_MAX_ORDER + 1)]
 
     m = rng.standard_normal((instances, dim, dim))
     split = split_scalar(m @ np.swapaxes(m, -1, -2) / dim + 0.5 * np.eye(dim))
@@ -603,10 +605,10 @@ def toolkit_check(
         h = plan.order_h
         worst[name] = float(np.max(fro_norms(z - refs[h - 1]) / ref_norms[h - 1]))
 
-    ok = count_ok and all(v <= rel_tol for v in worst.values())
+    ok = count_ok and all(v <= CHECK_REL_TOL for v in worst.values())
     lines = []
     for name, plan in plans:
-        status = "ok" if worst[name] <= rel_tol else "FAIL"
+        status = "ok" if worst[name] <= CHECK_REL_TOL else "FAIL"
         lines.append(
             f"{name:<12} order={plan.order_h:<3} mmm={plan.mmm_cost:<3} "
             f"max_rel_err={worst[name]:.3e} {status}"

@@ -27,13 +27,11 @@ The rule holds for stacks alike: a stacked product is one fresh array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "MulCounter",
-    "Norms",
     "SpectralRadiusError",
     "identity",
     "inf_norm",
@@ -45,7 +43,6 @@ __all__ = [
     "mat_pow",
     "mat_pow_counted",
     "mat_vec",
-    "norms",
     "residual_of",
     "run_branches",
     "save_matrix",
@@ -222,16 +219,6 @@ def mat_pow_counted(a: np.ndarray, e: int, ctr: MulCounter) -> np.ndarray:
         if e:
             base = mat_mul(base, base, ctr)
     return result
-
-
-class Norms(NamedTuple):
-    frobenius: float
-    inf_norm: float
-
-
-def norms(a: np.ndarray) -> Norms:
-    """Frobenius norm and maximum-row-sum (infinity) norm."""
-    return Norms(frobenius=fro_norm(a), inf_norm=inf_norm(a))
 
 
 def fro_norm(a: np.ndarray) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -96,7 +97,7 @@ class CompositeSpec:
     def __post_init__(self):
         if not self.rates:
             raise ValueError("composite spec needs at least one rate")
-        if any(x < 1 for x in self.rates):
+        if not all(isinstance(x, Integral) and x >= 1 for x in self.rates):
             raise ValueError("rates must be positive integers")
 
     @property

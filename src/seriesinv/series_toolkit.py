@@ -15,8 +15,8 @@ orders.  This module provides:
 
 * :func:`horner_eval` / :func:`factored_eval` - the two baseline evaluators
   with pinned multiplication counts;
-* :class:`FactorPlan` trees, each lowered once by :func:`make_plan` to a
-  straight-line program, and :func:`nested_eval` to run it;
+* :class:`FactorPlan` - a node tree, lowered once when the plan is built
+  to a straight-line program, and :func:`nested_eval` to run it;
 * :func:`table_plans` - a catalogue of hand-factored evaluation DAGs for
   orders 2..19 (including the cheaper second variants for orders 5, 9, 10,
   11 and the nested order-15 form);
@@ -31,8 +31,10 @@ assumes Y is already available.  They always differ by exactly one.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Union
 
 import numpy as np
@@ -52,7 +54,6 @@ __all__ = [
     "geometric_apply",
     "horner_eval",
     "horner_iterates",
-    "make_plan",
     "nested_eval",
     "order45_plan",
     "plan_order",
@@ -100,7 +101,8 @@ class PrimeWrap:
 
 
 # Straight-line program instructions.  Every plan is lowered to them once,
-# by :func:`make_plan`; the tabulated forms are written in them directly.
+# when its :class:`FactorPlan` is built; the tabulated forms are written in
+# them directly.
 # ``drop`` names the registers an instruction reads for the last time: the
 # executor lets go of them once it has run, so only live arrays are kept.
 @dataclass(frozen=True)
@@ -163,20 +165,35 @@ PlanNode = Union[Horner, Split, PrimeWrap, TableForm]
 
 @dataclass(frozen=True)
 class FactorPlan:
-    """A validated plan with its predicted multiplication counts.
+    """A node tree, validated and lowered once, with its predicted counts.
 
-    ``mmm_cost`` is the full-step count (the product forming Y included);
-    ``mmm_poly`` assumes Y is supplied.  ``efficiency_index`` is
-    ``order_h ** (1 / mmm_cost)``.  ``program``, the tree lowered by
-    :func:`make_plan`, is what every evaluation runs.
+    ``FactorPlan(root)`` is the only way to build a plan; every other field
+    is derived from ``root`` when the plan is built.  ``program``, the tree
+    lowered to a straight-line program, is what every evaluation runs, and
+    ``order_h`` is the tree's order.  ``mmm_poly`` is the number of ``Mul``
+    and ``Residual`` instructions in the program, the count with Y
+    supplied; ``mmm_cost`` is one more, the full-step count with the
+    product forming Y.  ``efficiency_index`` is
+    ``order_h ** (1 / mmm_cost)``.  An invalid tree raises ``ValueError``
+    (``TypeError`` for a non-node).
     """
 
-    order_h: int
     root: PlanNode
-    mmm_cost: int
-    mmm_poly: int
-    efficiency_index: float
-    program: tuple[Instr, ...] | None = field(default=None, repr=False, compare=False)
+    order_h: int = field(init=False)
+    program: tuple[Instr, ...] = field(init=False, repr=False, compare=False)
+    mmm_poly: int = field(init=False)
+    mmm_cost: int = field(init=False)
+    efficiency_index: float = field(init=False)
+
+    def __post_init__(self):
+        order, program = _lower(self.root)
+        poly = sum(1 for ins in program if not isinstance(ins, Lin))
+        full = poly + 1
+        object.__setattr__(self, "order_h", order)
+        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "mmm_poly", poly)
+        object.__setattr__(self, "mmm_cost", full)
+        object.__setattr__(self, "efficiency_index", float(order) ** (1.0 / full))
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +265,9 @@ def _lower(root: PlanNode) -> tuple[int, tuple[Instr, ...]]:
     return order, tuple(replace(ins, drop=tuple(d)) for ins, d in zip(program, drops))
 
 
-def make_plan(root: PlanNode) -> FactorPlan:
-    """Validate and lower a node tree; ``mmm_poly`` is the number of ``Mul``
-    and ``Residual`` instructions in its program."""
-    order, program = _lower(root)
-    poly = sum(1 for ins in program if not isinstance(ins, Lin))
-    full = poly + 1
-    return FactorPlan(
-        order_h=order,
-        root=root,
-        mmm_cost=full,
-        mmm_poly=poly,
-        efficiency_index=float(order) ** (1.0 / full),
-        program=program,
-    )
-
-
-def plan_str(plan: FactorPlan | PlanNode) -> str:
+def plan_str(plan: FactorPlan) -> str:
     """Canonical one-line text form, used by the CLI and golden tests."""
-    node = plan.root if isinstance(plan, FactorPlan) else plan
-    return _node_str(node)
+    return _node_str(plan.root)
 
 
 def _node_str(node: PlanNode) -> str:
@@ -328,7 +328,7 @@ def _split_node(p: int, w: int) -> Split:
 def _split_plan(p: int, w: int) -> FactorPlan:
     """The plain two-level split with Horner stages, the plan behind
     :func:`factored_mmm`, :func:`efficiency_index` and :func:`factored_eval`."""
-    return make_plan(_split_node(p, w))
+    return FactorPlan(_split_node(p, w))
 
 
 def factored_mmm(p: int, w: int) -> int:
@@ -410,8 +410,6 @@ def nested_eval(
     With ``form_y`` Y is formed here as ``I - X A`` (one product) and
     checked against the supplied value, if any.
     """
-    if plan.program is None:
-        raise ValueError("malformed plan: not built by make_plan")
     if x.shape != a.shape:
         raise ValueError(f"dimension mismatch: x {x.shape} vs a {a.shape}")
     if form_y:
@@ -648,12 +646,16 @@ TABLE_LABELS: dict[int, tuple[str, ...]] = {
 
 
 @lru_cache(maxsize=1)
-def table_plans() -> dict[int, list[FactorPlan]]:
-    """Catalogue of tabulated factorization plans, keyed by order 2..19."""
-    return {
-        order: [make_plan(root) for _, root in roots]
+def table_plans() -> Mapping[int, tuple[FactorPlan, ...]]:
+    """Catalogue of tabulated factorization plans, keyed by order 2..19.
+
+    Built once and shared by every caller, the plan search included, so it
+    is read-only: a mapping proxy of tuples.
+    """
+    return MappingProxyType({
+        order: tuple(FactorPlan(root) for _, root in roots)
         for order, roots in _TABLE_ROOTS.items()
-    }
+    })
 
 
 @lru_cache(maxsize=1)
@@ -666,7 +668,7 @@ def order45_plan() -> FactorPlan:
         inner=Split(p=2, w=3, inner=Horner(3), outer=Horner(3)),
         outer=_TABLE_FORMS["h5b"],
     )
-    return make_plan(root)
+    return FactorPlan(root)
 
 
 # ---------------------------------------------------------------------------
@@ -721,4 +723,4 @@ def plan_order(h: int) -> FactorPlan:
         raise ValueError("plan_order requires h >= 2")
     if h > MAX_PLAN_ORDER:
         raise ValueError(f"plan_order supports h <= {MAX_PLAN_ORDER}")
-    return make_plan(_best(h, _MAX_NESTING)[3])
+    return FactorPlan(_best(h, _MAX_NESTING)[3])

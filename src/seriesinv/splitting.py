@@ -20,6 +20,7 @@ import numpy as np
 
 from .matrix_core import (
     fro_norms,
+    identity,
     inf_norm,
     square_matrix,
     square_stack,
@@ -187,13 +188,13 @@ def split_scalar(a: np.ndarray, eps: float | None = None) -> Splitting:
     return Splitting(a, alpha[..., None].repeat(a.shape[-1], axis=-1), SCALAR)
 
 
-def check_two_s_minus_a(a: np.ndarray, splitting: Splitting) -> bool:
-    """True iff 2S - A is positive definite.
+def check_two_s_minus_a(splitting: Splitting) -> bool:
+    """True iff 2S - A is positive definite, for the splitting's own A.
 
     For SPD inputs this is equivalent to rho(B) < 1, which makes it a cheap
-    convergence diagnostic that avoids estimating the spectral radius.
+    convergence diagnostic that avoids estimating the spectral radius.  It
+    takes one matrix: a stacked splitting raises ``ValueError``.
     """
-    a = square_matrix(a)
-    if a.shape != splitting.matrix.shape:
-        raise ValueError("dimension mismatch between matrix and splitting")
-    return is_positive_definite(np.diag(2.0 * splitting.scale) - a, pivot_tol=0.0)
+    a = splitting.matrix
+    two_s = 2.0 * splitting.scale[..., None] * identity(a.shape[-1])
+    return is_positive_definite(two_s - a, pivot_tol=0.0)

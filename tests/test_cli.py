@@ -12,7 +12,7 @@ from seriesinv import (
 )
 from seriesinv import cli, harness
 from seriesinv.cli import _build_parser, main
-from seriesinv.harness import METHODS
+from seriesinv.harness import METHODS, HarmonicRegressorSpec, gen_harmonic_matrix
 from corpus import random_spd
 
 
@@ -71,13 +71,24 @@ class TestGenHarmonic:
         assert a.shape == (6, 6)
         assert np.allclose(a @ t, b, rtol=1e-12)
 
-    def test_requires_theta_for_nonstandard_shapes(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["gen-harmonic", "--freqs", "0.3,0.5", "--samples", "40",
-                  "--out", str(tmp_path / "m")])
+    def test_requires_theta_for_nonstandard_shapes(self, tmp_path, capsys):
+        rc = main(["gen-harmonic", "--freqs", "0.3,0.5", "--samples", "40",
+                   "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert "error: --theta is required" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
         rc = main(["gen-harmonic", "--freqs", "0.3,0.5", "--samples", "40",
                    "--theta", "1,2,3,4", "--out", str(tmp_path / "m")])
         assert rc == 0
+
+    def test_defaults_are_the_paper_fixture(self, harmonic_files, tmp_path):
+        # harmonic_files names the fixture's frequencies and sample count
+        out = tmp_path / "default.mat"
+        assert main(["gen-harmonic", "--out", str(out)]) == 0
+        for path, suffix in zip(harmonic_files, ("", ".rhs", ".theta")):
+            assert (tmp_path / f"default.mat{suffix}").read_bytes() == path.read_bytes()
+        spec = HarmonicRegressorSpec.default()
+        assert np.array_equal(load_matrix(out), gen_harmonic_matrix(spec)[0])
 
 
 class TestInvert:
@@ -276,6 +287,15 @@ class TestMethodValidation:
         assert main(["invert", "--matrix", "unused.mat"] + extra) == 2
         assert calls == []
         assert message in capsys.readouterr().err
+
+    def test_q_checked_before_the_files_are_read(self, tmp_path, capsys):
+        rc = main(["solve", "--matrix", str(tmp_path / "missing.mat"),
+                   "--rhs", str(tmp_path / "missing.rhs"), "--method", "richardson",
+                   "--q", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "q must be >= 1" in err
+        assert "missing" not in err
 
     def test_method_checked_before_the_matrix(self, tmp_path, capsys):
         mat = tmp_path / "bad.mat"

@@ -185,6 +185,14 @@ class TestCompositeStep:
         with pytest.raises(ValueError):
             CompositeSpec((0, 2))
 
+    @pytest.mark.parametrize("rates", [(2.5,), (2.0,), (1, "2"), (np.float64(3.0),)])
+    def test_non_integral_rates_rejected(self, rates):
+        with pytest.raises(ValueError, match="rates must be positive integers"):
+            CompositeSpec(rates)
+
+    def test_numpy_integer_rates_accepted(self):
+        assert CompositeSpec((np.int64(2), 3)).width == 2
+
     def test_rate_presets(self):
         assert constant_rates(3, 2).rates == (3, 3)
         stepper = power_rates(2, 3)

@@ -15,7 +15,9 @@ import pytest
 
 from corpus import random_spd
 from seriesinv import (
+    FactorPlan,
     MulCounter,
+    TableForm,
     fro_norm,
     factored_eval,
     geometric_apply,
@@ -89,9 +91,12 @@ def test_stacked_geometric_apply_and_references_bitwise():
 
 
 def test_cost_is_the_number_of_counted_instructions():
-    for name, plan in all_plans():
-        counted = [ins for ins in plan.program if not isinstance(ins, Lin)]
-        assert plan.mmm_poly == len(counted) == plan.mmm_cost - 1, name
+    # the plan search adds up its candidates' costs without lowering them;
+    # every sum must equal the count read from the lowered program
+    for h in range(2, 65):
+        for budget in range(4):
+            cost, _, _, node = series_toolkit._best(h, budget)
+            assert cost == FactorPlan(node).mmm_poly, (h, budget)
 
 
 # plan_order's choice for every order, pinned: the search ranks candidates by
@@ -210,8 +215,7 @@ def test_evaluation_never_walks_the_tree(monkeypatch):
     def forbidden(*args):
         raise AssertionError("tree walker called during evaluation")
 
-    for name in ("_lower", "make_plan"):
-        monkeypatch.setattr(series_toolkit, name, forbidden)
+    monkeypatch.setattr(series_toolkit, "_lower", forbidden)
     for _, plan in all_plans():
         nested_eval(None, x, a, plan, MulCounter())
         nested_eval(None, x[0], a[0], plan, MulCounter())
@@ -289,18 +293,34 @@ def test_stacked_norms_equal_fro_norm_bitwise():
 
 def test_dropped_instruction_fails_the_check(monkeypatch):
     # order 3 is a wrap around the order-2 split: without its last
-    # instruction the program returns the order-2 sum, one product short.
-    plan = plan_order(3)
-    broken = replace(plan, program=plan.program[:-1])
+    # instruction the program returns the order-2 sum.
+    broken = FactorPlan(TableForm("h3-short", 3, plan_order(3).program[:-1]))
     monkeypatch.setattr(
         harness, "plan_order", lambda h: broken if h == 3 else plan_order(h)
     )
     ok, lines = toolkit_check(instances=4, dim=5, seed=2)
     assert not ok
     line = next(ln for ln in lines if ln.startswith("plan:3 "))
-    assert line.endswith("FAIL")
+    assert "mmm=2" in line and line.endswith("FAIL")
+    assert sum("FAIL" in ln for ln in lines) == 1
+
+
+def test_miscounted_product_fails_the_check(monkeypatch):
+    # the executor counts one product too many for one plan: its numbers
+    # are right, its counter delta is not
+    execute = series_toolkit._execute
+    target = plan_order(3).program
+
+    def miscounting(program, y, x, a, ctr):
+        if program is target:
+            ctr.count_mmm()
+        return execute(program, y, x, a, ctr)
+
+    monkeypatch.setattr(series_toolkit, "_execute", miscounting)
+    ok, lines = toolkit_check(instances=4, dim=5, seed=2)
+    assert not ok
     assert lines[-1] == "FAIL: a counter delta disagreed with its plan's mmm cost"
-    assert sum("FAIL" in ln for ln in lines) == 2
+    assert sum("FAIL" in ln for ln in lines) == 1
 
 
 def test_non_finite_result_fails_the_check(monkeypatch):
@@ -310,7 +330,7 @@ def test_non_finite_result_fails_the_check(monkeypatch):
         replace(ins, const=float("nan")) if isinstance(ins, Lin) and ins.const else ins
         for ins in plan.program
     )
-    broken = replace(plan, program=program)
+    broken = FactorPlan(TableForm("h5-nan", 5, program))
     monkeypatch.setattr(
         harness, "plan_order", lambda h: broken if h == 5 else plan_order(h)
     )

@@ -14,7 +14,6 @@ from seriesinv import (
     fro_norm,
     geometric_apply,
     horner_eval,
-    make_plan,
     mat_pow,
     nested_eval,
     order45_plan,
@@ -25,7 +24,7 @@ from seriesinv import (
     square_matrix,
     table_plans,
 )
-from seriesinv.series_toolkit import TABLE_LABELS, horner_iterates
+from seriesinv.series_toolkit import TABLE_LABELS, Split, horner_iterates
 
 
 def toolkit_instance(rng, dim=5):
@@ -65,7 +64,7 @@ class TestHorner:
         ref = horner_eval(y, x, h, ctr)
         assert ctr.mmm == h - 1
         ctr = MulCounter()
-        out = nested_eval(None, x, a, make_plan(Horner(h)), ctr, form_y=True)
+        out = nested_eval(None, x, a, FactorPlan(Horner(h)), ctr, form_y=True)
         assert ctr.mmm == h
         assert fro_norm(out - ref) <= 1e-12 * fro_norm(ref)
 
@@ -90,7 +89,7 @@ class TestHorner:
         # Y is formed only on request; horner_eval takes no form_y option
         x, _, a = toolkit_instance(rng)
         with pytest.raises(ValueError, match="y is required"):
-            nested_eval(None, x, a, make_plan(Horner(3)), MulCounter(), form_y=False)
+            nested_eval(None, x, a, FactorPlan(Horner(3)), MulCounter(), form_y=False)
         with pytest.raises(TypeError):
             horner_eval(None, x, 3, MulCounter(), a=a, form_y=True)
 
@@ -247,6 +246,16 @@ class TestTableCatalogue:
     def test_nested_fifteen_costs_seven(self):
         assert table_plans()[15][1].mmm_cost == 7
 
+    def test_catalogue_is_read_only(self):
+        # one catalogue serves every caller and the plan search, so a
+        # caller cannot clear or extend it
+        plans = table_plans()
+        with pytest.raises(TypeError):
+            plans[8] = ()
+        with pytest.raises(AttributeError):
+            plans[8].clear()
+        assert all(isinstance(row, tuple) for row in plans.values())
+
     def test_every_plan_matches_horner(self, rng):
         x, y, a = toolkit_instance(rng)
         refs = {}
@@ -314,13 +323,18 @@ class TestNestedEval:
             out = nested_eval(None, x, a, plan, MulCounter())
             assert np.allclose(out, x, atol=1e-15)
 
-    def test_malformed_plan_rejected(self, rng):
-        x, y, a = toolkit_instance(rng)
-        bogus = FactorPlan(
-            order_h=5, root=Horner(4), mmm_cost=4, mmm_poly=3, efficiency_index=1.0
-        )
-        with pytest.raises(ValueError):
-            nested_eval(y, x, a, bogus, MulCounter())
+    def test_malformed_plan_rejected(self):
+        # a plan is built from its tree alone: its counts cannot be stated
+        with pytest.raises(TypeError):
+            FactorPlan(order_h=5, root=Horner(4), mmm_cost=4, mmm_poly=3, efficiency_index=1.0)
+        with pytest.raises(TypeError):
+            FactorPlan(Horner(4), 4)
+        with pytest.raises(ValueError, match="inner order 3 != p \\+ 1 = 2"):
+            FactorPlan(Split(p=1, w=1, inner=Horner(3)))
+        with pytest.raises(ValueError, match="Horner order must be >= 1"):
+            FactorPlan(Horner(0))
+        with pytest.raises(TypeError, match="not a plan node"):
+            FactorPlan(plan_order(4))
 
     def test_identity_chain(self, rng):
         # I - Z A must equal Y**h: the series is exact in the residual power
@@ -353,6 +367,6 @@ def test_plan_equivalence_property(dim, order, seed):
     x, y, a = toolkit_instance(r, dim=dim)
     ref = horner_eval(y, x, order, MulCounter())
     scale = max(fro_norm(ref), 1e-300)
-    for plan in table_plans()[order] + [plan_order(order)]:
+    for plan in table_plans()[order] + (plan_order(order),):
         out = nested_eval(y, x, a, plan, MulCounter())
         assert fro_norm(out - ref) <= 1e-9 * scale

@@ -341,19 +341,19 @@ class TestContractionProperties:
 class TestTwoSMinusA:
     def test_identity_case(self):
         sp = split_diagonal(np.eye(3))
-        assert check_two_s_minus_a(np.eye(3), sp) is True
+        assert check_two_s_minus_a(sp) is True
 
     def test_two_by_two_case(self):
         a = square_matrix([[2.0, 1.0], [1.0, 2.0]])
         sp = split_diagonal(a)
         # 2S - A = [[2, -1], [-1, 2]], leading minors 2 and 3
-        assert check_two_s_minus_a(a, sp) is True
+        assert check_two_s_minus_a(sp) is True
 
     def test_failing_case(self):
         a = square_matrix([[4.0]])
         sp = Splitting(matrix=a, scale=np.ones(1), kind="diagonal")
         assert np.array_equal(sp.residual, [[-3.0]])
-        assert check_two_s_minus_a(a, sp) is False
+        assert check_two_s_minus_a(sp) is False
 
     @pytest.mark.parametrize("seed", range(10))
     def test_equivalent_to_contraction_for_spd(self, seed):
@@ -371,7 +371,13 @@ class TestTwoSMinusA:
             rho = spectral_radius(sp.residual, tol=1e-10)
             if abs(rho - 1.0) <= 1e-6:
                 continue
-            assert check_two_s_minus_a(a, sp) == (rho < 1.0)
+            assert check_two_s_minus_a(sp) == (rho < 1.0)
+
+    @pytest.mark.parametrize("k,n", [(1, 1), (2, 3), (3, 2), (4, 4)])
+    def test_stacked_splitting_rejected(self, k, n):
+        stack = np.stack([random_spd(n, np.random.default_rng(i)) for i in range(k)])
+        with pytest.raises(ValueError, match="square matrix"):
+            check_two_s_minus_a(split_scalar(stack))
 
 
 def cholesky_loop_is_pd(a, pivot_tol=None):
