@@ -15,6 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from math import cos, pi, sin
+from numbers import Integral
 
 import numpy as np
 
@@ -188,6 +189,9 @@ class MethodSpec:
             raise ValueError(
                 f"unknown method kind {self.kind!r}; expected one of {', '.join(METHODS)}"
             )
+        for label, value in (("order", self.order), ("h", self.h), ("q", self.q)):
+            if value is not None and not isinstance(value, Integral):
+                raise ValueError(f"{label} must be an integer, got {value!r}")
         if self.order < row.min_order:
             raise ValueError(f"method {self.kind} requires order >= {row.min_order}")
         if self.h < 1:

@@ -21,12 +21,16 @@ the product's buffer by :func:`residual_of`, a Horner ``+ X`` is added into
 the product it follows).  Inputs and the arrays held by an iteration state
 are never written, so concurrent branches can share them read-only, and
 every array a step computes for the state it returns is freshly allocated.
-The rule holds for stacks alike: a stacked product is one fresh array.
+The rule holds for stacks alike: a stacked product is one fresh array.  The
+one shared array is the read-only n x n identity of
+:func:`identity_constant`, which kernels only read: they never return it
+or store it in a state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +38,7 @@ __all__ = [
     "MulCounter",
     "SpectralRadiusError",
     "identity",
+    "identity_constant",
     "inf_norm",
     "fro_norm",
     "fro_norms",
@@ -96,6 +101,15 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.float64)
 
 
+@lru_cache(maxsize=8)
+def identity_constant(dim: int) -> np.ndarray:
+    """The read-only ``dim`` x ``dim`` identity, one shared array per size
+    for kernels to read; use :func:`identity` for an array to keep."""
+    eye = identity(dim)
+    eye.flags.writeable = False
+    return eye
+
+
 @dataclass
 class MulCounter:
     """Running tally of matrix-matrix (mmm) and matrix-vector (mvm) products.
@@ -147,7 +161,7 @@ def mat_mul(a: np.ndarray, b: np.ndarray, ctr: MulCounter) -> np.ndarray:
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
     out = a @ b
-    ctr.count_mmm(1 if out.ndim == 2 else len(out))
+    ctr.mmm += 1 if out.ndim == 2 else len(out)
     return out
 
 
@@ -155,19 +169,12 @@ def subtract_from_identity(r: np.ndarray) -> np.ndarray:
     """Overwrite the square array ``r``, or each matrix of a ``(k, n, n)``
     stack, with ``I - r`` and return it.
 
-    Bitwise equal to ``identity(n) - r``, signed zeros included: off the
-    diagonal ``0.0 - r`` (not ``-r``, which would turn ``+0.0`` into
-    ``-0.0``), on it ``(0.0 - r) + 1.0 == 1.0 - r``.  Only for contiguous
-    arrays the caller has just allocated.
+    Bitwise equal to ``identity(n) - r``, signed zeros included, as it is
+    the same subtraction: ``0.0 - r`` off the diagonal (not ``-r``, which
+    would turn ``+0.0`` into ``-0.0``), ``1.0 - r`` on it.  Only for arrays
+    the caller has just allocated.
     """
-    if not (r.flags.c_contiguous or r.flags.f_contiguous):
-        raise ValueError("subtract_from_identity needs a contiguous array")
-    np.subtract(0.0, r, out=r)
-    n = r.shape[-1]
-    # Each matrix as one row of n * n entries, a view for C and Fortran
-    # order alike: its diagonal is every (n + 1)-th entry.
-    r.reshape(r.shape[:-2] + (n * n,), order="A")[..., :: n + 1] += 1.0
-    return r
+    return np.subtract(identity_constant(r.shape[-1]), r, out=r)
 
 
 def residual_of(x: np.ndarray, a: np.ndarray, ctr: MulCounter) -> np.ndarray:
@@ -180,7 +187,7 @@ def mat_vec(a: np.ndarray, v: np.ndarray, ctr: MulCounter) -> np.ndarray:
     """Matrix-vector product; increments ``ctr.mvm`` by exactly one."""
     if a.shape[1] != v.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {v.shape}")
-    ctr.count_mvm()
+    ctr.mvm += 1
     return a @ v
 
 

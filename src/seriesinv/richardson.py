@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import MulCounter, identity, mat_mul, mat_vec, residual_of, run_branches
+from .matrix_core import (
+    MulCounter,
+    identity_constant,
+    mat_mul,
+    mat_vec,
+    residual_of,
+    run_branches,
+)
 from .newton_schulz import DoubleNsState, double_ns_step, initial_double
 from .series_toolkit import horner_eval
 from .splitting import Splitting
@@ -101,7 +108,7 @@ def richardson_step(st: RichardsonState, a: np.ndarray, b: np.ndarray) -> Richar
 
 def _power_sum(gamma: np.ndarray, n: int, ctr: MulCounter) -> np.ndarray:
     """I + gamma + ... + gamma^(n-1) in matrix form (n - 2 products)."""
-    acc = identity(gamma.shape[0])
+    acc = identity_constant(gamma.shape[0]).copy()
     cur = None
     for _ in range(n - 1):
         cur = gamma if cur is None else mat_mul(cur, gamma, ctr)

@@ -39,7 +39,14 @@ from typing import Union
 
 import numpy as np
 
-from .matrix_core import MulCounter, fro_norm, identity, mat_mul, mat_pow_counted, residual_of
+from .matrix_core import (
+    MulCounter,
+    fro_norm,
+    identity_constant,
+    mat_mul,
+    mat_pow_counted,
+    residual_of,
+)
 
 __all__ = [
     "FactorPlan",
@@ -385,7 +392,8 @@ def _execute(
         elif isinstance(ins, Residual):
             z = residual_of(env[ins.src], a, ctr)
         else:
-            z = np.multiply(identity(x.shape[-1]), ins.const, out=np.empty_like(x))
+            eye = identity_constant(x.shape[-1])
+            z = np.multiply(eye, ins.const, out=np.empty_like(x))
             for coef, reg in ins.terms:
                 z += coef * env[reg]
         env[dst] = z

@@ -21,6 +21,7 @@ import numpy as np
 from .matrix_core import (
     fro_norms,
     identity,
+    identity_constant,
     inf_norm,
     square_matrix,
     square_stack,
@@ -75,17 +76,15 @@ class Splitting:
 
     def __post_init__(self):
         s = _frozen(np.array(self.scale, dtype=np.float64))
-        if s.shape != self.matrix.shape[:-1] or not ((s > 0.0) & (s < np.inf)).all():
+        fits = s.shape == self.matrix.shape[:-1]
+        # 1 / s is finite exactly when s > 2**-1024.  One test passes a
+        # valid scale; the message is chosen only on failure.
+        if not (fits and ((s > 2.0**-1024) & (s < np.inf)).all()):
+            if fits and ((s > 0.0) & (s < np.inf)).all():
+                raise ValueError("S^-1 overflows: matrix entries must be finite")
             raise ValueError("scale must hold one positive, finite entry per row of the matrix")
-        # 1 / s is finite exactly when s > 2**-1024.
-        if not (s > 2.0**-1024).all():
-            raise ValueError("S^-1 overflows: matrix entries must be finite")
         inv = 1.0 / s
-        n = s.shape[-1]
-        precond = np.zeros(self.matrix.shape)
-        # Each matrix as one row of n * n entries: its diagonal is every
-        # (n + 1)-th entry.
-        precond.reshape(s.shape[:-1] + (n * n,))[..., :: n + 1] = inv
+        precond = identity_constant(s.shape[-1]) * inv[..., None, :]
         object.__setattr__(self, "scale", s)
         object.__setattr__(self, "precond", _frozen(precond))
         object.__setattr__(

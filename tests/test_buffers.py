@@ -15,7 +15,9 @@ import pytest
 from corpus import random_spd
 from seriesinv import (
     CompositeSpec,
+    FactorPlan,
     MulCounter,
+    TableForm,
     additive_correction_step,
     composite_step,
     double_ns_step,
@@ -33,7 +35,14 @@ from seriesinv import (
     split_scalar,
     table_plans,
 )
-from seriesinv.matrix_core import subtract_from_identity
+from seriesinv.matrix_core import (
+    identity_constant,
+    mat_pow,
+    mat_pow_counted,
+    subtract_from_identity,
+)
+from seriesinv.richardson import _power_sum
+from seriesinv.series_toolkit import Lin
 
 DIM = 5
 
@@ -230,8 +239,67 @@ class TestResidualHelper:
             assert _same_bits(subtract_from_identity(r.copy()), want)
             assert _same_bits(subtract_from_identity(np.asfortranarray(r)), want)
 
-    def test_non_contiguous_array_rejected(self, rng):
-        # the diagonal is written through a reshape view, never into a copy
-        r = rng.standard_normal((6, 6))[::2, ::2]
-        with pytest.raises(ValueError):
-            subtract_from_identity(r)
+    def test_every_layout(self, rng):
+        # one subtraction against the shared identity, so C order, Fortran
+        # order, strided views and stacks all give eye - r bit for bit
+        special = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+        for shape in ((6, 6), (3, 6, 6)):
+            r = rng.standard_normal(shape)
+            r[..., ::2, 1::2] = rng.choice(special, size=r[..., ::2, 1::2].shape)
+            r[..., 0, 0] = -0.0
+            want = np.eye(6) - r
+            for layout in (np.array(r), np.asfortranarray(r), np.array(r.swapaxes(-1, -2))):
+                assert _same_bits(subtract_from_identity(layout.copy()), np.eye(6) - layout)
+            # a strided view is written where it lies, its gaps untouched
+            big = np.zeros(shape[:-2] + (12, 12))
+            view = big[..., ::2, ::2]
+            view[...] = r
+            assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+            assert subtract_from_identity(view) is view
+            assert _same_bits(big[..., ::2, ::2], want)
+            gaps = np.ones(big.shape, dtype=bool)
+            gaps[..., ::2, ::2] = False
+            assert not big[gaps].any()
+
+
+class TestIdentityConstant:
+    """The one array kernels share: read, never written, never handed out."""
+
+    def test_read_only(self):
+        for dim in (1, 5, 6):
+            eye = identity_constant(dim)
+            assert not eye.flags.writeable
+            assert _same_bits(eye, np.eye(dim))
+            assert identity_constant(dim) is eye
+            with pytest.raises(ValueError):
+                eye[0, 0] = 2.0
+
+    def _fresh(self, got, dim):
+        eye = identity_constant(dim)
+        assert got is not eye
+        assert got.flags.writeable
+        assert not np.shares_memory(got, eye)
+        assert _same_bits(eye, np.eye(dim))
+
+    def test_kernels_return_fresh_arrays(self, rng):
+        a = rng.standard_normal((DIM, DIM))
+        got = _power_sum(a, 1, MulCounter())
+        self._fresh(got, DIM)
+        got += 1.0
+        self._fresh(mat_pow(a, 0), DIM)
+        self._fresh(mat_pow_counted(a, 0, MulCounter()), DIM)
+
+    def test_lin_result_is_fresh(self, rng):
+        sp = split_scalar(random_spd(DIM, rng))
+        x, y = sp.precond, sp.residual
+        ident = FactorPlan(TableForm("I", 1, (Lin("Z", 1.0, ()),)))
+        got = nested_eval(y, x, sp.matrix, ident, MulCounter(), form_y=False)
+        self._fresh(got, DIM)
+        got[...] = 0.0
+        plan = plan_order(7)
+        assert isinstance(plan.program[-1], Lin)
+        got = nested_eval(y, x, sp.matrix, plan, MulCounter(), form_y=False)
+        self._fresh(got, DIM)
+        y2, x2, a2 = (np.stack([m, m]) for m in (y, x, sp.matrix))
+        got = nested_eval(y2, x2, a2, ident, MulCounter(), form_y=False)
+        assert got.flags.writeable and not np.shares_memory(got, identity_constant(DIM))

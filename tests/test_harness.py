@@ -374,6 +374,12 @@ class TestMethodTable:
             dict(kind="ns-estimator", h=-1),
             dict(kind="richardson", q=0),
             dict(kind="richardson", order=3, q=-1),
+            dict(kind="ns", order=2.5),
+            dict(kind="ns", order=2.0),
+            dict(kind="double", h=2.5),
+            dict(kind="sri", order="3"),
+            dict(kind="richardson", q=2.5),
+            dict(kind="richardson-recursive", order=3, q=3.0),
         ],
     )
     def test_invalid_spec_rejected_at_construction(self, kwargs):
