@@ -14,7 +14,7 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
-from math import cos, pi, sin
+from math import cos, isfinite, pi, sin
 from numbers import Integral
 
 import numpy as np
@@ -522,6 +522,12 @@ def emit_exponent_surface(
     baseline quoted for reference."""
     if kind not in ("fig2", "fig3"):
         raise ValueError("kind must be 'fig2' or 'fig3'")
+    if not n_range or not k_range:
+        raise ValueError("exponent surfaces need at least one n and one k")
+    if h < 1:
+        raise ValueError("h must be >= 1")
+    if not (isfinite(rho) and rho >= 0.0):
+        raise ValueError(f"rho must be finite and >= 0, got {rho}")
     lines = [_EXP_HEADER]
     for n in n_range:
         if n < 2:

@@ -29,6 +29,7 @@ or store it in a state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -266,21 +267,34 @@ def spectral_radius(
     vector if the iterate falls into the null space; raises
     :class:`SpectralRadiusError` (with the best estimate attached) when the
     iteration does not converge within ``max_iter`` steps.
+
+    ``a`` is a real matrix and is never written.  The loop reuses two
+    length-n buffers: ``a.dot(x, out=y)`` and ``sqrt(y . y)`` are the gemv
+    of ``a @ x`` and the sum of ``np.linalg.norm``, so for C- or F-ordered
+    float64 ``a`` the result is bitwise that of the plain loop.  Any other
+    ``a`` is copied to C-ordered float64 once, as ``ndarray.dot`` would do on
+    every step; for strided views that may change the last bits against
+    ``a @ x``.
     """
     dim = a.shape[0]
     if a.shape != (dim, dim):
         raise ValueError("spectral_radius expects a square matrix")
+    if np.iscomplexobj(a):
+        raise ValueError("spectral_radius expects a real matrix")
+    if a.dtype != np.float64 or not (a.flags.c_contiguous or a.flags.f_contiguous):
+        a = np.ascontiguousarray(a, dtype=np.float64)
     rng = np.random.default_rng(seed)
 
     best = 0.0
     restarts = 0
     x = rng.standard_normal(dim)
     x /= np.linalg.norm(x)
+    y = np.empty(dim)
     prev = None
     streak = 0
     for _ in range(max_iter):
-        y = a @ x
-        est = float(np.linalg.norm(y))
+        a.dot(x, out=y)
+        est = math.sqrt(y.dot(y))
         if est == 0.0:
             # x is (numerically) in the null space; either a == 0 or the
             # start vector was unlucky.
@@ -289,7 +303,7 @@ def spectral_radius(
             restarts += 1
             if restarts > 3:
                 return 0.0
-            x = rng.standard_normal(dim)
+            x[:] = rng.standard_normal(dim)
             x /= np.linalg.norm(x)
             prev = None
             streak = 0
@@ -302,7 +316,7 @@ def spectral_radius(
         else:
             streak = 0
         prev = est
-        x = y / est
+        np.divide(y, est, out=x)
     raise SpectralRadiusError(
         f"power iteration did not converge within {max_iter} iterations "
         f"(best estimate {best:.6e})",

@@ -41,14 +41,12 @@ __all__ = [
     "classical_exponent",
     "composite_exponent",
     "composite_step",
-    "constant_rates",
     "converged",
     "double_exponent",
     "double_ns_step",
     "initial_double",
     "initial_series",
     "ns_step",
-    "power_rates",
     "run_until_converged",
 ]
 
@@ -103,22 +101,6 @@ class CompositeSpec:
     @property
     def width(self) -> int:
         return len(self.rates)
-
-
-def constant_rates(rate: int, width: int) -> CompositeSpec:
-    """Every unit expands at the same fixed rate."""
-    return CompositeSpec(rates=(rate,) * width)
-
-
-def power_rates(base: int, width: int):
-    """Step-dependent preset: at step k every unit expands at rate base**k."""
-    if base < 2:
-        raise ValueError("base must be >= 2")
-
-    def spec_for_step(k: int) -> CompositeSpec:
-        return CompositeSpec(rates=(base**k,) * width)
-
-    return spec_for_step
 
 
 def initial_series(split: Splitting, p: int, w: int, order: int = 2) -> NsState:

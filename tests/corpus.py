@@ -75,3 +75,45 @@ def assert_power_law(f_mat, b_mat, exponent, rel=1e-8):
         assert fro_norm(f_mat) <= 1e-200
     else:
         assert fro_norm(f_mat - target) <= rel * scale
+
+
+def power_iteration_oracle(a, tol=1e-12, max_iter=10000, seed=0):
+    """The plain power iteration ``spectral_radius`` must match bit for bit:
+    a fresh ``a @ x`` and ``np.linalg.norm`` per step.  Returns the estimate,
+    or ``("cap", best, message)`` where ``spectral_radius`` raises."""
+    dim = a.shape[0]
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    restarts = 0
+    x = rng.standard_normal(dim)
+    x /= np.linalg.norm(x)
+    prev = None
+    streak = 0
+    for _ in range(max_iter):
+        y = a @ x
+        est = float(np.linalg.norm(y))
+        if est == 0.0:
+            if not np.any(a):
+                return 0.0
+            restarts += 1
+            if restarts > 3:
+                return 0.0
+            x = rng.standard_normal(dim)
+            x /= np.linalg.norm(x)
+            prev = None
+            streak = 0
+            continue
+        best = est
+        if prev is not None and abs(est - prev) <= tol * est:
+            streak += 1
+            if streak >= 3:
+                return est
+        else:
+            streak = 0
+        prev = est
+        x = y / est
+    message = (
+        f"power iteration did not converge within {max_iter} iterations "
+        f"(best estimate {best:.6e})"
+    )
+    return ("cap", best, message)

@@ -371,3 +371,23 @@ class TestSurfaces:
     def test_stdout_output(self, capsys):
         assert main(["surfaces", "--kind", "fig1"]) == 0
         assert capsys.readouterr().out.startswith("p,w,h,mmm")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--n-max", "1"], "at least one n and one k"),
+            (["--k-max", "0"], "at least one n and one k"),
+            (["--rho", "nan"], "rho must be finite and >= 0"),
+            (["--rho", "inf"], "rho must be finite and >= 0"),
+            (["--rho", "-2"], "rho must be finite and >= 0"),
+            (["--h", "0"], "h must be >= 1"),
+            (["--h", "-1"], "h must be >= 1"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["fig2", "fig3"])
+    def test_meaningless_grid_or_rho_exits_2(self, tmp_path, capsys, kind, args, message):
+        path = tmp_path / "never.csv"
+        assert main(["surfaces", "--kind", kind, "--csv", str(path), *args]) == 2
+        out = capsys.readouterr()
+        assert message in out.err and out.out == ""
+        assert not path.exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corpus import random_spd
+from corpus import power_iteration_oracle, random_spd
 from seriesinv import (
     HarmonicRegressorSpec,
     MethodSpec,
@@ -492,6 +492,27 @@ class TestSurfaces:
         with pytest.raises(ValueError):
             emit_exponent_surface("fig9")
 
+    @pytest.mark.parametrize("kind", ["fig2", "fig3"])
+    @pytest.mark.parametrize("grid", [{"n_range": range(2, 2)}, {"k_range": range(1, 1)}])
+    def test_empty_grid_rejected(self, kind, grid):
+        with pytest.raises(ValueError, match="at least one n and one k"):
+            emit_exponent_surface(kind, **grid)
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig3"])
+    @pytest.mark.parametrize("h", [0, -1])
+    def test_h_below_one_rejected(self, kind, h):
+        with pytest.raises(ValueError, match="h must be >= 1"):
+            emit_exponent_surface(kind, h=h)
+
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), -float("inf"), -2.0, -1e-300])
+    def test_non_finite_or_negative_rho_rejected(self, rho):
+        with pytest.raises(ValueError, match="rho must be finite and >= 0"):
+            emit_exponent_surface("fig2", rho=rho)
+
+    def test_zero_rho_accepted(self):
+        rows = parse_exponent_surface(emit_exponent_surface("fig3", rho=0.0))
+        assert all(r_new == 0.0 and r_base == 0.0 for *_, r_new, r_base in rows)
+
 
 def test_toolkit_check_smoke():
     ok, lines = toolkit_check(instances=3, dim=4, seed=7)
@@ -508,4 +529,10 @@ def test_unconverged_rho_warns_and_keeps_best_estimate():
     with pytest.warns(RuntimeWarning, match="within 20000 iterations") as caught:
         rho = _measure_rho(split)
     assert rho == best
-    assert f"{best:.9g}" in str(caught[0].message)
+    # the value and the text of the plain a @ x loop, to the last bit
+    _, want, _ = power_iteration_oracle(split.residual, tol=1e-10, max_iter=20000)
+    assert np.float64(rho).tobytes() == np.float64(want).tobytes()
+    assert str(caught[0].message) == (
+        "spectral radius: power iteration did not converge within 20000 "
+        f"iterations; predicted bounds use the best estimate {want:.9g}"
+    )

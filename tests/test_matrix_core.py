@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import power_iteration_oracle, random_spd
 from seriesinv import (
     MulCounter,
     SpectralRadiusError,
@@ -193,6 +194,85 @@ class TestSpectralRadius:
         with pytest.raises(SpectralRadiusError) as err:
             spectral_radius(m, max_iter=300)
         assert 0.0 < err.value.best_estimate <= 2.0
+
+
+def _radius_or_cap(a, **kw):
+    """``spectral_radius`` in the oracle's result form."""
+    try:
+        return spectral_radius(a, **kw)
+    except SpectralRadiusError as err:
+        return ("cap", err.best_estimate, str(err))
+
+
+def _bits(result):
+    """A result with each float as its bytes, so equality is bitwise."""
+    if isinstance(result, tuple):
+        return tuple(_bits(v) for v in result)
+    return np.float64(result).tobytes() if isinstance(result, float) else result
+
+
+class TestSpectralRadiusAgainstPlainLoop:
+    """The buffered loop returns the plain ``a @ x`` loop's bits, and its
+    ``best_estimate`` on the cap path, without writing its input."""
+
+    def _check(self, a, **kw):
+        before = a.copy()
+        want = power_iteration_oracle(a, **kw)
+        assert _bits(_radius_or_cap(a, **kw)) == _bits(want)
+        assert a.tobytes() == before.tobytes()
+        return want
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 6, 8, 13, 21, 34, 55, 64, 89, 100])
+    def test_every_order_general_and_symmetric(self, dim):
+        r = np.random.default_rng(dim)
+        g = r.standard_normal((dim, dim))
+        # general matrices mostly hit the cap; symmetric ones converge
+        for m, max_iter in ((g, 300), ((g + g.T) / 2.0, 3000)):
+            for a in (np.ascontiguousarray(m), np.asfortranarray(m), m.T):
+                self._check(a, max_iter=max_iter)
+
+    def test_other_views_run_on_a_c_ordered_copy(self, rng):
+        # ndarray.dot runs these views as their C-ordered copies, which may
+        # round differently from a @ x on the view itself
+        m = rng.standard_normal((20, 20))
+        sym = m + m.T
+        for a in (m[::-1, ::-1], m[::-1], m[:, ::2][:10], sym[::-1, ::-1]):
+            assert not (a.flags.c_contiguous or a.flags.f_contiguous)
+            before = a.copy()
+            want = power_iteration_oracle(np.ascontiguousarray(a), max_iter=300)
+            assert _bits(_radius_or_cap(a, max_iter=300)) == _bits(want)
+            assert a.tobytes() == before.tobytes()
+        exact = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+        assert spectral_radius(sym[::-1, ::-1]) == pytest.approx(exact, rel=1e-8)
+
+    def test_other_real_dtypes(self, rng):
+        m = rng.standard_normal((9, 9))
+        sym = m + m.T
+        for a in (sym.astype(np.float32), (10 * sym).astype(np.int64)):
+            for layout in (np.ascontiguousarray(a), np.asfortranarray(a)):
+                self._check(layout)
+        with pytest.raises(ValueError, match="real matrix"):
+            spectral_radius(sym.astype(complex))
+
+    def test_read_only_input(self, rng):
+        a = random_spd(7, rng)
+        assert not a.flags.writeable
+        self._check(a)
+
+    @pytest.mark.parametrize("dim", [1, 4, 33])
+    def test_zero_matrix(self, dim):
+        assert self._check(np.zeros((dim, dim))) == 0.0
+
+    def test_restart_path(self):
+        # a nilpotent shift: a^4 x = 0 for every x, so every start vector
+        # reaches the null space and the loop restarts until it gives up
+        shift = np.eye(4, k=1)
+        assert self._check(shift) == 0.0
+
+    def test_cap_on_a_scaled_rotation(self):
+        # eigenvalues +-i: the norm ratio alternates 2, 0.5 and never settles
+        want = self._check(np.array([[0.0, 2.0], [-0.5, 0.0]]), max_iter=300)
+        assert want[0] == "cap"
 
 
 class TestNorms:

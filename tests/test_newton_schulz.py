@@ -12,7 +12,6 @@ from seriesinv import (
     classical_exponent,
     composite_exponent,
     composite_step,
-    constant_rates,
     converged,
     double_exponent,
     double_ns_step,
@@ -22,7 +21,6 @@ from seriesinv import (
     mat_pow,
     ns_step,
     plan_order,
-    power_rates,
     run_until_converged,
     split_diagonal,
     square_matrix,
@@ -193,22 +191,13 @@ class TestCompositeStep:
     def test_numpy_integer_rates_accepted(self):
         assert CompositeSpec((np.int64(2), 3)).width == 2
 
-    def test_rate_presets(self):
-        assert constant_rates(3, 2).rates == (3, 3)
-        stepper = power_rates(2, 3)
-        assert stepper(0).rates == (1, 1, 1)
-        assert stepper(3).rates == (8, 8, 8)
-        with pytest.raises(ValueError):
-            power_rates(1, 2)
-
     def test_step_dependent_rates_run(self, rng):
         # rates m**k per step: e_k = w m^k + n e_(k-1)
         a, sp = diag_system(4, 0.995, rng)
-        stepper = power_rates(2, 2)
         st = initial_series(sp, 0, 1, order=2)
         e = 1
         for k in range(1, 4):
-            st = composite_step(st, a, sp, stepper(k), order_n=2)
+            st = composite_step(st, a, sp, CompositeSpec((2**k, 2**k)), order_n=2)
             e = 2 * 2**k + 2 * e
             assert_power_law(st.residual, sp.residual, e, rel=1e-9)
 
