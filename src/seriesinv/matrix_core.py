@@ -4,8 +4,10 @@ Everything downstream (splittings, series evaluation, the iteration family)
 works on plain float64 numpy arrays validated by :func:`square_matrix` /
 :func:`vector`.  Matrix products that belong to an algorithm's cost model go
 through :func:`mat_mul` / :func:`mat_vec`, which tick a :class:`MulCounter`;
-oracle helpers such as :func:`mat_pow` stay uncounted on purpose so that cost
-comparisons between algorithms remain honest.
+the one exception is the plan executor in ``series_toolkit``, which runs the
+products of a lowered program inline and ticks the counter by the same rule.
+Oracle helpers such as :func:`mat_pow` stay uncounted on purpose so that
+cost comparisons between algorithms remain honest.
 
 Stacked operands: :func:`mat_mul`, :func:`residual_of` and
 :func:`subtract_from_identity` also take ``(k, n, n)`` stacks of k

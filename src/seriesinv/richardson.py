@@ -107,8 +107,10 @@ def richardson_step(st: RichardsonState, a: np.ndarray, b: np.ndarray) -> Richar
 
 
 def _power_sum(gamma: np.ndarray, n: int, ctr: MulCounter) -> np.ndarray:
-    """I + gamma + ... + gamma^(n-1) in matrix form (n - 2 products)."""
-    acc = identity_constant(gamma.shape[0]).copy()
+    """I + gamma + ... + gamma^(n-1) in matrix form (n - 2 products), for
+    one matrix or each matrix of a ``(k, n, n)`` stack."""
+    acc = np.empty_like(gamma)
+    acc[...] = identity_constant(gamma.shape[-1])
     cur = None
     for _ in range(n - 1):
         cur = gamma if cur is None else mat_mul(cur, gamma, ctr)

@@ -34,8 +34,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from math import copysign
 from types import MappingProxyType
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -107,47 +108,56 @@ class PrimeWrap:
     inner: "PlanNode"
 
 
-# Straight-line program instructions.  Every plan is lowered to them once,
-# when its :class:`FactorPlan` is built; the tabulated forms are written in
-# them directly.
+# Straight-line program instructions.  A tabulated form is written in them
+# over readable register names ("Y", "X", "y2", ...); every plan is lowered
+# to them once, when its :class:`FactorPlan` is built, over integer slots:
+# Y is slot 0, X slot 1, and instruction i writes slot i + 2.
 # ``drop`` names the registers an instruction reads for the last time: the
 # executor lets go of them once it has run, so only live arrays are kept.
-@dataclass(frozen=True)
+# ``op`` is the executor's dispatch code, one per instruction kind.
+Reg = Union[str, int]
+_MUL, _RESIDUAL, _LIN = 0, 1, 2
+
+
+@dataclass(frozen=True, slots=True)
 class Mul:
     """dst = lhs @ rhs (one counted product), plus register ``add`` if given."""
 
-    dst: str
-    lhs: str
-    rhs: str
-    add: str | None = None
-    drop: tuple[str, ...] = ()
+    op: ClassVar[int] = _MUL
+    dst: Reg
+    lhs: Reg
+    rhs: Reg
+    add: Reg | None = None
+    drop: tuple[Reg, ...] = ()
 
-    def reads(self) -> tuple[str, ...]:
+    def reads(self) -> tuple[Reg, ...]:
         return (self.lhs, self.rhs) if self.add is None else (self.lhs, self.rhs, self.add)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Residual:
     """dst = I - src @ A (one counted product)."""
 
-    dst: str
-    src: str
-    drop: tuple[str, ...] = ()
+    op: ClassVar[int] = _RESIDUAL
+    dst: Reg
+    src: Reg
+    drop: tuple[Reg, ...] = ()
 
-    def reads(self) -> tuple[str, ...]:
+    def reads(self) -> tuple[Reg, ...]:
         return (self.src,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lin:
     """Free linear combination dst = const * I + sum(coef * reg)."""
 
-    dst: str
+    op: ClassVar[int] = _LIN
+    dst: Reg
     const: float
-    terms: tuple[tuple[float, str], ...]
-    drop: tuple[str, ...] = ()
+    terms: tuple[tuple[float, Reg], ...]
+    drop: tuple[Reg, ...] = ()
 
-    def reads(self) -> tuple[str, ...]:
+    def reads(self) -> tuple[Reg, ...]:
         return tuple(reg for _, reg in self.terms)
 
 
@@ -176,11 +186,11 @@ class FactorPlan:
 
     ``FactorPlan(root)`` is the only way to build a plan; every other field
     is derived from ``root`` when the plan is built.  ``program``, the tree
-    lowered to a straight-line program, is what every evaluation runs, and
-    ``order_h`` is the tree's order.  ``mmm_poly`` is the number of ``Mul``
-    and ``Residual`` instructions in the program, the count with Y
-    supplied; ``mmm_cost`` is one more, the full-step count with the
-    product forming Y.  ``efficiency_index`` is
+    lowered to a straight-line program over integer slots, is what every
+    evaluation runs, and ``order_h`` is the tree's order.  ``mmm_poly`` is
+    the number of ``Mul`` and ``Residual`` instructions in the program, the
+    count with Y supplied; ``mmm_cost`` is one more, the full-step count
+    with the product forming Y.  ``efficiency_index`` is
     ``order_h ** (1 / mmm_cost)``.  An invalid tree raises ``ValueError``
     (``TypeError`` for a non-node).
     """
@@ -210,16 +220,17 @@ class FactorPlan:
 
 def _lower(root: PlanNode) -> tuple[int, tuple[Instr, ...]]:
     """Validate a node tree and lower it to one straight-line program over
-    registers "Y", "X" and fresh "r0", "r1", ...; returns (order, program).
-    The result is the last instruction's destination ("X" if none)."""
+    integer slots (Y = 0, X = 1, instruction i writes i + 2); returns
+    (order, program).  The result is the last instruction's slot (X if
+    none)."""
     program: list[Instr] = []
 
-    def emit(instr, *args) -> str:
-        dst = f"r{len(program)}"
+    def emit(instr, *args) -> int:
+        dst = len(program) + 2
         program.append(instr(dst, *args))
         return dst
 
-    def lower(node: PlanNode, y: str, x: str) -> tuple[str, int]:
+    def lower(node: PlanNode, y: int, x: int) -> tuple[int, int]:
         if isinstance(node, Horner):
             if node.order < 1:
                 raise ValueError("Horner order must be >= 1")
@@ -247,7 +258,7 @@ def _lower(root: PlanNode) -> tuple[int, tuple[Instr, ...]]:
             z, order = lower(node.inner, y, x)
             return emit(Mul, y, z, x), order + 1
         if isinstance(node, TableForm):
-            # The form's own register names, renamed into the program's.
+            # The form's own register names, renamed to the program's slots.
             env = {"Y": y, "X": x}
             z = x
             for ins in node.program:
@@ -262,11 +273,11 @@ def _lower(root: PlanNode) -> tuple[int, tuple[Instr, ...]]:
             return z, node.order
         raise TypeError(f"not a plan node: {node!r}")
 
-    order = lower(root, "Y", "X")[1]
-    # Each register is written once, so the result, written last, is never
-    # read and never dropped.
+    order = lower(root, 0, 1)[1]
+    # Each slot is written once, so the result, written last, is never read
+    # and never dropped.
     last_read = {reg: i for i, ins in enumerate(program) for reg in ins.reads()}
-    drops: list[list[str]] = [[] for _ in program]
+    drops: list[list[int]] = [[] for _ in program]
     for reg, i in last_read.items():
         drops[i].append(reg)
     return order, tuple(replace(ins, drop=tuple(d)) for ins, d in zip(program, drops))
@@ -380,26 +391,56 @@ def _execute(
     ctr: MulCounter,
 ) -> np.ndarray:
     """The one plan executor, on ``(n, n)`` operands or ``(k, n, n)`` stacks
-    (every instance in one pass, each bitwise equal to its own 2-D run)."""
-    env = {"Y": y, "X": x}
-    dst = "X"
+    of one shape (every instance in one pass, each bitwise equal to its own
+    2-D run).
+
+    ``program`` is a lowered program.  The register file is a list indexed
+    by slot; a dropped slot is set to None.  Each product is ticked on the
+    counter as it runs, one per n x n product as :func:`mat_mul` does, and
+    ``Residual`` forms ``I - src A`` as :func:`residual_of` does.  The
+    result is always a fresh array, a copy of X for the empty program.
+
+    A ``Lin`` is fused, bitwise equal to ``const * I`` plus each
+    ``coef * reg`` in turn, signed zeros included: a coefficient of 1.0
+    adds its register without a multiply, and a constant of 1.0 or +0.0
+    starts from the first term (``I + t`` or ``t + 0.0``) instead of from a
+    scaled identity.
+    """
+    if not (y.shape == x.shape == a.shape):
+        raise ValueError(f"dimension mismatch: y {y.shape}, x {x.shape}, a {a.shape}")
+    if not program:
+        return np.array(x)
+    per_product = 1 if x.ndim == 2 else len(x)
+    eye = identity_constant(x.shape[-1])
+    regs: list[np.ndarray | None] = [y, x]
     for ins in program:
-        dst = ins.dst
-        if isinstance(ins, Mul):
-            z = mat_mul(env[ins.lhs], env[ins.rhs], ctr)
+        op = ins.op
+        if op == _MUL:
+            z = regs[ins.lhs] @ regs[ins.rhs]
+            ctr.mmm += per_product
             if ins.add is not None:
-                z += env[ins.add]
-        elif isinstance(ins, Residual):
-            z = residual_of(env[ins.src], a, ctr)
+                z += regs[ins.add]
+        elif op == _RESIDUAL:
+            z = regs[ins.src] @ a
+            ctr.mmm += per_product
+            np.subtract(eye, z, out=z)
         else:
-            eye = identity_constant(x.shape[-1])
-            z = np.multiply(eye, ins.const, out=np.empty_like(x))
-            for coef, reg in ins.terms:
-                z += coef * env[reg]
-        env[dst] = z
-        for reg in ins.drop:
-            del env[reg]
-    return env[dst]
+            const, terms = ins.const, ins.terms
+            if terms and (const == 1.0 or (const == 0.0 and copysign(1.0, const) > 0.0)):
+                # 1.0 * I + t is I + t; +0.0 * I + t is t + 0.0, which turns
+                # a -0.0 of t into +0.0 as that sum does.
+                coef, slot = terms[0]
+                t = regs[slot] if coef == 1.0 else coef * regs[slot]
+                z = np.add(eye, t) if const == 1.0 else np.add(t, 0.0)
+                terms = terms[1:]
+            else:
+                z = np.multiply(eye, const, out=np.empty_like(x))
+            for coef, slot in terms:
+                z += regs[slot] if coef == 1.0 else coef * regs[slot]
+        regs.append(z)
+        for slot in ins.drop:
+            regs[slot] = None
+    return z
 
 
 def nested_eval(

@@ -8,6 +8,8 @@ comparison is only meaningful while ||B**e|| sits well above float noise.
 import numpy as np
 
 from seriesinv import fro_norm, inf_norm, mat_pow, square_matrix
+from seriesinv.matrix_core import identity_constant, mat_mul, residual_of
+from seriesinv.series_toolkit import Mul, Residual
 
 
 def random_spd(dim, rng, shift=0.5):
@@ -117,3 +119,30 @@ def power_iteration_oracle(a, tol=1e-12, max_iter=10000, seed=0):
         f"(best estimate {best:.6e})"
     )
     return ("cap", best, message)
+
+
+def plan_oracle(program, y, x, a, ctr):
+    """The dict-register interpreter the slot executor must match bit for
+    bit and count for count: registers kept by key, an ``isinstance``
+    dispatch per instruction, and every ``Lin`` formed as ``const * I``
+    plus a ``coef * reg`` temporary per term.  Runs a lowered program (Y
+    in slot 0, X in slot 1); for the empty program it returns X itself."""
+    env = {0: y, 1: x}
+    dst = 1
+    for ins in program:
+        dst = ins.dst
+        if isinstance(ins, Mul):
+            z = mat_mul(env[ins.lhs], env[ins.rhs], ctr)
+            if ins.add is not None:
+                z += env[ins.add]
+        elif isinstance(ins, Residual):
+            z = residual_of(env[ins.src], a, ctr)
+        else:
+            eye = identity_constant(x.shape[-1])
+            z = np.multiply(eye, ins.const, out=np.empty_like(x))
+            for coef, reg in ins.terms:
+                z += coef * env[reg]
+        env[dst] = z
+        for reg in ins.drop:
+            del env[reg]
+    return env[dst]

@@ -16,7 +16,9 @@ from corpus import random_spd
 from seriesinv import (
     CompositeSpec,
     FactorPlan,
+    Horner,
     MulCounter,
+    Split,
     TableForm,
     additive_correction_step,
     composite_step,
@@ -183,6 +185,24 @@ def test_nested_eval_every_plan(problem):
 def test_geometric_apply(problem, order):
     a, split, _ = problem
     call_untouched(geometric_apply, split.residual, split.precond, order, a, MulCounter())
+
+
+@pytest.mark.parametrize("root", [Horner(1), Split(p=0, w=1, inner=Horner(1))])
+def test_empty_program_returns_a_fresh_copy(problem, root):
+    # order 1 is X itself; the executor hands back a copy, never the
+    # caller's array, as geometric_apply(order=1) does
+    a, split, _ = problem
+    y, x = split.residual, split.precond
+    plan = FactorPlan(root)
+    assert plan.program == ()
+    stacked = tuple(np.stack([m, m]) for m in (y, x, a))
+    for yy, xx, aa in ((y, x, a), stacked):
+        for form_y in (True, False):
+            got = nested_eval(yy, xx, aa, plan, MulCounter(), form_y=form_y)
+            assert not np.shares_memory(got, xx)
+            assert got.flags.writeable and _same_bits(got, xx)
+        got = geometric_apply(yy, xx, 1, aa, MulCounter())
+        assert not np.shares_memory(got, xx) and _same_bits(got, xx)
 
 
 def _same_bits(got, want):

@@ -12,7 +12,13 @@ from seriesinv import (
 )
 from seriesinv import cli, harness
 from seriesinv.cli import _build_parser, main
-from seriesinv.harness import METHODS, HarmonicRegressorSpec, gen_harmonic_matrix
+from seriesinv.harness import (
+    METHODS,
+    HarmonicRegressorSpec,
+    emit_exponent_surface,
+    gen_harmonic_matrix,
+    parse_exponent_surface,
+)
 from corpus import random_spd
 
 
@@ -371,6 +377,22 @@ class TestSurfaces:
     def test_stdout_output(self, capsys):
         assert main(["surfaces", "--kind", "fig1"]) == 0
         assert capsys.readouterr().out.startswith("p,w,h,mmm")
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig3"])
+    def test_overflowing_power_prints_inf(self, capsys, kind):
+        assert main(["surfaces", "--kind", kind, "--rho", "2"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        rows = parse_exponent_surface(out.out)
+        assert rows[-1][4:] == (float("inf"), float("inf"))
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig3"])
+    def test_powers_above_one_in_range_unchanged(self, capsys, kind):
+        args = ["--rho", "1.001", "--n-max", "3", "--k-max", "3"]
+        assert main(["surfaces", "--kind", kind, *args]) == 0
+        out = capsys.readouterr().out
+        assert out == emit_exponent_surface(kind, range(2, 4), range(1, 4), rho=1.001)
+        assert "inf" not in out
 
     @pytest.mark.parametrize(
         "args, message",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -512,6 +514,27 @@ class TestSurfaces:
     def test_zero_rho_accepted(self):
         rows = parse_exponent_surface(emit_exponent_surface("fig3", rho=0.0))
         assert all(r_new == 0.0 and r_base == 0.0 for *_, r_new, r_base in rows)
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig3"])
+    def test_overflowing_power_reads_inf(self, kind):
+        # rho > 1 with the default grid's large exponents: the powers that
+        # leave float range are written as inf and read back as inf
+        rows = parse_exponent_surface(emit_exponent_surface(kind, rho=2.0))
+        powers = [p for *_, r_new, r_base in rows for p in (r_new, r_base)]
+        assert math.inf in powers
+        assert all(p >= 2.0 for p in powers)
+        assert all(p == math.inf for e, p in ((row[2], row[4]) for row in rows) if e > 1024)
+
+    def test_powers_in_range_unchanged_above_one(self):
+        assert emit_exponent_surface("fig2", range(2, 4), range(1, 4), rho=1.001) == (
+            "n,k,exponent_new,exponent_baseline,rho_pow_new,rho_pow_baseline\n"
+            "2,1,6,4.0000000000000000e+00,1.0060150200150053e+00,1.0040060040009995e+00\n"
+            "2,2,20,1.2000000000000000e+01,1.0201911448605405e+00,1.0120662204957915e+00\n"
+            "2,3,56,3.2000000000000000e+01,1.0575680911425112e+00,1.0325009961622820e+00\n"
+            "3,1,12,6.0000000000000000e+00,1.0120662204957915e+00,1.0060150200150053e+00\n"
+            "3,2,63,2.7000000000000000e+01,1.0649933137623424e+00,1.0273539426310239e+00\n"
+            "3,3,270,1.0800000000000000e+02,1.3097877352614242e+00,1.1139876285059562e+00\n"
+        )
 
 
 def test_toolkit_check_smoke():

@@ -1,10 +1,12 @@
 """Compiled plan programs, the one executor, and the stacked verify-tables.
 
-Every plan is lowered once to a straight-line program; ``nested_eval`` and
-``geometric_apply`` run that program, on one ``(n, n)`` instance or on a
-``(k, n, n)`` stack.  ``toolkit_check`` splits all its instances in one
-stacked call and runs each plan once over the stack; the per-instance loop
-it replaced is kept here as the oracle for its report.
+Every plan is lowered once to a straight-line program over integer slots;
+``nested_eval`` and ``geometric_apply`` run that program, on one ``(n, n)``
+instance or on a ``(k, n, n)`` stack.  The dict-register interpreter the
+slot executor replaced is ``corpus.plan_oracle``.  ``toolkit_check`` splits
+all its instances in one stacked call and runs each plan once over the
+stack; the per-instance loop it replaced is kept here as the oracle for its
+report.
 """
 
 import tracemalloc
@@ -12,10 +14,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import random_spd
+from corpus import plan_oracle, random_spd
 from seriesinv import (
     FactorPlan,
+    Horner,
     MulCounter,
     TableForm,
     fro_norm,
@@ -33,7 +38,7 @@ from seriesinv import (
 )
 from seriesinv import harness, series_toolkit
 from seriesinv.matrix_core import fro_norms
-from seriesinv.series_toolkit import TABLE_LABELS, Lin, horner_iterates
+from seriesinv.series_toolkit import TABLE_LABELS, Lin, Mul, Residual, horner_iterates
 
 
 def all_plans():
@@ -49,6 +54,65 @@ def all_plans():
 
 def same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def hand_plans():
+    """Lowered forms no catalogue plan has: every fused and general ``Lin``
+    start (constants +0.0, -0.0, 1.0, -1.0, 2.0; coefficients 1.0, 0.5,
+    -1.0; no terms at all), a chain of them, and the empty program."""
+    term_sets = (
+        (),
+        ((1.0, "X"),),
+        ((-1.0, "X"),),
+        ((0.5, "Y"), (-1.0, "X")),
+        ((-1.0, "X"), (1.0, "Y"), (0.5, "X")),
+    )
+    plans = [
+        (f"lin:{const}:{i}", FactorPlan(TableForm("lin", 1, (Lin("z", const, terms),))))
+        for const in (0.0, -0.0, 1.0, -1.0, 2.0)
+        for i, terms in enumerate(term_sets)
+    ]
+    chain = (
+        Mul("y2", "Y", "Y"),
+        Lin("f", -1.0, ((0.5, "Y"), (-1.0, "y2"))),
+        Lin("g", 2.0, ((1.0, "f"), (0.5, "X"))),
+        Lin("h", 0.0, ((-1.0, "g"), (1.0, "Y"))),
+        Lin("k", 1.0, ((0.5, "h"),)),
+        Residual("q", "k"),
+        Lin("m", -0.0, ((1.0, "q"), (1.0, "X"))),
+        Mul("z", "m", "X", "X"),
+    )
+    plans.append(("chain", FactorPlan(TableForm("chain", 3, chain))))
+    return plans + [("horner:1", FactorPlan(Horner(1)))]
+
+
+def signed_zero_matrix(rng, shape):
+    """Random entries of either sign, about a third of them +0.0 or -0.0."""
+    m = rng.standard_normal(shape) / shape[-1]
+    zeros = rng.random(shape) < 0.35
+    m[zeros] = np.copysign(0.0, rng.standard_normal(shape))[zeros]
+    return m
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.integers(1, 6),
+    k=st.one_of(st.none(), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_executor_matches_dict_oracle(dim, k, seed):
+    # bitwise, signed zeros included, and count for count, on one matrix or
+    # a (k, n, n) stack
+    rng = np.random.default_rng(seed)
+    shape = (dim, dim) if k is None else (k, dim, dim)
+    y, x, a = (signed_zero_matrix(rng, shape) for _ in range(3))
+    for name, plan in all_plans() + hand_plans():
+        got_ctr, want_ctr = MulCounter(), MulCounter()
+        got = series_toolkit._execute(plan.program, y, x, a, got_ctr)
+        want = plan_oracle(plan.program, y, x, a, want_ctr)
+        assert got.shape == shape, name
+        assert same_bits(got, want), name
+        assert got_ctr.mmm == want_ctr.mmm == plan.mmm_poly * (1 if k is None else k), name
 
 
 def stacked_instances(dim, count, seed):
@@ -169,16 +233,18 @@ PLAN_ORDER_STRUCTURES = {
 
 
 def test_every_intermediate_register_is_dropped_after_its_last_read():
+    # lowered programs run on slots: Y is 0, X is 1, instruction i writes i + 2
     for name, plan in all_plans():
-        live = {"Y", "X"}
-        for ins in plan.program:
+        live = {0, 1}
+        for i, ins in enumerate(plan.program):
+            assert ins.dst == i + 2, name
             assert set(ins.reads()) <= live, name
             assert ins.dst not in live and ins.dst not in ins.drop, name
             live.add(ins.dst)
             assert set(ins.drop) <= set(ins.reads()), name
             live -= set(ins.drop)
-        result = plan.program[-1].dst if plan.program else "X"
-        assert live - {"Y", "X"} == {result}, name
+        result = plan.program[-1].dst if plan.program else 1
+        assert live - {0, 1} == {result}, name
 
 
 def test_evaluation_keeps_only_live_arrays():
@@ -294,7 +360,8 @@ def test_stacked_norms_equal_fro_norm_bitwise():
 def test_dropped_instruction_fails_the_check(monkeypatch):
     # order 3 is a wrap around the order-2 split: without its last
     # instruction the program returns the order-2 sum.
-    broken = FactorPlan(TableForm("h3-short", 3, plan_order(3).program[:-1]))
+    assert len(plan_order(3).program) == 2
+    broken = FactorPlan(TableForm("h3-short", 3, (Mul("z", "Y", "X", "X"),)))
     monkeypatch.setattr(
         harness, "plan_order", lambda h: broken if h == 3 else plan_order(h)
     )
@@ -325,10 +392,10 @@ def test_miscounted_product_fails_the_check(monkeypatch):
 
 def test_non_finite_result_fails_the_check(monkeypatch):
     # a NaN error must not pass as "no worse than the instances before"
-    plan = plan_order(5)
+    form = plan_order(5).root  # the tabulated h5b form
     program = tuple(
         replace(ins, const=float("nan")) if isinstance(ins, Lin) and ins.const else ins
-        for ins in plan.program
+        for ins in form.program
     )
     broken = FactorPlan(TableForm("h5-nan", 5, program))
     monkeypatch.setattr(

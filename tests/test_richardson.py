@@ -20,6 +20,7 @@ from seriesinv import (
 )
 from seriesinv.series_toolkit import horner_eval
 from seriesinv.matrix_core import MulCounter
+from seriesinv.richardson import _power_sum
 
 
 def scalar_setup(dim, rho, rng):
@@ -164,6 +165,21 @@ class TestDirectStep:
 
 
 class TestRecursiveStep:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_stacked_power_sum_equals_each_2d_sum_bitwise(self, rng, n):
+        gamma = rng.standard_normal((4, 6, 6)) / 6
+        gamma[0, 1, 2] = -0.0
+        ctr = MulCounter()
+        stacked = _power_sum(gamma, n, ctr)
+        assert stacked.shape == gamma.shape
+        assert ctr.mmm == 4 * max(n - 2, 0)
+        for i in range(4):
+            one = MulCounter()
+            alone = _power_sum(gamma[i], n, one)
+            assert one.mmm == max(n - 2, 0)
+            assert np.array_equal(stacked[i], alone)
+            assert np.array_equal(np.signbit(stacked[i]), np.signbit(alone))
+
     def test_requires_matching_neumann_order(self, rng):
         a, sp, theta_star, b = scalar_setup(4, 0.9, rng)
         st = initial_richardson(sp, b, order=2, q=3)
