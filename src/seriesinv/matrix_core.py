@@ -49,7 +49,6 @@ __all__ = [
     "load_vector",
     "mat_mul",
     "mat_pow",
-    "mat_pow_counted",
     "mat_vec",
     "residual_of",
     "run_branches",
@@ -198,8 +197,7 @@ def mat_pow(a: np.ndarray, e: int) -> np.ndarray:
     """``a**e`` by binary exponentiation, ``a**0 == I``.
 
     Deliberately uncounted: this is the oracle used to check the closed-form
-    residual exponents, not an algorithm under test.  Use
-    :func:`mat_pow_counted` when the powers belong to a cost model.
+    residual exponents, not an algorithm under test.
     """
     if e < 0:
         raise ValueError("exponent must be non-negative")
@@ -211,23 +209,6 @@ def mat_pow(a: np.ndarray, e: int) -> np.ndarray:
         e >>= 1
         if e:
             base = base @ base
-    return result
-
-
-def mat_pow_counted(a: np.ndarray, e: int, ctr: MulCounter) -> np.ndarray:
-    """Binary exponentiation with every product ticked on the counter."""
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    if e == 0:
-        return identity(a.shape[0])
-    base = np.array(a)
-    result = None
-    while e > 0:
-        if e & 1:
-            result = base if result is None else mat_mul(result, base, ctr)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base, ctr)
     return result
 
 

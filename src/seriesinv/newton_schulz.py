@@ -23,12 +23,11 @@ Variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 from numbers import Integral
 
 import numpy as np
 
-from .matrix_core import MulCounter, fro_norm, mat_mul, residual_of, run_branches
+from .matrix_core import MulCounter, mat_mul, residual_of, run_branches
 from .series_toolkit import FactorPlan, factored_eval, geometric_apply, horner_eval, nested_eval
 from .splitting import Splitting
 
@@ -41,16 +40,12 @@ __all__ = [
     "classical_exponent",
     "composite_exponent",
     "composite_step",
-    "converged",
     "double_exponent",
     "double_ns_step",
     "initial_double",
     "initial_series",
     "ns_step",
-    "run_until_converged",
 ]
-
-DEFAULT_MAX_STEPS = 30
 
 
 @dataclass
@@ -97,10 +92,6 @@ class CompositeSpec:
             raise ValueError("composite spec needs at least one rate")
         if not all(isinstance(x, Integral) and x >= 1 for x in self.rates):
             raise ValueError("rates must be positive integers")
-
-    @property
-    def width(self) -> int:
-        return len(self.rates)
 
 
 def initial_series(split: Splitting, p: int, w: int, order: int = 2) -> NsState:
@@ -273,21 +264,6 @@ def additive_correction_step(
     g_new = mat_mul(f_prev, z_new, ctr)
     g_new += g
     return z_new, g_new
-
-
-def converged(st: NsState | DoubleNsState) -> bool:
-    """Default stopping rule: ||F_k||_F at float-noise level for the size."""
-    dim = st.residual.shape[0]
-    return fro_norm(st.residual) <= 1e-13 * sqrt(dim)
-
-
-def run_until_converged(
-    st: NsState, a: np.ndarray, max_steps: int = DEFAULT_MAX_STEPS
-) -> NsState:
-    """Drive classical steps until :func:`converged` or the step cap."""
-    while st.step < max_steps and not converged(st):
-        st = ns_step(st, a)
-    return st
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .splitting import Splitting
 
 __all__ = [
     "RichardsonState",
-    "TransientModel",
     "cumulative_exponent",
     "cumulative_exponent_closed",
     "initial_richardson",
@@ -42,7 +41,6 @@ __all__ = [
     "richardson_step",
     "step_exponent_general",
     "step_exponent_qn",
-    "transient_model",
 ]
 
 
@@ -229,38 +227,3 @@ def cumulative_exponent_closed(k: int, n: int, h: int) -> int:
     if rem:
         raise ArithmeticError(f"closed form not divisible: {num} / {(n - 1) ** 2}")
     return quo
-
-
-@dataclass(frozen=True)
-class TransientModel:
-    """Predicted contraction at step k: ||mismatch_k|| <= bound.
-
-    ``bound`` is rho**total_exponent scaled by the initial mismatch norm
-    (1.0 when not supplied, i.e. a pure contraction factor).
-    """
-
-    total_exponent: int
-    step_exponent: int
-    rho: float
-    bound: float
-
-
-def transient_model(
-    k: int,
-    n: int,
-    h: int,
-    rho: float,
-    q: int | None = None,
-    theta0_norm: float = 1.0,
-) -> TransientModel:
-    """Evaluate the transient model at step k for measured radius rho."""
-    if k < 1:
-        raise ValueError("transient model starts at step 1")
-    q = n if q is None else q
-    total = cumulative_exponent(k, n, h, q)
-    return TransientModel(
-        total_exponent=total,
-        step_exponent=step_exponent_general(k, n, h, q),
-        rho=rho,
-        bound=float(rho) ** total * theta0_norm,
-    )

@@ -45,7 +45,6 @@ from .matrix_core import (
     fro_norm,
     identity_constant,
     mat_mul,
-    mat_pow_counted,
     residual_of,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "factored_mmm",
     "geometric_apply",
     "horner_eval",
-    "horner_iterates",
     "nested_eval",
     "order45_plan",
     "plan_order",
@@ -310,19 +308,6 @@ def _node_str(node: PlanNode) -> str:
 # ---------------------------------------------------------------------------
 
 
-def horner_iterates(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> list[np.ndarray]:
-    """Every Horner iterate ``[S_1 X, ..., S_h X]`` from one pass of ``h - 1``
-    products; entry ``i`` is bitwise equal to ``horner_eval(y, x, i + 1)``."""
-    if h < 1:
-        raise ValueError("order h must be >= 1")
-    sums = [x]
-    for _ in range(h - 1):
-        z = mat_mul(y, sums[-1], ctr)
-        z += x
-        sums.append(z)
-    return sums
-
-
 def horner_eval(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> np.ndarray:
     """``(I + Y + ... + Y^(h-1)) X`` by the Horner recursion, Y supplied;
     exactly ``h - 1`` products."""
@@ -478,27 +463,28 @@ def geometric_apply(
     a: np.ndarray,
     ctr: MulCounter,
 ) -> np.ndarray:
-    """``S_order(Y) X`` for arbitrary order, Y supplied.
-
-    Orders up to 64 go through :func:`plan_order`; beyond that the sum is
-    doubled, ``S_2t = (I + Y^t) S_t``, with the power taken by counted
-    repeated squaring.
-    """
+    """``S_order(Y) X`` for arbitrary order, Y supplied; the counter moves
+    by the order's plan ``mmm_poly`` (see :func:`_geometric_plan`)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if order == 1:
         return np.array(x)
+    return _execute(_geometric_plan(order).program, y, x, a, ctr)
+
+
+@lru_cache(maxsize=128)
+def _geometric_plan(order: int) -> FactorPlan:
+    """The plan :func:`geometric_apply` runs: :func:`plan_order` up to
+    ``MAX_PLAN_ORDER``; above it, an even order 2t doubles the plan for t,
+    ``S_2t = (I + Y^t) S_t`` with ``Y^t = I - S_t X A`` from one
+    ``Residual``, and an odd order wraps the order below it.  Built once
+    per order."""
     if order <= MAX_PLAN_ORDER:
-        return _execute(plan_order(order).program, y, x, a, ctr)
-    half = order // 2
-    t = geometric_apply(y, x, half, a, ctr)
-    y_half = mat_pow_counted(y, half, ctr)
-    z = mat_mul(y_half, t, ctr)
-    z += t
+        return plan_order(order)
     if order % 2:
-        z = mat_mul(y, z, ctr)
-        z += x
-    return z
+        return FactorPlan(PrimeWrap(_geometric_plan(order - 1).root))
+    t = order // 2
+    return FactorPlan(Split(p=t - 1, w=2, inner=_geometric_plan(t).root, outer=Horner(2)))
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,18 @@ def power_iteration_oracle(a, tol=1e-12, max_iter=10000, seed=0):
     return ("cap", best, message)
 
 
+def horner_iterates(y, x, h, ctr):
+    """Every Horner iterate ``[S_1 X, ..., S_h X]`` from one pass of
+    ``h - 1`` products, entry ``i`` bitwise equal to ``horner_eval(y, x,
+    i + 1)``: the references of the per-instance verify-tables oracle."""
+    sums = [x]
+    for _ in range(h - 1):
+        z = mat_mul(y, sums[-1], ctr)
+        z += x
+        sums.append(z)
+    return sums
+
+
 def plan_oracle(program, y, x, a, ctr):
     """The dict-register interpreter the slot executor must match bit for
     bit and count for count: registers kept by key, an ``isinstance``

@@ -40,7 +40,6 @@ from seriesinv import (
 from seriesinv.matrix_core import (
     identity_constant,
     mat_pow,
-    mat_pow_counted,
     subtract_from_identity,
 )
 from seriesinv.richardson import _power_sum
@@ -307,7 +306,6 @@ class TestIdentityConstant:
         self._fresh(got, DIM)
         got += 1.0
         self._fresh(mat_pow(a, 0), DIM)
-        self._fresh(mat_pow_counted(a, 0, MulCounter()), DIM)
 
     def test_lin_result_is_fresh(self, rng):
         sp = split_scalar(random_spd(DIM, rng))

@@ -386,6 +386,16 @@ class TestSurfaces:
         rows = parse_exponent_surface(out.out)
         assert rows[-1][4:] == (float("inf"), float("inf"))
 
+    @pytest.mark.parametrize(
+        "kind, n_max, k_max", [("fig2", "200", "200"), ("fig3", "3", "2000")]
+    )
+    def test_baseline_exponent_out_of_float_range_prints_inf(self, capsys, kind, n_max, k_max):
+        assert main(["surfaces", "--kind", kind, "--n-max", n_max, "--k-max", k_max]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        rows = parse_exponent_surface(out.out)
+        assert rows[-1][3:] == (float("inf"), 0.0, 0.0)
+
     @pytest.mark.parametrize("kind", ["fig2", "fig3"])
     def test_powers_above_one_in_range_unchanged(self, capsys, kind):
         args = ["--rho", "1.001", "--n-max", "3", "--k-max", "3"]

@@ -46,6 +46,7 @@ from seriesinv.newton_schulz import (
 from seriesinv.matrix_core import fro_norm, mat_vec
 from seriesinv.richardson import (
     cumulative_exponent,
+    cumulative_exponent_closed,
     richardson_recursive_step,
     richardson_step,
 )
@@ -524,6 +525,19 @@ class TestSurfaces:
         assert math.inf in powers
         assert all(p >= 2.0 for p in powers)
         assert all(p == math.inf for e, p in ((row[2], row[4]) for row in rows) if e > 1024)
+
+    @pytest.mark.parametrize(
+        "kind, n, ks", [("fig2", 200, range(199, 201)), ("fig3", 3, range(2000, 2001))]
+    )
+    @pytest.mark.parametrize("rho, power", [(0.99, 0.0), (1.0, 1.0), (2.0, math.inf)])
+    def test_baseline_exponent_out_of_float_range_reads_inf(self, kind, n, ks, rho, power):
+        # a baseline exponent past float range is written as its limit inf,
+        # and both powers as their limit rho**inf
+        text = emit_exponent_surface(kind, range(n, n + 1), ks, rho=rho)
+        rows = parse_exponent_surface(text)
+        exponent = double_exponent if kind == "fig2" else cumulative_exponent_closed
+        assert [row[:3] for row in rows] == [(n, k, exponent(k, n, 1)) for k in ks]
+        assert all(row[3:] == (math.inf, power, power) for row in rows)
 
     def test_powers_in_range_unchanged_above_one(self):
         assert emit_exponent_surface("fig2", range(2, 4), range(1, 4), rho=1.001) == (

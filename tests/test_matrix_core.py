@@ -13,7 +13,6 @@ from seriesinv import (
     load_vector,
     mat_mul,
     mat_pow,
-    mat_pow_counted,
     mat_vec,
     save_matrix,
     save_vector,
@@ -123,14 +122,6 @@ class TestMatPow:
         with pytest.raises(ValueError):
             mat_pow(np.eye(2), -1)
 
-    def test_counted_variant_ticks(self, rng):
-        m = rng.standard_normal((3, 3))
-        ctr = MulCounter()
-        out = mat_pow_counted(m, 6, ctr)
-        assert np.allclose(out, mat_pow(m, 6), rtol=1e-12, atol=1e-15)
-        assert ctr.mmm > 0
-        assert np.array_equal(mat_pow_counted(m, 0, MulCounter()), np.eye(3))
-
     @pytest.mark.parametrize("e1,e2", [(0, 5), (1, 1), (7, 13), (31, 64), (64, 64)])
     def test_power_additivity(self, rng, e1, e2):
         m = rng.standard_normal((4, 4))
@@ -158,7 +149,7 @@ def test_counter_determinism(rng):
     def workload():
         ctr = MulCounter()
         m = mat_mul(a, a, ctr)
-        mat_pow_counted(m, 9, ctr)
+        mat_mul(m, m, ctr)
         mat_vec(m, np.ones(4), ctr)
         return ctr.mmm, ctr.mvm
 

@@ -12,7 +12,6 @@ from seriesinv import (
     classical_exponent,
     composite_exponent,
     composite_step,
-    converged,
     double_exponent,
     double_ns_step,
     fro_norm,
@@ -21,7 +20,6 @@ from seriesinv import (
     mat_pow,
     ns_step,
     plan_order,
-    run_until_converged,
     split_diagonal,
     square_matrix,
 )
@@ -189,7 +187,7 @@ class TestCompositeStep:
             CompositeSpec(rates)
 
     def test_numpy_integer_rates_accepted(self):
-        assert CompositeSpec((np.int64(2), 3)).width == 2
+        assert CompositeSpec((np.int64(2), 3)).rates == (2, 3)
 
     def test_step_dependent_rates_run(self, rng):
         # rates m**k per step: e_k = w m^k + n e_(k-1)
@@ -355,21 +353,3 @@ class TestExponentModels:
                     e_l, e_f = additive_exponents(k, n, h)
                     assert_power_law(eye - z @ a, sp.residual, e_l)
                     assert_power_law(eye - g @ a, sp.residual, e_f)
-
-
-def test_convergence_helper(rng):
-    a, sp = diag_system(4, 0.5, rng)
-    st = initial_series(sp, 0, 1, order=4)
-    assert not converged(st)
-    for _ in range(6):
-        st = ns_step(st, a)
-    assert converged(st)
-
-
-def test_run_until_converged(rng):
-    a, sp = diag_system(4, 0.5, rng)
-    st = run_until_converged(initial_series(sp, 0, 1, order=3), a)
-    assert converged(st)
-    assert st.step <= 30
-    capped = run_until_converged(initial_series(sp, 0, 1, order=2), a, max_steps=1)
-    assert capped.step == 1

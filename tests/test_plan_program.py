@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import plan_oracle, random_spd
+from corpus import horner_iterates, plan_oracle, random_spd
 from seriesinv import (
     FactorPlan,
     Horner,
@@ -38,7 +38,7 @@ from seriesinv import (
 )
 from seriesinv import harness, series_toolkit
 from seriesinv.matrix_core import fro_norms
-from seriesinv.series_toolkit import TABLE_LABELS, Lin, Mul, Residual, horner_iterates
+from seriesinv.series_toolkit import TABLE_LABELS, Lin, Mul, Residual
 
 
 def all_plans():
@@ -152,6 +152,37 @@ def test_stacked_geometric_apply_and_references_bitwise():
     for i in range(3):
         for h, ref in enumerate(horner_iterates(y[i], x[i], 45, MulCounter())):
             assert same_bits(refs[h][i], ref)
+
+
+# mmm_poly of the plan geometric_apply runs above plan_order's range; the
+# doubling loop it replaced took 16, 17, 24, 26 and 61 products
+ABOVE_PLAN_ORDER_COUNTS = {65: 12, 100: 11, 130: 14, 200: 13, 1000: 20}
+
+
+@pytest.mark.parametrize("order", sorted(ABOVE_PLAN_ORDER_COUNTS))
+def test_geometric_apply_above_64_runs_one_plan(order):
+    # an even order 2t doubles the plan for t, an odd order wraps the one
+    # below; the counter moves by the plan's mmm_poly, k times for a stack
+    plan = series_toolkit._geometric_plan(order)
+    assert plan is series_toolkit._geometric_plan(order)
+    assert (plan.order_h, plan.mmm_poly) == (order, ABOVE_PLAN_ORDER_COUNTS[order])
+    k = 3
+    x, y, a = stacked_instances(4, k, seed=order)
+    ctr = MulCounter()
+    z = geometric_apply(y, x, order, a, ctr)
+    assert ctr.mmm == k * plan.mmm_poly
+    for i in range(k):
+        one = MulCounter()
+        zi = geometric_apply(y[i], x[i], order, a[i], one)
+        assert one.mmm == plan.mmm_poly
+        assert same_bits(z[i], zi)
+        ref = horner_eval(y[i], x[i], order, MulCounter())
+        assert fro_norm(zi - ref) <= 1e-9 * fro_norm(ref)
+
+
+def test_geometric_apply_up_to_64_runs_plan_order():
+    for h in range(2, 65):
+        assert series_toolkit._geometric_plan(h) is plan_order(h)
 
 
 def test_cost_is_the_number_of_counted_instructions():
@@ -277,12 +308,15 @@ def test_evaluation_never_walks_the_tree(monkeypatch):
     factored_eval(y[0], x[0], a[0], 8, 5, MulCounter())
     horner_eval(y[0], x[0], 5, MulCounter())
     toolkit_check(instances=2, dim=5, seed=1)  # every plan compiled beforehand
+    plans = all_plans()
+    # a plan above order 64 is built once per order, then cached
+    geometric_apply(y[0], x[0], 200, a[0], MulCounter())
 
     def forbidden(*args):
         raise AssertionError("tree walker called during evaluation")
 
     monkeypatch.setattr(series_toolkit, "_lower", forbidden)
-    for _, plan in all_plans():
+    for _, plan in plans:
         nested_eval(None, x, a, plan, MulCounter())
         nested_eval(None, x[0], a[0], plan, MulCounter())
     geometric_apply(y[0], x[0], 200, a[0], MulCounter())
@@ -346,6 +380,19 @@ def test_default_check_matches_per_instance_oracle():
     got = toolkit_check()
     assert got == per_instance_toolkit_check()
     assert got[0]
+
+
+def test_check_keeps_a_few_stacks():
+    # one advancing Horner sum, not all 45 references: at dim 64 a stack of
+    # 50 instances is 1.6 MiB, and keeping every reference peaked at 89 MiB
+    tracemalloc.start()
+    try:
+        ok, _ = toolkit_check(50, 64, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak <= 40 * 2**20, peak / 2**20
 
 
 def test_stacked_norms_equal_fro_norm_bitwise():

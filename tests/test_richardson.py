@@ -16,7 +16,6 @@ from seriesinv import (
     split_scalar,
     step_exponent_general,
     step_exponent_qn,
-    transient_model,
 )
 from seriesinv.series_toolkit import horner_eval
 from seriesinv.matrix_core import MulCounter
@@ -78,23 +77,12 @@ class TestStepExponents:
                     for q in (None, n, n + 1):
                         total = cumulative_oracle(k, n, h, q)
                         assert cumulative_exponent(k, n, h, q) == total
-                        tm = transient_model(k, n, h, rho=0.97, q=q, theta0_norm=1.5)
-                        assert tm.total_exponent == total
-                        assert tm.step_exponent == step_oracle(k, n, h, q)
-                        assert tm.bound == 0.97**total * 1.5
+                        step = step_exponent_general(k, n, h, n if q is None else q)
+                        assert step == step_oracle(k, n, h, q)
 
     def test_closed_form_rejects_first_order(self):
         with pytest.raises(ValueError):
             cumulative_exponent_closed(3, 1, 1)
-
-    def test_transient_model_fields(self):
-        tm = transient_model(3, 2, 1, rho=0.5, theta0_norm=2.0)
-        assert tm.total_exponent == 192
-        assert tm.step_exponent == 128
-        assert tm.bound == pytest.approx(2.0 * 0.5**192)
-        tq = transient_model(1, 2, 1, rho=0.9, q=3)
-        assert tq.step_exponent == 22
-        assert tq.total_exponent == 22
 
 
 class TestDirectStep:
