@@ -10,7 +10,6 @@ from .matrix_core import (
     load_matrix,
     load_vector,
     mat_mul,
-    mat_pow,
     mat_vec,
     residual_of,
     save_matrix,

@@ -6,8 +6,8 @@ works on plain float64 numpy arrays validated by :func:`square_matrix` /
 through :func:`mat_mul` / :func:`mat_vec`, which tick a :class:`MulCounter`;
 the one exception is the plan executor in ``series_toolkit``, which runs the
 products of a lowered program inline and ticks the counter by the same rule.
-Oracle helpers such as :func:`mat_pow` stay uncounted on purpose so that
-cost comparisons between algorithms remain honest.
+Uncounted oracles, such as the ``mat_pow`` the exponent-law tests compare
+against, live with the tests.
 
 Stacked operands: :func:`mat_mul`, :func:`residual_of` and
 :func:`subtract_from_identity` also take ``(k, n, n)`` stacks of k
@@ -48,7 +48,6 @@ __all__ = [
     "load_matrix",
     "load_vector",
     "mat_mul",
-    "mat_pow",
     "mat_vec",
     "residual_of",
     "run_branches",
@@ -193,25 +192,6 @@ def mat_vec(a: np.ndarray, v: np.ndarray, ctr: MulCounter) -> np.ndarray:
     return a @ v
 
 
-def mat_pow(a: np.ndarray, e: int) -> np.ndarray:
-    """``a**e`` by binary exponentiation, ``a**0 == I``.
-
-    Deliberately uncounted: this is the oracle used to check the closed-form
-    residual exponents, not an algorithm under test.
-    """
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    result = identity(a.shape[0])
-    base = np.array(a)
-    while e > 0:
-        if e & 1:
-            result = result @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    return result
-
-
 def fro_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a * a)))
 
@@ -309,8 +289,12 @@ def spectral_radius(
 
 # ---------------------------------------------------------------------------
 # Text file format (shared with the CLI):
-#   matrix: first line "dim", then dim lines of dim reals; '#' starts a
-#   comment line.  Vectors use the same layout with one value per line.
+#   a "dim" line, then the values; blank lines and lines starting with '#'
+#   are skipped.  A matrix has dim rows of dim values; a vector has dim
+#   values, any number per line.  The writers put "# " before each comment
+#   line, each value as "%.17g" (which reads back bitwise), single spaces
+#   between the values of a row, one vector value per line, and "\n" after
+#   every line.
 # ---------------------------------------------------------------------------
 
 
@@ -324,55 +308,83 @@ def _data_lines(text: str) -> list[str]:
     return lines
 
 
+def _read_data(path, kind: str) -> tuple[int, list[str]]:
+    """The ``dim`` of a matrix or vector file and its data lines after the
+    ``dim`` line, stripped; every error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            lines = _data_lines(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not lines:
+        raise ValueError(f"{path}: empty {kind} file")
+    try:
+        dim = int(lines[0])
+    except ValueError:
+        dim = 0
+    if dim < 1:
+        raise ValueError(f"{path}: dim line must be a positive integer, got {lines[0]!r}")
+    return dim, lines[1:]
+
+
 def load_matrix(path) -> np.ndarray:
     """Read a square matrix from the plain-text format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _data_lines(fh.read())
-    if not lines:
-        raise ValueError(f"{path}: empty matrix file")
-    dim = int(lines[0])
-    if dim < 1:
-        raise ValueError(f"{path}: dimension must be positive, got {dim}")
-    if len(lines) != 1 + dim:
-        raise ValueError(f"{path}: expected {dim} data rows, got {len(lines) - 1}")
+    dim, lines = _read_data(path, "matrix")
+    if len(lines) != dim:
+        raise ValueError(f"{path}: expected {dim} data rows, got {len(lines)}")
     rows = []
-    for i, line in enumerate(lines[1:]):
-        row = [float(tok) for tok in line.split()]
+    for i, line in enumerate(lines):
+        try:
+            row = [float(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {i}: {exc}") from None
         if len(row) != dim:
-            raise ValueError(f"{path}: row {i} has {len(row)} entries, expected {dim}")
+            raise ValueError(f"{path}: row {i}: has {len(row)} entries, expected {dim}")
         rows.append(row)
-    return square_matrix(rows)
-
-
-def save_matrix(path, a: np.ndarray, comment: str | None = None) -> None:
-    a = square_matrix(a)
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write(f"{a.shape[0]}\n")
-        for row in a:
-            fh.write(" ".join(format(x, ".17g") for x in row) + "\n")
+    try:
+        return square_matrix(rows)
+    except ValueError as exc:
+        # the shape is right by now, so an entry overflowed or read as nan
+        i = next(i for i, row in enumerate(rows) if not all(map(math.isfinite, row)))
+        raise ValueError(f"{path}: row {i}: {exc}") from None
 
 
 def load_vector(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _data_lines(fh.read())
-    if not lines:
-        raise ValueError(f"{path}: empty vector file")
-    dim = int(lines[0])
-    values = [float(tok) for line in lines[1:] for tok in line.split()]
+    """Read a vector from the plain-text format."""
+    dim, lines = _read_data(path, "vector")
+    try:
+        values = [float(tok) for line in lines for tok in line.split()]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(values) != dim:
         raise ValueError(f"{path}: expected {dim} entries, got {len(values)}")
-    return vector(values)
+    try:
+        return vector(values)
+    except ValueError as exc:
+        # the count is right by now, so an entry overflowed or read as nan
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _write_header(fh, comment: str | None, dim: int) -> None:
+    if comment:
+        for line in comment.splitlines():
+            fh.write(f"# {line}\n")
+    fh.write(f"{dim}\n")
+
+
+def save_matrix(path, a: np.ndarray, comment: str | None = None) -> None:
+    """Write a square matrix in the plain-text format, one row at a time."""
+    a = square_matrix(a)
+    row_format = " ".join(["%.17g"] * a.shape[0]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_header(fh, comment, a.shape[0])
+        for row in a:
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def save_vector(path, v: np.ndarray, comment: str | None = None) -> None:
+    """Write a vector in the plain-text format, one value per line."""
     v = vector(v)
     with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write(f"{v.size}\n")
-        for x in v:
-            fh.write(format(x, ".17g") + "\n")
+        _write_header(fh, comment, v.size)
+        fh.write("".join(["%.17g\n" % x for x in v.tolist()]))

@@ -7,7 +7,7 @@ comparison is only meaningful while ||B**e|| sits well above float noise.
 
 import numpy as np
 
-from seriesinv import fro_norm, inf_norm, mat_pow, square_matrix
+from seriesinv import fro_norm, inf_norm, square_matrix
 from seriesinv.matrix_core import identity_constant, mat_mul, residual_of
 from seriesinv.series_toolkit import Mul, Residual
 
@@ -64,6 +64,25 @@ def contractive_scalar_system(dim, rho, rng):
     raise RuntimeError("could not build a contractive system")
 
 
+def mat_pow(a, e):
+    """``a**e`` by binary exponentiation, ``a**0 == I``.
+
+    Deliberately uncounted: the oracle the closed-form residual exponents
+    are checked against, not an algorithm under test.
+    """
+    if e < 0:
+        raise ValueError("exponent must be non-negative")
+    result = np.eye(a.shape[0])
+    base = np.array(a)
+    while e > 0:
+        if e & 1:
+            result = result @ base
+        e >>= 1
+        if e:
+            base = base @ base
+    return result
+
+
 def assert_power_law(f_mat, b_mat, exponent, rel=1e-8):
     """Check F == B**exponent with the underflow guard.
 
@@ -77,6 +96,20 @@ def assert_power_law(f_mat, b_mat, exponent, rel=1e-8):
         assert fro_norm(f_mat) <= 1e-200
     else:
         assert fro_norm(f_mat - target) <= rel * scale
+
+
+def text_file_oracle(values, comment=None):
+    """The bytes ``save_matrix`` / ``save_vector`` must write: the former
+    writer, one ``format(x, ".17g")`` per numpy scalar, a matrix row or one
+    vector value per line."""
+    out = [f"# {line}\n" for line in comment.splitlines()] if comment else []
+    out.append(f"{len(values)}\n")
+    for row in values:
+        if values.ndim == 2:
+            out.append(" ".join(format(x, ".17g") for x in row) + "\n")
+        else:
+            out.append(format(row, ".17g") + "\n")
+    return "".join(out).encode("utf-8")
 
 
 def power_iteration_oracle(a, tol=1e-12, max_iter=10000, seed=0):

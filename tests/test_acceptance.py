@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from corpus import assert_power_law, contractive_scalar_system, sdd_system
+from corpus import assert_power_law, contractive_scalar_system, mat_pow, sdd_system
 from seriesinv import (
     HarmonicRegressorSpec,
     MethodSpec,
@@ -31,7 +31,6 @@ from seriesinv import (
     initial_double,
     initial_richardson,
     initial_series,
-    mat_pow,
     nested_eval,
     ns_step,
     order45_plan,

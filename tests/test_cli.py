@@ -184,6 +184,15 @@ class TestErrorHandling:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unreadable_matrix_file_names_file_and_row(self, tmp_path, capsys):
+        mat = tmp_path / "bad.mat"
+        mat.write_text("2\n1 x\n3 4\n")
+        rc = main(["invert", "--matrix", str(mat), "--method", "ns", "--steps", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {mat}: row 0: could not convert string to float: 'x'\n"
+        )
+
     def test_indefinite_matrix(self, tmp_path, capsys):
         mat = tmp_path / "bad.mat"
         save_matrix(mat, np.array([[1.0, 2.0], [2.0, 1.0]]))

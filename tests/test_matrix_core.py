@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import power_iteration_oracle, random_spd
+from corpus import mat_pow, power_iteration_oracle, random_spd, text_file_oracle
 from seriesinv import (
     MulCounter,
     SpectralRadiusError,
@@ -12,7 +12,6 @@ from seriesinv import (
     load_matrix,
     load_vector,
     mat_mul,
-    mat_pow,
     mat_vec,
     save_matrix,
     save_vector,
@@ -307,8 +306,144 @@ class TestFileFormat:
     def test_bad_row_width(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("2\n1 2 3\n4 5\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"m\.txt: row 0: has 3 entries, expected 2"):
             load_matrix(path)
+
+    def test_bad_token_names_file_and_row(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2\n1 2\n3 x\n")
+        with pytest.raises(ValueError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: row 1: could not convert string to float: 'x'"
+
+    def test_non_finite_entry_names_file_and_row(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2\n1 2\n3 1e999\n")
+        with pytest.raises(ValueError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: row 1: matrix entries must be finite"
+
+    @pytest.mark.parametrize("kind", ["matrix", "vector"])
+    @pytest.mark.parametrize("dim_line", ["two", "-1", "0", "2.0"])
+    def test_dim_line_must_be_a_positive_integer(self, tmp_path, kind, dim_line):
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(f"{dim_line}\n1 2\n3 4\n")
+        load = {"matrix": load_matrix, "vector": load_vector}[kind]
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value) == (
+            f"{path}: dim line must be a positive integer, got {dim_line!r}"
+        )
+
+    @pytest.mark.parametrize("kind", ["matrix", "vector"])
+    def test_empty_file_names_file(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.txt"
+        path.write_text("# only a comment\n\n")
+        load = {"matrix": load_matrix, "vector": load_vector}[kind]
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: empty {kind} file"
+
+    @pytest.mark.parametrize("kind", ["matrix", "vector"])
+    def test_non_utf8_file_names_file(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(b"1\n\xff\n")
+        load = {"matrix": load_matrix, "vector": load_vector}[kind]
+        with pytest.raises(ValueError, match=f"^{path}: 'utf-8' codec can't decode"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\n1\nx\n", "could not convert string to float: 'x'"),
+            ("3\n1\n2\n", "expected 3 entries, got 2"),
+            ("2\n1\ninf\n", "vector entries must be finite"),
+        ],
+    )
+    def test_vector_errors_name_file(self, tmp_path, text, message):
+        path = tmp_path / "v.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_vector(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_vector_may_hold_several_values_per_line(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("# rhs\n4\n1 2\n3\n\n4\n")
+        assert np.array_equal(load_vector(path), [1.0, 2.0, 3.0, 4.0])
+
+
+SPECIAL_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 3.0,
+]
+
+
+def _finite_bit_patterns(count, rng):
+    """``count`` float64 values drawn as uniform 64-bit patterns, the
+    non-finite ones dropped."""
+    values = np.empty(0)
+    while values.size < count:
+        bits = rng.integers(0, 2**64, size=count, dtype=np.uint64)
+        drawn = bits.view(np.float64)
+        values = np.concatenate([values, drawn[np.isfinite(drawn)]])
+    return values[:count]
+
+
+class TestFileBytes:
+    """The writers' bytes against the former per-element writer."""
+
+    @staticmethod
+    def _check_matrix(tmp_path, a, comment=None):
+        path = tmp_path / "m.txt"
+        save_matrix(path, a, comment=comment)
+        assert path.read_bytes() == text_file_oracle(np.asarray(a), comment)
+        back = load_matrix(path)
+        assert np.array_equal(back, a) and np.array_equal(np.signbit(back), np.signbit(a))
+
+    @staticmethod
+    def _check_vector(tmp_path, v, comment=None):
+        path = tmp_path / "v.txt"
+        save_vector(path, v, comment=comment)
+        assert path.read_bytes() == text_file_oracle(np.asarray(v), comment)
+        back = load_vector(path)
+        assert np.array_equal(back, v) and np.array_equal(np.signbit(back), np.signbit(v))
+
+    @pytest.mark.parametrize("x", SPECIAL_VALUES)
+    def test_special_values(self, tmp_path, x):
+        self._check_matrix(tmp_path, np.array([[x]]))
+        self._check_vector(tmp_path, np.array([x]))
+
+    def test_special_values_in_one_row(self, tmp_path):
+        n = len(SPECIAL_VALUES)
+        a = np.tile(SPECIAL_VALUES, (n, 1))
+        self._check_matrix(tmp_path, a)
+        self._check_vector(tmp_path, np.array(SPECIAL_VALUES))
+
+    def test_random_spd_512(self, tmp_path):
+        self._check_matrix(tmp_path, random_spd(512, np.random.default_rng(7)))
+
+    def test_random_bit_patterns(self, tmp_path):
+        values = _finite_bit_patterns(10**5, np.random.default_rng(11))
+        dim = 317  # 317**2 >= 10**5: every pattern lands in a row
+        a = np.concatenate([values, values[: dim * dim - values.size]]).reshape(dim, dim)
+        self._check_matrix(tmp_path, a)
+        self._check_vector(tmp_path, values)
+
+    @pytest.mark.parametrize(
+        "comment", ["one line", "first\nsecond\n\nfourth", "trailing newline\n", ""]
+    )
+    def test_comment_lines(self, tmp_path, comment):
+        a = np.array([[1.0, -0.0], [0.1, 3.0]])
+        self._check_matrix(tmp_path, a, comment=comment)
+        self._check_vector(tmp_path, a[0], comment=comment)
+
+    def test_literal_bytes(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_matrix(path, [[2.5, -0.0], [0.1, 3.0]], comment="a\n\nb")
+        assert path.read_bytes() == b"# a\n# \n# b\n2\n2.5 -0\n0.10000000000000001 3\n"
+        save_vector(path, [0.1, -0.0])
+        assert path.read_bytes() == b"2\n0.10000000000000001\n-0\n"
 
 
 class TestRunBranches:

@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from corpus import assert_power_law, sdd_system
+from corpus import assert_power_law, mat_pow, sdd_system
 from seriesinv import (
     CompositeSpec,
     MulCounter,
@@ -17,7 +17,6 @@ from seriesinv import (
     fro_norm,
     initial_double,
     initial_series,
-    mat_pow,
     ns_step,
     plan_order,
     split_diagonal,

@@ -3,13 +3,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from corpus import contractive_scalar_system, sdd_system
+from corpus import contractive_scalar_system, mat_pow, sdd_system
 from seriesinv import (
     cumulative_exponent,
     cumulative_exponent_closed,
     fro_norm,
     initial_richardson,
-    mat_pow,
     richardson_recursive_step,
     richardson_step,
     split_diagonal,

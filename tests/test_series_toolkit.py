@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import horner_iterates, random_spd
+from corpus import horner_iterates, mat_pow, random_spd
 from seriesinv import (
     FactorPlan,
     Horner,
@@ -14,7 +14,6 @@ from seriesinv import (
     fro_norm,
     geometric_apply,
     horner_eval,
-    mat_pow,
     nested_eval,
     order45_plan,
     plan_order,
