@@ -87,6 +87,14 @@ def _kinds(command: str) -> list[str]:
     return [kind for kind, row in METHODS.items() if row.command == command]
 
 
+def _load_operand(path: str, matrix_path: str, dim: int) -> np.ndarray:
+    """A vector file whose length must be the matrix's dimension."""
+    v = load_vector(path)
+    if v.size != dim:
+        raise ValueError(f"{path}: has {v.size} entries, expected {dim} to match {matrix_path}")
+    return v
+
+
 def _cmd_run(args) -> int:
     method = MethodSpec(
         kind=args.method,
@@ -98,9 +106,13 @@ def _cmd_run(args) -> int:
     a = load_matrix(args.matrix)
     b = theta_star = np.zeros(a.shape[0])
     if args.command == "solve":
-        b = load_vector(args.rhs)
+        b = _load_operand(args.rhs, args.matrix, a.shape[0])
         # Without --theta-star a dense solve is the reference, for reporting only.
-        theta_star = load_vector(args.theta_star) if args.theta_star else np.linalg.solve(a, b)
+        theta_star = (
+            _load_operand(args.theta_star, args.matrix, a.shape[0])
+            if args.theta_star
+            else np.linalg.solve(a, b)
+        )
     records = run_comparison(a, b, theta_star, [method], args.steps, eps=args.eps)
     _write_or_print(records_to_csv(records), args.csv)
     last = records[-1]

@@ -414,7 +414,9 @@ def run_comparison(
     executor=None,
 ) -> list[RunRecord]:
     """Run every method for ``steps`` steps on the same scalar splitting,
-    and every step on its symmetrized A.
+    and every step on its symmetrized A.  ``b`` and ``theta_star`` must
+    have A's dimension; a length that does not is rejected before any
+    matrix work.
 
     ``timer`` (default ``time.perf_counter_ns``) is injectable so runs can
     be made byte-deterministic.  Methods are independent; with ``executor``
@@ -425,9 +427,15 @@ def run_comparison(
     theta_star = vector(theta_star)
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    a = square_matrix(a)
+    for label, v in (("b", b), ("theta_star", theta_star)):
+        if v.size != a.shape[0]:
+            raise ValueError(
+                f"{label} has {v.size} entries, expected {a.shape[0]} to match A"
+            )
     if timer is None:
         timer = time.perf_counter_ns
-    split = split_scalar(square_matrix(a), eps)
+    split = split_scalar(a, eps)
     rho = _measure_rho(split)
 
     if executor is None:
@@ -595,7 +603,11 @@ def toolkit_check(instances: int = 50, dim: int = 5, seed: int = 0) -> tuple[boo
     (relative Frobenius) on every instance and its counter delta must equal
     the predicted count exactly.  The instances are drawn as one
     ``(instances, dim, dim)`` stack and split in one call, so the splitting,
-    the Horner sum and each plan run once over all of them.  Returns
+    the Horner sum and each plan run once over all of them.  Y = I - X A is
+    formed once (one product per instance) for every plan, and plans that
+    lower to the same program at the same order share one run, which must
+    move the counter by its ``mmm_poly`` per instance; each plan still
+    reports its own line and its ``mmm_cost``.  Returns
     (all_ok, report_lines).
     """
     if instances < 1:
@@ -613,33 +625,48 @@ def toolkit_check(instances: int = 50, dim: int = 5, seed: int = 0) -> tuple[boo
 
     m = rng.standard_normal((instances, dim, dim))
     split = split_scalar(m @ np.swapaxes(m, -1, -2) / dim + 0.5 * np.eye(dim))
-    x, y, a = split.precond, split.residual, split.matrix
-    # The plans run in order of h while one Horner sum of every instance
-    # advances, z = Y z + X; each plan's result is checked, then dropped.
-    ref, ref_order = x, 1
-    worst = {}
-    count_ok = True
+    x, b, a = split.precond, split.residual, split.matrix
+    ctr = MulCounter()
+    y = residual_of(x, a, ctr)
+    count_ok = ctr.mmm == instances
+    # One run per distinct (order, program), in order of h; a later plan
+    # replaces an earlier one in its run, so an order's plan_order program
+    # (listed after the tables) is the one executed.
+    runs: dict = {}
+    row_of = {}
     for name, plan in sorted(plans, key=lambda named: named[1].order_h):
+        run = runs.setdefault((plan.order_h, plan.program), [len(runs), plan])
+        run[1] = plan
+        row_of[name] = run[0]
+    # The runs go in order of h while one Horner sum of every instance
+    # advances, z = B z + X; each run's error norms are kept, its result
+    # dropped.
+    errs = np.empty((len(runs), instances))
+    ref_norms = np.empty((CHECK_MAX_ORDER + 1, instances))
+    ref, ref_order = x, 1
+    for row, plan in runs.values():
         while ref_order < plan.order_h:
-            ref = y @ ref
+            ref = b @ ref
             ref += x
             ref_order += 1
-            ref_norms = np.maximum(fro_norms(ref), 1e-300)
-        ctr = MulCounter()
-        # Y was checked when the splitting was built; only re-form it.
-        z = nested_eval(None, x, a, plan, ctr, form_y=True)
-        if ctr.mmm != instances * plan.mmm_cost:
+            ref_norms[ref_order] = fro_norms(ref)
+        before = ctr.mmm
+        z = nested_eval(y, x, a, plan, ctr, form_y=False)
+        if ctr.mmm - before != instances * plan.mmm_poly:
             count_ok = False
         z -= ref
-        worst[name] = float((fro_norms(z) / ref_norms).max())
+        errs[row] = fro_norms(z)
+    orders = [plan.order_h for _, plan in runs.values()]
+    worst = (errs / np.maximum(ref_norms[orders], 1e-300)).max(axis=1).tolist()
 
-    ok = count_ok and all(v <= CHECK_REL_TOL for v in worst.values())
+    ok = count_ok and all(v <= CHECK_REL_TOL for v in worst)
     lines = []
     for name, plan in plans:
-        status = "ok" if worst[name] <= CHECK_REL_TOL else "FAIL"
+        err = worst[row_of[name]]
+        status = "ok" if err <= CHECK_REL_TOL else "FAIL"
         lines.append(
             f"{name:<12} order={plan.order_h:<3} mmm={plan.mmm_cost:<3} "
-            f"max_rel_err={worst[name]:.3e} {status}"
+            f"max_rel_err={err:.3e} {status}"
         )
     if not count_ok:
         lines.append("FAIL: a counter delta disagreed with its plan's mmm cost")

@@ -291,7 +291,8 @@ def spectral_radius(
 # Text file format (shared with the CLI):
 #   a "dim" line, then the values; blank lines and lines starting with '#'
 #   are skipped.  A matrix has dim rows of dim values; a vector has dim
-#   values, any number per line.  The writers put "# " before each comment
+#   values, any number per line, each read by float() but without the
+#   underscores float() accepts.  The writers put "# " before each comment
 #   line, each value as "%.17g" (which reads back bitwise), single spaces
 #   between the values of a row, one vector value per line, and "\n" after
 #   every line.
@@ -308,6 +309,15 @@ def _data_lines(text: str) -> list[str]:
     return lines
 
 
+def _floats(line: str) -> list[float]:
+    """The values of one data line, ``float()`` per token, without the PEP
+    515 underscores ``float()`` accepts (it reads ``1_0`` as 10.0)."""
+    if "_" in line:
+        token = next(tok for tok in line.split() if "_" in tok)
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return [float(tok) for tok in line.split()]
+
+
 def _read_data(path, kind: str) -> tuple[int, list[str]]:
     """The ``dim`` of a matrix or vector file and its data lines after the
     ``dim`` line, stripped; every error names the file."""
@@ -319,7 +329,7 @@ def _read_data(path, kind: str) -> tuple[int, list[str]]:
     if not lines:
         raise ValueError(f"{path}: empty {kind} file")
     try:
-        dim = int(lines[0])
+        dim = int(lines[0]) if "_" not in lines[0] else 0
     except ValueError:
         dim = 0
     if dim < 1:
@@ -335,7 +345,7 @@ def load_matrix(path) -> np.ndarray:
     rows = []
     for i, line in enumerate(lines):
         try:
-            row = [float(tok) for tok in line.split()]
+            row = _floats(line)
         except ValueError as exc:
             raise ValueError(f"{path}: row {i}: {exc}") from None
         if len(row) != dim:
@@ -353,7 +363,7 @@ def load_vector(path) -> np.ndarray:
     """Read a vector from the plain-text format."""
     dim, lines = _read_data(path, "vector")
     try:
-        values = [float(tok) for line in lines for tok in line.split()]
+        values = [value for line in lines for value in _floats(line)]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if len(values) != dim:

@@ -8,8 +8,23 @@ comparison is only meaningful while ||B**e|| sits well above float noise.
 import numpy as np
 
 from seriesinv import fro_norm, inf_norm, square_matrix
-from seriesinv.matrix_core import identity_constant, mat_mul, residual_of
-from seriesinv.series_toolkit import Mul, Residual
+from seriesinv.harness import CHECK_MAX_ORDER, CHECK_REL_TOL
+from seriesinv.matrix_core import (
+    MulCounter,
+    fro_norms,
+    identity_constant,
+    mat_mul,
+    residual_of,
+)
+from seriesinv.series_toolkit import (
+    TABLE_LABELS,
+    Mul,
+    Residual,
+    nested_eval,
+    plan_order,
+    table_plans,
+)
+from seriesinv.splitting import split_scalar
 
 
 def random_spd(dim, rng, shift=0.5):
@@ -191,3 +206,48 @@ def plan_oracle(program, y, x, a, ctr):
         for reg in ins.drop:
             del env[reg]
     return env[dst]
+
+
+def per_plan_toolkit_check(instances=50, dim=5, seed=0):
+    """The check ``toolkit_check`` ran before it shared one Y and one run per
+    distinct program: every catalogue plan re-forms Y through
+    ``nested_eval(form_y=True)`` on the whole stack, is counted at
+    ``instances * mmm_cost``, and is checked against one advancing Horner
+    sum.  Its ``(ok, lines)`` is the report ``toolkit_check`` must print."""
+    rng = np.random.default_rng(seed)
+    catalogue = table_plans()
+    plans = [
+        (f"table:{label}", plan)
+        for order in sorted(catalogue)
+        for label, plan in zip(TABLE_LABELS[order], catalogue[order])
+    ]
+    plans += [(f"plan:{h}", plan_order(h)) for h in range(2, CHECK_MAX_ORDER + 1)]
+    m = rng.standard_normal((instances, dim, dim))
+    split = split_scalar(m @ np.swapaxes(m, -1, -2) / dim + 0.5 * np.eye(dim))
+    x, y, a = split.precond, split.residual, split.matrix
+    ref, ref_order = x, 1
+    worst = {}
+    count_ok = True
+    for name, plan in sorted(plans, key=lambda named: named[1].order_h):
+        while ref_order < plan.order_h:
+            ref = y @ ref
+            ref += x
+            ref_order += 1
+            ref_norms = np.maximum(fro_norms(ref), 1e-300)
+        ctr = MulCounter()
+        z = nested_eval(None, x, a, plan, ctr, form_y=True)
+        if ctr.mmm != instances * plan.mmm_cost:
+            count_ok = False
+        z -= ref
+        worst[name] = float((fro_norms(z) / ref_norms).max())
+    ok = count_ok and all(v <= CHECK_REL_TOL for v in worst.values())
+    lines = []
+    for name, plan in plans:
+        status = "ok" if worst[name] <= CHECK_REL_TOL else "FAIL"
+        lines.append(
+            f"{name:<12} order={plan.order_h:<3} mmm={plan.mmm_cost:<3} "
+            f"max_rel_err={worst[name]:.3e} {status}"
+        )
+    if not count_ok:
+        lines.append("FAIL: a counter delta disagreed with its plan's mmm cost")
+    return ok, lines

@@ -193,6 +193,37 @@ class TestErrorHandling:
             f"error: {mat}: row 0: could not convert string to float: 'x'\n"
         )
 
+    def test_underscore_entry_names_file_and_row(self, tmp_path, capsys):
+        mat = tmp_path / "u.mat"
+        mat.write_text("2\n1_0 0\n0 1\n")
+        rc = main(["invert", "--matrix", str(mat), "--method", "ns", "--steps", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {mat}: row 0: could not convert string to float: '1_0'\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["--rhs", "{rhs}", "--theta-star", "{t5}", "--method", "richardson"],
+        ["--rhs", "{t5}", "--method", "richardson"],
+        ["--rhs", "{t5}", "--theta-star", "{theta}", "--method", "ns-estimator"],
+    ])
+    def test_vector_length_checked_before_any_matrix_work(
+        self, harmonic_files, monkeypatch, capsys, argv
+    ):
+        mat, rhs, theta = harmonic_files
+        t5 = mat.parent / "t5.vec"
+        save_vector(t5, np.arange(1.0, 6.0))
+        calls = []
+        monkeypatch.setattr(harness, "split_scalar", lambda *args: calls.append("split"))
+        monkeypatch.setattr(cli.np.linalg, "solve", lambda *args: calls.append("solve"))
+        argv = [arg.format(rhs=rhs, t5=t5, theta=theta) for arg in argv]
+        rc = main(["solve", "--matrix", str(mat)] + argv)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {t5}: has 5 entries, expected 6 to match {mat}\n"
+        )
+        assert calls == []
+
     def test_indefinite_matrix(self, tmp_path, capsys):
         mat = tmp_path / "bad.mat"
         save_matrix(mat, np.array([[1.0, 2.0], [2.0, 1.0]]))

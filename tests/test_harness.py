@@ -23,6 +23,7 @@ from seriesinv import (
     split_scalar,
     toolkit_check,
 )
+from seriesinv import harness
 from seriesinv.harness import (
     CSV_HEADER,
     DIVERGENCE_FACTOR,
@@ -154,6 +155,17 @@ class TestRunComparison:
         a, b, theta = fixture
         with pytest.raises(ValueError, match="expected a square matrix"):
             run_comparison(np.stack([a, a]), b, theta, [MethodSpec(kind="ns", order=2)], 1)
+
+    @pytest.mark.parametrize("label", ["b", "theta_star"])
+    def test_vector_length_checked_before_any_matrix_work(self, fixture, monkeypatch, label):
+        a, b, theta = fixture
+        vectors = {"b": b, "theta_star": theta}
+        vectors[label] = vectors[label][:5]
+        monkeypatch.setattr(harness, "split_scalar", lambda *args: pytest.fail("split"))
+        with pytest.raises(ValueError) as info:
+            run_comparison(a, vectors["b"], vectors["theta_star"],
+                           [MethodSpec(kind="richardson", order=2)], 1)
+        assert str(info.value) == f"{label} has 5 entries, expected 6 to match A"
 
     def test_zero_steps_yields_initialization_rows(self, fixture):
         a, b, theta = fixture

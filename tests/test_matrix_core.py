@@ -324,7 +324,7 @@ class TestFileFormat:
         assert str(info.value) == f"{path}: row 1: matrix entries must be finite"
 
     @pytest.mark.parametrize("kind", ["matrix", "vector"])
-    @pytest.mark.parametrize("dim_line", ["two", "-1", "0", "2.0"])
+    @pytest.mark.parametrize("dim_line", ["two", "-1", "0", "2.0", "1_0"])
     def test_dim_line_must_be_a_positive_integer(self, tmp_path, kind, dim_line):
         path = tmp_path / f"{kind}.txt"
         path.write_text(f"{dim_line}\n1 2\n3 4\n")
@@ -366,6 +366,26 @@ class TestFileFormat:
         with pytest.raises(ValueError) as info:
             load_vector(path)
         assert str(info.value) == f"{path}: {message}"
+
+    # float() and int() read PEP 515 underscores ("1_0" as 10); the format
+    # has none, so a data line holding one is rejected, a comment is not.
+    def test_underscore_in_matrix_entry_names_file_and_row(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("# a_b\n2\n1 2\n3 1_0\n")
+        with pytest.raises(ValueError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: row 1: could not convert string to float: '1_0'"
+        path.write_text("# a_b\n2\n1 2\n3 10\n")
+        assert np.array_equal(load_matrix(path), [[1.0, 2.0], [3.0, 10.0]])
+
+    def test_underscore_in_vector_entry_names_file(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("# rhs_b\n3\n1\n2 1_0.5\n")
+        with pytest.raises(ValueError) as info:
+            load_vector(path)
+        assert str(info.value) == f"{path}: could not convert string to float: '1_0.5'"
+        path.write_text("# rhs_b\n3\n1\n2 10.5\n")
+        assert np.array_equal(load_vector(path), [1.0, 2.0, 10.5])
 
     def test_vector_may_hold_several_values_per_line(self, tmp_path):
         path = tmp_path / "v.txt"

@@ -6,7 +6,9 @@ instance or on a ``(k, n, n)`` stack.  The dict-register interpreter the
 slot executor replaced is ``corpus.plan_oracle``.  ``toolkit_check`` splits
 all its instances in one stacked call and runs each plan once over the
 stack; the per-instance loop it replaced is kept here as the oracle for its
-report.
+report.  It forms Y once for every plan and runs each distinct program of
+an order once; ``corpus.per_plan_toolkit_check``, where every plan re-forms
+Y and runs, is the oracle for that.
 """
 
 import tracemalloc
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import horner_iterates, plan_oracle, random_spd
+from corpus import horner_iterates, per_plan_toolkit_check, plan_oracle, random_spd
 from seriesinv import (
     FactorPlan,
     Horner,
@@ -380,6 +382,36 @@ def test_default_check_matches_per_instance_oracle():
     got = toolkit_check()
     assert got == per_instance_toolkit_check()
     assert got[0]
+
+
+@pytest.mark.parametrize("instances", [1, 5, 7, 50])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("seed", range(5))
+def test_shared_y_and_runs_match_the_per_plan_check(instances, dim, seed):
+    assert toolkit_check(instances, dim, seed) == per_plan_toolkit_check(instances, dim, seed)
+
+
+def test_default_check_runs_each_distinct_program_once(monkeypatch):
+    # 67 catalogue plans lower to 59 distinct (order, program) pairs; one
+    # product per instance forms Y and each run counts its mmm_poly
+    execute = series_toolkit._execute
+    programs = []
+    counters = []
+
+    def recording(program, y, x, a, ctr):
+        programs.append(program)
+        return execute(program, y, x, a, ctr)
+
+    def counter():
+        counters.append(MulCounter())
+        return counters[-1]
+
+    monkeypatch.setattr(series_toolkit, "_execute", recording)
+    monkeypatch.setattr(harness, "MulCounter", counter)
+    ok, lines = toolkit_check()
+    assert ok and len(lines) == 67
+    assert len(programs) == len(set(programs)) == 59
+    assert [ctr.mmm for ctr in counters] == [50 * 409]
 
 
 def test_check_keeps_a_few_stacks():
