@@ -39,7 +39,6 @@ from .series_toolkit import (
     geometric_apply,
     horner_eval,
     nested_eval,
-    order45_plan,
     plan_order,
     plan_str,
     split_candidates,

@@ -405,7 +405,7 @@ def _run_method(method: MethodSpec, split, b, theta_star, steps, rho, timer):
 def run_comparison(
     a: np.ndarray,
     b: np.ndarray,
-    theta_star: np.ndarray,
+    theta_star: np.ndarray | None,
     methods: list[MethodSpec],
     steps: int,
     *,
@@ -416,7 +416,8 @@ def run_comparison(
     """Run every method for ``steps`` steps on the same scalar splitting,
     and every step on its symmetrized A.  ``b`` and ``theta_star`` must
     have A's dimension; a length that does not is rejected before any
-    matrix work.
+    matrix work.  With ``theta_star=None`` the reference is a dense solve
+    of ``A theta = b``, run only once the splitting has accepted A.
 
     ``timer`` (default ``time.perf_counter_ns``) is injectable so runs can
     be made byte-deterministic.  Methods are independent; with ``executor``
@@ -424,18 +425,21 @@ def run_comparison(
     run (sorted by method name, then step).
     """
     b = vector(b)
-    theta_star = vector(theta_star)
+    if theta_star is not None:
+        theta_star = vector(theta_star)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     a = square_matrix(a)
     for label, v in (("b", b), ("theta_star", theta_star)):
-        if v.size != a.shape[0]:
+        if v is not None and v.size != a.shape[0]:
             raise ValueError(
                 f"{label} has {v.size} entries, expected {a.shape[0]} to match A"
             )
     if timer is None:
         timer = time.perf_counter_ns
     split = split_scalar(a, eps)
+    if theta_star is None:
+        theta_star = vector(np.linalg.solve(a, b))
     rho = _measure_rho(split)
 
     if executor is None:

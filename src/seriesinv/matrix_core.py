@@ -122,16 +122,6 @@ class MulCounter:
     mmm: int = 0
     mvm: int = 0
 
-    def count_mmm(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError("counter increments must be non-negative")
-        self.mmm += n
-
-    def count_mvm(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError("counter increments must be non-negative")
-        self.mvm += n
-
     def merge(self, other: "MulCounter") -> None:
         """Fold another counter into this one (summation merge)."""
         self.mmm += other.mmm

@@ -18,8 +18,8 @@ orders.  This module provides:
 * :class:`FactorPlan` - a node tree, lowered once when the plan is built
   to a straight-line program, and :func:`nested_eval` to run it;
 * :func:`table_plans` - a catalogue of hand-factored evaluation DAGs for
-  orders 2..19 (including the cheaper second variants for orders 5, 9, 10,
-  11 and the nested order-15 form);
+  orders 2..19 and 45 (including the cheaper second variants for orders 5,
+  9, 10, 11, the nested order-15 form and the ten-product order-45 plan);
 * :func:`plan_order` - a bounded search for a minimal-count plan of any
   order up to 64;
 * :func:`efficiency_index` - order per multiplication, ``h**(1/count)``.
@@ -61,7 +61,6 @@ __all__ = [
     "geometric_apply",
     "horner_eval",
     "nested_eval",
-    "order45_plan",
     "plan_order",
     "plan_str",
     "split_candidates",
@@ -488,7 +487,7 @@ def _geometric_plan(order: int) -> FactorPlan:
 
 
 # ---------------------------------------------------------------------------
-# Tabulated forms, orders 2..19.  Programs run in poly mode (Y given).
+# Tabulated forms, orders 2..19 and 45.  Programs run in poly mode (Y given).
 # ---------------------------------------------------------------------------
 
 
@@ -673,6 +672,9 @@ _TABLE_ROOTS: dict[int, tuple[tuple[str, PlanNode], ...]] = {
     17: (("h17", _TABLE_FORMS["h17"]),),
     18: (("h18", _split_node(5, 3)),),
     19: (("h19", _TABLE_FORMS["h19"]),),
+    # The showcase nested plan: a 3x3 split inner sum and the factored
+    # quartic as the outer sum, ten products.
+    45: (("h45", Split(p=8, w=5, inner=_split_node(2, 3), outer=_TABLE_FORMS["h5b"])),),
 }
 
 TABLE_LABELS: dict[int, tuple[str, ...]] = {
@@ -682,7 +684,8 @@ TABLE_LABELS: dict[int, tuple[str, ...]] = {
 
 @lru_cache(maxsize=1)
 def table_plans() -> Mapping[int, tuple[FactorPlan, ...]]:
-    """Catalogue of tabulated factorization plans, keyed by order 2..19.
+    """Catalogue of tabulated factorization plans, keyed by order: 2..19
+    and 45.
 
     Built once and shared by every caller, the plan search included, so it
     is read-only: a mapping proxy of tuples.
@@ -691,19 +694,6 @@ def table_plans() -> Mapping[int, tuple[FactorPlan, ...]]:
         order: tuple(FactorPlan(root) for _, root in roots)
         for order, roots in _TABLE_ROOTS.items()
     })
-
-
-@lru_cache(maxsize=1)
-def order45_plan() -> FactorPlan:
-    """The showcase order-45 nested plan: split p=8, w=5 with a 3x3 split
-    inner sum and the factored quartic as the outer sum.  Ten products."""
-    root = Split(
-        p=8,
-        w=5,
-        inner=Split(p=2, w=3, inner=Horner(3), outer=Horner(3)),
-        outer=_TABLE_FORMS["h5b"],
-    )
-    return FactorPlan(root)
 
 
 # ---------------------------------------------------------------------------

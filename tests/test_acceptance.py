@@ -33,7 +33,6 @@ from seriesinv import (
     initial_series,
     nested_eval,
     ns_step,
-    order45_plan,
     parse_mmm_surface,
     emit_mmm_surface,
     richardson_recursive_step,
@@ -58,7 +57,7 @@ def test_criterion_1_toolkit_oracle_suite():
     started = time.perf_counter()
     rng = np.random.default_rng(101)
     catalogue = table_plans()
-    assert sorted(catalogue) == list(range(2, 20))
+    assert sorted(catalogue) == [*range(2, 20), 45]
     for order in (10, 11):
         assert len(catalogue[order]) == 2
     assert "h15b" in TABLE_LABELS[15]
@@ -88,7 +87,7 @@ def test_criterion_1_toolkit_oracle_suite():
 def test_criterion_2_order45_nested_plan():
     """The order-45 nested plan costs exactly 10 products, has efficiency
     index 1.4633 +- 5e-5, and matches Horner to 1e-8 relative."""
-    plan = order45_plan()
+    plan = table_plans()[45][0]
     assert plan.order_h == 45
     assert plan.efficiency_index == pytest.approx(1.4633, abs=5e-5)
 

@@ -1,4 +1,5 @@
 import argparse
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from seriesinv import (
     parse_run_records,
     save_matrix,
     save_vector,
+    table_plans,
 )
 from seriesinv import cli, harness
 from seriesinv.cli import _build_parser, main
@@ -39,6 +41,14 @@ class TestPlan:
         assert "mmm=10" in out
         assert "EI=1.4633" in out
 
+    def test_lists_the_order_45_catalogue_row(self, capsys):
+        assert main(["plan", "--order", "45"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == (
+            "  table: split(p=8,w=5, inner=split(p=2,w=3), outer=table(h5b))"
+            "  mmm=10 (poly 9)  EI=1.4633"
+        )
+
     def test_lists_table_variants(self, capsys):
         assert main(["plan", "--order", "15"]) == 0
         out = capsys.readouterr().out
@@ -57,6 +67,29 @@ def test_verify_tables_exits_zero(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.strip().endswith("PASS")
+
+
+CATALOGUE_ROWS = (
+    "h2 h3 h4 h5a h5b h6 h7 h8 h9a h9b h10a h10b h11a h11b h12 h13 h14 h15a h15b"
+    " h16 h17 h18 h19 h45"
+).split()
+
+
+@pytest.mark.parametrize("dim", ["5", "8"])
+def test_verify_tables_adds_one_h45_line_after_h19(monkeypatch, capsys, dim):
+    # the order-45 row shares the plan:45 run, so every other line is the
+    # one the catalogue without that row prints
+    assert main(["verify-tables", "--dim", dim]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines[:-1]] == (
+        [f"table:{label}" for label in CATALOGUE_ROWS]
+        + [f"plan:{h}" for h in range(2, 46)]
+    )
+    assert re.fullmatch(r"table:h45    order=45  mmm=10  max_rel_err=\S+ ok", lines[23])
+    without_45 = {order: plans for order, plans in table_plans().items() if order != 45}
+    monkeypatch.setattr(harness, "table_plans", lambda: without_45)
+    assert main(["verify-tables", "--dim", dim]) == 0
+    assert capsys.readouterr().out.splitlines() == lines[:23] + lines[24:]
 
 
 def test_verify_tables_smallest_stack_and_bad_dim(capsys):
@@ -222,6 +255,25 @@ class TestErrorHandling:
         assert capsys.readouterr().err == (
             f"error: {t5}: has 5 entries, expected 6 to match {mat}\n"
         )
+        assert calls == []
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1 1\n1 1\n", "matrix is not positive definite"),
+        ("1 2\n0 1\n", "matrix must be symmetric"),
+    ])
+    def test_bad_matrix_rejected_before_the_reference_solve(
+        self, tmp_path, monkeypatch, capsys, rows, message
+    ):
+        # without --theta-star the dense reference solve runs only on an A
+        # the splitting has accepted
+        mat, rhs = tmp_path / "bad.mat", tmp_path / "b.vec"
+        mat.write_text("2\n" + rows)
+        rhs.write_text("2\n1\n1\n")
+        calls = []
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append("solve"))
+        rc = main(["solve", "--matrix", str(mat), "--rhs", str(rhs), "--method", "richardson"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert calls == []
 
     def test_indefinite_matrix(self, tmp_path, capsys):

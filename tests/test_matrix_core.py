@@ -470,11 +470,11 @@ class TestRunBranches:
     @staticmethod
     def branches():
         def first(ctr):
-            ctr.count_mmm(2)
+            ctr.mmm += 2
             return "first"
 
         def second(ctr):
-            ctr.count_mvm()
+            ctr.mvm += 1
             return "second"
 
         return first, second

@@ -15,7 +15,6 @@ from seriesinv import (
     geometric_apply,
     horner_eval,
     nested_eval,
-    order45_plan,
     plan_order,
     plan_str,
     split_candidates,
@@ -159,19 +158,19 @@ class TestEfficiencyIndex:
 
 class TestOrder45:
     def test_structure(self):
-        plan = order45_plan()
+        plan = table_plans()[45][0]
         assert plan.order_h == 45
         assert plan_str(plan) == "split(p=8,w=5, inner=split(p=2,w=3), outer=table(h5b))"
 
     def test_cost_and_index(self):
-        plan = order45_plan()
+        plan = table_plans()[45][0]
         assert plan.mmm_cost == 10
         assert plan.mmm_poly == 9
         assert plan.efficiency_index == pytest.approx(1.4633, abs=5e-5)
 
     def test_counter_and_equivalence(self, rng):
         x, y, a = toolkit_instance(rng)
-        plan = order45_plan()
+        plan = table_plans()[45][0]
         ctr = MulCounter()
         out = nested_eval(y, x, a, plan, ctr)
         assert ctr.mmm == 10
@@ -180,6 +179,11 @@ class TestOrder45:
 
     def test_search_finds_ten(self):
         assert plan_order(45).mmm_cost == 10
+
+    def test_catalogue_row_runs_the_searched_program(self):
+        # a different tree from the search's, lowered to the same program
+        assert TABLE_LABELS[45] == ("h45",)
+        assert table_plans()[45][0].program == plan_order(45).program
 
 
 # Frozen (poly, full) counts for every catalogued factorization.
@@ -207,6 +211,7 @@ TABLE_COUNTS = {
     "h17": (7, 8),
     "h18": (8, 9),
     "h19": (7, 8),
+    "h45": (9, 10),
 }
 
 
@@ -219,7 +224,7 @@ def catalogue():
 class TestTableCatalogue:
     def test_orders_and_variants(self):
         plans = table_plans()
-        assert sorted(plans) == list(range(2, 20))
+        assert sorted(plans) == [*range(2, 20), 45]
         for order in (5, 9, 10, 11, 15):
             assert len(plans[order]) == 2, f"order {order} should have two variants"
 
@@ -316,7 +321,7 @@ class TestNestedEval:
         # x = a^-1 exactly, so y = 0
         a = np.eye(3) * 2.0
         x = np.eye(3) * 0.5
-        for plan in (order45_plan(), plan_order(7), table_plans()[8][0]):
+        for plan in (table_plans()[45][0], plan_order(7), table_plans()[8][0]):
             out = nested_eval(None, x, a, plan, MulCounter())
             assert np.allclose(out, x, atol=1e-15)
 
@@ -336,7 +341,7 @@ class TestNestedEval:
     def test_identity_chain(self, rng):
         # I - Z A must equal Y**h: the series is exact in the residual power
         x, y, a = toolkit_instance(rng, dim=4)
-        for plan in (plan_order(6), plan_order(12), order45_plan()):
+        for plan in (plan_order(6), plan_order(12), table_plans()[45][0]):
             z = nested_eval(y, x, a, plan, MulCounter())
             lhs = np.eye(4) - z @ a
             target = mat_pow(y, plan.order_h)
