@@ -5,7 +5,6 @@ from .matrix_core import (
     MulCounter,
     SpectralRadiusError,
     fro_norm,
-    identity,
     inf_norm,
     load_matrix,
     load_vector,
@@ -19,12 +18,9 @@ from .matrix_core import (
     vector,
 )
 from .splitting import (
-    NotSDDError,
     NotSPDError,
     Splitting,
-    check_two_s_minus_a,
     is_positive_definite,
-    split_diagonal,
     split_scalar,
 )
 from .series_toolkit import (

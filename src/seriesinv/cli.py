@@ -87,6 +87,22 @@ def _kinds(command: str) -> list[str]:
     return [kind for kind, row in METHODS.items() if row.command == command]
 
 
+def _items(text: str, option: str, convert) -> tuple:
+    """The comma-separated items of ``text``, each converted by ``convert``
+    (``int`` or ``float``); an empty ``text`` has none.  An empty or
+    malformed item is an error that names ``option``."""
+    if not text:
+        return ()
+    items = []
+    for tok in text.split(","):
+        try:
+            items.append(convert(tok))
+        except ValueError:
+            what = "an integer" if convert is int else "a number"
+            raise ValueError(f"{option}: expected {what}, got {tok!r} in {text!r}") from None
+    return tuple(items)
+
+
 def _load_operand(path: str, matrix_path: str, dim: int) -> np.ndarray:
     """A vector file whose length must be the matrix's dimension."""
     v = load_vector(path)
@@ -101,7 +117,7 @@ def _cmd_run(args) -> int:
         order=args.order,
         h=args.h,
         q=args.q,
-        rates=tuple(int(tok) for tok in args.rates.split(",") if tok),
+        rates=_items(args.rates, "--rates", int),
     )
     a = load_matrix(args.matrix)
     b = theta_star = np.zeros(a.shape[0])
@@ -125,9 +141,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen_harmonic(args) -> int:
-    freqs = tuple(float(tok) for tok in args.freqs.split(",") if tok)
+    freqs = _items(args.freqs, "--freqs", float)
     if args.theta:
-        theta = tuple(float(tok) for tok in args.theta.split(",") if tok)
+        theta = _items(args.theta, "--theta", float)
     elif len(freqs) == 3 and not args.bias:
         theta = HarmonicRegressorSpec.default().theta_star
     else:

@@ -40,7 +40,6 @@ import numpy as np
 __all__ = [
     "MulCounter",
     "SpectralRadiusError",
-    "identity",
     "identity_constant",
     "inf_norm",
     "fro_norm",
@@ -98,15 +97,11 @@ def vector(entries) -> np.ndarray:
     return v
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=np.float64)
-
-
 @lru_cache(maxsize=8)
 def identity_constant(dim: int) -> np.ndarray:
     """The read-only ``dim`` x ``dim`` identity, one shared array per size
-    for kernels to read; use :func:`identity` for an array to keep."""
-    eye = identity(dim)
+    for kernels to read; use ``np.eye(dim)`` for an array to keep."""
+    eye = np.eye(dim)
     eye.flags.writeable = False
     return eye
 
@@ -160,7 +155,7 @@ def subtract_from_identity(r: np.ndarray) -> np.ndarray:
     """Overwrite the square array ``r``, or each matrix of a ``(k, n, n)``
     stack, with ``I - r`` and return it.
 
-    Bitwise equal to ``identity(n) - r``, signed zeros included, as it is
+    Bitwise equal to ``np.eye(n) - r``, signed zeros included, as it is
     the same subtraction: ``0.0 - r`` off the diagonal (not ``-r``, which
     would turn ``+0.0`` into ``-0.0``), ``1.0 - r`` on it.  Only for arrays
     the caller has just allocated.

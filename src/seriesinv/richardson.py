@@ -72,11 +72,11 @@ def initial_richardson(
     q: int | None = None,
 ) -> RichardsonState:
     """Initialize with theta_0 = L_0 b from the two-loop inversion init."""
-    inner = initial_double(split, p, w, order)
     if q is None:
-        q = order
-    if q < 1:
+        q = order  # initial_double checks order
+    elif q < 1:
         raise ValueError("q must be >= 1")
+    inner = initial_double(split, p, w, order)
     theta0 = mat_vec(inner.accel_estimate, b, inner.ctr)
     return RichardsonState(
         theta=theta0, inner=inner, q=q, omega=None, ns_part=None, step=0, ctr=inner.ctr

@@ -1,10 +1,10 @@
-"""Preconditioned splittings A = S - D for SPD matrices.
+"""The preconditioned splitting A = S - D of an SPD matrix.
 
-Both splittings here take S diagonal, so a splitting is defined by A and the
-diagonal s of S; the preconditioner S^-1 and the preconditioned residual
-B = S^-1 D = I - S^-1 A are derived from them once.  Convergence of every
-iteration in this package rests on the spectral radius of B being below one,
-which holds whenever 2S - A is positive definite.
+S is diagonal, so a splitting is defined by A and the diagonal s of S; the
+preconditioner S^-1 and the preconditioned residual B = S^-1 D = I - S^-1 A
+are derived from them once.  Convergence of every iteration in this package
+rests on the spectral radius of B being below one.  :func:`split_scalar`
+takes S = alpha I, so its B is symmetric and rho(B) < 1 for every SPD A.
 
 A splitting may hold a ``(k, n, n)`` stack of k independent matrices:
 :func:`split_scalar` splits a whole stack in one pass, every check a
@@ -20,7 +20,6 @@ import numpy as np
 
 from .matrix_core import (
     fro_norms,
-    identity,
     identity_constant,
     inf_norm,
     square_matrix,
@@ -29,23 +28,15 @@ from .matrix_core import (
 )
 
 __all__ = [
-    "NotSDDError",
     "NotSPDError",
     "Splitting",
-    "check_two_s_minus_a",
     "is_positive_definite",
-    "split_diagonal",
     "split_scalar",
 ]
 
-DIAGONAL = "diagonal"
-SCALAR = "scalar"
-
 _SYMMETRY_RTOL = 1e-10
-
-
-class NotSDDError(ValueError):
-    """Matrix is not strictly diagonally dominant with a positive diagonal."""
+# A Cholesky pivot at or below this times ||A||_inf counts as failure.
+_PIVOT_RTOL = 1e-12
 
 
 class NotSPDError(ValueError):
@@ -58,7 +49,7 @@ class Splitting:
 
     ``matrix`` is the (symmetrized) A the splitting was built from, which the
     series evaluators need for their residual shortcuts; it is taken as
-    given, validated by the constructors below.  ``precond`` is S^-1 and
+    given, validated by :func:`split_scalar`.  ``precond`` is S^-1 and
     ``residual`` is B = I - S^-1 A, both derived from ``matrix`` and
     ``scale`` when the splitting is built and read-only, so they agree by
     construction.  The only check is on ``scale``: one positive, finite
@@ -70,7 +61,6 @@ class Splitting:
 
     matrix: np.ndarray
     scale: np.ndarray
-    kind: str
     precond: np.ndarray = field(init=False)
     residual: np.ndarray = field(init=False)
 
@@ -120,47 +110,29 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
     return _frozen(sym)
 
 
-def is_positive_definite(a: np.ndarray, pivot_tol: float | None = None) -> bool:
+def is_positive_definite(a: np.ndarray) -> bool:
     """Positive definiteness via a Cholesky attempt.
 
-    A pivot at or below ``pivot_tol`` (default ``1e-12 * ||a||_inf``) counts
-    as failure, so near-singular matrices are reported as not PD rather than
-    factored through rounding noise.
+    A pivot at or below ``1e-12 * ||a||_inf`` counts as failure, so
+    near-singular matrices are reported as not PD rather than factored
+    through rounding noise.
     """
     a = square_matrix(a)
     a = (a + a.T) / 2.0
-    if pivot_tol is None:
-        pivot_tol = 1e-12 * inf_norm(a)
-    return _passes_cholesky(a, pivot_tol)
+    return _passes_cholesky(a, inf_norm(a))
 
 
-def _passes_cholesky(sym: np.ndarray, pivot_tol: float | np.ndarray) -> bool:
+def _passes_cholesky(sym: np.ndarray, norm: float | np.ndarray) -> bool:
     """True iff LAPACK factors the symmetric ``sym`` (each matrix of a
-    stack) and every pivot ``diag(L)**2`` is above ``pivot_tol`` (a float,
-    or one per matrix of the stack)."""
+    stack) and every pivot ``diag(L)**2`` is above ``_PIVOT_RTOL * norm``
+    (``norm`` a float, or one per matrix of the stack)."""
     try:
         lower = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         return False
     # The pivots are positive, so the smallest one of each matrix decides.
     smallest = lower.diagonal(axis1=-2, axis2=-1).min(axis=-1)
-    return bool((smallest**2 > pivot_tol).all())
-
-
-def split_diagonal(a: np.ndarray) -> Splitting:
-    """Split off the diagonal of a symmetric, strictly diagonally dominant A.
-
-    S = diag(A), so S^-1 is formed entrywise and B = I - S^-1 A.  Strict
-    diagonal dominance with a positive diagonal guarantees rho(B) < 1.
-    """
-    a = _symmetrized(square_matrix(a))
-    diag = np.diag(a)
-    if np.any(diag <= 0.0):
-        raise NotSDDError("diagonal entries must be positive")
-    off_sums = np.sum(np.abs(a), axis=1) - np.abs(diag)
-    if np.any(np.abs(diag) <= off_sums):
-        raise NotSDDError("matrix is not strictly diagonally dominant")
-    return Splitting(a, diag, DIAGONAL)
+    return bool((smallest**2 > _PIVOT_RTOL * norm).all())
 
 
 def split_scalar(a: np.ndarray, eps: float | None = None) -> Splitting:
@@ -179,21 +151,9 @@ def split_scalar(a: np.ndarray, eps: float | None = None) -> Splitting:
     ok = np.logical_and(0.0 < eps, eps < np.inf)
     if not ok.all():
         raise ValueError(f"eps must be positive and finite, got {np.extract(~ok, eps)[0]}")
-    if not _passes_cholesky(a, 1e-12 * norm):
+    if not _passes_cholesky(a, norm):
         raise NotSPDError("matrix is not positive definite")
     # |a_ij| <= 2 alpha keeps a / alpha finite; Splitting rejects an
     # alpha whose inverse overflows.
     alpha = norm / 2.0 + eps
-    return Splitting(a, alpha[..., None].repeat(a.shape[-1], axis=-1), SCALAR)
-
-
-def check_two_s_minus_a(splitting: Splitting) -> bool:
-    """True iff 2S - A is positive definite, for the splitting's own A.
-
-    For SPD inputs this is equivalent to rho(B) < 1, which makes it a cheap
-    convergence diagnostic that avoids estimating the spectral radius.  It
-    takes one matrix: a stacked splitting raises ``ValueError``.
-    """
-    a = splitting.matrix
-    two_s = 2.0 * splitting.scale[..., None] * identity(a.shape[-1])
-    return is_positive_definite(two_s - a, pivot_tol=0.0)
+    return Splitting(a, alpha[..., None].repeat(a.shape[-1], axis=-1))

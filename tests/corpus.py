@@ -24,7 +24,7 @@ from seriesinv.series_toolkit import (
     plan_order,
     table_plans,
 )
-from seriesinv.splitting import split_scalar
+from seriesinv.splitting import Splitting, split_scalar
 
 
 def random_spd(dim, rng, shift=0.5):
@@ -60,6 +60,14 @@ def sdd_system(dim, rho, rng, jitter=0.0):
         w = w / np.outer(scale, scale)
     diag = 1.0 + jitter * rng.uniform(0.0, 1.0, dim)
     return square_matrix(np.diag(diag) - w)
+
+
+def diagonal_split(a):
+    """The splitting S = diag(A).  Its residual B = I - S^-1 A is
+    nonsymmetric unless diag(A) is constant, and rho(B) < 1 when A is
+    strictly diagonally dominant with a positive diagonal, as the
+    ``random_sdd`` and ``sdd_system`` matrices are."""
+    return Splitting(a, np.diag(a))
 
 
 def contractive_scalar_system(dim, rho, rng):

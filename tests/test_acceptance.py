@@ -10,7 +10,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from corpus import assert_power_law, contractive_scalar_system, mat_pow, sdd_system
+from corpus import (
+    assert_power_law,
+    contractive_scalar_system,
+    diagonal_split,
+    mat_pow,
+    sdd_system,
+)
 from seriesinv import (
     HarmonicRegressorSpec,
     MethodSpec,
@@ -38,7 +44,6 @@ from seriesinv import (
     richardson_recursive_step,
     richardson_step,
     run_comparison,
-    split_diagonal,
     split_scalar,
     square_matrix,
     table_plans,
@@ -138,7 +143,7 @@ def test_criterion_4_classical_exponent_model():
     for n in (2, 3, 4):
         for h in (1, 2, 3):
             a = sdd_system(4, 0.998, rng, jitter=0.002)
-            sp = split_diagonal(a)
+            sp = diagonal_split(a)
             p, w = series_params(h)
             st = initial_series(sp, p, w, order=n)
             assert_power_law(st.residual, sp.residual, h, rel=1e-8)
@@ -160,7 +165,7 @@ def test_criterion_5_double_exponent_model_and_dominance():
     for n in (2, 3, 4):
         for h in (1, 2, 3):
             a = sdd_system(4, 0.998, rng, jitter=0.002)
-            sp = split_diagonal(a)
+            sp = diagonal_split(a)
             p, w = series_params(h)
             st = initial_double(sp, p, w, order=n)
             for k in range(1, 4):
@@ -190,7 +195,7 @@ def test_criterion_6_richardson_transient_model():
             p, w = series_params(h)
             # SDD corpus, diagonal splitting (nonsymmetric residual)
             a = sdd_system(4 + n, 0.999, rng, jitter=0.0005)
-            systems = [(a, split_diagonal(a))]
+            systems = [(a, diagonal_split(a))]
             # SPD corpus, scalar splitting (symmetric residual)
             a2, eps = contractive_scalar_system(4, 0.999, rng)
             systems.append((a2, split_scalar(a2, eps)))
@@ -273,7 +278,7 @@ def test_criterion_9_wall_clock_and_bitwise_concurrency(request, rng):
     """Serial and concurrent execution of the two-loop and Richardson
     steps agree bitwise; the suite stays inside the 60 s budget."""
     a = sdd_system(5, 0.95, rng, jitter=0.002)
-    sp = split_diagonal(a)
+    sp = diagonal_split(a)
     theta_star = rng.standard_normal(5)
     b = a @ theta_star
     with ThreadPoolExecutor(max_workers=2) as pool:

@@ -307,6 +307,22 @@ class TestErrorHandling:
         assert "eps must be positive and finite" in capsys.readouterr().err
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["invert", "--method", "composite", "--rates", "2.5"],
+         "--rates: expected an integer, got '2.5' in '2.5'"),
+        (["invert", "--method", "composite", "--rates", "2,,3"],
+         "--rates: expected an integer, got '' in '2,,3'"),
+        (["gen-harmonic", "--freqs", "a,b,c"], "--freqs: expected a number, got 'a' in 'a,b,c'"),
+        (["gen-harmonic", "--freqs", "0.1,0.2", "--theta", "1,x"],
+         "--theta: expected a number, got 'x' in '1,x'"),
+    ], ids=["float-rate", "empty-rate", "freqs", "theta"])
+    def test_bad_list_item_names_the_option(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "never.mat"
+        path = ["--matrix", str(out)] if argv[0] == "invert" else ["--out", str(out)]
+        assert main(argv[:1] + path + argv[1:]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_composite_without_rates(self, tmp_path, capsys):
         mat = tmp_path / "a.mat"
         save_matrix(mat, random_spd(3, np.random.default_rng(0)))

@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from corpus import assert_power_law, mat_pow, sdd_system
+from corpus import assert_power_law, diagonal_split, mat_pow, sdd_system
 from seriesinv import (
     CompositeSpec,
     MulCounter,
@@ -19,14 +19,13 @@ from seriesinv import (
     initial_series,
     ns_step,
     plan_order,
-    split_diagonal,
     square_matrix,
 )
 
 
 def diag_system(dim, rho, rng):
     a = sdd_system(dim, rho, rng, jitter=0.002)
-    sp = split_diagonal(a)
+    sp = diagonal_split(a)
     return a, sp
 
 
@@ -39,7 +38,7 @@ class TestInitialSeries:
         assert (st.step, st.ctr.mmm) == (0, 0)
 
     def test_identity_matrix(self):
-        sp = split_diagonal(np.eye(3))
+        sp = diagonal_split(np.eye(3))
         for p, w in ((0, 1), (1, 2), (2, 2)):
             st = initial_series(sp, p, w)
             assert np.allclose(st.estimate, np.eye(3), atol=1e-15)
@@ -145,7 +144,7 @@ class TestCompositeStep:
     def test_exact_inverse_after_one_step(self):
         # B = 0: the composite part alone reconstructs the inverse
         a = square_matrix(np.diag([2.0, 4.0]))
-        sp = split_diagonal(a)
+        sp = diagonal_split(a)
         st = composite_step(
             initial_series(sp, 0, 1, order=2), a, sp, CompositeSpec((3,)), order_n=2
         )
@@ -232,7 +231,7 @@ class TestDoubleStep:
         assert_power_law(st.residual, sp.residual, 20, rel=1e-9)
 
     def test_exact_inverse_for_identity(self):
-        sp = split_diagonal(np.eye(3))
+        sp = diagonal_split(np.eye(3))
         st = initial_double(sp, 0, 1, order=2)
         assert np.allclose(st.estimate, np.eye(3), atol=1e-15)
         st = double_ns_step(st, np.eye(3))

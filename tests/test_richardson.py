@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from corpus import contractive_scalar_system, mat_pow, sdd_system
+from corpus import contractive_scalar_system, diagonal_split, mat_pow, sdd_system
 from seriesinv import (
     cumulative_exponent,
     cumulative_exponent_closed,
@@ -11,11 +11,11 @@ from seriesinv import (
     initial_richardson,
     richardson_recursive_step,
     richardson_step,
-    split_diagonal,
     split_scalar,
     step_exponent_general,
     step_exponent_qn,
 )
+from seriesinv import richardson
 from seriesinv.series_toolkit import horner_eval
 from seriesinv.matrix_core import MulCounter
 from seriesinv.richardson import _power_sum
@@ -91,6 +91,14 @@ class TestDirectStep:
         st = initial_richardson(split_scalar(a, eps=0.5), a @ theta_star)
         assert np.allclose(st.theta, theta_star, atol=1e-15)
 
+    def test_q_checked_before_the_initialisation(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("initial_double ran")
+
+        monkeypatch.setattr(richardson, "initial_double", fail)
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            initial_richardson(split_scalar(np.eye(3)), np.ones(3), 0, 1, order=2, q=0)
+
     def test_first_step_contraction_power(self, rng):
         a, sp, theta_star, b = scalar_setup(4, 0.98, rng)
         st = initial_richardson(sp, b, order=2, q=2)
@@ -129,7 +137,7 @@ class TestDirectStep:
     @pytest.mark.parametrize("n,h,pw", [(2, 1, (0, 1)), (3, 2, (1, 1))])
     def test_mismatch_model_sdd_corpus(self, rng, n, h, pw):
         a = sdd_system(6, 0.999, rng, jitter=0.0005)
-        sp = split_diagonal(a)
+        sp = diagonal_split(a)
         theta_star = rng.standard_normal(6)
         b = a @ theta_star
         st = initial_richardson(sp, b, pw[0], pw[1], order=n, q=n)

@@ -4,46 +4,36 @@ import warnings
 import numpy as np
 import pytest
 
-from corpus import random_sdd, random_spd
+from corpus import diagonal_split, random_sdd, random_spd
 from seriesinv import (
-    NotSDDError,
     NotSPDError,
     Splitting,
-    check_two_s_minus_a,
     fro_norm,
-    identity,
     inf_norm,
     is_positive_definite,
     spectral_radius,
-    split_diagonal,
     split_scalar,
     square_matrix,
 )
 from seriesinv.matrix_core import subtract_from_identity
+from seriesinv.splitting import _passes_cholesky
 
 
 class TestDiagonalSplit:
     def test_diagonal_matrix_splits_exactly(self):
-        sp = split_diagonal(square_matrix(np.diag([4.0, 9.0])))
+        sp = diagonal_split(square_matrix(np.diag([4.0, 9.0])))
         assert np.array_equal(sp.residual, np.zeros((2, 2)))
         assert np.allclose(sp.precond, np.diag([0.25, 1.0 / 9.0]), rtol=1e-15)
 
     def test_two_by_two(self):
-        sp = split_diagonal(square_matrix([[2.0, 1.0], [1.0, 2.0]]))
+        sp = diagonal_split(square_matrix([[2.0, 1.0], [1.0, 2.0]]))
         assert np.allclose(sp.residual, [[0.0, -0.5], [-0.5, 0.0]], atol=1e-15)
         assert spectral_radius(sp.residual) == pytest.approx(0.5, rel=1e-9)
 
-    def test_dominance_violation(self):
-        with pytest.raises(NotSDDError):
-            split_diagonal(square_matrix([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_negative_diagonal(self):
-        with pytest.raises(NotSDDError):
-            split_diagonal(square_matrix([[-3.0, 1.0], [1.0, 3.0]]))
-
     def test_asymmetry_rejected(self):
-        with pytest.raises(ValueError):
-            split_diagonal(square_matrix([[3.0, 1.0], [0.0, 3.0]]))
+        # Splitting takes A as given; split_scalar checks its symmetry.
+        with pytest.raises(ValueError, match="matrix must be symmetric"):
+            split_scalar(square_matrix([[3.0, 1.0], [0.0, 3.0]]))
 
 
 class TestScalarSplit:
@@ -109,8 +99,8 @@ class TestConstructionInvariant:
     def test_identity_holds(self, seed):
         r = np.random.default_rng(seed)
         a = random_sdd(4, r)
-        for sp in (split_diagonal(a), split_scalar(a)):
-            resid = identity(4) - sp.precond @ sp.matrix
+        for sp in (diagonal_split(a), split_scalar(a)):
+            resid = np.eye(4) - sp.precond @ sp.matrix
             err = fro_norm(resid - sp.residual)
             assert err <= 1e-12 * fro_norm(sp.residual) + 1e-14
 
@@ -132,13 +122,13 @@ class TestSplittingConstructor:
     ], ids=["zero", "negative", "nan", "inf", "short", "long", "row", "square"])
     def test_rejects_bad_scale(self, scale):
         with pytest.raises(ValueError, match="scale must hold"):
-            Splitting(matrix=square_matrix(np.eye(3)), scale=np.array(scale), kind="test")
+            Splitting(matrix=square_matrix(np.eye(3)), scale=np.array(scale))
 
     def test_rejects_scale_whose_inverse_overflows(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # raises the error, warns nothing
             with pytest.raises(ValueError, match="entries must be finite"):
-                Splitting(matrix=square_matrix(np.eye(2)), scale=np.full(2, 1e-320), kind="test")
+                Splitting(matrix=square_matrix(np.eye(2)), scale=np.full(2, 1e-320))
 
     def test_inverse_overflow_threshold_is_exact(self):
         # every scale near 2**-1024 is accepted exactly when 1 / s is finite
@@ -148,7 +138,7 @@ class TestSplittingConstructor:
         assert finite.any() and not finite.all()
         for s, ok in zip(scales, finite):
             try:
-                Splitting(matrix=square_matrix(np.eye(1)), scale=np.array([s]), kind="test")
+                Splitting(matrix=square_matrix(np.eye(1)), scale=np.array([s]))
             except ValueError as exc:
                 assert not ok and str(exc) == "S^-1 overflows: matrix entries must be finite"
             else:
@@ -157,7 +147,7 @@ class TestSplittingConstructor:
     def test_derived_arrays_read_only(self, rng):
         a = random_spd(4, rng)
         scale = np.linspace(2.0, 3.0, 4)
-        sp = Splitting(matrix=a, scale=scale, kind="test")
+        sp = Splitting(matrix=a, scale=scale)
         for arr in (sp.precond, sp.residual, sp.scale):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -181,14 +171,14 @@ class TestSplittingConstructor:
         sp = split_scalar(random_spd(dim, r, shift=[0.5, 1e-6][seed % 2]), eps)
         norm = inf_norm(sp.matrix)
         alpha = norm / 2.0 + (1e-3 * norm if eps is None else eps)
-        assert _same_bits(sp.precond, identity(dim) / alpha)
+        assert _same_bits(sp.precond, np.eye(dim) / alpha)
         assert _same_bits(sp.residual, subtract_from_identity(sp.matrix / alpha))
         assert np.array_equal(sp.scale, np.full(dim, alpha))
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("dim", [2, 5, 8, 17])
     def test_diagonal_split_matches_old_formulas(self, seed, dim):
-        sp = split_diagonal(random_sdd(dim, np.random.default_rng(seed)))
+        sp = diagonal_split(random_sdd(dim, np.random.default_rng(seed)))
         d = np.diag(sp.matrix)
         assert _same_bits(sp.precond, np.diag(1.0 / d))
         assert _same_bits(sp.residual, subtract_from_identity(sp.matrix / d[:, None]))
@@ -319,7 +309,7 @@ class TestStackedSplit:
         with pytest.raises(ValueError, match=message):
             square_matrix(stack)
         with pytest.raises(ValueError, match=message):
-            split_diagonal(stack)
+            is_positive_definite(stack)
 
 
 class TestContractionProperties:
@@ -327,7 +317,7 @@ class TestContractionProperties:
     def test_sdd_diagonal_split_contracts(self, seed):
         r = np.random.default_rng(seed)
         a = random_sdd(5, r, margin=0.1 + 0.5 * r.uniform())
-        assert spectral_radius(split_diagonal(a).residual) < 1.0
+        assert spectral_radius(diagonal_split(a).residual) < 1.0
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("eps_scale", [1e-6, 1e-3, 0.1])
@@ -336,48 +326,6 @@ class TestContractionProperties:
         a = random_spd(5, r)
         sp = split_scalar(a, eps=eps_scale * inf_norm(a))
         assert spectral_radius(sp.residual) < 1.0
-
-
-class TestTwoSMinusA:
-    def test_identity_case(self):
-        sp = split_diagonal(np.eye(3))
-        assert check_two_s_minus_a(sp) is True
-
-    def test_two_by_two_case(self):
-        a = square_matrix([[2.0, 1.0], [1.0, 2.0]])
-        sp = split_diagonal(a)
-        # 2S - A = [[2, -1], [-1, 2]], leading minors 2 and 3
-        assert check_two_s_minus_a(sp) is True
-
-    def test_failing_case(self):
-        a = square_matrix([[4.0]])
-        sp = Splitting(matrix=a, scale=np.ones(1), kind="diagonal")
-        assert np.array_equal(sp.residual, [[-3.0]])
-        assert check_two_s_minus_a(sp) is False
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_equivalent_to_contraction_for_spd(self, seed):
-        r = np.random.default_rng(seed)
-        a = random_spd(4, r)
-        splits = [split_scalar(a), ]
-        try:
-            splits.append(split_diagonal(a))
-        except (NotSDDError, ValueError):
-            pass
-        # an intentionally bad scalar preconditioner: S too small
-        bad_alpha = float(np.min(np.linalg.eigvalsh(a))) / 4.0
-        splits.append(Splitting(matrix=a, scale=np.full(4, bad_alpha), kind="scalar"))
-        for sp in splits:
-            rho = spectral_radius(sp.residual, tol=1e-10)
-            if abs(rho - 1.0) <= 1e-6:
-                continue
-            assert check_two_s_minus_a(sp) == (rho < 1.0)
-
-    @pytest.mark.parametrize("k,n", [(1, 1), (2, 3), (3, 2), (4, 4)])
-    def test_stacked_splitting_rejected(self, k, n):
-        stack = np.stack([random_spd(n, np.random.default_rng(i)) for i in range(k)])
-        with pytest.raises(ValueError, match="square matrix"):
-            check_two_s_minus_a(split_scalar(stack))
 
 
 def cholesky_loop_is_pd(a, pivot_tol=None):
@@ -406,12 +354,25 @@ def _with_spectrum(eigs, rng):
     return square_matrix((a + a.T) / 2.0)
 
 
+# Exact pivots at and near zero: a PD matrix with a tiny pivot, indefinite,
+# singular and near-singular ones.
+_PIVOT_EDGE_CASES = [
+    np.eye(3),
+    np.diag([1.0, 1e-300, 2.0]),
+    [[1.0, 2.0], [2.0, 1.0]],
+    [[1.0, 1.0], [1.0, 1.0 + 1e-16]],
+    np.zeros((2, 2)),
+    [[2.0, -1.0], [-1.0, 2.0]],
+]
+
+
 class TestPositiveDefinite:
     @pytest.mark.parametrize("seed", range(12))
     def test_agrees_with_python_cholesky(self, seed):
         r = np.random.default_rng(seed)
         dim = 1 + seed
-        cases = [random_spd(dim, r), random_spd(dim, r, shift=1e-6)]
+        cases = [square_matrix(a) for a in _PIVOT_EDGE_CASES]
+        cases += [random_spd(dim, r), random_spd(dim, r, shift=1e-6)]
         if dim >= 2:
             # indefinite, and near-singular at several distances from the
             # default pivot tolerance of 1e-12 * ||A||_inf
@@ -421,20 +382,11 @@ class TestPositiveDefinite:
         for a in cases:
             assert is_positive_definite(a) == cholesky_loop_is_pd(a)
 
-    @pytest.mark.parametrize(
-        "a",
-        [
-            np.eye(3),
-            np.diag([1.0, 1e-300, 2.0]),
-            [[1.0, 2.0], [2.0, 1.0]],
-            [[1.0, 1.0], [1.0, 1.0 + 1e-16]],
-            np.zeros((2, 2)),
-            [[2.0, -1.0], [-1.0, 2.0]],
-        ],
-    )
+    @pytest.mark.parametrize("a", _PIVOT_EDGE_CASES)
     def test_agrees_with_python_cholesky_at_zero_tolerance(self, a):
+        # A zero norm makes the pivot tolerance zero.
         a = square_matrix(a)
-        assert is_positive_definite(a, pivot_tol=0.0) == cholesky_loop_is_pd(a, 0.0)
+        assert _passes_cholesky(a, 0.0) == cholesky_loop_is_pd(a, 0.0)
 
     def test_basic(self):
         assert is_positive_definite(np.eye(3))
