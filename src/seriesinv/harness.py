@@ -189,7 +189,7 @@ class MethodSpec:
                 f"unknown method kind {self.kind!r}; expected one of {', '.join(METHODS)}"
             )
         for label, value in (("order", self.order), ("h", self.h), ("q", self.q)):
-            if value is not None and not isinstance(value, Integral):
+            if value is not None and (type(value) is bool or not isinstance(value, Integral)):
                 raise ValueError(f"{label} must be an integer, got {value!r}")
         if self.order < row.min_order:
             raise ValueError(f"method {self.kind} requires order >= {row.min_order}")
@@ -633,15 +633,11 @@ def toolkit_check(instances: int = 50, dim: int = 5, seed: int = 0) -> tuple[boo
     ctr = MulCounter()
     y = residual_of(x, a, ctr)
     count_ok = ctr.mmm == instances
-    # One run per distinct (order, program), in order of h; a later plan
-    # replaces an earlier one in its run, so an order's plan_order program
-    # (listed after the tables) is the one executed.
+    # One run per distinct (order, program), in order of h.
     runs: dict = {}
     row_of = {}
     for name, plan in sorted(plans, key=lambda named: named[1].order_h):
-        run = runs.setdefault((plan.order_h, plan.program), [len(runs), plan])
-        run[1] = plan
-        row_of[name] = run[0]
+        row_of[name] = runs.setdefault((plan.order_h, plan.program), (len(runs), plan))[0]
     # The runs go in order of h while one Horner sum of every instance
     # advances, z = B z + X; each run's error norms are kept, its result
     # dropped.

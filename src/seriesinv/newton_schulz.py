@@ -90,7 +90,7 @@ class CompositeSpec:
     def __post_init__(self):
         if not self.rates:
             raise ValueError("composite spec needs at least one rate")
-        if not all(isinstance(x, Integral) and x >= 1 for x in self.rates):
+        if not all(isinstance(x, Integral) and type(x) is not bool and x >= 1 for x in self.rates):
             raise ValueError("rates must be positive integers")
 
 

@@ -32,7 +32,7 @@ assumes Y is already available.  They always differ by exactly one.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import copysign
 from types import MappingProxyType
@@ -277,7 +277,9 @@ def _lower(root: PlanNode) -> tuple[int, tuple[Instr, ...]]:
     drops: list[list[int]] = [[] for _ in program]
     for reg, i in last_read.items():
         drops[i].append(reg)
-    return order, tuple(replace(ins, drop=tuple(d)) for ins, d in zip(program, drops))
+    for ins, d in zip(program, drops):
+        object.__setattr__(ins, "drop", tuple(d))
+    return order, tuple(program)
 
 
 def plan_str(plan: FactorPlan) -> str:
@@ -309,9 +311,12 @@ def _node_str(node: PlanNode) -> str:
 
 def horner_eval(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> np.ndarray:
     """``(I + Y + ... + Y^(h-1)) X`` by the Horner recursion, Y supplied;
-    exactly ``h - 1`` products."""
+    exactly ``h - 1`` products.  The result is always a fresh array, a copy
+    of X for h == 1."""
     if h < 1:
         raise ValueError("order h must be >= 1")
+    if h == 1:
+        return np.array(x)
     # A plain loop rather than the plan executor: the hot path of every
     # step at small n, where the executor's per-instruction work shows.
     z = x
@@ -466,20 +471,18 @@ def geometric_apply(
     by the order's plan ``mmm_poly`` (see :func:`_geometric_plan`)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order == 1:
-        return np.array(x)
     return _execute(_geometric_plan(order).program, y, x, a, ctr)
 
 
 @lru_cache(maxsize=128)
 def _geometric_plan(order: int) -> FactorPlan:
-    """The plan :func:`geometric_apply` runs: :func:`plan_order` up to
-    ``MAX_PLAN_ORDER``; above it, an even order 2t doubles the plan for t,
-    ``S_2t = (I + Y^t) S_t`` with ``Y^t = I - S_t X A`` from one
-    ``Residual``, and an odd order wraps the order below it.  Built once
-    per order."""
+    """The plan :func:`geometric_apply` runs: the searched plan up to
+    ``MAX_PLAN_ORDER`` (order 1 is ``Horner(1)``, the empty program); above
+    it, an even order 2t doubles the plan for t, ``S_2t = (I + Y^t) S_t``
+    with ``Y^t = I - S_t X A`` from one ``Residual``, and an odd order
+    wraps the order below it.  Built once per order."""
     if order <= MAX_PLAN_ORDER:
-        return plan_order(order)
+        return _best(order, _MAX_NESTING)
     if order % 2:
         return FactorPlan(PrimeWrap(_geometric_plan(order - 1).root))
     t = order // 2
@@ -706,32 +709,29 @@ def split_candidates(h: int) -> list[tuple[int, int]]:
     return [(d - 1, h // d) for d in range(2, h // 2 + 1) if h % d == 0]
 
 
-# Candidate ranking: cheapest first; on ties prefer splits (smaller p first),
-# then wraps, then table forms, then Horner.
-_RANK_SPLIT, _RANK_WRAP, _RANK_TABLE, _RANK_HORNER = 0, 1, 2, 3
-_NO_P = 10**9
-
-
 @lru_cache(maxsize=None)
-def _best(h: int, budget: int) -> tuple[int, int, int, PlanNode]:
-    """Minimal poly-cost node of order h within a nesting budget.
+def _best(h: int, budget: int) -> FactorPlan:
+    """Minimal-count plan of order h within a nesting budget.
 
-    Returns (poly_cost, rank, p, node); the tuple prefix is the sort key
-    used for deterministic tie-breaking.
+    The candidates are ranked by their lowered ``mmm_poly``; on a tie the
+    first one listed wins: splits in increasing p, then the wrap of a prime
+    order, then the table rows.  Horner is the fallback only when there is
+    no candidate (h == 1 or budget 0): every split and wrap lowers to at
+    most ``h - 1`` products, Horner's count, so Horner would never win.
     """
-    cands: list[tuple[int, int, int, PlanNode]] = [(h - 1, _RANK_HORNER, _NO_P, Horner(h))]
+    cands: list[FactorPlan] = []
     if budget >= 1:
-        for plan in table_plans().get(h, ()):
-            cands.append((plan.mmm_poly, _RANK_TABLE, _NO_P, plan.root))
         pairs = split_candidates(h)
         for p, w in pairs:
-            ic, _, _, inner = _best(p + 1, budget - 1)
-            oc, _, _, outer = _best(w, budget - 1)
-            cands.append((ic + 1 + oc, _RANK_SPLIT, p, Split(p=p, w=w, inner=inner, outer=outer)))
+            inner = _best(p + 1, budget - 1).root
+            outer = _best(w, budget - 1).root
+            cands.append(FactorPlan(Split(p=p, w=w, inner=inner, outer=outer)))
         if not pairs and h >= 3:  # h is prime
-            ic, _, _, inner = _best(h - 1, budget)
-            cands.append((ic + 1, _RANK_WRAP, _NO_P, PrimeWrap(inner)))
-    return min(cands, key=lambda c: c[:3])
+            cands.append(FactorPlan(PrimeWrap(_best(h - 1, budget).root)))
+        cands += table_plans().get(h, ())
+    if not cands:
+        return FactorPlan(Horner(h))
+    return min(cands, key=lambda plan: plan.mmm_poly)
 
 
 @lru_cache(maxsize=None)
@@ -748,4 +748,4 @@ def plan_order(h: int) -> FactorPlan:
         raise ValueError("plan_order requires h >= 2")
     if h > MAX_PLAN_ORDER:
         raise ValueError(f"plan_order supports h <= {MAX_PLAN_ORDER}")
-    return FactorPlan(_best(h, _MAX_NESTING)[3])
+    return _best(h, _MAX_NESTING)

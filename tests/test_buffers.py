@@ -25,6 +25,7 @@ from seriesinv import (
     double_ns_step,
     factored_eval,
     geometric_apply,
+    horner_eval,
     initial_double,
     initial_richardson,
     initial_series,
@@ -304,6 +305,18 @@ class TestIdentityConstant:
         got = _power_sum(a, 1, MulCounter())
         self._fresh(got, DIM)
         got += 1.0
+        # order 1: the sum is the input itself, returned as a copy
+        sp = split_scalar(random_spd(DIM, rng))
+        y, x = sp.residual, sp.precond
+        got = horner_eval(y, x, 1, MulCounter())
+        assert not np.shares_memory(got, x) and got.flags.writeable
+        st = initial_series(sp, 1, 1, order=1)
+        new = ns_step(st, sp.matrix)
+        assert not np.shares_memory(new.estimate, st.estimate)
+        double = initial_double(sp, 1, 1, order=1)
+        assert not np.shares_memory(double.accel_estimate, double.estimate)
+        stepped = double_ns_step(double, sp.matrix)
+        assert not np.shares_memory(stepped.accel_estimate, double.accel_estimate)
 
     def test_lin_result_is_fresh(self, rng):
         sp = split_scalar(random_spd(DIM, rng))

@@ -61,6 +61,15 @@ class TestPlan:
         for piece in ("p=1 w=9", "p=2 w=6", "p=5 w=3", "p=8 w=2"):
             assert piece in out
 
+    @pytest.mark.parametrize(
+        "order,message", [("1", "requires h >= 2"), ("65", "supports h <= 64")]
+    )
+    def test_order_out_of_range_exits_2(self, capsys, order, message):
+        assert main(["plan", "--order", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 def test_verify_tables_exits_zero(capsys):
     rc = main(["verify-tables", "--instances", "3", "--dim", "4", "--seed", "5"])

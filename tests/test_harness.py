@@ -395,6 +395,10 @@ class TestMethodTable:
             dict(kind="sri", order="3"),
             dict(kind="richardson", q=2.5),
             dict(kind="richardson-recursive", order=3, q=3.0),
+            dict(kind="ns", order=True),
+            dict(kind="double", h=True),
+            dict(kind="richardson", order=3, q=True),
+            dict(kind="composite", rates=(True,)),
         ],
     )
     def test_invalid_spec_rejected_at_construction(self, kwargs):

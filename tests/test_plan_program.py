@@ -24,6 +24,8 @@ from seriesinv import (
     FactorPlan,
     Horner,
     MulCounter,
+    PrimeWrap,
+    Split,
     TableForm,
     fro_norm,
     factored_eval,
@@ -185,17 +187,40 @@ def test_geometric_apply_up_to_64_runs_plan_order():
         assert series_toolkit._geometric_plan(h) is plan_order(h)
 
 
-def test_cost_is_the_number_of_counted_instructions():
-    # the plan search adds up its candidates' costs without lowering them;
-    # every sum must equal the count read from the lowered program
+def test_no_split_or_wrap_candidate_costs_more_than_horner():
+    # the search falls back to Horner only when it has no candidate, which
+    # loses nothing: every split and wrap lowers to at most Horner's h - 1
+    best = series_toolkit._best
     for h in range(2, 65):
-        for budget in range(4):
-            cost, _, _, node = series_toolkit._best(h, budget)
-            assert cost == FactorPlan(node).mmm_poly, (h, budget)
+        for budget in range(1, 4):
+            pairs = series_toolkit.split_candidates(h)
+            nodes = [
+                Split(p=p, w=w, inner=best(p + 1, budget - 1).root, outer=best(w, budget - 1).root)
+                for p, w in pairs
+            ]
+            if not pairs and h >= 3:
+                nodes.append(PrimeWrap(best(h - 1, budget).root))
+            assert nodes or h == 2
+            for node in nodes:
+                assert FactorPlan(node).mmm_poly <= h - 1, (h, budget, node)
+        assert best(h, 0).root == Horner(h)
+
+
+def test_a_winning_catalogue_row_is_the_plan_itself():
+    catalogue = table_plans()
+    won = {
+        label: plan_order(h) is row
+        for h in range(2, 65)
+        for label, row in zip(series_toolkit.TABLE_LABELS.get(h, ()), catalogue.get(h, ()))
+        if plan_order(h) == row
+    }
+    # h3 ties with the wrap of the order-2 plan, which is listed first and wins
+    assert won == {"h2": True, "h3": False, "h5b": True, "h7": True, "h17": True, "h19": True}
 
 
 # plan_order's choice for every order, pinned: the search ranks candidates by
-# (cost, kind, p) and keeps the first of equal ones.
+# their lowered mmm_poly and keeps the first of equal ones (splits in
+# increasing p, then the wrap of a prime order, then the table rows).
 PLAN_ORDER_STRUCTURES = {
     2: "split(p=1,w=1)",
     3: "wrap(split(p=1,w=1))",
@@ -450,13 +475,13 @@ def test_dropped_instruction_fails_the_check(monkeypatch):
 
 
 def test_miscounted_product_fails_the_check(monkeypatch):
-    # the executor counts one product too many for one plan: its numbers
+    # the executor counts one product too many for one program: its numbers
     # are right, its counter delta is not
     execute = series_toolkit._execute
     target = plan_order(3).program
 
     def miscounting(program, y, x, a, ctr):
-        if program is target:
+        if program == target:
             ctr.mmm += 1
         return execute(program, y, x, a, ctr)
 
