@@ -69,9 +69,8 @@ def _cmd_plan(args) -> int:
 
 def _cmd_verify_tables(args) -> int:
     ok, lines = toolkit_check(instances=args.instances, dim=args.dim, seed=args.seed)
-    for line in lines:
-        print(line)
-    print("PASS" if ok else "FAIL")
+    lines.append("PASS" if ok else "FAIL")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 

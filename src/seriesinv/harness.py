@@ -9,6 +9,7 @@ bounds, the cost-surface and exponent-surface tables behind the CLI's
 
 from __future__ import annotations
 
+import operator
 import time
 import warnings
 from collections.abc import Callable
@@ -22,7 +23,6 @@ import numpy as np
 from .matrix_core import (
     MulCounter,
     fro_norm,
-    fro_norms,
     mat_vec,
     residual_of,
     spectral_radius,
@@ -598,6 +598,76 @@ CHECK_MAX_ORDER = 45
 CHECK_REL_TOL = 1e-9
 
 
+@dataclass(frozen=True, eq=False)
+class _CheckLayout:
+    """What :func:`toolkit_check` derives from the plan set alone.
+
+    ``shape`` (each catalogue order with its row count, as the catalogue
+    lists them) and ``plans`` (every checked plan, catalogue first) are the
+    key; holding the plans keeps their ids theirs.  ``runs`` has one plan
+    per distinct (order, program), in order of h, and ``run_orders`` their
+    orders; each report line has its fixed ``heads`` part and the run it
+    reads, ``row_of``.
+    """
+
+    shape: tuple[tuple[int, int], ...]
+    plans: tuple
+    runs: tuple
+    run_orders: list[int]
+    heads: tuple[str, ...]
+    row_of: tuple[int, ...]
+
+
+_layout: _CheckLayout | None = None
+
+
+def _check_layout() -> _CheckLayout:
+    """The layout of the plans :func:`table_plans` and :func:`plan_order`
+    return now, built once and kept while they return the same objects.
+
+    The key is compared by identity: hashing or comparing the plans by
+    value would walk every instruction of every program, the work the memo
+    saves.
+    """
+    global _layout
+    catalogue = table_plans()
+    shape = tuple((order, len(row)) for order, row in catalogue.items())
+    searched = tuple(map(plan_order, range(2, CHECK_MAX_ORDER + 1)))
+    plans = (*(plan for row in catalogue.values() for plan in row), *searched)
+    memo = _layout
+    if (
+        memo is not None
+        and memo.shape == shape
+        and len(memo.plans) == len(plans)
+        and all(map(operator.is_, memo.plans, plans))
+    ):
+        return memo
+    named = [
+        (f"table:{label}", plan)
+        for order in sorted(catalogue)
+        for label, plan in zip(TABLE_LABELS[order], catalogue[order])
+    ]
+    named += [(f"plan:{h}", plan) for h, plan in enumerate(searched, 2)]
+    # One run per distinct (order, program), in order of h.
+    runs: dict = {}
+    row_of = {}
+    for name, plan in sorted(named, key=lambda item: item[1].order_h):
+        row_of[name] = runs.setdefault((plan.order_h, plan.program), (len(runs), plan))[0]
+    layout = _CheckLayout(
+        shape=shape,
+        plans=plans,
+        runs=tuple(plan for _, plan in runs.values()),
+        run_orders=[plan.order_h for _, plan in runs.values()],
+        heads=tuple(
+            f"{name:<12} order={plan.order_h:<3} mmm={plan.mmm_cost:<3} " for name, plan in named
+        ),
+        row_of=tuple(row_of[name] for name, _ in named),
+    )
+    # Threads that race here each build an equal layout; each returns its own.
+    _layout = layout
+    return layout
+
+
 def toolkit_check(instances: int = 50, dim: int = 5, seed: int = 0) -> tuple[bool, list[str]]:
     """Check every catalogued plan against the Horner reference.
 
@@ -611,21 +681,16 @@ def toolkit_check(instances: int = 50, dim: int = 5, seed: int = 0) -> tuple[boo
     formed once (one product per instance) for every plan, and plans that
     lower to the same program at the same order share one run, which must
     move the counter by its ``mmm_poly`` per instance; each plan still
-    reports its own line and its ``mmm_cost``.  Returns
-    (all_ok, report_lines).
+    reports its own line and its ``mmm_cost``.  Which plans share a run,
+    and each line's fixed part, are built once per process (see
+    :func:`_check_layout`).  Returns (all_ok, report_lines).
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(seed)
-    catalogue = table_plans()
-    plans = [
-        (f"table:{label}", plan)
-        for order in sorted(catalogue)
-        for label, plan in zip(TABLE_LABELS[order], catalogue[order])
-    ]
-    plans += [(f"plan:{h}", plan_order(h)) for h in range(2, CHECK_MAX_ORDER + 1)]
+    layout = _check_layout()
 
     m = rng.standard_normal((instances, dim, dim))
     split = split_scalar(m @ np.swapaxes(m, -1, -2) / dim + 0.5 * np.eye(dim))
@@ -633,41 +698,31 @@ def toolkit_check(instances: int = 50, dim: int = 5, seed: int = 0) -> tuple[boo
     ctr = MulCounter()
     y = residual_of(x, a, ctr)
     count_ok = ctr.mmm == instances
-    # One run per distinct (order, program), in order of h.
-    runs: dict = {}
-    row_of = {}
-    for name, plan in sorted(plans, key=lambda named: named[1].order_h):
-        row_of[name] = runs.setdefault((plan.order_h, plan.program), (len(runs), plan))[0]
     # The runs go in order of h while one Horner sum of every instance
-    # advances, z = B z + X; each run's error norms are kept, its result
-    # dropped.
-    errs = np.empty((len(runs), instances))
-    ref_norms = np.empty((CHECK_MAX_ORDER + 1, instances))
+    # advances, z = B z + X; each run's squared error norms are kept, its
+    # result dropped.  The square roots are taken once, at the end, each
+    # bitwise what fro_norms gives.
+    err_sq = np.empty((len(layout.runs), instances))
+    ref_sq = np.empty((CHECK_MAX_ORDER + 1, instances))
     ref, ref_order = x, 1
-    for row, plan in runs.values():
+    for row, plan in enumerate(layout.runs):
         while ref_order < plan.order_h:
             ref = b @ ref
             ref += x
             ref_order += 1
-            ref_norms[ref_order] = fro_norms(ref)
+            np.add.reduce(ref * ref, axis=(-2, -1), out=ref_sq[ref_order])
         before = ctr.mmm
         z = nested_eval(y, x, a, plan, ctr, form_y=False)
         if ctr.mmm - before != instances * plan.mmm_poly:
             count_ok = False
         z -= ref
-        errs[row] = fro_norms(z)
-    orders = [plan.order_h for _, plan in runs.values()]
-    worst = (errs / np.maximum(ref_norms[orders], 1e-300)).max(axis=1).tolist()
+        np.add.reduce(np.square(z, out=z), axis=(-2, -1), out=err_sq[row])
+    ref_norms = np.sqrt(ref_sq[layout.run_orders])
+    worst = (np.sqrt(err_sq) / np.maximum(ref_norms, 1e-300)).max(axis=1).tolist()
 
     ok = count_ok and all(v <= CHECK_REL_TOL for v in worst)
-    lines = []
-    for name, plan in plans:
-        err = worst[row_of[name]]
-        status = "ok" if err <= CHECK_REL_TOL else "FAIL"
-        lines.append(
-            f"{name:<12} order={plan.order_h:<3} mmm={plan.mmm_cost:<3} "
-            f"max_rel_err={err:.3e} {status}"
-        )
+    tails = [f"max_rel_err={err:.3e} {'ok' if err <= CHECK_REL_TOL else 'FAIL'}" for err in worst]
+    lines = [head + tails[row] for head, row in zip(layout.heads, layout.row_of)]
     if not count_ok:
         lines.append("FAIL: a counter delta disagreed with its plan's mmm cost")
     return ok, lines

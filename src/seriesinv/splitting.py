@@ -103,10 +103,15 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
     skew = unit - unit.swapaxes(-1, -2)
     if (fro_norms(skew) > _SYMMETRY_RTOL * fro_norms(unit)).any():
         raise ValueError("matrix must be symmetric")
-    sym = (a + a.swapaxes(-1, -2)) / 2.0
-    # Below 2**1023 no sum of two entries can overflow.
-    if (top >= 2.0**1023).any() and not np.isfinite(sym).all():
-        raise ValueError("matrix entries must be finite")
+    # Below 2**1023 no sum of two entries can overflow; at or above, an
+    # overflow is reported as the error below, not as numpy's warning.
+    if (top >= 2.0**1023).any():
+        with np.errstate(over="ignore"):
+            sym = (a + a.swapaxes(-1, -2)) / 2.0
+        if not np.isfinite(sym).all():
+            raise ValueError("matrix entries must be finite")
+    else:
+        sym = (a + a.swapaxes(-1, -2)) / 2.0
     return _frozen(sym)
 
 

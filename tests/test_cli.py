@@ -101,6 +101,12 @@ def test_verify_tables_adds_one_h45_line_after_h19(monkeypatch, capsys, dim):
     assert capsys.readouterr().out.splitlines() == lines[:23] + lines[24:]
 
 
+def test_verify_tables_prints_the_check_lines_then_the_verdict(capsys):
+    _, lines = harness.toolkit_check(instances=3, dim=5, seed=9)
+    assert main(["verify-tables", "--instances", "3", "--seed", "9"]) == 0
+    assert capsys.readouterr().out == "".join(f"{ln}\n" for ln in lines) + "PASS\n"
+
+
 def test_verify_tables_smallest_stack_and_bad_dim(capsys):
     assert main(["verify-tables", "--instances", "1", "--dim", "1"]) == 0
     assert capsys.readouterr().out.strip().endswith("PASS")

@@ -11,7 +11,9 @@ an order once; ``corpus.per_plan_toolkit_check``, where every plan re-forms
 Y and runs, is the oracle for that.
 """
 
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -507,6 +509,60 @@ def test_non_finite_result_fails_the_check(monkeypatch):
     assert not ok
     line = next(ln for ln in lines if ln.startswith("plan:5 "))
     assert "max_rel_err=nan" in line and line.endswith("FAIL")
+
+
+def test_first_and_warm_checks_agree_with_the_per_plan_check(monkeypatch):
+    monkeypatch.setattr(harness, "_layout", None)
+    first = toolkit_check(instances=5, dim=5, seed=3)
+    layout = harness._layout
+    assert layout is not None
+    warm = toolkit_check(instances=5, dim=5, seed=3)
+    assert harness._layout is layout
+    assert first == warm == per_plan_toolkit_check(5, 5, 3)
+    assert first[0]
+
+
+def test_concurrent_checks_share_the_memo_safely(monkeypatch):
+    expected = [toolkit_check(instances=2, dim=3, seed=s) for s in range(8)]
+    monkeypatch.setattr(harness, "_layout", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(toolkit_check, 2, 3, s) for s in range(8)]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+def test_warm_check_hashes_no_instruction(monkeypatch):
+    # the memo is keyed on the plans' identities: a warm check neither
+    # hashes nor compares a program
+    expected = toolkit_check(instances=5, dim=5, seed=4)
+
+    def forbidden(self, *args):
+        raise AssertionError("instruction hashed or compared")
+
+    for cls in (Mul, Residual, Lin):
+        monkeypatch.setattr(cls, "__hash__", forbidden)
+        monkeypatch.setattr(cls, "__eq__", forbidden)
+    assert toolkit_check(instances=5, dim=5, seed=4) == expected
+
+
+def test_plan_swapped_in_after_a_warm_check_is_the_one_run(monkeypatch):
+    expected = toolkit_check(instances=4, dim=5, seed=2)
+    assert expected[0]
+    broken = FactorPlan(TableForm("h3-short", 3, (Mul("z", "Y", "X", "X"),)))
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "plan_order", lambda h: broken if h == 3 else plan_order(h))
+        ok, lines = toolkit_check(instances=4, dim=5, seed=2)
+    assert not ok
+    assert [ln for ln in lines if ln.endswith("FAIL")] == [
+        ln for ln in lines if ln.startswith("plan:3 ")
+    ]
+    # and the real plan again once the patch is gone
+    assert toolkit_check(instances=4, dim=5, seed=2) == expected
 
 
 def test_zero_instances_rejected():

@@ -83,7 +83,8 @@ class TestScalarSplit:
         np.array([[1.5e308, 1e308], [1e308, 1.5e308]]),  # a + a.T overflows
     ], ids=["tiny", "huge"])
     def test_non_finite_results_rejected(self, a):
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error, not numpy's overflow warning
             with pytest.raises(ValueError, match="entries must be finite"):
                 split_scalar(a)
 
