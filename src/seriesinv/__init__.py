@@ -63,7 +63,6 @@ from .richardson import (
     richardson_recursive_step,
     richardson_step,
     step_exponent_general,
-    step_exponent_qn,
 )
 from .harness import (
     HarmonicRegressorSpec,
@@ -73,8 +72,6 @@ from .harness import (
     emit_exponent_surface,
     emit_mmm_surface,
     gen_harmonic_matrix,
-    parse_exponent_surface,
-    parse_mmm_surface,
     parse_run_records,
     records_to_csv,
     run_comparison,

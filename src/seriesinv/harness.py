@@ -70,8 +70,6 @@ __all__ = [
     "emit_exponent_surface",
     "emit_mmm_surface",
     "gen_harmonic_matrix",
-    "parse_exponent_surface",
-    "parse_mmm_surface",
     "parse_run_records",
     "records_to_csv",
     "run_comparison",
@@ -511,16 +509,6 @@ def emit_mmm_surface() -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_mmm_surface(text: str) -> list[tuple[int, int, int, int]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "p,w,h,mmm":
-        raise ValueError("missing or unexpected CSV header")
-    return [tuple(int(tok) for tok in ln.split(",")) for ln in lines[1:]]
-
-
-_EXP_HEADER = "n,k,exponent_new,exponent_baseline,rho_pow_new,rho_pow_baseline"
-
-
 def emit_exponent_surface(
     kind: str,
     n_range=range(2, 7),
@@ -539,7 +527,7 @@ def emit_exponent_surface(
         raise ValueError("h must be >= 1")
     if not (isfinite(rho) and rho >= 0.0):
         raise ValueError(f"rho must be finite and >= 0, got {rho}")
-    lines = [_EXP_HEADER]
+    lines = ["n,k,exponent_new,exponent_baseline,rho_pow_new,rho_pow_baseline"]
     for n in n_range:
         if n < 2:
             raise ValueError("exponent surfaces need n >= 2")
@@ -572,19 +560,6 @@ def _rho_power(rho: float, exponent) -> float:
         return rho**exponent
     except OverflowError:
         return rho**inf
-
-
-def parse_exponent_surface(text: str) -> list[tuple[int, int, int, float, float, float]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != _EXP_HEADER:
-        raise ValueError("missing or unexpected CSV header")
-    out = []
-    for ln in lines[1:]:
-        n, k, e_new, e_base, r_new, r_base = ln.split(",")
-        out.append(
-            (int(n), int(k), int(e_new), float(e_base), float(r_new), float(r_base))
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

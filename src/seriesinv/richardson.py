@@ -40,7 +40,6 @@ __all__ = [
     "richardson_recursive_step",
     "richardson_step",
     "step_exponent_general",
-    "step_exponent_qn",
 ]
 
 
@@ -198,12 +197,6 @@ def richardson_recursive_step(
 def step_exponent_general(k: int, n: int, h: int, q: int) -> int:
     """Step-k mismatch exponent for general Neumann order q."""
     return h * ((k * n ** (k + 1) + n**k) * q + n ** (k + 1))
-
-
-def step_exponent_qn(k: int, n: int, h: int) -> int:
-    """Step-k mismatch exponent for q == n, the paper's closed form of
-    ``step_exponent_general(k, n, h, n)``."""
-    return h * (k * n ** (k + 2) + 2 * n ** (k + 1))
 
 
 def cumulative_exponent(k: int, n: int, h: int, q: int | None = None) -> int:

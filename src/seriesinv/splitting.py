@@ -1,10 +1,10 @@
-"""The preconditioned splitting A = S - D of an SPD matrix.
+"""The preconditioned splitting A = S - D of an SPD matrix, with S = alpha I.
 
-S is diagonal, so a splitting is defined by A and the diagonal s of S; the
-preconditioner S^-1 and the preconditioned residual B = S^-1 D = I - S^-1 A
-are derived from them once.  Convergence of every iteration in this package
-rests on the spectral radius of B being below one.  :func:`split_scalar`
-takes S = alpha I, so its B is symmetric and rho(B) < 1 for every SPD A.
+A splitting is defined by A and the scalar alpha; S^-1 = I / alpha and the
+preconditioned residual B = S^-1 D = I - A / alpha are derived from them
+once.  Every iteration in this package converges because rho(B) < 1, which
+:func:`split_scalar` ensures for every SPD A by taking alpha just above
+||A||_inf / 2; its B is symmetric, as A is symmetrized and S is scalar.
 
 A splitting may hold a ``(k, n, n)`` stack of k independent matrices:
 :func:`split_scalar` splits a whole stack in one pass, every check a
@@ -45,41 +45,37 @@ class NotSPDError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Splitting:
-    """Immutable splitting A = S - D with S = diag(``scale``).
+    """Immutable splitting A = S - D with S = ``alpha`` I.
 
-    ``matrix`` is the (symmetrized) A the splitting was built from, which the
-    series evaluators need for their residual shortcuts; it is taken as
-    given, validated by :func:`split_scalar`.  ``precond`` is S^-1 and
-    ``residual`` is B = I - S^-1 A, both derived from ``matrix`` and
-    ``scale`` when the splitting is built and read-only, so they agree by
-    construction.  The only check is on ``scale``: one positive, finite
-    entry per row of A, with a finite inverse.  For a ``(k, n, n)`` stack
-    of matrices every field is a stack: ``scale`` is ``(k, n)``, ``precond``
-    and ``residual`` are ``(k, n, n)``.  Splittings compare and hash by
-    identity, as their fields are arrays.
+    ``matrix`` is the (symmetrized) A, which the series evaluators need for
+    their residual shortcuts; it is taken as given, validated by
+    :func:`split_scalar`.  ``precond`` = S^-1 and ``residual`` = B are
+    derived from ``matrix`` and ``alpha`` when the splitting is built,
+    read-only, so they agree by construction.  The only check is on
+    ``alpha``: one positive, finite value per matrix (0-d, or ``(k,)`` for
+    a ``(k, n, n)`` stack), with a finite inverse.  Splittings compare and
+    hash by identity, as their fields are arrays.
     """
 
     matrix: np.ndarray
-    scale: np.ndarray
+    alpha: np.ndarray
     precond: np.ndarray = field(init=False)
     residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        s = _frozen(np.array(self.scale, dtype=np.float64))
-        fits = s.shape == self.matrix.shape[:-1]
-        # 1 / s is finite exactly when s > 2**-1024.  One test passes a
-        # valid scale; the message is chosen only on failure.
-        if not (fits and ((s > 2.0**-1024) & (s < np.inf)).all()):
-            if fits and ((s > 0.0) & (s < np.inf)).all():
+        alpha = _frozen(np.array(self.alpha, dtype=np.float64))
+        fits = alpha.shape == self.matrix.shape[:-2]
+        # 1 / alpha is finite exactly when alpha > 2**-1024.  One test
+        # passes a valid alpha; the message is chosen only on failure.
+        if not (fits and ((alpha > 2.0**-1024) & (alpha < np.inf)).all()):
+            if fits and ((alpha > 0.0) & (alpha < np.inf)).all():
                 raise ValueError("S^-1 overflows: matrix entries must be finite")
-            raise ValueError("scale must hold one positive, finite entry per row of the matrix")
-        inv = 1.0 / s
-        precond = identity_constant(s.shape[-1]) * inv[..., None, :]
-        object.__setattr__(self, "scale", s)
+            raise ValueError("alpha must hold one positive, finite value per matrix")
+        precond = identity_constant(self.matrix.shape[-1]) * (1.0 / alpha)[..., None, None]
+        residual = subtract_from_identity(self.matrix / alpha[..., None, None])
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "precond", _frozen(precond))
-        object.__setattr__(
-            self, "residual", _frozen(subtract_from_identity(self.matrix / s[..., None]))
-        )
+        object.__setattr__(self, "residual", _frozen(residual))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -103,13 +99,15 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
     skew = unit - unit.swapaxes(-1, -2)
     if (fro_norms(skew) > _SYMMETRY_RTOL * fro_norms(unit)).any():
         raise ValueError("matrix must be symmetric")
-    # Below 2**1023 no sum of two entries can overflow; at or above, an
-    # overflow is reported as the error below, not as numpy's warning.
-    if (top >= 2.0**1023).any():
+    # From 2**1023 / n, A + A^T or ||A||_inf may overflow: an error, not a warning.
+    if (top >= 2.0**1023 / a.shape[-1]).any():
         with np.errstate(over="ignore"):
             sym = (a + a.swapaxes(-1, -2)) / 2.0
+            rows = np.abs(sym).sum(axis=-1)
         if not np.isfinite(sym).all():
             raise ValueError("matrix entries must be finite")
+        if not np.isfinite(rows).all():
+            raise ValueError("matrix entries too large: ||A||_inf overflows")
     else:
         sym = (a + a.swapaxes(-1, -2)) / 2.0
     return _frozen(sym)
@@ -119,12 +117,14 @@ def is_positive_definite(a: np.ndarray) -> bool:
     """Positive definiteness via a Cholesky attempt.
 
     A pivot at or below ``1e-12 * ||a||_inf`` counts as failure, so
-    near-singular matrices are reported as not PD rather than factored
-    through rounding noise.
+    near-singular matrices, and those whose ||a||_inf overflows, are
+    reported as not PD rather than factored through rounding noise.
     """
     a = square_matrix(a)
-    a = (a + a.T) / 2.0
-    return _passes_cholesky(a, inf_norm(a))
+    with np.errstate(over="ignore"):
+        a = (a + a.T) / 2.0
+        norm = inf_norm(a)
+    return norm < np.inf and _passes_cholesky(a, norm)
 
 
 def _passes_cholesky(sym: np.ndarray, norm: float | np.ndarray) -> bool:
@@ -160,5 +160,4 @@ def split_scalar(a: np.ndarray, eps: float | None = None) -> Splitting:
         raise NotSPDError("matrix is not positive definite")
     # |a_ij| <= 2 alpha keeps a / alpha finite; Splitting rejects an
     # alpha whose inverse overflows.
-    alpha = norm / 2.0 + eps
-    return Splitting(a, alpha[..., None].repeat(a.shape[-1], axis=-1))
+    return Splitting(a, norm / 2.0 + eps)

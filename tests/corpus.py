@@ -5,6 +5,8 @@ with e up to a few thousand, so the corpora control rho(B) tightly: the
 comparison is only meaningful while ||B**e|| sits well above float noise.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from seriesinv import fro_norm, inf_norm, square_matrix
@@ -15,6 +17,7 @@ from seriesinv.matrix_core import (
     identity_constant,
     mat_mul,
     residual_of,
+    subtract_from_identity,
 )
 from seriesinv.series_toolkit import (
     TABLE_LABELS,
@@ -24,7 +27,7 @@ from seriesinv.series_toolkit import (
     plan_order,
     table_plans,
 )
-from seriesinv.splitting import Splitting, split_scalar
+from seriesinv.splitting import split_scalar
 
 
 def random_spd(dim, rng, shift=0.5):
@@ -62,12 +65,57 @@ def sdd_system(dim, rho, rng, jitter=0.0):
     return square_matrix(np.diag(diag) - w)
 
 
+@dataclass(frozen=True, eq=False)
+class DiagonalSplit:
+    """A read-only splitting record: the step functions read only these
+    three fields of a splitting."""
+
+    matrix: np.ndarray
+    precond: np.ndarray
+    residual: np.ndarray
+
+
 def diagonal_split(a):
     """The splitting S = diag(A).  Its residual B = I - S^-1 A is
     nonsymmetric unless diag(A) is constant, and rho(B) < 1 when A is
     strictly diagonally dominant with a positive diagonal, as the
     ``random_sdd`` and ``sdd_system`` matrices are."""
-    return Splitting(a, np.diag(a))
+    d = np.diag(a)
+    precond = identity_constant(a.shape[-1]) * (1.0 / d)
+    residual = subtract_from_identity(a / d[:, None])
+    for arr in (precond, residual):
+        arr.flags.writeable = False
+    return DiagonalSplit(a, precond, residual)
+
+
+def step_exponent_qn(k, n, h):
+    """Step-k mismatch exponent for q == n, the paper's closed form of
+    ``step_exponent_general(k, n, h, n)``."""
+    return h * (k * n ** (k + 2) + 2 * n ** (k + 1))
+
+
+def parse_mmm_surface(text):
+    """The rows of ``emit_mmm_surface``'s CSV as ``(p, w, h, mmm)``."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "p,w,h,mmm":
+        raise ValueError("missing or unexpected CSV header")
+    return [tuple(int(tok) for tok in ln.split(",")) for ln in lines[1:]]
+
+
+def parse_exponent_surface(text):
+    """The rows of ``emit_exponent_surface``'s CSV as ``(n, k, exponent_new,
+    exponent_baseline, rho_pow_new, rho_pow_baseline)``."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    header = "n,k,exponent_new,exponent_baseline,rho_pow_new,rho_pow_baseline"
+    if not lines or lines[0] != header:
+        raise ValueError("missing or unexpected CSV header")
+    out = []
+    for ln in lines[1:]:
+        n, k, e_new, e_base, r_new, r_base = ln.split(",")
+        out.append(
+            (int(n), int(k), int(e_new), float(e_base), float(r_new), float(r_base))
+        )
+    return out
 
 
 def contractive_scalar_system(dim, rho, rng):

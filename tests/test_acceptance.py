@@ -15,6 +15,7 @@ from corpus import (
     contractive_scalar_system,
     diagonal_split,
     mat_pow,
+    parse_mmm_surface,
     sdd_system,
 )
 from seriesinv import (
@@ -39,7 +40,6 @@ from seriesinv import (
     initial_series,
     nested_eval,
     ns_step,
-    parse_mmm_surface,
     emit_mmm_surface,
     richardson_recursive_step,
     richardson_step,

@@ -19,9 +19,8 @@ from seriesinv.harness import (
     HarmonicRegressorSpec,
     emit_exponent_surface,
     gen_harmonic_matrix,
-    parse_exponent_surface,
 )
-from corpus import random_spd
+from corpus import parse_exponent_surface, random_spd
 
 
 @pytest.fixture

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from corpus import power_iteration_oracle, random_spd
+from corpus import (
+    parse_exponent_surface,
+    parse_mmm_surface,
+    power_iteration_oracle,
+    random_spd,
+)
 from seriesinv import (
     HarmonicRegressorSpec,
     MethodSpec,
@@ -14,8 +19,6 @@ from seriesinv import (
     gen_harmonic_matrix,
     initial_richardson,
     is_positive_definite,
-    parse_exponent_surface,
-    parse_mmm_surface,
     parse_run_records,
     records_to_csv,
     run_comparison,

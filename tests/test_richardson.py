@@ -3,7 +3,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from corpus import contractive_scalar_system, diagonal_split, mat_pow, sdd_system
+from corpus import (
+    contractive_scalar_system,
+    diagonal_split,
+    mat_pow,
+    sdd_system,
+    step_exponent_qn,
+)
 from seriesinv import (
     cumulative_exponent,
     cumulative_exponent_closed,
@@ -13,7 +19,6 @@ from seriesinv import (
     richardson_step,
     split_scalar,
     step_exponent_general,
-    step_exponent_qn,
 )
 from seriesinv import richardson
 from seriesinv.series_toolkit import horner_eval

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import diagonal_split, random_sdd, random_spd
 from seriesinv import (
@@ -15,7 +17,7 @@ from seriesinv import (
     split_scalar,
     square_matrix,
 )
-from seriesinv.matrix_core import subtract_from_identity
+from seriesinv.matrix_core import square_stack, subtract_from_identity
 from seriesinv.splitting import _passes_cholesky
 
 
@@ -34,6 +36,10 @@ class TestDiagonalSplit:
         # Splitting takes A as given; split_scalar checks its symmetry.
         with pytest.raises(ValueError, match="matrix must be symmetric"):
             split_scalar(square_matrix([[3.0, 1.0], [0.0, 3.0]]))
+
+
+# Symmetric and SPD, (A + A^T) / 2 finite, ||A||_inf = 2.2e308 overflows.
+_HUGE3 = [[8e307, 7e307, 7e307], [7e307, 8e307, 7e307], [7e307, 7e307, 8e307]]
 
 
 class TestScalarSplit:
@@ -88,6 +94,30 @@ class TestScalarSplit:
             with pytest.raises(ValueError, match="entries must be finite"):
                 split_scalar(a)
 
+    @pytest.mark.parametrize("eps", [None, 1.0])
+    def test_overflowing_norm_rejected(self, eps):
+        # (A + A^T) / 2 is finite, ||A||_inf = 2.2e308 is not (n = 2 cannot
+        # overflow once (A + A^T) / 2 is finite); eps plays no part.
+        huge = np.array(_HUGE3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error, not numpy's overflow warning
+            for a in (huge, np.stack([np.eye(3), huge])):
+                with pytest.raises(ValueError) as exc:
+                    split_scalar(a, eps)
+                assert type(exc.value) is ValueError
+                assert str(exc.value) == "matrix entries too large: ||A||_inf overflows"
+
+    def test_large_finite_norm_splits(self):
+        # max|A| is past 2**1023 / n, but (A + A^T) / 2 and ||A||_inf are
+        # finite: the splitting is that of A scaled down by the power of two.
+        m = np.array([[4.0, 1.0, 1.0], [1.0, 4.0, 1.0], [1.0, 1.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = split_scalar(2.0**1020 * m)
+        one = split_scalar(m)
+        assert _same_bits(big.residual, one.residual)
+        assert _same_bits(big.precond, 2.0**-1020 * one.precond)
+
     def test_default_eps(self, rng):
         a = random_spd(4, rng)
         sp = split_scalar(a)
@@ -111,35 +141,44 @@ def _same_bits(x, y):
 
 
 class TestSplittingConstructor:
-    @pytest.mark.parametrize("scale", [
-        [1.0, 0.0, 1.0],
-        [1.0, -2.0, 1.0],
-        [1.0, np.nan, 1.0],
-        [1.0, np.inf, 1.0],
-        [1.0, 1.0],
-        [1.0, 1.0, 1.0, 1.0],
-        [[1.0, 1.0, 1.0]],
-        np.ones((3, 3)),
+    # The scale of S = alpha I: one positive, finite alpha per matrix.
+    @pytest.mark.parametrize("alpha", [
+        [1.0, 0.0],
+        [1.0, -2.0],
+        [1.0, np.nan],
+        [1.0, np.inf],
+        [1.0],
+        [1.0, 1.0, 1.0],
+        [[1.0, 1.0]],
+        np.ones((2, 3)),
     ], ids=["zero", "negative", "nan", "inf", "short", "long", "row", "square"])
-    def test_rejects_bad_scale(self, scale):
-        with pytest.raises(ValueError, match="scale must hold"):
-            Splitting(matrix=square_matrix(np.eye(3)), scale=np.array(scale))
+    def test_rejects_bad_scale(self, alpha):
+        stack = square_stack(np.stack([np.eye(3), np.eye(3)]))
+        with pytest.raises(ValueError, match="alpha must hold"):
+            Splitting(matrix=stack, alpha=np.array(alpha))
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf, [1.0], [[1.0]], np.ones(3)])
+    def test_one_matrix_takes_a_0d_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must hold"):
+            Splitting(matrix=square_matrix(np.eye(3)), alpha=np.array(alpha))
 
     def test_rejects_scale_whose_inverse_overflows(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # raises the error, warns nothing
             with pytest.raises(ValueError, match="entries must be finite"):
-                Splitting(matrix=square_matrix(np.eye(2)), scale=np.full(2, 1e-320))
+                Splitting(matrix=square_matrix(np.eye(2)), alpha=1e-320)
+            with pytest.raises(ValueError, match="entries must be finite"):
+                Splitting(matrix=square_stack(np.ones((2, 1, 1))), alpha=np.array([1.0, 1e-320]))
 
     def test_inverse_overflow_threshold_is_exact(self):
-        # every scale near 2**-1024 is accepted exactly when 1 / s is finite
-        scales = 2.0**-1024 + np.arange(-300, 301) * 2.0**-1074
+        # every alpha near 2**-1024 is accepted exactly when 1 / alpha is finite
+        alphas = 2.0**-1024 + np.arange(-300, 301) * 2.0**-1074
         with np.errstate(over="ignore"):
-            finite = np.isfinite(1.0 / scales)
+            finite = np.isfinite(1.0 / alphas)
         assert finite.any() and not finite.all()
-        for s, ok in zip(scales, finite):
+        for alpha, ok in zip(alphas, finite):
             try:
-                Splitting(matrix=square_matrix(np.eye(1)), scale=np.array([s]))
+                Splitting(matrix=square_matrix(np.eye(1)), alpha=alpha)
             except ValueError as exc:
                 assert not ok and str(exc) == "S^-1 overflows: matrix entries must be finite"
             else:
@@ -147,14 +186,14 @@ class TestSplittingConstructor:
 
     def test_derived_arrays_read_only(self, rng):
         a = random_spd(4, rng)
-        scale = np.linspace(2.0, 3.0, 4)
-        sp = Splitting(matrix=a, scale=scale)
-        for arr in (sp.precond, sp.residual, sp.scale):
+        alpha = np.array(2.0)
+        sp = Splitting(matrix=a, alpha=alpha)
+        for arr in (sp.precond, sp.residual, sp.alpha):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
-        scale[0] = 5.0
-        assert sp.scale[0] == 2.0 and sp.precond[0, 0] == 0.5
+        alpha[()] = 5.0
+        assert sp.alpha == 2.0 and sp.precond[0, 0] == 0.5
 
     def test_equality_and_hash_by_identity(self, rng):
         a = random_spd(4, rng)
@@ -174,7 +213,7 @@ class TestSplittingConstructor:
         alpha = norm / 2.0 + (1e-3 * norm if eps is None else eps)
         assert _same_bits(sp.precond, np.eye(dim) / alpha)
         assert _same_bits(sp.residual, subtract_from_identity(sp.matrix / alpha))
-        assert np.array_equal(sp.scale, np.full(dim, alpha))
+        assert sp.alpha.shape == () and sp.alpha == alpha
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("dim", [2, 5, 8, 17])
@@ -183,7 +222,8 @@ class TestSplittingConstructor:
         d = np.diag(sp.matrix)
         assert _same_bits(sp.precond, np.diag(1.0 / d))
         assert _same_bits(sp.residual, subtract_from_identity(sp.matrix / d[:, None]))
-        assert np.array_equal(sp.scale, d)
+        for arr in (sp.precond, sp.residual):
+            assert not arr.flags.writeable
 
 
 def _old_symmetry_test_rejects(a):
@@ -242,6 +282,23 @@ def _spd_stack(k, n, rng):
     return np.stack(mats) + noise
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(0, 4),
+    n=st.integers(1, 12),
+    eps=st.none() | st.floats(1e-9, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_residual_is_bitwise_symmetric(k, n, eps, seed):
+    # k == 0 is one matrix; the inputs are off symmetric by rounding noise.
+    stack = _spd_stack(max(k, 1), n, np.random.default_rng(seed))
+    sp = split_scalar(stack if k else stack[0], eps)
+    assert _same_bits(sp.residual, sp.residual.swapaxes(-1, -2))
+    for i in np.ndindex(sp.alpha.shape):
+        norm = inf_norm(sp.matrix[i])
+        assert sp.alpha[i] == norm / 2.0 + (1e-3 * norm if eps is None else eps)
+
+
 class TestStackedSplit:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_each_instance_equals_its_own_split(self, n):
@@ -250,12 +307,12 @@ class TestStackedSplit:
             stack = _spd_stack(k, n, r)
             for eps in (None, 0.05):
                 sp = split_scalar(stack, eps)
-                assert sp.scale.shape == (k, n)
+                assert sp.alpha.shape == (k,)
                 for arr in (sp.matrix, sp.precond, sp.residual):
                     assert arr.shape == (k, n, n)
                 for i in range(k):
                     one = split_scalar(stack[i], eps)
-                    for name in ("matrix", "scale", "precond", "residual"):
+                    for name in ("matrix", "alpha", "precond", "residual"):
                         assert _same_bits(getattr(sp, name)[i], getattr(one, name)), (k, i, name)
 
     @pytest.mark.parametrize("bad", [
@@ -293,7 +350,7 @@ class TestStackedSplit:
         before = stack.tobytes()
         sp = split_scalar(stack)
         assert stack.tobytes() == before
-        for arr in (sp.matrix, sp.scale, sp.precond, sp.residual):
+        for arr in (sp.matrix, sp.alpha, sp.precond, sp.residual):
             assert not arr.flags.writeable
             assert not np.shares_memory(arr, stack)
             with pytest.raises(ValueError):
@@ -393,6 +450,13 @@ class TestPositiveDefinite:
         assert is_positive_definite(np.eye(3))
         assert not is_positive_definite(square_matrix([[1.0, 2.0], [2.0, 1.0]]))
         assert not is_positive_definite(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("a", [_HUGE3, [[1.5e308, 1e308], [1e308, 1.5e308]]],
+                             ids=["norm-overflows", "sum-overflows"])
+    def test_overflow_is_not_pd_and_warns_nothing(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_positive_definite(a) is False
 
     def test_near_singular_counts_as_failure(self):
         a = square_matrix([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
