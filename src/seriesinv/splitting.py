@@ -37,6 +37,7 @@ __all__ = [
 _SYMMETRY_RTOL = 1e-10
 # A Cholesky pivot at or below this times ||A||_inf counts as failure.
 _PIVOT_RTOL = 1e-12
+_HALF_MAX = np.finfo(np.float64).max / 2.0
 
 
 class NotSPDError(ValueError):
@@ -153,11 +154,24 @@ def split_scalar(a: np.ndarray, eps: float | None = None) -> Splitting:
     norm = np.abs(a).sum(axis=-1).max(axis=-1)  # ||A||_inf of each matrix
     if eps is None:
         eps = 1e-3 * norm
-    ok = np.logical_and(0.0 < eps, eps < np.inf)
-    if not ok.all():
-        raise ValueError(f"eps must be positive and finite, got {np.extract(~ok, eps)[0]}")
+    # norm is finite, so norm / 2 + eps cannot overflow while eps <= DBL_MAX / 2
+    if not np.logical_and(0.0 < eps, eps <= _HALF_MAX).all():
+        _check_eps(eps, norm)
     if not _passes_cholesky(a, norm):
         raise NotSPDError("matrix is not positive definite")
     # |a_ij| <= 2 alpha keeps a / alpha finite; Splitting rejects an
     # alpha whose inverse overflows.
     return Splitting(a, norm / 2.0 + eps)
+
+
+def _check_eps(eps, norm: np.ndarray) -> None:
+    """Raise for an eps that is not positive and finite, or with which
+    alpha = ||A||_inf / 2 + eps overflows for some matrix."""
+    bad = ~np.logical_and(0.0 < eps, eps < np.inf)
+    if bad.any():
+        raise ValueError(f"eps must be positive and finite, got {np.extract(bad, eps)[0]}")
+    with np.errstate(over="ignore"):
+        bad = np.isinf(norm / 2.0 + eps)
+    if bad.any():
+        eps = np.extract(bad, np.broadcast_to(eps, bad.shape))[0]
+        raise ValueError(f"eps too large: ||A||_inf / 2 + eps overflows, got {eps}")

@@ -1,5 +1,6 @@
 import argparse
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,16 @@ class TestErrorHandling:
         assert rc == 2
         assert "eps must be positive and finite" in capsys.readouterr().err
         assert not csv_path.exists()
+
+    def test_overflowing_alpha_exits_2_naming_eps(self, tmp_path, capsys):
+        mat = tmp_path / "big2.mat"
+        mat.write_text("2\n5e307 0\n0 5e307\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["invert", "--matrix", str(mat), "--method", "ns", "--eps", "1.7e308"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: eps too large: ||A||_inf / 2 + eps overflows, got 1.7e+308\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["invert", "--method", "composite", "--rates", "2.5"],

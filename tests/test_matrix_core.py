@@ -35,6 +35,17 @@ def mat_mul_naive(a, b):
     return out
 
 
+def _signed_zero_matrix(rng, n):
+    """Random entries, about a third of them +0.0 or -0.0, with a column of
+    +0.0 and a row of -0.0 (at n = 1 the one entry is -0.0)."""
+    m = rng.standard_normal((n, n))
+    zeros = rng.random((n, n)) < 0.35
+    m[zeros] = np.copysign(0.0, rng.standard_normal((n, n)))[zeros]
+    m[:, -1] = 0.0
+    m[0] = -0.0
+    return m
+
+
 class TestConstruction:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -97,6 +108,39 @@ class TestMatMul:
             assert np.array_equal(out[i], a[i] @ b[i])
         with pytest.raises(ValueError):
             mat_mul(a, rng.standard_normal((5, 4, 3)), MulCounter())
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 17, 64, 512])
+    def test_2d_product_is_bitwise_matmul(self, n):
+        # 2-D products run through ndarray.dot for 2 <= n <= DOT_MAX_DIM
+        # and through @ otherwise: the bits of a @ b either way, signed
+        # zeros included, on every layout
+        rng = np.random.default_rng(n)
+        m, p = (_signed_zero_matrix(rng, n) for _ in range(2))
+        layouts = {
+            "C": (m, p),
+            "negated": (m, -p),
+            "F": (np.asfortranarray(m), np.asfortranarray(p)),
+            "transposed": (m.T, p.T),
+            "mixed": (np.asfortranarray(m), p.T),
+        }
+        for name, (a, b) in layouts.items():
+            ctr = MulCounter()
+            got, want = mat_mul(a, b, ctr), a @ b
+            assert ctr.mmm == 1
+            assert np.array_equal(got, want), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+    @pytest.mark.parametrize("n", [5, 17, 64])
+    def test_views_outside_the_package_agree_to_rounding(self, rng, n):
+        # ndarray.dot and @ may take another BLAS path on a stride-0
+        # broadcast view and on x @ x.T for a non-contiguous x; the package
+        # builds neither, and the two agree to rounding there
+        m = rng.standard_normal((2 * n, 2 * n))
+        x = m[::2, ::2]
+        row = np.broadcast_to(m[0, :n], (n, n))
+        for a, b in ((x, x.T), (x.T, x), (row, m[:n, :n]), (m[:n, :n], row.T)):
+            got, want = mat_mul(a, b, MulCounter()), a @ b
+            assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(a) @ np.abs(b)))
 
     def test_counter_merge(self):
         c1, c2 = MulCounter(2, 1), MulCounter(3, 4)

@@ -3,9 +3,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from corpus import assert_power_law, diagonal_split, mat_pow, sdd_system
+from corpus import assert_power_law, diagonal_split, mat_pow, random_spd, sdd_system
 from seriesinv import (
     CompositeSpec,
+    HarmonicRegressorSpec,
     MulCounter,
     additive_correction_step,
     additive_exponents,
@@ -15,12 +16,18 @@ from seriesinv import (
     double_exponent,
     double_ns_step,
     fro_norm,
+    gen_harmonic_matrix,
     initial_double,
+    initial_richardson,
     initial_series,
     ns_step,
     plan_order,
+    residual_of,
+    richardson_step,
+    split_scalar,
     square_matrix,
 )
+from seriesinv.harness import series_params
 
 
 def diag_system(dim, rho, rng):
@@ -351,3 +358,26 @@ class TestExponentModels:
                     e_l, e_f = additive_exponents(k, n, h)
                     assert_power_law(eye - z @ a, sp.residual, e_l)
                     assert_power_law(eye - g @ a, sp.residual, e_f)
+
+
+@pytest.mark.parametrize("n,h", [(2, 4), (3, 16), (4, 1)])
+def test_accelerator_residual_is_already_held(n, h):
+    # double_ns_step's accelerator branch recomputes I - L A, which the
+    # state already holds as accel_residual (richardson_recursive_step reuses
+    # it).  Bitwise equal on double and richardson runs stepped on the
+    # splitting's A, as run_comparison steps them, so that product can go.
+    harmonic, b, _ = gen_harmonic_matrix(HarmonicRegressorSpec.default())
+    spd = random_spd(5, np.random.default_rng(5))
+    p, w = series_params(h)
+    for a, rhs in ((harmonic, b), (spd, spd @ np.ones(5))):
+        sp = split_scalar(a)
+        dst = initial_double(sp, p, w, order=n)
+        rst = initial_richardson(sp, rhs, p, w, order=n)
+        for _ in range(5):
+            for st in (dst, rst.inner):
+                held = st.accel_residual
+                again = residual_of(st.accel_estimate, sp.matrix, MulCounter())
+                assert np.array_equal(again, held)
+                assert np.array_equal(np.signbit(again), np.signbit(held))
+            dst = double_ns_step(dst, sp.matrix)
+            rst = richardson_step(rst, sp.matrix, rhs)

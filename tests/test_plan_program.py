@@ -146,6 +146,20 @@ def test_stacked_run_equals_each_2d_run_bitwise(dim):
                 assert same_bits(z[i], ref), (name, form_y, i)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5, 6])
+def test_2d_products_equal_stacked_products_bitwise(dim):
+    # a 2-D run multiplies through ndarray.dot (np.matmul at dim 1, where
+    # dot's scalar product would turn a +0.0 into -0.0), a stacked run
+    # through np.matmul: every plan gives the same bits either way
+    rng = np.random.default_rng(dim)
+    y, x, a = (signed_zero_matrix(rng, (3, dim, dim)) for _ in range(3))
+    for name, plan in all_plans():
+        z = series_toolkit._execute(plan.program, y, x, a, MulCounter())
+        for i in range(3):
+            one = series_toolkit._execute(plan.program, y[i], x[i], a[i], MulCounter())
+            assert same_bits(z[i], one), (name, i)
+
+
 def test_stacked_geometric_apply_and_references_bitwise():
     x, y, a = stacked_instances(4, 3, seed=1)
     for order in (1, 2, 7, 45, 64):

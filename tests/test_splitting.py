@@ -107,6 +107,21 @@ class TestScalarSplit:
                 assert type(exc.value) is ValueError
                 assert str(exc.value) == "matrix entries too large: ||A||_inf overflows"
 
+    def test_overflowing_alpha_names_eps(self):
+        # ||A||_inf / 2 + eps overflows: one error naming eps, not numpy's
+        # warning followed by the constructor's message about alpha
+        big = 5e307 * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (big, np.stack([np.eye(2), big, np.eye(2)])):
+                with pytest.raises(ValueError) as exc:
+                    split_scalar(a, eps=1.7e308)
+                assert str(exc.value) == (
+                    "eps too large: ||A||_inf / 2 + eps overflows, got 1.7e+308"
+                )
+            # the same eps with a small norm: alpha = 1.7e308 is finite
+            assert split_scalar(np.eye(2), eps=1.7e308).alpha == 0.5 + 1.7e308
+
     def test_large_finite_norm_splits(self):
         # max|A| is past 2**1023 / n, but (A + A^T) / 2 and ||A||_inf are
         # finite: the splitting is that of A scaled down by the power of two.
