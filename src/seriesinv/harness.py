@@ -16,12 +16,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from math import cos, inf, isfinite, pi, sin
-from numbers import Integral
 
 import numpy as np
 
 from .matrix_core import (
     MulCounter,
+    check_int,
     fro_norm,
     mat_vec,
     residual_of,
@@ -34,24 +34,34 @@ from .newton_schulz import (
     CompositeSpec,
     additive_correction_step,
     additive_exponents,
+    additive_program,
     classical_exponent,
     composite_exponent,
+    composite_program,
     composite_step,
     double_exponent,
     double_ns_step,
+    double_program,
+    double_start_program,
     initial_double,
     initial_series,
+    ns_program,
     ns_step,
+    series_program,
 )
 from .richardson import (
     cumulative_exponent,
     cumulative_exponent_closed,
     initial_richardson,
+    recursive_program,
+    richardson_program,
     richardson_recursive_step,
+    richardson_start_program,
     richardson_step,
 )
 from .series_toolkit import (
     TABLE_LABELS,
+    Program,
     factored_mmm,
     nested_eval,
     plan_order,
@@ -70,6 +80,7 @@ __all__ = [
     "emit_exponent_surface",
     "emit_mmm_surface",
     "gen_harmonic_matrix",
+    "method_programs",
     "parse_run_records",
     "records_to_csv",
     "run_comparison",
@@ -187,8 +198,8 @@ class MethodSpec:
                 f"unknown method kind {self.kind!r}; expected one of {', '.join(METHODS)}"
             )
         for label, value in (("order", self.order), ("h", self.h), ("q", self.q)):
-            if value is not None and (type(value) is bool or not isinstance(value, Integral)):
-                raise ValueError(f"{label} must be an integer, got {value!r}")
+            if value is not None:
+                check_int(label, value)
         if self.order < row.min_order:
             raise ValueError(f"method {self.kind} requires order >= {row.min_order}")
         if self.h < 1:
@@ -268,8 +279,10 @@ class MethodKind:
     initial state and the step function, which steps on ``split.matrix``;
     ``error(state, b, theta_star)`` measures a state; ``exponent(method,
     k)`` is the predicted power of rho; ``name`` is formatted with the
-    spec's kind, order, h, q and rates; ``min_order`` is the smallest order
-    the step function accepts.
+    spec's kind, order, h, q and rates; ``programs(method, p, w)`` returns
+    the lowered programs the start and step functions run (see
+    :func:`method_programs`); ``min_order`` is the smallest order the step
+    function accepts.
     """
 
     command: str
@@ -277,6 +290,7 @@ class MethodKind:
     error: Callable
     exponent: Callable
     name: str
+    programs: Callable
     min_order: int = 1
     takes_q: bool = False
     q_is_order: bool = False
@@ -339,36 +353,73 @@ METHODS: dict[str, MethodKind] = {
     "ns": MethodKind(
         "invert", partial(_start_plain, initial_series, ns_step), _residual_error,
         lambda m, k: classical_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
+        lambda m, p, w: (series_program(p, w), ns_program(m.order), ns_program(m.order)),
     ),
     "double": MethodKind(
         "invert", partial(_start_plain, initial_double, double_ns_step), _residual_error,
         lambda m, k: double_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
+        lambda m, p, w: (
+            double_start_program(p, w, m.order), double_program(m.order), double_program(m.order)
+        ),
     ),
     "composite": MethodKind(
         "invert", _start_composite, _residual_error,
         lambda m, k: composite_exponent(k, m.order, m.h, m.rates),
-        "{kind}:n{order}:h{h}:r{rates}", takes_rates=True,
+        "{kind}:n{order}:h{h}:r{rates}",
+        lambda m, p, w: (
+            series_program(p, w),
+            composite_program(m.order, m.rates),
+            composite_program(m.order, m.rates),
+        ),
+        takes_rates=True,
     ),
     "sri": MethodKind(
         "invert", _start_sri, _residual_error,
         lambda m, k: additive_exponents(k, m.order, m.h)[1], "{kind}:p{order}:h{h}",
+        lambda m, p, w: (
+            series_program(p, w), additive_program(m.order), additive_program(m.order)
+        ),
         min_order=2,
     ),
     "richardson": MethodKind(
         "solve", partial(_start_richardson, richardson_step), _theta_error,
         lambda m, k: cumulative_exponent(k, m.order, m.h, m.q),
-        "{kind}:n{order}:q{q}:h{h}", takes_q=True,
+        "{kind}:n{order}:q{q}:h{h}",
+        lambda m, p, w: (
+            richardson_start_program(p, w, m.order),
+            richardson_program(m.order, m.order if m.q is None else m.q),
+            richardson_program(m.order, m.order if m.q is None else m.q),
+        ),
+        takes_q=True,
     ),
     "richardson-recursive": MethodKind(
         "solve", partial(_start_richardson, richardson_recursive_step), _theta_error,
         lambda m, k: cumulative_exponent(k, m.order, m.h, m.q),
-        "{kind}:n{order}:q{q}:h{h}", takes_q=True, q_is_order=True,
+        "{kind}:n{order}:q{q}:h{h}",
+        lambda m, p, w: (
+            richardson_start_program(p, w, m.order),
+            recursive_program(m.order, True),
+            recursive_program(m.order, False),
+        ),
+        takes_q=True, q_is_order=True,
     ),
     "ns-estimator": MethodKind(
         "solve", partial(_start_plain, initial_series, ns_step), _estimate_error,
         lambda m, k: classical_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
+        lambda m, p, w: (series_program(p, w), ns_program(m.order), ns_program(m.order)),
     ),
 }
+
+
+def method_programs(method: MethodSpec) -> tuple[Program, Program, Program]:
+    """The lowered programs a run of ``method`` executes: its start
+    function's, its first step's and every later step's (the first step
+    differs only for ``richardson-recursive``, which builds its carried
+    weight there).  Each program's ``mmm``, ``mvm`` and ``depth`` are the
+    counts one call adds and its critical path in products; the error
+    metrics' own products (``ns-estimator``'s ``G b``) are not part of
+    them."""
+    return METHODS[method.kind].programs(method, *series_params(method.h))
 
 
 def _run_method(method: MethodSpec, split, b, theta_star, steps, rho, timer):

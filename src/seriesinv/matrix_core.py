@@ -4,8 +4,9 @@ Everything downstream (splittings, series evaluation, the iteration family)
 works on plain float64 numpy arrays validated by :func:`square_matrix` /
 :func:`vector`.  Matrix products that belong to an algorithm's cost model go
 through :func:`mat_mul` / :func:`mat_vec`, which tick a :class:`MulCounter`;
-the one exception is the plan executor in ``series_toolkit``, which runs the
-products of a lowered program inline and ticks the counter by the same rule.
+the one exception is the executor in ``series_toolkit``, which runs the
+products of every lowered program (each plan, and each start and step
+function of the iteration family) inline and counts them by the same rule.
 Uncounted oracles, such as the ``mat_pow`` the exponent-law tests compare
 against, live with the tests.
 
@@ -37,12 +38,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
 __all__ = [
     "MulCounter",
     "SpectralRadiusError",
+    "check_int",
     "identity_constant",
     "inf_norm",
     "fro_norm",
@@ -98,6 +101,15 @@ def vector(entries) -> np.ndarray:
         raise ValueError("vector entries must be finite")
     v.flags.writeable = False
     return v
+
+
+def check_int(label: str, value) -> None:
+    """Reject a ``value`` that is not an integer, or is a bool, with the
+    message every boundary gives (``"order must be an integer, got 1.5"``).
+    Any ``numbers.Integral`` other than bool passes, numpy integers
+    included."""
+    if type(value) is not int and (type(value) is bool or not isinstance(value, Integral)):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
 
 
 @lru_cache(maxsize=8)

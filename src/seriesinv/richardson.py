@@ -12,24 +12,25 @@ exponent has a closed form (:func:`cumulative_exponent_closed`), and the
 weight admits a recursive evaluation (:func:`richardson_recursive_step`)
 that re-derives G_k from the previous step's weight with a single product
 and splits the remaining work into two independent parts.
+
+Like the inversion steps, each start and step function runs one lowered
+program: the two-loop programs of ``newton_schulz`` spliced in, then the
+weight's products and the theta update, whose ``MatVec`` instructions are
+the counted matrix-vector products and whose ``Sub`` instructions the free
+vector differences.  The recursive step's first call runs its own program,
+which builds the carried weight before the common part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .matrix_core import (
-    MulCounter,
-    identity_constant,
-    mat_mul,
-    mat_vec,
-    residual_of,
-    run_branches,
-)
-from .newton_schulz import DoubleNsState, double_ns_step, initial_double
-from .series_toolkit import horner_eval
+from .matrix_core import MulCounter, check_int
+from .newton_schulz import DoubleNsState, _check_start, double_program, double_start_program
+from .series_toolkit import MatVec, Mul, Program, Residual, Sub, _Builder, run_program
 from .splitting import Splitting
 
 __all__ = [
@@ -37,7 +38,10 @@ __all__ = [
     "cumulative_exponent",
     "cumulative_exponent_closed",
     "initial_richardson",
+    "recursive_program",
+    "richardson_program",
     "richardson_recursive_step",
+    "richardson_start_program",
     "richardson_step",
     "step_exponent_general",
 ]
@@ -62,6 +66,74 @@ class RichardsonState:
     ctr: MulCounter
 
 
+# ---------------------------------------------------------------------------
+# Programs: each start and step function is one lowered program, built once
+# per (order, q) by splicing the two-loop programs of ``newton_schulz``.
+# ---------------------------------------------------------------------------
+
+
+def _theta_update(bld: _Builder, weight: int, theta: int, rhs: int) -> int:
+    """theta - W (A theta - b): two counted mvm and two vector differences."""
+    resid = bld.emit(Sub, bld.emit(MatVec, None, theta), rhs)
+    return bld.emit(Sub, theta, bld.emit(MatVec, weight, resid))
+
+
+@lru_cache(maxsize=128)
+def richardson_start_program(p: int, w: int, order: int) -> Program:
+    """Inputs (B, S^-1, b); outputs (G_0, F_0, L_0, R_0, theta_0): the
+    two-loop start, then theta_0 = L_0 b."""
+    bld = _Builder("B", "Sinv", "b")
+    g, f, lead, accel_res = bld.call(double_start_program(p, w, order), 0, 1)
+    return bld.build(g, f, lead, accel_res, bld.emit(MatVec, lead, 2))
+
+
+@lru_cache(maxsize=128)
+def richardson_program(order: int, q: int) -> Program:
+    """Inputs (L, G, F, theta, b); outputs (G_k, F_k, L_k, R_k, theta_k):
+    the two-loop step, the weight W = L_k + R_k S_q(F_k) G_k and
+    theta_k = theta - W (A theta - b)."""
+    bld = _Builder("L", "G", "F", "theta", "b")
+    g, f, lead, accel_res = bld.call(double_program(order), 0, 1, 2)
+    weight = bld.emit(Mul, accel_res, bld.horner(f, g, q), lead)
+    return bld.build(g, f, lead, accel_res, _theta_update(bld, weight, 3, 4))
+
+
+@lru_cache(maxsize=128)
+def recursive_program(order: int, first: bool) -> Program:
+    """The recursive step.  Later steps: inputs (L, R, Omega, P, theta, b),
+    the carried weight Omega and sum P; the first step: inputs (L, R, G, F,
+    theta, b), from which it builds P = S_n(F) G and Omega = L + R P first.
+    Outputs (G_k, F_k, L_k, R_k, Omega_k, P_k, theta_k).
+
+    After the shared S = I + R + ... + R^(n-1), two independent branches:
+    G_k = S (Omega - P) + P, F_k = I - G_k A and P_k = S_n(F_k) G_k; and
+    L_k = S L, R_k = I - L_k A.  The join forms Omega_k = L_k + R_k P_k and
+    the theta update."""
+    if first:
+        bld = _Builder("L", "R", "G", "F", "theta", "b")
+        ns_prev = bld.horner(3, 2, order)
+        omega_prev = bld.emit(Mul, 1, ns_prev, 0)
+        outs = bld.call(recursive_program(order, False), 0, 1, omega_prev, ns_prev, 4, 5)
+        return bld.build(*outs)
+    bld = _Builder("L", "R", "Omega", "P", "theta", "b")
+    s_gamma = bld.power_sum(1, order)
+    bld.cut()
+    g = bld.emit(Mul, s_gamma, bld.emit(Sub, 2, 3), 3)
+    f = bld.emit(Residual, g)
+    ns_new = bld.horner(f, g, order)
+    bld.cut()
+    lead = bld.emit(Mul, s_gamma, 0)
+    accel_res = bld.emit(Residual, lead)
+    bld.cut()
+    omega = bld.emit(Mul, accel_res, ns_new, lead)
+    return bld.build(g, f, lead, accel_res, omega, ns_new, _theta_update(bld, omega, 4, 5))
+
+
+# ---------------------------------------------------------------------------
+# Start and step functions.
+# ---------------------------------------------------------------------------
+
+
 def initial_richardson(
     split: Splitting,
     b: np.ndarray,
@@ -70,28 +142,46 @@ def initial_richardson(
     order: int = 2,
     q: int | None = None,
 ) -> RichardsonState:
-    """Initialize with theta_0 = L_0 b from the two-loop inversion init."""
+    """Initialize with theta_0 = L_0 b from the two-loop inversion init
+    (:func:`richardson_start_program`).  ``q``, like ``p``, ``w`` and
+    ``order``, must be an integer (not bool)."""
     if q is None:
-        q = order  # initial_double checks order
-    elif q < 1:
-        raise ValueError("q must be >= 1")
-    inner = initial_double(split, p, w, order)
-    theta0 = mat_vec(inner.accel_estimate, b, inner.ctr)
+        q = order  # checked with order below
+    else:
+        check_int("q", q)
+        if q < 1:
+            raise ValueError("q must be >= 1")
+    _check_start(p, w, order)
+    if split.matrix.shape[1] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {split.matrix.shape} @ {b.shape}")
+    ctr = MulCounter()
+    g, f, lead, accel_res, theta0 = run_program(
+        richardson_start_program(p, w, order),
+        [split.residual, split.precond, b],
+        split.matrix,
+        ctr,
+    )
+    inner = DoubleNsState(g, f, lead, accel_res, step=0, order=order, ctr=ctr)
     return RichardsonState(
-        theta=theta0, inner=inner, q=q, omega=None, ns_part=None, step=0, ctr=inner.ctr
+        theta=theta0, inner=inner, q=q, omega=None, ns_part=None, step=0, ctr=ctr
     )
 
 
-def richardson_step(st: RichardsonState, a: np.ndarray, b: np.ndarray) -> RichardsonState:
-    """Direct form: advance the inversion, build the weight, correct theta."""
+def _check_step(st: RichardsonState, a: np.ndarray, b: np.ndarray) -> None:
     if a.shape[0] != st.theta.shape[0] or b.shape != st.theta.shape:
         raise ValueError("dimension mismatch")
-    inner = double_ns_step(st.inner, a)
-    sum_fg = horner_eval(inner.residual, inner.estimate, st.q, st.ctr)
-    weight = mat_mul(inner.accel_residual, sum_fg, st.ctr)
-    weight += inner.accel_estimate
-    resid = mat_vec(a, st.theta, st.ctr) - b
-    theta = st.theta - mat_vec(weight, resid, st.ctr)
+
+
+def richardson_step(st: RichardsonState, a: np.ndarray, b: np.ndarray) -> RichardsonState:
+    """Direct form: advance the inversion, build the weight, correct theta
+    (:func:`richardson_program`)."""
+    _check_step(st, a, b)
+    prev = st.inner
+    inputs = [prev.accel_estimate, prev.estimate, prev.residual, st.theta, b]
+    g, f, lead, accel_res, theta = run_program(
+        richardson_program(prev.order, st.q), inputs, a, st.ctr
+    )
+    inner = DoubleNsState(g, f, lead, accel_res, step=prev.step + 1, order=prev.order, ctr=st.ctr)
     return RichardsonState(
         theta=theta,
         inner=inner,
@@ -103,22 +193,10 @@ def richardson_step(st: RichardsonState, a: np.ndarray, b: np.ndarray) -> Richar
     )
 
 
-def _power_sum(gamma: np.ndarray, n: int, ctr: MulCounter) -> np.ndarray:
-    """I + gamma + ... + gamma^(n-1) in matrix form (n - 2 products), for
-    one matrix or each matrix of a ``(k, n, n)`` stack."""
-    acc = np.empty_like(gamma)
-    acc[...] = identity_constant(gamma.shape[-1])
-    cur = None
-    for _ in range(n - 1):
-        cur = gamma if cur is None else mat_mul(cur, gamma, ctr)
-        acc += cur
-    return acc
-
-
 def richardson_recursive_step(
     st: RichardsonState, a: np.ndarray, b: np.ndarray, executor=None
 ) -> RichardsonState:
-    """Recursive form, valid for q == n only.
+    """Recursive form, valid for q == n only (:func:`recursive_program`).
 
     The step reuses the previous residual power as the new inner residual
     (no product), recovers G_k from the previous weight with one product,
@@ -135,55 +213,25 @@ def richardson_recursive_step(
     n = st.inner.order
     if st.q != n:
         raise ValueError("the recursive form requires q == n")
-    if a.shape[0] != st.theta.shape[0] or b.shape != st.theta.shape:
-        raise ValueError("dimension mismatch")
+    _check_step(st, a, b)
     prev = st.inner
-
     if st.omega is None or st.ns_part is None:
-        ns_prev = horner_eval(prev.residual, prev.estimate, n, st.ctr)
-        omega_prev = mat_mul(prev.accel_residual, ns_prev, st.ctr)
-        omega_prev += prev.accel_estimate
+        program = recursive_program(n, True)
+        inputs = [prev.accel_estimate, prev.accel_residual, prev.estimate, prev.residual]
     else:
-        ns_prev, omega_prev = st.ns_part, st.omega
-
-    # New inner residual: the previous step's residual power, no product.
-    gamma = prev.accel_residual
-    s_gamma = _power_sum(gamma, n, st.ctr)
-
-    def estimate_part(ctr: MulCounter):
-        g_new = mat_mul(s_gamma, omega_prev - ns_prev, ctr)
-        g_new += ns_prev
-        f_new = residual_of(g_new, a, ctr)
-        ns_new = horner_eval(f_new, g_new, n, ctr)
-        return g_new, f_new, ns_new
-
-    def accel_part(ctr: MulCounter):
-        l_new = mat_mul(s_gamma, prev.accel_estimate, ctr)
-        return l_new, residual_of(l_new, a, ctr)
-
-    (g_new, f_new, ns_new), (l_new, accel_res) = run_branches(
-        st.ctr, executor, estimate_part, accel_part
+        program = recursive_program(n, False)
+        inputs = [prev.accel_estimate, prev.accel_residual, st.omega, st.ns_part]
+    inputs += [st.theta, b]
+    g, f, lead, accel_res, omega, ns_part, theta = run_program(
+        program, inputs, a, st.ctr, executor
     )
-
-    omega_new = mat_mul(accel_res, ns_new, st.ctr)
-    omega_new += l_new
-    resid = mat_vec(a, st.theta, st.ctr) - b
-    theta = st.theta - mat_vec(omega_new, resid, st.ctr)
-    inner_new = DoubleNsState(
-        estimate=g_new,
-        residual=f_new,
-        accel_estimate=l_new,
-        accel_residual=accel_res,
-        step=prev.step + 1,
-        order=n,
-        ctr=st.ctr,
-    )
+    inner = DoubleNsState(g, f, lead, accel_res, step=prev.step + 1, order=n, ctr=st.ctr)
     return RichardsonState(
         theta=theta,
-        inner=inner_new,
+        inner=inner,
         q=st.q,
-        omega=omega_new,
-        ns_part=ns_new,
+        omega=omega,
+        ns_part=ns_part,
         step=st.step + 1,
         ctr=st.ctr,
     )

@@ -22,7 +22,10 @@ orders.  This module provides:
   9, 10, 11, the nested order-15 form and the ten-product order-45 plan);
 * :func:`plan_order` - a bounded search for a minimal-count plan of any
   order up to 64;
-* :func:`efficiency_index` - order per multiplication, ``h**(1/count)``.
+* :func:`efficiency_index` - order per multiplication, ``h**(1/count)``;
+* :class:`Program` and :func:`run_program` - a start or step function of
+  the iteration family lowered to one program, by splicing the plan
+  programs it sums with, and run by the same executor as every plan.
 
 Two counting conventions appear throughout and are kept explicit: the
 "full" count includes the product forming ``Y = I - X A``; the "poly" count
@@ -31,10 +34,11 @@ assumes Y is already available.  They always differ by exactly one.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import copysign
+from operator import itemgetter
 from types import MappingProxyType
 from typing import ClassVar, Union
 
@@ -43,16 +47,18 @@ import numpy as np
 from .matrix_core import (
     DOT_MAX_DIM,
     MulCounter,
+    check_int,
     fro_norm,
     identity_constant,
-    mat_mul,
     residual_of,
+    run_branches,
 )
 
 __all__ = [
     "FactorPlan",
     "Horner",
     "PrimeWrap",
+    "Program",
     "Split",
     "TABLE_LABELS",
     "TableForm",
@@ -64,6 +70,7 @@ __all__ = [
     "nested_eval",
     "plan_order",
     "plan_str",
+    "run_program",
     "split_candidates",
     "table_plans",
 ]
@@ -83,6 +90,11 @@ class Horner:
 
     order: int
 
+    def __post_init__(self):
+        check_int("order", self.order)
+        if self.order < 1:
+            raise ValueError("Horner order must be >= 1")
+
 
 @dataclass(frozen=True)
 class Split:
@@ -98,6 +110,12 @@ class Split:
     inner: "PlanNode"
     outer: "PlanNode | None" = None
 
+    def __post_init__(self):
+        check_int("p", self.p)
+        check_int("w", self.w)
+        if self.p < 0 or self.w < 1:
+            raise ValueError("Split requires p >= 0 and w >= 1")
+
 
 @dataclass(frozen=True)
 class PrimeWrap:
@@ -107,14 +125,18 @@ class PrimeWrap:
 
 
 # Straight-line program instructions.  A tabulated form is written in them
-# over readable register names ("Y", "X", "y2", ...); every plan is lowered
-# to them once, when its :class:`FactorPlan` is built, over integer slots:
-# Y is slot 0, X slot 1, and instruction i writes slot i + 2.
+# over readable register names ("Y", "X", "y2", ...); every plan, and every
+# start and step function of the iteration family, is lowered to them once
+# over integer slots: the inputs first (a plan's Y is slot 0 and X slot 1),
+# then instruction i writes slot (number of inputs) + i.  A ``mat`` of None
+# is the program's matrix A, which the executor is given beside the inputs.
 # ``drop`` names the registers an instruction reads for the last time: the
 # executor lets go of them once it has run, so only live arrays are kept.
 # ``op`` is the executor's dispatch code, one per instruction kind.
+# ``renamed(f, mat)`` is the instruction with every register r read as
+# f(r) and no drops; a splice binds a ``mat`` of None to ``mat``.
 Reg = Union[str, int]
-_MUL, _RESIDUAL, _LIN = 0, 1, 2
+_MUL, _RESIDUAL, _LIN, _MATVEC, _SUB = 0, 1, 2, 3, 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,18 +153,25 @@ class Mul:
     def reads(self) -> tuple[Reg, ...]:
         return (self.lhs, self.rhs) if self.add is None else (self.lhs, self.rhs, self.add)
 
+    def renamed(self, f, mat=None) -> "Mul":
+        return Mul(f(self.dst), f(self.lhs), f(self.rhs), None if self.add is None else f(self.add))
+
 
 @dataclass(frozen=True, slots=True)
 class Residual:
-    """dst = I - src @ A (one counted product)."""
+    """dst = I - src @ mat (one counted product); ``mat`` None is A."""
 
     op: ClassVar[int] = _RESIDUAL
     dst: Reg
     src: Reg
+    mat: Reg | None = None
     drop: tuple[Reg, ...] = ()
 
     def reads(self) -> tuple[Reg, ...]:
-        return (self.src,)
+        return (self.src,) if self.mat is None else (self.src, self.mat)
+
+    def renamed(self, f, mat=None) -> "Residual":
+        return Residual(f(self.dst), f(self.src), mat if self.mat is None else f(self.mat))
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,8 +187,47 @@ class Lin:
     def reads(self) -> tuple[Reg, ...]:
         return tuple(reg for _, reg in self.terms)
 
+    def renamed(self, f, mat=None) -> "Lin":
+        return Lin(f(self.dst), self.const, tuple((c, f(reg)) for c, reg in self.terms))
 
-Instr = Union[Mul, Residual, Lin]
+
+@dataclass(frozen=True, slots=True)
+class MatVec:
+    """dst = mat @ vec for a vector ``vec`` (one counted matrix-vector
+    product); ``mat`` None is A."""
+
+    op: ClassVar[int] = _MATVEC
+    dst: Reg
+    mat: Reg | None
+    vec: Reg
+    drop: tuple[Reg, ...] = ()
+
+    def reads(self) -> tuple[Reg, ...]:
+        return (self.vec,) if self.mat is None else (self.mat, self.vec)
+
+    def renamed(self, f, mat=None) -> "MatVec":
+        return MatVec(f(self.dst), mat if self.mat is None else f(self.mat), f(self.vec))
+
+
+@dataclass(frozen=True, slots=True)
+class Sub:
+    """dst = lhs - rhs, free: the vector differences of a theta update and
+    the carried-weight difference of the recursive Richardson step."""
+
+    op: ClassVar[int] = _SUB
+    dst: Reg
+    lhs: Reg
+    rhs: Reg
+    drop: tuple[Reg, ...] = ()
+
+    def reads(self) -> tuple[Reg, ...]:
+        return (self.lhs, self.rhs)
+
+    def renamed(self, f, mat=None) -> "Sub":
+        return Sub(f(self.dst), f(self.lhs), f(self.rhs))
+
+
+Instr = Union[Mul, Residual, Lin, MatVec, Sub]
 
 
 @dataclass(frozen=True)
@@ -173,6 +241,9 @@ class TableForm:
     label: str
     order: int
     program: tuple[Instr, ...]
+
+    def __post_init__(self):
+        check_int("order", self.order)
 
 
 PlanNode = Union[Horner, Split, PrimeWrap, TableForm]
@@ -191,6 +262,10 @@ class FactorPlan:
     with the product forming Y.  ``efficiency_index`` is
     ``order_h ** (1 / mmm_cost)``.  An invalid tree raises ``ValueError``
     (``TypeError`` for a non-node).
+
+    Building a plan also keeps its order and program on the root node (a
+    derived value of a frozen node), so a later plan that holds this root
+    as a child splices the program instead of lowering the subtree again.
     """
 
     root: PlanNode
@@ -202,6 +277,7 @@ class FactorPlan:
 
     def __post_init__(self):
         order, program = _lower(self.root)
+        object.__setattr__(self.root, "_lowered", (order, program))
         poly = sum(1 for ins in program if not isinstance(ins, Lin))
         full = poly + 1
         object.__setattr__(self, "order_h", order)
@@ -211,76 +287,184 @@ class FactorPlan:
         object.__setattr__(self, "efficiency_index", float(order) ** (1.0 / full))
 
 
+@dataclass(frozen=True, eq=False)
+class Program:
+    """A start or step function lowered to one straight-line program.
+
+    ``inputs`` names the input slots, in order; ``code`` runs over them and
+    over A, the matrix the executor is given beside them; ``outputs`` are
+    the slots the function returns.  ``cuts`` is empty, or the three
+    indices where the code's two independent branches and their join
+    start: the code before the first branch is a shared prelude.  ``mmm``
+    and ``mvm`` are the counted matrix-matrix and matrix-vector products
+    one run adds, and ``depth`` is the critical path: the most
+    matrix-matrix products on any chain of dependent instructions, from
+    an input to an output.  ``copies`` are the outputs that
+    :func:`run_program` copies, as they are inputs or repeat an earlier
+    output, and ``fetch(regs)`` picks the outputs from the registers.
+    Built by :class:`_Builder`; run by :func:`run_program`.
+    """
+
+    inputs: tuple[str, ...]
+    code: tuple[Instr, ...]
+    outputs: tuple[int, ...]
+    cuts: tuple[int, ...]
+    mmm: int
+    mvm: int
+    depth: int
+    copies: tuple[int, ...] = field(repr=False)
+    fetch: Callable = field(repr=False)
+
+
+class _Builder:
+    """Emits one straight-line program over integer slots: the named
+    inputs first, then instruction i writes slot ``len(inputs) + i``."""
+
+    def __init__(self, *inputs: str):
+        self.inputs = inputs
+        self.code: list[Instr] = []
+        self.cuts: list[int] = []
+
+    def emit(self, instr, *args) -> int:
+        dst = len(self.inputs) + len(self.code)
+        self.code.append(instr(dst, *args))
+        return dst
+
+    def cut(self) -> None:
+        """Mark where the next branch, or the join after the second
+        branch, starts; a program has no cuts or three."""
+        self.cuts.append(len(self.code))
+
+    def splice(self, code: tuple[Instr, ...], slots: tuple[int, ...], mat=None):
+        """Append ``code``, lowered over ``len(slots)`` inputs, with input
+        i read from ``slots[i]`` and a ``mat`` of None bound to ``mat``;
+        returns the renaming of its slots to this program's."""
+        base = len(self.inputs) + len(self.code)
+        rename = [*slots, *range(base, base + len(code))].__getitem__
+        self.code += [ins.renamed(rename, mat) for ins in code]
+        return rename
+
+    def splice_plan(self, code: tuple[Instr, ...], y: int, x: int, mat=None) -> int:
+        """Append a plan's program with Y at slot ``y`` and X at ``x``;
+        returns the slot of its result (``x`` for the empty program)."""
+        rename = self.splice(code, (y, x), mat)
+        return rename(code[-1].dst) if code else x
+
+    def call(self, program: Program, *slots: int) -> list[int]:
+        """Append ``program`` with input i read from ``slots[i]``, its
+        branches included; returns the slots of its outputs."""
+        start = len(self.code)
+        rename = self.splice(program.code, slots)
+        self.cuts += [start + cut for cut in program.cuts]
+        return [rename(out) for out in program.outputs]
+
+    def horner(self, y: int, x: int, order: int) -> int:
+        """``(I + Y + ... + Y^(order-1)) X`` in ``order - 1`` products."""
+        z = x
+        for _ in range(order - 1):
+            z = self.emit(Mul, y, z, x)
+        return z
+
+    def power_sum(self, y: int, order: int) -> int:
+        """``I + Y + ... + Y^(order-1)`` in ``order - 2`` products (none
+        for order 1 or 2): the powers ``Y^j = Y^(j-1) Y``, then one
+        ``Lin`` that adds them to I in turn."""
+        terms = []
+        power = y
+        for j in range(1, order):
+            if j > 1:
+                power = self.emit(Mul, power, y)
+            terms.append((1.0, power))
+        return self.emit(Lin, 1.0, tuple(terms))
+
+    def lower(self, node: PlanNode, y: int, x: int) -> tuple[int, int]:
+        """Append a plan node's program applied to X at slot ``x`` with Y
+        at slot ``y``; returns (result slot, order).  A node that is the
+        root of a built plan is spliced, not lowered again."""
+        lowered = getattr(node, "_lowered", None)
+        if lowered is not None:
+            order, code = lowered
+            return self.splice_plan(code, y, x), order
+        if isinstance(node, Horner):
+            return self.horner(y, x, node.order), node.order
+        if isinstance(node, Split):
+            u = x
+            if node.p >= 1:
+                u, order = self.lower(node.inner, y, x)
+                if order != node.p + 1:
+                    raise ValueError(f"Split inner order {order} != p + 1 = {node.p + 1}")
+            if node.w >= 2:
+                if node.outer is None:
+                    raise ValueError("Split with w >= 2 needs an outer node")
+                q = y if node.p == 0 else self.emit(Residual, u)
+                u, order = self.lower(node.outer, q, u)
+                if order != node.w:
+                    raise ValueError(f"Split outer order {order} != w = {node.w}")
+            return u, node.w * (node.p + 1)
+        if isinstance(node, PrimeWrap):
+            z, order = self.lower(node.inner, y, x)
+            return self.emit(Mul, y, z, x), order + 1
+        if isinstance(node, TableForm):
+            # The form's own register names, renamed to the program's slots.
+            env = {"Y": y, "X": x}
+            z = x
+            for ins in node.program:
+                z = env[ins.dst] = len(self.inputs) + len(self.code)
+                self.code.append(ins.renamed(env.__getitem__))
+            return z, node.order
+        raise TypeError(f"not a plan node: {node!r}")
+
+    def finish(self, *outputs: int) -> tuple[Instr, ...]:
+        """The code, with each instruction's drops: the slots it reads for
+        the last time, outputs excepted.  Each slot is written once."""
+        last_read = {reg: i for i, ins in enumerate(self.code) for reg in ins.reads()}
+        drops: list[list[int]] = [[] for _ in self.code]
+        for reg, i in last_read.items():
+            if reg not in outputs:
+                drops[i].append(reg)
+        for ins, d in zip(self.code, drops):
+            object.__setattr__(ins, "drop", tuple(d))
+        return tuple(self.code)
+
+    def build(self, *outputs: int) -> Program:
+        code = self.finish(*outputs)
+        depth = [0] * len(self.inputs)
+        for ins in code:
+            longest = max((depth[reg] for reg in ins.reads()), default=0)
+            depth.append(longest + (ins.op in (_MUL, _RESIDUAL)))
+        return Program(
+            inputs=self.inputs,
+            code=code,
+            outputs=outputs,
+            cuts=tuple(self.cuts),
+            mmm=sum(1 for ins in code if ins.op in (_MUL, _RESIDUAL)),
+            mvm=sum(1 for ins in code if ins.op == _MATVEC),
+            depth=max((depth[out] for out in outputs), default=0),
+            copies=tuple(
+                i
+                for i, out in enumerate(outputs)
+                if out < len(self.inputs) or out in outputs[:i]
+            ),
+            # itemgetter returns a tuple for two or more slots
+            fetch=itemgetter(*outputs) if len(outputs) > 1 else lambda regs: (regs[outputs[0]],),
+        )
+
+
 # ---------------------------------------------------------------------------
 # Validation and lowering, in one walk of the node tree.
 # ---------------------------------------------------------------------------
 
 
 def _lower(root: PlanNode) -> tuple[int, tuple[Instr, ...]]:
-    """Validate a node tree and lower it to one straight-line program over
-    integer slots (Y = 0, X = 1, instruction i writes i + 2); returns
-    (order, program).  The result is the last instruction's slot (X if
-    none)."""
-    program: list[Instr] = []
-
-    def emit(instr, *args) -> int:
-        dst = len(program) + 2
-        program.append(instr(dst, *args))
-        return dst
-
-    def lower(node: PlanNode, y: int, x: int) -> tuple[int, int]:
-        if isinstance(node, Horner):
-            if node.order < 1:
-                raise ValueError("Horner order must be >= 1")
-            z = x
-            for _ in range(node.order - 1):
-                z = emit(Mul, y, z, x)
-            return z, node.order
-        if isinstance(node, Split):
-            if node.p < 0 or node.w < 1:
-                raise ValueError("Split requires p >= 0 and w >= 1")
-            u = x
-            if node.p >= 1:
-                u, order = lower(node.inner, y, x)
-                if order != node.p + 1:
-                    raise ValueError(f"Split inner order {order} != p + 1 = {node.p + 1}")
-            if node.w >= 2:
-                if node.outer is None:
-                    raise ValueError("Split with w >= 2 needs an outer node")
-                q = y if node.p == 0 else emit(Residual, u)
-                u, order = lower(node.outer, q, u)
-                if order != node.w:
-                    raise ValueError(f"Split outer order {order} != w = {node.w}")
-            return u, node.w * (node.p + 1)
-        if isinstance(node, PrimeWrap):
-            z, order = lower(node.inner, y, x)
-            return emit(Mul, y, z, x), order + 1
-        if isinstance(node, TableForm):
-            # The form's own register names, renamed to the program's slots.
-            env = {"Y": y, "X": x}
-            z = x
-            for ins in node.program:
-                if isinstance(ins, Mul):
-                    add = None if ins.add is None else env[ins.add]
-                    z = emit(Mul, env[ins.lhs], env[ins.rhs], add)
-                elif isinstance(ins, Residual):
-                    z = emit(Residual, env[ins.src])
-                else:
-                    z = emit(Lin, ins.const, tuple((c, env[reg]) for c, reg in ins.terms))
-                env[ins.dst] = z
-            return z, node.order
-        raise TypeError(f"not a plan node: {node!r}")
-
-    order = lower(root, 0, 1)[1]
-    # Each slot is written once, so the result, written last, is never read
-    # and never dropped.
-    last_read = {reg: i for i, ins in enumerate(program) for reg in ins.reads()}
-    drops: list[list[int]] = [[] for _ in program]
-    for reg, i in last_read.items():
-        drops[i].append(reg)
-    for ins, d in zip(program, drops):
-        object.__setattr__(ins, "drop", tuple(d))
-    return order, tuple(program)
+    """Lower a node tree to one straight-line program over integer slots
+    (Y = 0, X = 1, instruction i writes i + 2), checking that each child
+    has the order its parent needs; returns (order, program).  The result
+    is the last instruction's slot (X if none).  Each node checks its own
+    fields when it is built."""
+    bld = _Builder("Y", "X")
+    order = bld.lower(root, 0, 1)[1]
+    # The result, written last, is never read and never dropped.
+    return order, bld.finish()
 
 
 def plan_str(plan: FactorPlan) -> str:
@@ -316,17 +500,12 @@ def horner_eval(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> np.nda
     of X for h == 1."""
     if h < 1:
         raise ValueError("order h must be >= 1")
-    if h == 1:
-        return np.array(x)
-    # A plain loop rather than the plan executor: the hot path of every
-    # step at small n.  With both on ndarray.dot, an order-3 sum at dim 6
-    # took 2.67 us here against 2.71 us through _execute (3.07 against
-    # 3.28 us when both used @; min of 7 x 20000 calls, one pinned CPU).
-    z = x
-    for _ in range(h - 1):
-        z = mat_mul(y, z, ctr)
-        z += x
-    return z
+    return _run_plan(_horner_plan(h).program, y, x, x, ctr)
+
+
+@lru_cache(maxsize=128)
+def _horner_plan(h: int) -> FactorPlan:
+    return FactorPlan(Horner(h))
 
 
 def _split_node(p: int, w: int) -> Split:
@@ -375,25 +554,25 @@ def factored_eval(
     return nested_eval(y, x, a, _split_plan(p, w), ctr, form_y=form_y)
 
 
-def _execute(
-    program: tuple[Instr, ...],
-    y: np.ndarray,
-    x: np.ndarray,
-    a: np.ndarray,
-    ctr: MulCounter,
-) -> np.ndarray:
-    """The one plan executor, on ``(n, n)`` operands or ``(k, n, n)`` stacks
-    of one shape (every instance in one pass, each bitwise equal to its own
-    2-D run).
+def _execute(code: tuple[Instr, ...], regs: list, a: np.ndarray, ctr: MulCounter) -> list:
+    """The one executor: run lowered ``code`` on the register list
+    ``regs``, which holds the slots before the code's first one, and
+    return it, extended by one slot per instruction.
 
-    ``program`` is a lowered program.  The register file is a list indexed
-    by slot; a dropped slot is set to None.  Each product runs as
-    :func:`mat_mul` runs it (``ndarray.dot`` on ``(n, n)`` operands with
-    2 <= n <= ``DOT_MAX_DIM``, ``np.matmul`` on all others; the function is
-    picked once per call, not per instruction) and is ticked on the
-    counter as it runs, one per n x n product.  ``Residual`` forms
-    ``I - src A`` as :func:`residual_of` does.  The result is always a
-    fresh array, a copy of X for the empty program.
+    Every program runs here: each plan (for :func:`nested_eval`,
+    :func:`factored_eval`, :func:`geometric_apply` and :func:`horner_eval`)
+    and each start and step function of the iteration family (through
+    :func:`run_program`).  Operands are ``(n, n)`` matrices, or ``(k, n,
+    n)`` stacks of one shape (every instance in one pass, each bitwise
+    equal to its own 2-D run), and vectors for ``MatVec`` and ``Sub``.  A
+    dropped slot is set to None.  Each product runs as :func:`mat_mul`
+    runs it (``ndarray.dot`` on ``(n, n)`` operands with 2 <= n <=
+    ``DOT_MAX_DIM``, ``np.matmul`` on all others; the function is picked
+    once per call, from A, not per instruction) and is added to the
+    counter once the code has run, one per n x n product.  ``Residual``
+    forms ``I - src mat`` as :func:`residual_of` does.  ``MatVec`` is :func:`mat_vec`'s
+    ``mat @ vec``, one mvm, and ``Sub`` is ``lhs - rhs``.  Every register
+    an instruction writes is a fresh array, so inputs are never written.
 
     A ``Lin`` is fused, bitwise equal to ``const * I`` plus each
     ``coef * reg`` in turn, signed zeros included: a coefficient of 1.0
@@ -401,27 +580,22 @@ def _execute(
     starts from the first term (``I + t`` or ``t + 0.0``) instead of from a
     scaled identity.
     """
-    if not (y.shape == x.shape == a.shape):
-        raise ValueError(f"dimension mismatch: y {y.shape}, x {x.shape}, a {a.shape}")
-    if not program:
-        return np.array(x)
-    per_product = 1 if x.ndim == 2 else len(x)
-    small = x.ndim == 2 and 1 < x.shape[1] <= DOT_MAX_DIM
+    small = a.ndim == 2 and 1 < a.shape[1] <= DOT_MAX_DIM
     mul = np.ndarray.dot if small else np.matmul
-    eye = identity_constant(x.shape[-1])
-    regs: list[np.ndarray | None] = [y, x]
-    for ins in program:
+    eye = identity_constant(a.shape[-1])
+    products = vectors = 0
+    for ins in code:
         op = ins.op
         if op == _MUL:
             z = mul(regs[ins.lhs], regs[ins.rhs])
-            ctr.mmm += per_product
+            products += 1
             if ins.add is not None:
                 z += regs[ins.add]
         elif op == _RESIDUAL:
-            z = mul(regs[ins.src], a)
-            ctr.mmm += per_product
+            z = mul(regs[ins.src], a if ins.mat is None else regs[ins.mat])
+            products += 1
             np.subtract(eye, z, out=z)
-        else:
+        elif op == _LIN:
             const, terms = ins.const, ins.terms
             if terms and (const == 1.0 or (const == 0.0 and copysign(1.0, const) > 0.0)):
                 # 1.0 * I + t is I + t; +0.0 * I + t is t + 0.0, which turns
@@ -431,13 +605,67 @@ def _execute(
                 z = np.add(eye, t) if const == 1.0 else np.add(t, 0.0)
                 terms = terms[1:]
             else:
-                z = np.multiply(eye, const, out=np.empty_like(x))
+                z = np.multiply(eye, const, out=np.empty_like(a))
             for coef, slot in terms:
                 z += regs[slot] if coef == 1.0 else coef * regs[slot]
+        elif op == _MATVEC:
+            z = np.matmul(a if ins.mat is None else regs[ins.mat], regs[ins.vec])
+            vectors += 1
+        else:
+            z = np.subtract(regs[ins.lhs], regs[ins.rhs])
         regs.append(z)
         for slot in ins.drop:
             regs[slot] = None
-    return z
+    ctr.mmm += products if a.ndim == 2 else products * len(a)
+    ctr.mvm += vectors
+    return regs
+
+
+def run_program(
+    program: Program, inputs: list, a: np.ndarray, ctr: MulCounter, executor=None
+) -> Sequence[np.ndarray]:
+    """Run ``program`` on its ``inputs`` (a fresh list, in the order of
+    ``program.inputs``) and the matrix A; returns its outputs in order,
+    each a fresh array (an output that is an input, or that an earlier
+    output already returned, is copied).
+
+    Serially the whole code runs as one program.  With ``executor`` (any
+    concurrent.futures executor) the two branches of a program with cuts
+    run through :func:`run_branches`, each on its own copy of the register
+    list and its own counter, merged in branch order: the branches share
+    only read-only registers, so the results are bitwise those of the
+    serial run and the counts the same.
+    """
+    code = program.code
+    if executor is None or not program.cuts:
+        regs = _execute(code, inputs, a, ctr)
+    else:
+        first, second, join = program.cuts
+        regs = _execute(code[:first], inputs, a, ctr)
+        pad = [None] * (second - first)
+        ran = run_branches(
+            ctr,
+            executor,
+            lambda c: _execute(code[first:second], regs.copy(), a, c),
+            lambda c: _execute(code[second:join], regs + pad, a, c),
+        )
+        regs = _execute(code[join:], ran[0] + ran[1][len(ran[0]):], a, ctr)
+    outputs = program.fetch(regs)
+    if program.copies:
+        outputs = list(outputs)
+        for i in program.copies:
+            outputs[i] = np.array(outputs[i])
+    return outputs
+
+
+def _run_plan(program, y, x, a, ctr) -> np.ndarray:
+    """A plan's program on Y and X; a fresh array, a copy of X for the
+    empty program."""
+    if not (y.shape == x.shape == a.shape):
+        raise ValueError(f"dimension mismatch: y {y.shape}, x {x.shape}, a {a.shape}")
+    if not program:
+        return np.array(x)
+    return _execute(program, [y, x], a, ctr)[-1]
 
 
 def nested_eval(
@@ -465,7 +693,7 @@ def nested_eval(
         y = y_formed
     elif y is None:
         raise ValueError("y is required unless form_y=True")
-    return _execute(plan.program, y, x, a, ctr)
+    return _run_plan(plan.program, y, x, a, ctr)
 
 
 def geometric_apply(
@@ -479,7 +707,7 @@ def geometric_apply(
     by the order's plan ``mmm_poly`` (see :func:`_geometric_plan`)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _execute(_geometric_plan(order).program, y, x, a, ctr)
+    return _run_plan(_geometric_plan(order).program, y, x, a, ctr)
 
 
 @lru_cache(maxsize=128)

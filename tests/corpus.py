@@ -8,9 +8,10 @@ comparison is only meaningful while ||B**e|| sits well above float noise.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from seriesinv import fro_norm, inf_norm, square_matrix
-from seriesinv.harness import CHECK_MAX_ORDER, CHECK_REL_TOL
+from seriesinv.harness import CHECK_MAX_ORDER, CHECK_REL_TOL, MethodSpec, series_params
 from seriesinv.matrix_core import (
     MulCounter,
     fro_norms,
@@ -23,8 +24,11 @@ from seriesinv.series_toolkit import (
     TABLE_LABELS,
     Mul,
     Residual,
+    _Builder,
+    factored_mmm,
     nested_eval,
     plan_order,
+    run_program,
     table_plans,
 )
 from seriesinv.splitting import split_scalar
@@ -237,6 +241,15 @@ def horner_iterates(y, x, h, ctr):
     return sums
 
 
+def power_sum(gamma, n, ctr):
+    """``I + gamma + ... + gamma^(n-1)`` (n - 2 products) through the
+    power-sum sub-program that opens the recursive Richardson step, run by
+    the executor on one matrix or a ``(k, n, n)`` stack."""
+    bld = _Builder("R")
+    program = bld.build(bld.power_sum(0, n))
+    return run_program(program, [gamma], gamma, ctr)[0]
+
+
 def plan_oracle(program, y, x, a, ctr):
     """The dict-register interpreter the slot executor must match bit for
     bit and count for count: registers kept by key, an ``isinstance``
@@ -307,3 +320,121 @@ def per_plan_toolkit_check(instances=50, dim=5, seed=0):
     if not count_ok:
         lines.append("FAIL: a counter delta disagreed with its plan's mmm cost")
     return ok, lines
+
+
+# ---------------------------------------------------------------------------
+# Counts and critical paths of the start and step functions, written from
+# each function's definition: the oracle the lowered programs' static
+# counts and a real run's counter deltas are checked against.
+# ---------------------------------------------------------------------------
+
+
+# Every (kind, order, h, q, rates) a benchmark workload runs, as listed in
+# bench/workloads.py (solve and report methods of harmonic-6, spd-512 and
+# plan-catalogue).
+BENCH_SPECS = (
+    MethodSpec("double", 3, 16),
+    MethodSpec("richardson", 3, 16, q=3),
+    MethodSpec("richardson-recursive", 3, 16, q=3),
+    MethodSpec("ns", 3, 16),
+    MethodSpec("composite", 3, 16, rates=(5, 7)),
+    MethodSpec("sri", 3, 16),
+    MethodSpec("ns-estimator", 3, 16),
+    MethodSpec("double", 2, 4),
+    MethodSpec("richardson-recursive", 2, 4, q=2),
+    MethodSpec("composite", 2, 4, rates=(17, 45)),
+    MethodSpec("ns", 7, 5),
+    MethodSpec("ns", 11, 1),
+    MethodSpec("composite", 2, 1, rates=(17, 45)),
+    MethodSpec("richardson-recursive", 3, 1, q=3),
+    MethodSpec("composite", 2, 5, rates=(7, 15)),
+    MethodSpec("sri", 3, 9),
+)
+
+
+def start_counts(m):
+    """(mmm, mvm) of the start function: the two-level initial series (no
+    product for h = 1), then L_0 = S_n(F_0) G_0 and I - L_0 A for the
+    two-loop kinds, and theta_0 = L_0 b for the Richardson kinds."""
+    mmm = 0 if m.h == 1 else factored_mmm(*series_params(m.h))
+    if m.kind in ("double", "richardson", "richardson-recursive"):
+        mmm += m.order
+    return mmm, 1 if m.kind in ("richardson", "richardson-recursive") else 0
+
+
+def step_counts(m, k):
+    """(mmm, mvm) of step ``k >= 1``."""
+    n = m.order
+    if m.kind in ("ns", "ns-estimator"):
+        return n, 0  # n - 1 Horner products and the new residual
+    if m.kind == "double":
+        return 2 * n + 2, 0  # accelerator 1 + (n - 1) + 1, main n - 1, join 2
+    if m.kind == "composite":
+        units = sum((plan_order(x).mmm_poly if x > 1 else 0) + 1 for x in m.rates)
+        return units + 2 * (len(m.rates) - 1) + (n - 1) + 2, 0
+    if m.kind == "sri":
+        return n + 2, 0  # two residuals and p - 1 Horner products, one join
+    if m.kind == "richardson":
+        q = n if m.q is None else m.q
+        return 2 * n + 2 + q, 2  # the double step, q - 1 for S_q, one weight
+    if m.kind == "richardson-recursive":
+        return (3 * n + 2 if k == 1 else 2 * n + 2), 2
+    raise ValueError(m.kind)
+
+
+def step_depth(m, k):
+    """The critical path of step ``k >= 1`` in products, for the kinds whose
+    chain is plain: the longest run of dependent products."""
+    n = m.order
+    if m.kind in ("ns", "ns-estimator"):
+        return n
+    if m.kind == "double":
+        # I - L A, n - 1 Horner, I - L_k A, the join, I - G_k A; at n = 1
+        # S_1(Gamma) L is L itself, so the path skips I - L A
+        return n + 3 if n > 1 else 3
+    if m.kind == "sri":
+        return n + 1
+    if m.kind == "richardson":
+        q = n if m.q is None else m.q
+        return n + q + 3
+    if m.kind == "richardson-recursive":
+        return 2 * n + 2 if k == 1 else 2 * n
+    raise ValueError(m.kind)
+
+
+# ---------------------------------------------------------------------------
+# Exact operands: 1 x 1 arrays whose entry is a polynomial in b, with
+# B = b, A = 1 - b and S^-1 = 1.  Every start and step function runs on them
+# unchanged, and every residual (or estimation mismatch) comes out as an
+# exact power of b while the coefficients stay small integers.
+# ---------------------------------------------------------------------------
+
+
+POLY_B = Polynomial([0.0, 1.0])
+
+
+def poly_array(*entries):
+    """The polynomials as a 1-D object array: a vector, or with
+    ``.reshape(1, 1)`` a 1 x 1 matrix."""
+    out = np.empty(len(entries), dtype=object)
+    out[:] = list(entries)
+    return out
+
+
+def poly_split():
+    """The splitting record of the exact operands: A = 1 - b, S^-1 = 1,
+    B = b, each a 1 x 1 object array."""
+    a, precond, residual = (
+        poly_array(p).reshape(1, 1) for p in (1 - POLY_B, Polynomial([1.0]), POLY_B)
+    )
+    return DiagonalSplit(a, precond, residual)
+
+
+def b_power(e):
+    """b**e, for any e >= 0 (``**`` stops at degree 100)."""
+    return Polynomial.basis(e)
+
+
+def poly_equal(p, q):
+    """Coefficient for coefficient, trailing zeros trimmed."""
+    return np.array_equal(p.trim().coef, q.trim().coef)

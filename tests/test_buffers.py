@@ -12,7 +12,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from corpus import random_spd
+from corpus import power_sum, random_spd
 from seriesinv import (
     CompositeSpec,
     FactorPlan,
@@ -42,7 +42,6 @@ from seriesinv.matrix_core import (
     identity_constant,
     subtract_from_identity,
 )
-from seriesinv.richardson import _power_sum
 from seriesinv.series_toolkit import Lin
 
 DIM = 5
@@ -302,7 +301,7 @@ class TestIdentityConstant:
 
     def test_kernels_return_fresh_arrays(self, rng):
         a = rng.standard_normal((DIM, DIM))
-        got = _power_sum(a, 1, MulCounter())
+        got = power_sum(a, 1, MulCounter())
         self._fresh(got, DIM)
         got += 1.0
         # order 1: the sum is the input itself, returned as a copy

@@ -90,6 +90,12 @@ def hand_plans():
     return plans + [("horner:1", FactorPlan(Horner(1)))]
 
 
+def execute(program, y, x, a, ctr):
+    """A plan's program run by the one executor on Y and X: its last
+    register (X itself for the empty program)."""
+    return series_toolkit._execute(program, [y, x], a, ctr)[-1]
+
+
 def signed_zero_matrix(rng, shape):
     """Random entries of either sign, about a third of them +0.0 or -0.0."""
     m = rng.standard_normal(shape) / shape[-1]
@@ -112,7 +118,7 @@ def test_executor_matches_dict_oracle(dim, k, seed):
     y, x, a = (signed_zero_matrix(rng, shape) for _ in range(3))
     for name, plan in all_plans() + hand_plans():
         got_ctr, want_ctr = MulCounter(), MulCounter()
-        got = series_toolkit._execute(plan.program, y, x, a, got_ctr)
+        got = execute(plan.program, y, x, a, got_ctr)
         want = plan_oracle(plan.program, y, x, a, want_ctr)
         assert got.shape == shape, name
         assert same_bits(got, want), name
@@ -154,9 +160,9 @@ def test_2d_products_equal_stacked_products_bitwise(dim):
     rng = np.random.default_rng(dim)
     y, x, a = (signed_zero_matrix(rng, (3, dim, dim)) for _ in range(3))
     for name, plan in all_plans():
-        z = series_toolkit._execute(plan.program, y, x, a, MulCounter())
+        z = execute(plan.program, y, x, a, MulCounter())
         for i in range(3):
-            one = series_toolkit._execute(plan.program, y[i], x[i], a[i], MulCounter())
+            one = execute(plan.program, y[i], x[i], a[i], MulCounter())
             assert same_bits(z[i], one), (name, i)
 
 
@@ -437,9 +443,9 @@ def test_default_check_runs_each_distinct_program_once(monkeypatch):
     programs = []
     counters = []
 
-    def recording(program, y, x, a, ctr):
+    def recording(program, regs, a, ctr):
         programs.append(program)
-        return execute(program, y, x, a, ctr)
+        return execute(program, regs, a, ctr)
 
     def counter():
         counters.append(MulCounter())
@@ -496,10 +502,10 @@ def test_miscounted_product_fails_the_check(monkeypatch):
     execute = series_toolkit._execute
     target = plan_order(3).program
 
-    def miscounting(program, y, x, a, ctr):
+    def miscounting(program, regs, a, ctr):
         if program == target:
             ctr.mmm += 1
-        return execute(program, y, x, a, ctr)
+        return execute(program, regs, a, ctr)
 
     monkeypatch.setattr(series_toolkit, "_execute", miscounting)
     ok, lines = toolkit_check(instances=4, dim=5, seed=2)

@@ -7,6 +7,7 @@ from corpus import (
     contractive_scalar_system,
     diagonal_split,
     mat_pow,
+    power_sum,
     sdd_system,
     step_exponent_qn,
 )
@@ -23,7 +24,6 @@ from seriesinv import (
 from seriesinv import richardson
 from seriesinv.series_toolkit import horner_eval
 from seriesinv.matrix_core import MulCounter
-from seriesinv.richardson import _power_sum
 
 
 def scalar_setup(dim, rho, rng):
@@ -98,9 +98,9 @@ class TestDirectStep:
 
     def test_q_checked_before_the_initialisation(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("initial_double ran")
+            raise AssertionError("the start program ran")
 
-        monkeypatch.setattr(richardson, "initial_double", fail)
+        monkeypatch.setattr(richardson, "run_program", fail)
         with pytest.raises(ValueError, match="q must be >= 1"):
             initial_richardson(split_scalar(np.eye(3)), np.ones(3), 0, 1, order=2, q=0)
 
@@ -170,12 +170,12 @@ class TestRecursiveStep:
         gamma = rng.standard_normal((4, 6, 6)) / 6
         gamma[0, 1, 2] = -0.0
         ctr = MulCounter()
-        stacked = _power_sum(gamma, n, ctr)
+        stacked = power_sum(gamma, n, ctr)
         assert stacked.shape == gamma.shape
         assert ctr.mmm == 4 * max(n - 2, 0)
         for i in range(4):
             one = MulCounter()
-            alone = _power_sum(gamma[i], n, one)
+            alone = power_sum(gamma[i], n, one)
             assert one.mmm == max(n - 2, 0)
             assert np.array_equal(stacked[i], alone)
             assert np.array_equal(np.signbit(stacked[i]), np.signbit(alone))
