@@ -709,12 +709,15 @@ def toolkit_check(instances: int = 50, dim: int = 5, seed: int = 0) -> tuple[boo
     move the counter by its ``mmm_poly`` per instance; each plan still
     reports its own line and its ``mmm_cost``.  Which plans share a run,
     and each line's fixed part, are built once per process (see
-    :func:`_check_layout`).  Returns (all_ok, report_lines).
+    :func:`_check_layout`).  ``instances`` and ``dim`` must be at least
+    1 and ``seed`` at least 0.  Returns (all_ok, report_lines).
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     layout = _check_layout()
 

@@ -4,9 +4,10 @@ Everything downstream (splittings, series evaluation, the iteration family)
 works on plain float64 numpy arrays validated by :func:`square_matrix` /
 :func:`vector`.  Matrix products that belong to an algorithm's cost model go
 through :func:`mat_mul` / :func:`mat_vec`, which tick a :class:`MulCounter`;
-the one exception is the executor in ``series_toolkit``, which runs the
-products of every lowered program (each plan, and each start and step
-function of the iteration family) inline and counts them by the same rule.
+the one exception is the executor in ``series_toolkit``, whose compiled
+code runs the products of every lowered program (each plan, and each start
+and step function of the iteration family) inline and counts them by the
+same rule.
 Uncounted oracles, such as the ``mat_pow`` the exponent-law tests compare
 against, live with the tests.
 

@@ -46,6 +46,7 @@ from .series_toolkit import (
     _Builder,
     _geometric_plan,
     _split_plan,
+    plan_str,
     run_program,
 )
 from .splitting import Splitting
@@ -134,10 +135,11 @@ def series_program(p: int, w: int) -> Program:
     two-level split of order h = w (p + 1), and F_0 = I - G_0 A.  For
     h == 1 that is (S^-1, B) with no product."""
     bld = _Builder("B", "Sinv")
+    name = f"series:p{p},w{w} start"
     if w * (p + 1) == 1:
-        return bld.build(1, 0)
+        return bld.build(1, 0, name=name)
     g = bld.splice_plan(_split_plan(p, w).program, 0, 1)
-    return bld.build(g, bld.emit(Residual, g))
+    return bld.build(g, bld.emit(Residual, g), name=name)
 
 
 @lru_cache(maxsize=128)
@@ -147,7 +149,7 @@ def double_start_program(p: int, w: int, order: int) -> Program:
     bld = _Builder("B", "Sinv")
     g, f = bld.call(series_program(p, w), 0, 1)
     lead = bld.horner(f, g, order)
-    return bld.build(g, f, lead, bld.emit(Residual, lead))
+    return bld.build(g, f, lead, bld.emit(Residual, lead), name=f"double:n{order}:p{p},w{w} start")
 
 
 def ns_program(order: int, plan: FactorPlan | None = None) -> Program:
@@ -161,7 +163,8 @@ def ns_program(order: int, plan: FactorPlan | None = None) -> Program:
     if program is None:
         bld = _Builder("F", "G")
         g = bld.splice_plan(plan.program, 0, 1)
-        program = bld.build(g, bld.emit(Residual, g))
+        name = f"ns:n{order} step, {plan_str(plan)}"
+        program = bld.build(g, bld.emit(Residual, g), name=name)
         object.__setattr__(plan, "_ns_program", program)
     return program
 
@@ -170,7 +173,7 @@ def ns_program(order: int, plan: FactorPlan | None = None) -> Program:
 def _horner_ns_program(order: int) -> Program:
     bld = _Builder("F", "G")
     g = bld.horner(0, 1, order)
-    return bld.build(g, bld.emit(Residual, g))
+    return bld.build(g, bld.emit(Residual, g), name=f"ns:n{order} step")
 
 
 @lru_cache(maxsize=128)
@@ -191,7 +194,8 @@ def composite_program(order_n: int, rates: tuple[int, ...]) -> Program:
         r_comp = bld.emit(Mul, r_comp, r_i)
     ns_part = bld.horner(0, 1, order_n)
     g = bld.emit(Mul, r_comp, ns_part, t_comp)
-    return bld.build(g, bld.emit(Residual, g))
+    name = f"composite:n{order_n}:r{'-'.join(map(str, rates))} step"
+    return bld.build(g, bld.emit(Residual, g), name=name)
 
 
 @lru_cache(maxsize=128)
@@ -209,7 +213,7 @@ def double_program(order: int) -> Program:
     ns_part = bld.horner(2, 1, order)
     bld.cut()
     g = bld.emit(Mul, accel_res, ns_part, lead)
-    return bld.build(g, bld.emit(Residual, g), lead, accel_res)
+    return bld.build(g, bld.emit(Residual, g), lead, accel_res, name=f"double:n{order} step")
 
 
 @lru_cache(maxsize=128)
@@ -219,7 +223,7 @@ def additive_program(p: int) -> Program:
     bld = _Builder("Z", "G")
     z = bld.horner(bld.emit(Residual, 0), 0, p)
     f_prev = bld.emit(Residual, 1)
-    return bld.build(z, bld.emit(Mul, f_prev, z, 1))
+    return bld.build(z, bld.emit(Mul, f_prev, z, 1), name=f"additive:p{p} step")
 
 
 # ---------------------------------------------------------------------------

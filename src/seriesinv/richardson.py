@@ -84,7 +84,8 @@ def richardson_start_program(p: int, w: int, order: int) -> Program:
     two-loop start, then theta_0 = L_0 b."""
     bld = _Builder("B", "Sinv", "b")
     g, f, lead, accel_res = bld.call(double_start_program(p, w, order), 0, 1)
-    return bld.build(g, f, lead, accel_res, bld.emit(MatVec, lead, 2))
+    theta = bld.emit(MatVec, lead, 2)
+    return bld.build(g, f, lead, accel_res, theta, name=f"richardson:n{order}:p{p},w{w} start")
 
 
 @lru_cache(maxsize=128)
@@ -95,7 +96,8 @@ def richardson_program(order: int, q: int) -> Program:
     bld = _Builder("L", "G", "F", "theta", "b")
     g, f, lead, accel_res = bld.call(double_program(order), 0, 1, 2)
     weight = bld.emit(Mul, accel_res, bld.horner(f, g, q), lead)
-    return bld.build(g, f, lead, accel_res, _theta_update(bld, weight, 3, 4))
+    theta = _theta_update(bld, weight, 3, 4)
+    return bld.build(g, f, lead, accel_res, theta, name=f"richardson:n{order}:q{q} step")
 
 
 @lru_cache(maxsize=128)
@@ -114,7 +116,7 @@ def recursive_program(order: int, first: bool) -> Program:
         ns_prev = bld.horner(3, 2, order)
         omega_prev = bld.emit(Mul, 1, ns_prev, 0)
         outs = bld.call(recursive_program(order, False), 0, 1, omega_prev, ns_prev, 4, 5)
-        return bld.build(*outs)
+        return bld.build(*outs, name=f"richardson-recursive:n{order} first step")
     bld = _Builder("L", "R", "Omega", "P", "theta", "b")
     s_gamma = bld.power_sum(1, order)
     bld.cut()
@@ -126,7 +128,9 @@ def recursive_program(order: int, first: bool) -> Program:
     accel_res = bld.emit(Residual, lead)
     bld.cut()
     omega = bld.emit(Mul, accel_res, ns_new, lead)
-    return bld.build(g, f, lead, accel_res, omega, ns_new, _theta_update(bld, omega, 4, 5))
+    theta = _theta_update(bld, omega, 4, 5)
+    name = f"richardson-recursive:n{order} step"
+    return bld.build(g, f, lead, accel_res, omega, ns_new, theta, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ orders.  This module provides:
 * :func:`efficiency_index` - order per multiplication, ``h**(1/count)``;
 * :class:`Program` and :func:`run_program` - a start or step function of
   the iteration family lowered to one program, by splicing the plan
-  programs it sums with, and run by the same executor as every plan.
+  programs it sums with, and run by the same executor as every plan;
+* :func:`_compile` - the executor: each program compiled, on its first
+  run, to one straight-line Python function.
 
 Two counting conventions appear throughout and are kept explicit: the
 "full" count includes the product forming ``Y = I - X A``; the "poly" count
@@ -34,11 +36,11 @@ assumes Y is already available.  They always differ by exactly one.
 
 from __future__ import annotations
 
+import linecache
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import copysign
-from operator import itemgetter
 from types import MappingProxyType
 from typing import ClassVar, Union
 
@@ -132,7 +134,7 @@ class PrimeWrap:
 # is the program's matrix A, which the executor is given beside the inputs.
 # ``drop`` names the registers an instruction reads for the last time: the
 # executor lets go of them once it has run, so only live arrays are kept.
-# ``op`` is the executor's dispatch code, one per instruction kind.
+# ``op`` is the instruction kind, which the compiler dispatches on once.
 # ``renamed(f, mat)`` is the instruction with every register r read as
 # f(r) and no drops; a splice binds a ``mat`` of None to ``mat``.
 Reg = Union[str, int]
@@ -266,6 +268,8 @@ class FactorPlan:
     Building a plan also keeps its order and program on the root node (a
     derived value of a frozen node), so a later plan that holds this root
     as a child splices the program instead of lowering the subtree again.
+    The program is compiled to a Python function on the plan's first run
+    and kept on the plan; building a plan compiles nothing.
     """
 
     root: PlanNode
@@ -274,6 +278,8 @@ class FactorPlan:
     mmm_poly: int = field(init=False)
     mmm_cost: int = field(init=False)
     efficiency_index: float = field(init=False)
+    # The program compiled by _run_plan on the plan's first run.
+    _run: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         order, program = _lower(self.root)
@@ -299,12 +305,14 @@ class Program:
     and ``mvm`` are the counted matrix-matrix and matrix-vector products
     one run adds, and ``depth`` is the critical path: the most
     matrix-matrix products on any chain of dependent instructions, from
-    an input to an output.  ``copies`` are the outputs that
-    :func:`run_program` copies, as they are inputs or repeat an earlier
-    output, and ``fetch(regs)`` picks the outputs from the registers.
-    Built by :class:`_Builder`; run by :func:`run_program`.
+    an input to an output.  ``name`` says which function the program is
+    (``double:n3 step``); a traceback through its compiled code names it.
+    Built by :class:`_Builder`; run by :func:`run_program`, which compiles
+    the code on the first run and keeps the function here: ``_run`` for a
+    serial run, ``_parts`` for a run of the branches on an executor.
     """
 
+    name: str
     inputs: tuple[str, ...]
     code: tuple[Instr, ...]
     outputs: tuple[int, ...]
@@ -312,8 +320,8 @@ class Program:
     mmm: int
     mvm: int
     depth: int
-    copies: tuple[int, ...] = field(repr=False)
-    fetch: Callable = field(repr=False)
+    _run: Callable | None = field(default=None, init=False, repr=False)
+    _parts: tuple[Callable, ...] | None = field(default=None, init=False, repr=False)
 
 
 class _Builder:
@@ -426,13 +434,14 @@ class _Builder:
             object.__setattr__(ins, "drop", tuple(d))
         return tuple(self.code)
 
-    def build(self, *outputs: int) -> Program:
+    def build(self, *outputs: int, name: str) -> Program:
         code = self.finish(*outputs)
         depth = [0] * len(self.inputs)
         for ins in code:
             longest = max((depth[reg] for reg in ins.reads()), default=0)
             depth.append(longest + (ins.op in (_MUL, _RESIDUAL)))
         return Program(
+            name=name,
             inputs=self.inputs,
             code=code,
             outputs=outputs,
@@ -440,13 +449,6 @@ class _Builder:
             mmm=sum(1 for ins in code if ins.op in (_MUL, _RESIDUAL)),
             mvm=sum(1 for ins in code if ins.op == _MATVEC),
             depth=max((depth[out] for out in outputs), default=0),
-            copies=tuple(
-                i
-                for i, out in enumerate(outputs)
-                if out < len(self.inputs) or out in outputs[:i]
-            ),
-            # itemgetter returns a tuple for two or more slots
-            fetch=itemgetter(*outputs) if len(outputs) > 1 else lambda regs: (regs[outputs[0]],),
         )
 
 
@@ -500,7 +502,7 @@ def horner_eval(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> np.nda
     of X for h == 1."""
     if h < 1:
         raise ValueError("order h must be >= 1")
-    return _run_plan(_horner_plan(h).program, y, x, x, ctr)
+    return _run_plan(_horner_plan(h), y, x, x, ctr)
 
 
 @lru_cache(maxsize=128)
@@ -554,118 +556,198 @@ def factored_eval(
     return nested_eval(y, x, a, _split_plan(p, w), ctr, form_y=form_y)
 
 
-def _execute(code: tuple[Instr, ...], regs: list, a: np.ndarray, ctr: MulCounter) -> list:
-    """The one executor: run lowered ``code`` on the register list
-    ``regs``, which holds the slots before the code's first one, and
-    return it, extended by one slot per instruction.
+# The names the compiled code reads besides its arguments: numpy's
+# functions, bound once, and the two names a float constant's repr may use.
+_COMPILED_GLOBALS = {
+    "add": np.add,
+    "array": np.array,
+    "dot": np.ndarray.dot,
+    "empty_like": np.empty_like,
+    "identity_constant": identity_constant,
+    "inf": float("inf"),
+    "matmul": np.matmul,
+    "multiply": np.multiply,
+    "nan": float("nan"),
+    "subtract": np.subtract,
+}
 
-    Every program runs here: each plan (for :func:`nested_eval`,
+
+def _statements(ins: Instr) -> list[str]:
+    """The Python statements of one instruction, its drops included.
+    Register r is the local ``rN`` for slot N; ``a`` is the matrix A."""
+    dst = f"r{ins.dst}"
+    if ins.op == _MUL:
+        lines = [f"{dst} = mul(r{ins.lhs}, r{ins.rhs})"]
+        if ins.add is not None:
+            lines.append(f"{dst} += r{ins.add}")
+    elif ins.op == _RESIDUAL:
+        mat = "a" if ins.mat is None else f"r{ins.mat}"
+        lines = [f"{dst} = mul(r{ins.src}, {mat})", f"subtract(eye, {dst}, out={dst})"]
+    elif ins.op == _LIN:
+        # A coefficient of 1.0 adds its register without a multiply; a
+        # constant of 1.0 or +0.0 starts from the first term, I + t or
+        # t + 0.0 (which turns a -0.0 of t into +0.0, as that sum does),
+        # instead of from const * I.
+        def term(coef, slot):
+            return f"r{slot}" if coef == 1.0 else f"{float(coef)!r} * r{slot}"
+
+        const, terms = ins.const, ins.terms
+        if terms and (const == 1.0 or (const == 0.0 and copysign(1.0, const) > 0.0)):
+            first = term(*terms[0])
+            start = f"add(eye, {first})" if const == 1.0 else f"add({first}, 0.0)"
+            terms = terms[1:]
+        else:
+            start = f"multiply(eye, {float(const)!r}, out=empty_like(a))"
+        lines = [f"{dst} = {start}", *(f"{dst} += {term(*t)}" for t in terms)]
+    elif ins.op == _MATVEC:
+        mat = "a" if ins.mat is None else f"r{ins.mat}"
+        lines = [f"{dst} = matmul({mat}, r{ins.vec})"]
+    else:
+        lines = [f"{dst} = subtract(r{ins.lhs}, r{ins.rhs})"]
+    if ins.drop:
+        lines.append(" = ".join(f"r{slot}" for slot in ins.drop) + " = None")
+    return lines
+
+
+def _compile(name: str, params: str, code, head=(), tail=()) -> Callable:
+    """The one executor: ``code`` compiled to ``run(<params>, a, ctr)``,
+    the lines of ``head``, one statement per instruction (two for a
+    product with an addend or a ``Residual``), the count, then ``tail``.
+
+    Every program runs this way: each plan (for :func:`nested_eval`,
     :func:`factored_eval`, :func:`geometric_apply` and :func:`horner_eval`)
     and each start and step function of the iteration family (through
     :func:`run_program`).  Operands are ``(n, n)`` matrices, or ``(k, n,
     n)`` stacks of one shape (every instance in one pass, each bitwise
-    equal to its own 2-D run), and vectors for ``MatVec`` and ``Sub``.  A
-    dropped slot is set to None.  Each product runs as :func:`mat_mul`
-    runs it (``ndarray.dot`` on ``(n, n)`` operands with 2 <= n <=
+    equal to its own 2-D run), and vectors for ``MatVec`` and ``Sub``.
+    Registers are locals, and a drop sets one to None, so only live arrays
+    are kept.  Each product runs as :func:`mat_mul` runs it
+    (``ndarray.dot`` on ``(n, n)`` operands with 2 <= n <=
     ``DOT_MAX_DIM``, ``np.matmul`` on all others; the function is picked
-    once per call, from A, not per instruction) and is added to the
-    counter once the code has run, one per n x n product.  ``Residual``
-    forms ``I - src mat`` as :func:`residual_of` does.  ``MatVec`` is :func:`mat_vec`'s
-    ``mat @ vec``, one mvm, and ``Sub`` is ``lhs - rhs``.  Every register
-    an instruction writes is a fresh array, so inputs are never written.
+    once per call, from A, not per instruction) and the products are added
+    to the counter once the code has run, one per n x n product.
+    ``Residual`` forms ``I - src mat`` in the product's buffer, as
+    :func:`residual_of` does.  ``MatVec`` is :func:`mat_vec`'s ``mat @
+    vec``, one mvm, and ``Sub`` is ``lhs - rhs``.  A ``Lin`` is fused,
+    bitwise equal to ``const * I`` plus each ``coef * reg`` in turn,
+    signed zeros included (see :func:`_statements`).  Every register an
+    instruction writes is a fresh array, so inputs are never written.
 
-    A ``Lin`` is fused, bitwise equal to ``const * I`` plus each
-    ``coef * reg`` in turn, signed zeros included: a coefficient of 1.0
-    adds its register without a multiply, and a constant of 1.0 or +0.0
-    starts from the first term (``I + t`` or ``t + 0.0``) instead of from a
-    scaled identity.
+    The source is registered under the filename ``<name>``, so a traceback
+    through the code names the program and shows its line.  Callers keep
+    the function on the plan or program; threads that race on a first run
+    each compile an equal function.
     """
-    small = a.ndim == 2 and 1 < a.shape[1] <= DOT_MAX_DIM
-    mul = np.ndarray.dot if small else np.matmul
-    eye = identity_constant(a.shape[-1])
-    products = vectors = 0
+    products = sum(1 for ins in code if ins.op in (_MUL, _RESIDUAL))
+    vectors = sum(1 for ins in code if ins.op == _MATVEC)
+    body = list(head)
+    if products:
+        body.append(f"mul = dot if a.ndim == 2 and 1 < a.shape[1] <= {DOT_MAX_DIM} else matmul")
+    if any(ins.op == _RESIDUAL or ins.op == _LIN for ins in code):
+        body.append("eye = identity_constant(a.shape[-1])")
     for ins in code:
-        op = ins.op
-        if op == _MUL:
-            z = mul(regs[ins.lhs], regs[ins.rhs])
-            products += 1
-            if ins.add is not None:
-                z += regs[ins.add]
-        elif op == _RESIDUAL:
-            z = mul(regs[ins.src], a if ins.mat is None else regs[ins.mat])
-            products += 1
-            np.subtract(eye, z, out=z)
-        elif op == _LIN:
-            const, terms = ins.const, ins.terms
-            if terms and (const == 1.0 or (const == 0.0 and copysign(1.0, const) > 0.0)):
-                # 1.0 * I + t is I + t; +0.0 * I + t is t + 0.0, which turns
-                # a -0.0 of t into +0.0 as that sum does.
-                coef, slot = terms[0]
-                t = regs[slot] if coef == 1.0 else coef * regs[slot]
-                z = np.add(eye, t) if const == 1.0 else np.add(t, 0.0)
-                terms = terms[1:]
-            else:
-                z = np.multiply(eye, const, out=np.empty_like(a))
-            for coef, slot in terms:
-                z += regs[slot] if coef == 1.0 else coef * regs[slot]
-        elif op == _MATVEC:
-            z = np.matmul(a if ins.mat is None else regs[ins.mat], regs[ins.vec])
-            vectors += 1
+        body += _statements(ins)
+    if products:
+        body.append(f"ctr.mmm += {products} if a.ndim == 2 else {products} * len(a)")
+    if vectors:
+        body.append(f"ctr.mvm += {vectors}")
+    body += tail
+    source = f"def run({params}, a, ctr):\n" + "".join(f"    {line}\n" for line in body or ["pass"])
+    lines = source.splitlines(True)
+    # Two programs with one name (table forms that share a label) each
+    # keep their own source under a numbered filename.
+    filename, copy = f"<{name}>", 1
+    while linecache.cache.setdefault(filename, (len(source), None, lines, filename))[2] != lines:
+        copy += 1
+        filename = f"<{name} #{copy}>"
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), _COMPILED_GLOBALS, namespace)
+    return namespace["run"]
+
+
+def _returns(outputs: tuple[int, ...], inputs: int) -> str:
+    """The return statement of a program: its outputs in order, each a
+    fresh array (an output that is an input, or that repeats an earlier
+    output, is copied)."""
+    names = [
+        f"array(r{out})" if out < inputs or out in outputs[:i] else f"r{out}"
+        for i, out in enumerate(outputs)
+    ]
+    return f"return ({', '.join(names)},)"
+
+
+def _compile_program(program: Program) -> Callable:
+    """``run(*inputs, a, ctr)``, the whole program; kept on it."""
+    params = ", ".join(f"r{slot}" for slot in range(len(program.inputs)))
+    tail = [_returns(program.outputs, len(program.inputs))]
+    run = _compile(f"program {program.name}", params, program.code, tail=tail)
+    object.__setattr__(program, "_run", run)
+    return run
+
+
+def _compile_parts(program: Program) -> tuple[Callable, ...]:
+    """The prelude, the two branches and the join of a program with cuts,
+    each ``run(regs, a, ctr)`` over one register list: a part reads the
+    registers it needs from the list and stores there those it writes
+    that a later part reads; the join returns the outputs.  Kept on the
+    program."""
+    code, inputs, outputs = program.code, len(program.inputs), program.outputs
+    bounds = (0, *program.cuts, len(code))
+    parts = []
+    for i, role in enumerate(("prelude", "branch 1", "branch 2", "join")):
+        lo, hi = bounds[i], bounds[i + 1]
+        part = code[lo:hi]
+        reads = {reg for ins in part for reg in ins.reads()}
+        if hi == len(code):
+            reads.update(outputs)
+            tail = [_returns(outputs, inputs)]
         else:
-            z = np.subtract(regs[ins.lhs], regs[ins.rhs])
-        regs.append(z)
-        for slot in ins.drop:
-            regs[slot] = None
-    ctr.mmm += products if a.ndim == 2 else products * len(a)
-    ctr.mvm += vectors
-    return regs
+            later = {reg for ins in code[hi:] for reg in ins.reads()}.union(outputs)
+            tail = [f"regs[{ins.dst}] = r{ins.dst}" for ins in part if ins.dst in later]
+        head = [f"r{reg} = regs[{reg}]" for reg in sorted(reads) if reg < inputs + lo]
+        parts.append(_compile(f"program {program.name}, {role}", "regs", part, head, tail))
+    object.__setattr__(program, "_parts", tuple(parts))
+    return program._parts
 
 
 def run_program(
     program: Program, inputs: list, a: np.ndarray, ctr: MulCounter, executor=None
 ) -> Sequence[np.ndarray]:
-    """Run ``program`` on its ``inputs`` (a fresh list, in the order of
+    """Run ``program`` on its ``inputs`` (in the order of
     ``program.inputs``) and the matrix A; returns its outputs in order,
     each a fresh array (an output that is an input, or that an earlier
-    output already returned, is copied).
+    output already returned, is copied).  The code is compiled on the
+    program's first run (see :func:`_compile`) and the function kept.
 
-    Serially the whole code runs as one program.  With ``executor`` (any
-    concurrent.futures executor) the two branches of a program with cuts
-    run through :func:`run_branches`, each on its own copy of the register
-    list and its own counter, merged in branch order: the branches share
-    only read-only registers, so the results are bitwise those of the
-    serial run and the counts the same.
+    Serially the whole code runs as one function.  With ``executor`` (any
+    concurrent.futures executor) a program with cuts runs as four compiled
+    parts over one register list: the prelude, then its two branches
+    through :func:`run_branches`, each on its own counter, merged in
+    branch order, then the join.  The branches read only registers
+    neither of them writes, and each stores only its own, so the results
+    are bitwise those of the serial run and the counts the same.
     """
-    code = program.code
     if executor is None or not program.cuts:
-        regs = _execute(code, inputs, a, ctr)
-    else:
-        first, second, join = program.cuts
-        regs = _execute(code[:first], inputs, a, ctr)
-        pad = [None] * (second - first)
-        ran = run_branches(
-            ctr,
-            executor,
-            lambda c: _execute(code[first:second], regs.copy(), a, c),
-            lambda c: _execute(code[second:join], regs + pad, a, c),
-        )
-        regs = _execute(code[join:], ran[0] + ran[1][len(ran[0]):], a, ctr)
-    outputs = program.fetch(regs)
-    if program.copies:
-        outputs = list(outputs)
-        for i in program.copies:
-            outputs[i] = np.array(outputs[i])
-    return outputs
+        return (program._run or _compile_program(program))(*inputs, a, ctr)
+    prelude, left, right, join = program._parts or _compile_parts(program)
+    regs = list(inputs) + [None] * len(program.code)
+    prelude(regs, a, ctr)
+    run_branches(ctr, executor, lambda c: left(regs, a, c), lambda c: right(regs, a, c))
+    return join(regs, a, ctr)
 
 
-def _run_plan(program, y, x, a, ctr) -> np.ndarray:
-    """A plan's program on Y and X; a fresh array, a copy of X for the
-    empty program."""
+def _run_plan(plan: FactorPlan, y, x, a, ctr) -> np.ndarray:
+    """A plan's program on Y and X, compiled on the plan's first run; a
+    fresh array, a copy of X for the empty program."""
     if not (y.shape == x.shape == a.shape):
         raise ValueError(f"dimension mismatch: y {y.shape}, x {x.shape}, a {a.shape}")
-    if not program:
-        return np.array(x)
-    return _execute(program, [y, x], a, ctr)[-1]
+    run = plan._run
+    if run is None:
+        code = plan.program
+        tail = [f"return r{code[-1].dst}" if code else "return array(r1)"]
+        run = _compile(f"plan {plan_str(plan)}", "r0, r1", code, tail=tail)
+        object.__setattr__(plan, "_run", run)
+    return run(y, x, a, ctr)
 
 
 def nested_eval(
@@ -693,7 +775,7 @@ def nested_eval(
         y = y_formed
     elif y is None:
         raise ValueError("y is required unless form_y=True")
-    return _run_plan(plan.program, y, x, a, ctr)
+    return _run_plan(plan, y, x, a, ctr)
 
 
 def geometric_apply(
@@ -707,7 +789,7 @@ def geometric_apply(
     by the order's plan ``mmm_poly`` (see :func:`_geometric_plan`)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _run_plan(_geometric_plan(order).program, y, x, a, ctr)
+    return _run_plan(_geometric_plan(order), y, x, a, ctr)
 
 
 @lru_cache(maxsize=128)

@@ -6,6 +6,7 @@ comparison is only meaningful while ||B**e|| sits well above float noise.
 """
 
 from dataclasses import dataclass
+from math import copysign
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -13,6 +14,7 @@ from numpy.polynomial import Polynomial
 from seriesinv import fro_norm, inf_norm, square_matrix
 from seriesinv.harness import CHECK_MAX_ORDER, CHECK_REL_TOL, MethodSpec, series_params
 from seriesinv.matrix_core import (
+    DOT_MAX_DIM,
     MulCounter,
     fro_norms,
     identity_constant,
@@ -21,9 +23,17 @@ from seriesinv.matrix_core import (
     subtract_from_identity,
 )
 from seriesinv.series_toolkit import (
+    _LIN,
+    _MATVEC,
+    _MUL,
+    _RESIDUAL,
     TABLE_LABELS,
+    FactorPlan,
+    Horner,
+    Lin,
     Mul,
     Residual,
+    TableForm,
     _Builder,
     factored_mmm,
     nested_eval,
@@ -246,8 +256,142 @@ def power_sum(gamma, n, ctr):
     power-sum sub-program that opens the recursive Richardson step, run by
     the executor on one matrix or a ``(k, n, n)`` stack."""
     bld = _Builder("R")
-    program = bld.build(bld.power_sum(0, n))
+    program = bld.build(bld.power_sum(0, n), name=f"power-sum:n{n}")
     return run_program(program, [gamma], gamma, ctr)[0]
+
+
+def reference_execute(code, regs, a, ctr):
+    """The interpreter every lowered program ran through before programs
+    were compiled, kept as the reference the compiled code must match bit
+    for bit and count for count: run ``code`` on the register list
+    ``regs`` (the slots before the code's first one) and return it,
+    extended by one slot per instruction, each dropped slot set to None.
+
+    One dispatch on ``ins.op`` per instruction; each product through
+    ``ndarray.dot`` on ``(n, n)`` operands with 2 <= n <= ``DOT_MAX_DIM``
+    and ``np.matmul`` on all others, picked once per call from A; the
+    products added to the counter once the code has run, one per n x n
+    product.  A ``Lin`` is ``const * I`` plus each ``coef * reg`` in
+    turn, fused: a coefficient of 1.0 adds its register without a
+    multiply, and a constant of 1.0 or +0.0 starts from the first term
+    (``I + t`` or ``t + 0.0``) instead of from a scaled identity.
+    """
+    small = a.ndim == 2 and 1 < a.shape[1] <= DOT_MAX_DIM
+    mul = np.ndarray.dot if small else np.matmul
+    eye = identity_constant(a.shape[-1])
+    products = vectors = 0
+    for ins in code:
+        op = ins.op
+        if op == _MUL:
+            z = mul(regs[ins.lhs], regs[ins.rhs])
+            products += 1
+            if ins.add is not None:
+                z += regs[ins.add]
+        elif op == _RESIDUAL:
+            z = mul(regs[ins.src], a if ins.mat is None else regs[ins.mat])
+            products += 1
+            np.subtract(eye, z, out=z)
+        elif op == _LIN:
+            const, terms = ins.const, ins.terms
+            if terms and (const == 1.0 or (const == 0.0 and copysign(1.0, const) > 0.0)):
+                # 1.0 * I + t is I + t; +0.0 * I + t is t + 0.0, which turns
+                # a -0.0 of t into +0.0 as that sum does.
+                coef, slot = terms[0]
+                t = regs[slot] if coef == 1.0 else coef * regs[slot]
+                z = np.add(eye, t) if const == 1.0 else np.add(t, 0.0)
+                terms = terms[1:]
+            else:
+                z = np.multiply(eye, const, out=np.empty_like(a))
+            for coef, slot in terms:
+                z += regs[slot] if coef == 1.0 else coef * regs[slot]
+        elif op == _MATVEC:
+            z = np.matmul(a if ins.mat is None else regs[ins.mat], regs[ins.vec])
+            vectors += 1
+        else:
+            z = np.subtract(regs[ins.lhs], regs[ins.rhs])
+        regs.append(z)
+        for slot in ins.drop:
+            regs[slot] = None
+    ctr.mmm += products if a.ndim == 2 else products * len(a)
+    ctr.mvm += vectors
+    return regs
+
+
+def reference_run(program, inputs, a, ctr):
+    """``run_program``'s serial run through :func:`reference_execute`: the
+    outputs in order, an output that is an input or repeats an earlier
+    output copied."""
+    regs = reference_execute(program.code, list(inputs), a, ctr)
+    return [
+        np.array(regs[out]) if out < len(inputs) or out in program.outputs[:i] else regs[out]
+        for i, out in enumerate(program.outputs)
+    ]
+
+
+def reference_plan(plan, y, x, a, ctr):
+    """A plan's program on Y and X through :func:`reference_execute`: its
+    last register, a copy of X for the empty program."""
+    if not plan.program:
+        return np.array(x)
+    return reference_execute(plan.program, [y, x], a, ctr)[-1]
+
+
+def entry_coefs(entry):
+    """An object array's entry as float coefficients: a polynomial's, or a
+    plain float (a ``Lin`` with no terms writes const * I as floats)."""
+    return np.atleast_1d(getattr(entry, "coef", entry)).astype(float)
+
+
+def same_bits(got, want):
+    """Equal shape and dtype, and bit for bit, signed zeros included; for
+    object arrays, entry by entry, type and coefficients."""
+    got, want = np.asarray(got), np.asarray(want)
+    if got.shape != want.shape or got.dtype != want.dtype:
+        return False
+    if got.dtype != object:
+        return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    return all(
+        type(g) is type(w) and same_bits(entry_coefs(g), entry_coefs(w))
+        for g, w in zip(got.ravel(), want.ravel())
+    )
+
+
+def signed_zero_matrix(rng, shape):
+    """Random entries of either sign, about a third of them +0.0 or -0.0."""
+    m = rng.standard_normal(shape) / shape[-1]
+    zeros = rng.random(shape) < 0.35
+    m[zeros] = np.copysign(0.0, rng.standard_normal(shape))[zeros]
+    return m
+
+
+def hand_plans():
+    """Lowered forms no catalogue plan has: every fused and general ``Lin``
+    start (constants +0.0, -0.0, 1.0, -1.0, 2.0; coefficients 1.0, 0.5,
+    -1.0; no terms at all), a chain of them, and the empty program."""
+    term_sets = (
+        (),
+        ((1.0, "X"),),
+        ((-1.0, "X"),),
+        ((0.5, "Y"), (-1.0, "X")),
+        ((-1.0, "X"), (1.0, "Y"), (0.5, "X")),
+    )
+    plans = [
+        (f"lin:{const}:{i}", FactorPlan(TableForm("lin", 1, (Lin("z", const, terms),))))
+        for const in (0.0, -0.0, 1.0, -1.0, 2.0)
+        for i, terms in enumerate(term_sets)
+    ]
+    chain = (
+        Mul("y2", "Y", "Y"),
+        Lin("f", -1.0, ((0.5, "Y"), (-1.0, "y2"))),
+        Lin("g", 2.0, ((1.0, "f"), (0.5, "X"))),
+        Lin("h", 0.0, ((-1.0, "g"), (1.0, "Y"))),
+        Lin("k", 1.0, ((0.5, "h"),)),
+        Residual("q", "k"),
+        Lin("m", -0.0, ((1.0, "q"), (1.0, "X"))),
+        Mul("z", "m", "X", "X"),
+    )
+    plans.append(("chain", FactorPlan(TableForm("chain", 3, chain))))
+    return plans + [("horner:1", FactorPlan(Horner(1)))]
 
 
 def plan_oracle(program, y, x, a, ctr):

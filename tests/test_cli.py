@@ -116,6 +116,13 @@ def test_verify_tables_smallest_stack_and_bad_dim(capsys):
     assert "dim must be >= 1" in captured.err
 
 
+def test_verify_tables_negative_seed_names_the_seed(capsys):
+    assert main(["verify-tables", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+
+
 class TestGenHarmonic:
     def test_writes_matrix_rhs_theta(self, harmonic_files):
         mat, rhs, theta = harmonic_files

@@ -1,9 +1,9 @@
 """Compiled plan programs, the one executor, and the stacked verify-tables.
 
 Every plan is lowered once to a straight-line program over integer slots;
-``nested_eval`` and ``geometric_apply`` run that program, on one ``(n, n)``
-instance or on a ``(k, n, n)`` stack.  The dict-register interpreter the
-slot executor replaced is ``corpus.plan_oracle``.  ``toolkit_check`` splits
+``nested_eval`` and ``geometric_apply`` run that program, compiled on its
+first run, on one ``(n, n)`` instance or on a ``(k, n, n)`` stack.  The
+dict-register interpreter of the first executor is ``corpus.plan_oracle``.  ``toolkit_check`` splits
 all its instances in one stacked call and runs each plan once over the
 stack; the per-instance loop it replaced is kept here as the oracle for its
 report.  It forms Y once for every plan and runs each distinct program of
@@ -21,7 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import horner_iterates, per_plan_toolkit_check, plan_oracle, random_spd
+from corpus import (
+    hand_plans,
+    horner_iterates,
+    per_plan_toolkit_check,
+    plan_oracle,
+    random_spd,
+    same_bits,
+    signed_zero_matrix,
+)
 from seriesinv import (
     FactorPlan,
     Horner,
@@ -56,52 +64,10 @@ def all_plans():
     return plans + [(f"plan:{h}", plan_order(h)) for h in range(2, 65)]
 
 
-def same_bits(a, b):
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
-def hand_plans():
-    """Lowered forms no catalogue plan has: every fused and general ``Lin``
-    start (constants +0.0, -0.0, 1.0, -1.0, 2.0; coefficients 1.0, 0.5,
-    -1.0; no terms at all), a chain of them, and the empty program."""
-    term_sets = (
-        (),
-        ((1.0, "X"),),
-        ((-1.0, "X"),),
-        ((0.5, "Y"), (-1.0, "X")),
-        ((-1.0, "X"), (1.0, "Y"), (0.5, "X")),
-    )
-    plans = [
-        (f"lin:{const}:{i}", FactorPlan(TableForm("lin", 1, (Lin("z", const, terms),))))
-        for const in (0.0, -0.0, 1.0, -1.0, 2.0)
-        for i, terms in enumerate(term_sets)
-    ]
-    chain = (
-        Mul("y2", "Y", "Y"),
-        Lin("f", -1.0, ((0.5, "Y"), (-1.0, "y2"))),
-        Lin("g", 2.0, ((1.0, "f"), (0.5, "X"))),
-        Lin("h", 0.0, ((-1.0, "g"), (1.0, "Y"))),
-        Lin("k", 1.0, ((0.5, "h"),)),
-        Residual("q", "k"),
-        Lin("m", -0.0, ((1.0, "q"), (1.0, "X"))),
-        Mul("z", "m", "X", "X"),
-    )
-    plans.append(("chain", FactorPlan(TableForm("chain", 3, chain))))
-    return plans + [("horner:1", FactorPlan(Horner(1)))]
-
-
-def execute(program, y, x, a, ctr):
-    """A plan's program run by the one executor on Y and X: its last
-    register (X itself for the empty program)."""
-    return series_toolkit._execute(program, [y, x], a, ctr)[-1]
-
-
-def signed_zero_matrix(rng, shape):
-    """Random entries of either sign, about a third of them +0.0 or -0.0."""
-    m = rng.standard_normal(shape) / shape[-1]
-    zeros = rng.random(shape) < 0.35
-    m[zeros] = np.copysign(0.0, rng.standard_normal(shape))[zeros]
-    return m
+def execute(plan, y, x, a, ctr):
+    """A plan's program run by the one executor, its compiled code, on Y
+    and X: its result (a copy of X for the empty program)."""
+    return series_toolkit._run_plan(plan, y, x, a, ctr)
 
 
 @settings(max_examples=25, deadline=None)
@@ -118,7 +84,7 @@ def test_executor_matches_dict_oracle(dim, k, seed):
     y, x, a = (signed_zero_matrix(rng, shape) for _ in range(3))
     for name, plan in all_plans() + hand_plans():
         got_ctr, want_ctr = MulCounter(), MulCounter()
-        got = execute(plan.program, y, x, a, got_ctr)
+        got = execute(plan, y, x, a, got_ctr)
         want = plan_oracle(plan.program, y, x, a, want_ctr)
         assert got.shape == shape, name
         assert same_bits(got, want), name
@@ -160,9 +126,9 @@ def test_2d_products_equal_stacked_products_bitwise(dim):
     rng = np.random.default_rng(dim)
     y, x, a = (signed_zero_matrix(rng, (3, dim, dim)) for _ in range(3))
     for name, plan in all_plans():
-        z = execute(plan.program, y, x, a, MulCounter())
+        z = execute(plan, y, x, a, MulCounter())
         for i in range(3):
-            one = execute(plan.program, y[i], x[i], a[i], MulCounter())
+            one = execute(plan, y[i], x[i], a[i], MulCounter())
             assert same_bits(z[i], one), (name, i)
 
 
@@ -439,19 +405,19 @@ def test_shared_y_and_runs_match_the_per_plan_check(instances, dim, seed):
 def test_default_check_runs_each_distinct_program_once(monkeypatch):
     # 68 catalogue plans lower to 59 distinct (order, program) pairs; one
     # product per instance forms Y and each run counts its mmm_poly
-    execute = series_toolkit._execute
+    run_plan = series_toolkit._run_plan
     programs = []
     counters = []
 
-    def recording(program, regs, a, ctr):
-        programs.append(program)
-        return execute(program, regs, a, ctr)
+    def recording(plan, y, x, a, ctr):
+        programs.append(plan.program)
+        return run_plan(plan, y, x, a, ctr)
 
     def counter():
         counters.append(MulCounter())
         return counters[-1]
 
-    monkeypatch.setattr(series_toolkit, "_execute", recording)
+    monkeypatch.setattr(series_toolkit, "_run_plan", recording)
     monkeypatch.setattr(harness, "MulCounter", counter)
     ok, lines = toolkit_check()
     assert ok and len(lines) == 68
@@ -499,15 +465,15 @@ def test_dropped_instruction_fails_the_check(monkeypatch):
 def test_miscounted_product_fails_the_check(monkeypatch):
     # the executor counts one product too many for one program: its numbers
     # are right, its counter delta is not
-    execute = series_toolkit._execute
+    run_plan = series_toolkit._run_plan
     target = plan_order(3).program
 
-    def miscounting(program, regs, a, ctr):
-        if program == target:
+    def miscounting(plan, y, x, a, ctr):
+        if plan.program == target:
             ctr.mmm += 1
-        return execute(program, regs, a, ctr)
+        return run_plan(plan, y, x, a, ctr)
 
-    monkeypatch.setattr(series_toolkit, "_execute", miscounting)
+    monkeypatch.setattr(series_toolkit, "_run_plan", miscounting)
     ok, lines = toolkit_check(instances=4, dim=5, seed=2)
     assert not ok
     assert lines[-1] == "FAIL: a counter delta disagreed with its plan's mmm cost"
@@ -588,6 +554,16 @@ def test_plan_swapped_in_after_a_warm_check_is_the_one_run(monkeypatch):
 def test_zero_instances_rejected():
     with pytest.raises(ValueError, match="instances must be >= 1"):
         toolkit_check(instances=0)
+
+
+def test_negative_seed_rejected_before_any_instance_is_drawn(monkeypatch):
+    # numpy's own error would name neither the option nor the value
+    def no_draw(*args, **kwargs):
+        raise AssertionError("instances drawn before seed was checked")
+
+    monkeypatch.setattr(harness.np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        toolkit_check(seed=-1)
 
 
 @pytest.mark.parametrize("dim", [0, -1])

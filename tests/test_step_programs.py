@@ -12,15 +12,20 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies
 
 from corpus import (
     BENCH_SPECS,
     POLY_B,
     b_power,
+    entry_coefs,
     poly_array,
     poly_equal,
     poly_split,
     random_spd,
+    reference_execute,
+    same_bits,
     start_counts,
     step_counts,
     step_depth,
@@ -45,11 +50,12 @@ from seriesinv import (
     split_scalar,
     table_plans,
 )
-from seriesinv import series_toolkit
+from seriesinv import newton_schulz, richardson, series_toolkit
 from seriesinv.harness import METHODS, method_programs, series_params
 from seriesinv.matrix_core import MulCounter
 from seriesinv.newton_schulz import double_program, ns_program
 from seriesinv.richardson import cumulative_exponent, step_exponent_general
+from seriesinv.series_toolkit import run_program
 
 
 def harmonic_split():
@@ -281,33 +287,46 @@ def mismatch_exponent(m, k):
     )
 
 
-@pytest.mark.parametrize("m", EXACT_SPECS, ids=lambda m: m.name())
-def test_exact_powers_of_b(m, monkeypatch):
+def exact_run(m, steps, patched):
+    """Spec ``m`` on the exact operands, ``steps`` steps: each state with
+    its (mmm, mvm), and every register of every program the run executed.
+
+    The run is the package's own, its compiled code.  Each program it runs
+    also runs, without drops, through the reference interpreter, whose
+    registers are kept and whose outputs must equal the compiled ones."""
     registers = []
-    execute = series_toolkit._execute
 
-    def keeping(code, regs, a, ctr):
-        # the same code without drops, so that every register can be read
-        out = execute(tuple(replace(ins, drop=()) for ins in code), regs, a, ctr)
-        registers.extend(out)
-        return out
+    def recording(program, inputs, a, ctr, executor=None):
+        outputs = run_program(program, inputs, a, ctr, executor)
+        code = tuple(replace(ins, drop=()) for ins in program.code)
+        regs = reference_execute(code, list(inputs), a, MulCounter())
+        registers.extend(regs)
+        for got, slot in zip(outputs, program.outputs):
+            assert same_bits(got, regs[slot]), program.name
+        return outputs
 
+    for module in (newton_schulz, richardson):
+        patched.setattr(module, "run_program", recording)
+    st, step = started(m, poly_split(), poly_array(1 - POLY_B))
+    states = [(st, (st.ctr.mmm, st.ctr.mvm))]
+    for _ in range(steps):
+        st = step(st)
+        states.append((st, (st.ctr.mmm, st.ctr.mvm)))
+    return states, registers
+
+
+def check_exact(m, states, registers):
+    """Each state's residual (or mismatch) is exactly the spec's power of
+    b, its counts equal the same spec's on a 6 x 6 matrix step by step,
+    and every register's coefficients are integers of 1-norm below
+    ``L1_BOUND``."""
     split = poly_split()
-    theta_star = poly_array(np.polynomial.Polynomial([1.0]))
     rhs = poly_array(1 - POLY_B)
+    theta_star = poly_array(np.polynomial.Polynomial([1.0]))
     row = METHODS[m.kind]
-    with monkeypatch.context() as patched:
-        patched.setattr(series_toolkit, "_execute", keeping)
-        st, step = started(m, split, rhs)
-        exact = [(st, (st.ctr.mmm, st.ctr.mvm))]
-        for _ in range(2):
-            st = step(st)
-            exact.append((st, (st.ctr.mmm, st.ctr.mvm)))
-
-    # the same spec on a 6 x 6 matrix counts the same products, step by step
     real_split, b = harmonic_split()
     st, step = started(m, real_split, b)
-    for k, (poly_state, counts) in enumerate(exact):
+    for k, (poly_state, counts) in enumerate(states):
         if k:
             st = step(st)
         assert counts == (st.ctr.mmm, st.ctr.mvm), k
@@ -330,7 +349,52 @@ def test_exact_powers_of_b(m, monkeypatch):
     assert registers
     for reg in registers:
         for entry in np.ravel(reg):
-            # a Lin with no terms writes const * I as plain floats
-            coef = np.atleast_1d(getattr(entry, "coef", entry)).astype(float)
+            coef = entry_coefs(entry)
             assert np.array_equal(coef, np.round(coef))
             assert np.abs(coef).sum() < L1_BOUND
+
+
+@pytest.mark.parametrize("m", EXACT_SPECS, ids=lambda m: m.name())
+def test_exact_powers_of_b(m, monkeypatch):
+    with monkeypatch.context() as patched:
+        states, registers = exact_run(m, 2, patched)
+    check_exact(m, states, registers)
+
+
+# The largest power of b a drawn case may reach: polynomial products cost
+# the square of the degree.
+EXACT_MAX_EXPONENT = 1500
+
+
+def final_exponent(m, k):
+    if m.kind in ("richardson", "richardson-recursive"):
+        return mismatch_exponent(m, k)
+    return METHODS[m.kind].exponent(m, k)
+
+
+@strategies.composite
+def exact_cases(draw):
+    kind = draw(strategies.sampled_from(sorted(METHODS)))
+    row = METHODS[kind]
+    order = draw(strategies.integers(row.min_order, 4))
+    q = None
+    if row.takes_q and not row.q_is_order:
+        q = draw(strategies.one_of(strategies.none(), strategies.integers(1, 4)))
+    rates = ()
+    if row.takes_rates:
+        rates = tuple(draw(strategies.lists(strategies.integers(1, 70), min_size=1, max_size=3)))
+    m = MethodSpec(kind, order, draw(strategies.integers(1, 8)), q=q, rates=rates)
+    k = draw(strategies.integers(0, 3))
+    assume(final_exponent(m, k) <= EXACT_MAX_EXPONENT)
+    return m, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=exact_cases())
+def test_every_spec_leaves_an_exact_power_of_b(case):
+    # the exact check of the compiled code over kind, order, h, q, rates
+    # and k: B = b, A = 1 - b and S^-1 = 1 on 1 x 1 polynomial operands
+    m, k = case
+    with pytest.MonkeyPatch.context() as patched:
+        states, registers = exact_run(m, k, patched)
+    check_exact(m, states, registers)
