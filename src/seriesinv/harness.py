@@ -631,7 +631,7 @@ class _CheckLayout:
     ``shape`` (each catalogue order with its row count, as the catalogue
     lists them) and ``plans`` (every checked plan, catalogue first) are the
     key; holding the plans keeps their ids theirs.  ``runs`` has one plan
-    per distinct (order, program), in order of h, and ``run_orders`` their
+    per distinct (order, code), in order of h, and ``run_orders`` their
     orders; each report line has its fixed ``heads`` part and the run it
     reads, ``row_of``.
     """
@@ -674,11 +674,12 @@ def _check_layout() -> _CheckLayout:
         for label, plan in zip(TABLE_LABELS[order], catalogue[order])
     ]
     named += [(f"plan:{h}", plan) for h, plan in enumerate(searched, 2)]
-    # One run per distinct (order, program), in order of h.
+    # One run per distinct (order, code), in order of h; the code, not the
+    # Program, which compares by identity.
     runs: dict = {}
     row_of = {}
     for name, plan in sorted(named, key=lambda item: item[1].order_h):
-        row_of[name] = runs.setdefault((plan.order_h, plan.program), (len(runs), plan))[0]
+        row_of[name] = runs.setdefault((plan.order_h, plan.program.code), (len(runs), plan))[0]
     layout = _CheckLayout(
         shape=shape,
         plans=plans,
@@ -705,7 +706,7 @@ def toolkit_check(instances: int = 50, dim: int = 5, seed: int = 0) -> tuple[boo
     ``(instances, dim, dim)`` stack and split in one call, so the splitting,
     the Horner sum and each plan run once over all of them.  Y = I - X A is
     formed once (one product per instance) for every plan, and plans that
-    lower to the same program at the same order share one run, which must
+    lower to the same code at the same order share one run, which must
     move the counter by its ``mmm_poly`` per instance; each plan still
     reports its own line and its ``mmm_cost``.  Which plans share a run,
     and each line's fixed part, are built once per process (see

@@ -22,7 +22,7 @@ Variants:
 Every start and step function runs one lowered program (``*_program``)
 through the executor of ``series_toolkit``: ``Mul`` / ``Residual`` / ``Lin``
 instructions over named input slots, built once per order, rates or plan
-by splicing the plan programs the step sums with (the initial series'
+by calling the plan programs the step sums with (the initial series'
 split plan, ``plan_order(n)`` for ``ns_step(plan=)``, each composite rate's
 ``geometric_apply`` plan).  A program states its counted products and its
 critical path; the two-loop step's program is two independent branches and
@@ -32,7 +32,7 @@ a join, which an executor may run side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from numbers import Integral
 
 import numpy as np
@@ -46,7 +46,6 @@ from .series_toolkit import (
     _Builder,
     _geometric_plan,
     _split_plan,
-    plan_str,
     run_program,
 )
 from .splitting import Splitting
@@ -122,61 +121,56 @@ class CompositeSpec:
 
 # ---------------------------------------------------------------------------
 # Programs.  Each start and step function is one lowered program, built
-# once per (order, q, rates, plan) by splicing the plan programs it sums
+# once per (order, q, rates, plan) by calling the plan programs it sums
 # with, and run by the one executor (``series_toolkit.run_program``).  The
 # matrix A of a program is the ``a`` its step function is given (the
 # splitting's matrix for a start function).
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
+@cache
 def series_program(p: int, w: int) -> Program:
     """Inputs (B, S^-1); outputs (G_0, F_0): G_0 = S_h(B) S^-1 through the
     two-level split of order h = w (p + 1), and F_0 = I - G_0 A.  For
     h == 1 that is (S^-1, B) with no product."""
     bld = _Builder("B", "Sinv")
-    name = f"series:p{p},w{w} start"
+    name = f"program series:p{p},w{w} start"
     if w * (p + 1) == 1:
         return bld.build(1, 0, name=name)
-    g = bld.splice_plan(_split_plan(p, w).program, 0, 1)
+    (g,) = bld.call(_split_plan(p, w).program, 0, 1)
     return bld.build(g, bld.emit(Residual, g), name=name)
 
 
-@lru_cache(maxsize=128)
+@cache
 def double_start_program(p: int, w: int, order: int) -> Program:
     """Inputs (B, S^-1); outputs (G_0, F_0, L_0, R_0): the series start,
     then L_0 = S_n(F_0) G_0 and R_0 = I - L_0 A."""
     bld = _Builder("B", "Sinv")
     g, f = bld.call(series_program(p, w), 0, 1)
     lead = bld.horner(f, g, order)
-    return bld.build(g, f, lead, bld.emit(Residual, lead), name=f"double:n{order}:p{p},w{w} start")
+    name = f"program double:n{order}:p{p},w{w} start"
+    return bld.build(g, f, lead, bld.emit(Residual, lead), name=name)
 
 
 def ns_program(order: int, plan: FactorPlan | None = None) -> Program:
     """Inputs (F, G); outputs (G_k, F_k): G_k = S_n(F) G through Horner, or
     through ``plan`` (of order n), and F_k = I - G_k A.  Built once per
-    order, and once per plan: a plan's step program is kept on the plan
-    object (a derived value of a frozen plan)."""
-    if plan is None:
-        return _horner_ns_program(order)
-    program = getattr(plan, "_ns_program", None)
-    if program is None:
-        bld = _Builder("F", "G")
-        g = bld.splice_plan(plan.program, 0, 1)
-        name = f"ns:n{order} step, {plan_str(plan)}"
-        program = bld.build(g, bld.emit(Residual, g), name=name)
-        object.__setattr__(plan, "_ns_program", program)
-    return program
+    order, and once per plan program."""
+    return _ns_program(order, None if plan is None else plan.program)
 
 
-@lru_cache(maxsize=128)
-def _horner_ns_program(order: int) -> Program:
+@cache
+def _ns_program(order: int, plan: Program | None) -> Program:
+    # cached by the plan's program, which hashes by identity
     bld = _Builder("F", "G")
-    g = bld.horner(0, 1, order)
-    return bld.build(g, bld.emit(Residual, g), name=f"ns:n{order} step")
+    if plan is None:
+        g, name = bld.horner(0, 1, order), f"program ns:n{order} step"
+    else:
+        (g,), name = bld.call(plan, 0, 1), f"program ns:n{order} step, {plan.name}"
+    return bld.build(g, bld.emit(Residual, g), name=name)
 
 
-@lru_cache(maxsize=128)
+@cache
 def composite_program(order_n: int, rates: tuple[int, ...]) -> Program:
     """Inputs (F, G, B, S^-1, A_s) with A_s the splitting's matrix; outputs
     (G_k, F_k).  Each unit's T_i runs the plan of ``geometric_apply`` on
@@ -185,7 +179,7 @@ def composite_program(order_n: int, rates: tuple[int, ...]) -> Program:
     bld = _Builder("F", "G", "B", "Sinv", "As")
     series, residuals = [], []
     for rate in rates:
-        t_i = bld.splice_plan(_geometric_plan(rate).program, 2, 3, mat=4)
+        (t_i,) = bld.call(_geometric_plan(rate).program, 2, 3, mat=4)
         series.append(t_i)
         residuals.append(bld.emit(Residual, t_i))
     t_comp, r_comp = series[0], residuals[0]
@@ -194,11 +188,11 @@ def composite_program(order_n: int, rates: tuple[int, ...]) -> Program:
         r_comp = bld.emit(Mul, r_comp, r_i)
     ns_part = bld.horner(0, 1, order_n)
     g = bld.emit(Mul, r_comp, ns_part, t_comp)
-    name = f"composite:n{order_n}:r{'-'.join(map(str, rates))} step"
+    name = f"program composite:n{order_n}:r{'-'.join(map(str, rates))} step"
     return bld.build(g, bld.emit(Residual, g), name=name)
 
 
-@lru_cache(maxsize=128)
+@cache
 def double_program(order: int) -> Program:
     """Inputs (L, G, F); outputs (G_k, F_k, L_k, R_k).  Two independent
     branches and a join: the accelerator branch forms Gamma = I - L A,
@@ -213,17 +207,18 @@ def double_program(order: int) -> Program:
     ns_part = bld.horner(2, 1, order)
     bld.cut()
     g = bld.emit(Mul, accel_res, ns_part, lead)
-    return bld.build(g, bld.emit(Residual, g), lead, accel_res, name=f"double:n{order} step")
+    name = f"program double:n{order} step"
+    return bld.build(g, bld.emit(Residual, g), lead, accel_res, name=name)
 
 
-@lru_cache(maxsize=128)
+@cache
 def additive_program(p: int) -> Program:
     """Inputs (Z, G); outputs (Z_k, G_k): Z_k = S_p(I - Z A) Z and
     G_k = G + (I - G A) Z_k."""
     bld = _Builder("Z", "G")
     z = bld.horner(bld.emit(Residual, 0), 0, p)
     f_prev = bld.emit(Residual, 1)
-    return bld.build(z, bld.emit(Mul, f_prev, z, 1), name=f"additive:p{p} step")
+    return bld.build(z, bld.emit(Mul, f_prev, z, 1), name=f"program additive:p{p} step")
 
 
 # ---------------------------------------------------------------------------

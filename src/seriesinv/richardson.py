@@ -14,7 +14,7 @@ that re-derives G_k from the previous step's weight with a single product
 and splits the remaining work into two independent parts.
 
 Like the inversion steps, each start and step function runs one lowered
-program: the two-loop programs of ``newton_schulz`` spliced in, then the
+program: the two-loop programs of ``newton_schulz`` called, then the
 weight's products and the theta update, whose ``MatVec`` instructions are
 the counted matrix-vector products and whose ``Sub`` instructions the free
 vector differences.  The recursive step's first call runs its own program,
@@ -24,7 +24,7 @@ which builds the carried weight before the common part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class RichardsonState:
 
 # ---------------------------------------------------------------------------
 # Programs: each start and step function is one lowered program, built once
-# per (order, q) by splicing the two-loop programs of ``newton_schulz``.
+# per (order, q) by calling the two-loop programs of ``newton_schulz``.
 # ---------------------------------------------------------------------------
 
 
@@ -78,17 +78,18 @@ def _theta_update(bld: _Builder, weight: int, theta: int, rhs: int) -> int:
     return bld.emit(Sub, theta, bld.emit(MatVec, weight, resid))
 
 
-@lru_cache(maxsize=128)
+@cache
 def richardson_start_program(p: int, w: int, order: int) -> Program:
     """Inputs (B, S^-1, b); outputs (G_0, F_0, L_0, R_0, theta_0): the
     two-loop start, then theta_0 = L_0 b."""
     bld = _Builder("B", "Sinv", "b")
     g, f, lead, accel_res = bld.call(double_start_program(p, w, order), 0, 1)
     theta = bld.emit(MatVec, lead, 2)
-    return bld.build(g, f, lead, accel_res, theta, name=f"richardson:n{order}:p{p},w{w} start")
+    name = f"program richardson:n{order}:p{p},w{w} start"
+    return bld.build(g, f, lead, accel_res, theta, name=name)
 
 
-@lru_cache(maxsize=128)
+@cache
 def richardson_program(order: int, q: int) -> Program:
     """Inputs (L, G, F, theta, b); outputs (G_k, F_k, L_k, R_k, theta_k):
     the two-loop step, the weight W = L_k + R_k S_q(F_k) G_k and
@@ -97,10 +98,10 @@ def richardson_program(order: int, q: int) -> Program:
     g, f, lead, accel_res = bld.call(double_program(order), 0, 1, 2)
     weight = bld.emit(Mul, accel_res, bld.horner(f, g, q), lead)
     theta = _theta_update(bld, weight, 3, 4)
-    return bld.build(g, f, lead, accel_res, theta, name=f"richardson:n{order}:q{q} step")
+    return bld.build(g, f, lead, accel_res, theta, name=f"program richardson:n{order}:q{q} step")
 
 
-@lru_cache(maxsize=128)
+@cache
 def recursive_program(order: int, first: bool) -> Program:
     """The recursive step.  Later steps: inputs (L, R, Omega, P, theta, b),
     the carried weight Omega and sum P; the first step: inputs (L, R, G, F,
@@ -116,7 +117,7 @@ def recursive_program(order: int, first: bool) -> Program:
         ns_prev = bld.horner(3, 2, order)
         omega_prev = bld.emit(Mul, 1, ns_prev, 0)
         outs = bld.call(recursive_program(order, False), 0, 1, omega_prev, ns_prev, 4, 5)
-        return bld.build(*outs, name=f"richardson-recursive:n{order} first step")
+        return bld.build(*outs, name=f"program richardson-recursive:n{order} first step")
     bld = _Builder("L", "R", "Omega", "P", "theta", "b")
     s_gamma = bld.power_sum(1, order)
     bld.cut()
@@ -129,7 +130,7 @@ def recursive_program(order: int, first: bool) -> Program:
     bld.cut()
     omega = bld.emit(Mul, accel_res, ns_new, lead)
     theta = _theta_update(bld, omega, 4, 5)
-    name = f"richardson-recursive:n{order} step"
+    name = f"program richardson-recursive:n{order} step"
     return bld.build(g, f, lead, accel_res, omega, ns_new, theta, name=name)
 
 

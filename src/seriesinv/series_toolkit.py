@@ -16,18 +16,18 @@ orders.  This module provides:
 * :func:`horner_eval` / :func:`factored_eval` - the two baseline evaluators
   with pinned multiplication counts;
 * :class:`FactorPlan` - a node tree, lowered once when the plan is built
-  to a straight-line program, and :func:`nested_eval` to run it;
+  to a :class:`Program`, and :func:`nested_eval` to run it;
 * :func:`table_plans` - a catalogue of hand-factored evaluation DAGs for
   orders 2..19 and 45 (including the cheaper second variants for orders 5,
   9, 10, 11, the nested order-15 form and the ten-product order-45 plan);
 * :func:`plan_order` - a bounded search for a minimal-count plan of any
   order up to 64;
 * :func:`efficiency_index` - order per multiplication, ``h**(1/count)``;
-* :class:`Program` and :func:`run_program` - a start or step function of
-  the iteration family lowered to one program, by splicing the plan
-  programs it sums with, and run by the same executor as every plan;
-* :func:`_compile` - the executor: each program compiled, on its first
-  run, to one straight-line Python function.
+* :class:`Program` and :func:`run_program` - the one lowered program
+  type, and its one executor: a plan's program, and each start and step
+  function of the iteration family, which calls the plan programs it sums
+  with; each is compiled by :func:`_compile_program`, on its first run, to
+  one straight-line Python function (see :func:`_compile`).
 
 Two counting conventions appear throughout and are kept explicit: the
 "full" count includes the product forming ``Y = I - X A``; the "poly" count
@@ -39,7 +39,7 @@ from __future__ import annotations
 import linecache
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 from math import copysign
 from types import MappingProxyType
 from typing import ClassVar, Union
@@ -136,7 +136,7 @@ class PrimeWrap:
 # executor lets go of them once it has run, so only live arrays are kept.
 # ``op`` is the instruction kind, which the compiler dispatches on once.
 # ``renamed(f, mat)`` is the instruction with every register r read as
-# f(r) and no drops; a splice binds a ``mat`` of None to ``mat``.
+# f(r) and no drops; a call binds a ``mat`` of None to ``mat``.
 Reg = Union[str, int]
 _MUL, _RESIDUAL, _LIN, _MATVEC, _SUB = 0, 1, 2, 3, 4
 
@@ -238,6 +238,9 @@ class TableForm:
 
     Programs read registers "Y" and "X" and leave the result in the last
     instruction's destination.  Register names are local to the program.
+    Only ``Mul``, ``Residual`` and ``Lin`` are allowed, and each register an
+    instruction reads must be "Y", "X" or an earlier destination; a form
+    that breaks either rule raises ``ValueError`` when it is built.
     """
 
     label: str
@@ -246,6 +249,14 @@ class TableForm:
 
     def __post_init__(self):
         check_int("order", self.order)
+        where, written = f"table form {self.label!r}", {"Y", "X"}
+        for ins in self.program:
+            if not isinstance(ins, (Mul, Residual, Lin)):
+                raise ValueError(f"{where}: {ins!r} is not a Mul, Residual or Lin")
+            for reg in ins.reads():
+                if reg not in written:
+                    raise ValueError(f"{where}: {ins!r} reads {reg!r} before it is written")
+            written.add(ins.dst)
 
 
 PlanNode = Union[Horner, Split, PrimeWrap, TableForm]
@@ -257,45 +268,41 @@ class FactorPlan:
 
     ``FactorPlan(root)`` is the only way to build a plan; every other field
     is derived from ``root`` when the plan is built.  ``program``, the tree
-    lowered to a straight-line program over integer slots, is what every
-    evaluation runs, and ``order_h`` is the tree's order.  ``mmm_poly`` is
-    the number of ``Mul`` and ``Residual`` instructions in the program, the
-    count with Y supplied; ``mmm_cost`` is one more, the full-step count
-    with the product forming Y.  ``efficiency_index`` is
-    ``order_h ** (1 / mmm_cost)``.  An invalid tree raises ``ValueError``
-    (``TypeError`` for a non-node).
+    lowered to a :class:`Program` with inputs ``("Y", "X")`` and one output,
+    is what every evaluation runs, and ``order_h`` is the tree's order.
+    ``mmm_poly`` is the program's ``mmm``, the count with Y supplied;
+    ``mmm_cost`` is one more, the full-step count with the product forming
+    Y.  ``efficiency_index`` is ``order_h ** (1 / mmm_cost)``.  An invalid
+    tree raises ``ValueError`` (``TypeError`` for a non-node).
 
-    Building a plan also keeps its order and program on the root node (a
-    derived value of a frozen node), so a later plan that holds this root
-    as a child splices the program instead of lowering the subtree again.
-    The program is compiled to a Python function on the plan's first run
-    and kept on the plan; building a plan compiles nothing.
+    A root is lowered once (see :func:`_keep`): a later plan on it shares
+    its program, and one that holds it as a child calls the program.
+    Building a plan compiles nothing; :func:`run_program` compiles the
+    program on its first run.
     """
 
     root: PlanNode
     order_h: int = field(init=False)
-    program: tuple[Instr, ...] = field(init=False, repr=False, compare=False)
+    program: Program = field(init=False, repr=False, compare=False)
     mmm_poly: int = field(init=False)
     mmm_cost: int = field(init=False)
     efficiency_index: float = field(init=False)
-    # The program compiled by _run_plan on the plan's first run.
-    _run: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        order, program = _lower(self.root)
-        object.__setattr__(self.root, "_lowered", (order, program))
-        poly = sum(1 for ins in program if not isinstance(ins, Lin))
-        full = poly + 1
+        if not hasattr(self.root, "_lowered"):
+            bld = _Builder("Y", "X")
+            _keep(self.root, bld, *bld.lower(self.root, 0, 1))
+        order, program = self.root._lowered
         object.__setattr__(self, "order_h", order)
         object.__setattr__(self, "program", program)
-        object.__setattr__(self, "mmm_poly", poly)
-        object.__setattr__(self, "mmm_cost", full)
-        object.__setattr__(self, "efficiency_index", float(order) ** (1.0 / full))
+        object.__setattr__(self, "mmm_poly", program.mmm)
+        object.__setattr__(self, "mmm_cost", program.mmm + 1)
+        object.__setattr__(self, "efficiency_index", float(order) ** (1.0 / (program.mmm + 1)))
 
 
 @dataclass(frozen=True, eq=False)
 class Program:
-    """A start or step function lowered to one straight-line program.
+    """A lowered program: a plan's, or a start or step function's.
 
     ``inputs`` names the input slots, in order; ``code`` runs over them and
     over A, the matrix the executor is given beside them; ``outputs`` are
@@ -303,13 +310,13 @@ class Program:
     indices where the code's two independent branches and their join
     start: the code before the first branch is a shared prelude.  ``mmm``
     and ``mvm`` are the counted matrix-matrix and matrix-vector products
-    one run adds, and ``depth`` is the critical path: the most
-    matrix-matrix products on any chain of dependent instructions, from
-    an input to an output.  ``name`` says which function the program is
-    (``double:n3 step``); a traceback through its compiled code names it.
-    Built by :class:`_Builder`; run by :func:`run_program`, which compiles
-    the code on the first run and keeps the function here: ``_run`` for a
-    serial run, ``_parts`` for a run of the branches on an executor.
+    one run adds (see :func:`_counts`).  ``name`` is what a traceback
+    through its compiled code shows (``program double:n3 step``, ``plan
+    table(h5b)``).  Built by :class:`_Builder`; run by :func:`run_program`,
+    which compiles the code (:func:`_compile_program`) on the first run and
+    keeps the function here: ``_run`` for a serial run, ``_parts`` for a
+    run of the branches on an executor.  A program compares and hashes by
+    identity.
     """
 
     name: str
@@ -319,9 +326,25 @@ class Program:
     cuts: tuple[int, ...]
     mmm: int
     mvm: int
-    depth: int
     _run: Callable | None = field(default=None, init=False, repr=False)
     _parts: tuple[Callable, ...] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def depth(self) -> int:
+        """The critical path: the most matrix-matrix products on any chain
+        of dependent instructions, from an input to an output."""
+        depth = [0] * len(self.inputs)
+        for ins in self.code:
+            longest = max((depth[reg] for reg in ins.reads()), default=0)
+            depth.append(longest + (ins.op in (_MUL, _RESIDUAL)))
+        return max((depth[out] for out in self.outputs), default=0)
+
+
+def _counts(code) -> tuple[int, int]:
+    """The one count rule: ``(mmm, mvm)`` of one run of ``code``, one mmm
+    per ``Mul`` and ``Residual`` and one mvm per ``MatVec``."""
+    ops = [ins.op for ins in code]
+    return ops.count(_MUL) + ops.count(_RESIDUAL), ops.count(_MATVEC)
 
 
 class _Builder:
@@ -343,26 +366,14 @@ class _Builder:
         branch, starts; a program has no cuts or three."""
         self.cuts.append(len(self.code))
 
-    def splice(self, code: tuple[Instr, ...], slots: tuple[int, ...], mat=None):
-        """Append ``code``, lowered over ``len(slots)`` inputs, with input
-        i read from ``slots[i]`` and a ``mat`` of None bound to ``mat``;
-        returns the renaming of its slots to this program's."""
-        base = len(self.inputs) + len(self.code)
-        rename = [*slots, *range(base, base + len(code))].__getitem__
-        self.code += [ins.renamed(rename, mat) for ins in code]
-        return rename
-
-    def splice_plan(self, code: tuple[Instr, ...], y: int, x: int, mat=None) -> int:
-        """Append a plan's program with Y at slot ``y`` and X at ``x``;
-        returns the slot of its result (``x`` for the empty program)."""
-        rename = self.splice(code, (y, x), mat)
-        return rename(code[-1].dst) if code else x
-
-    def call(self, program: Program, *slots: int) -> list[int]:
-        """Append ``program`` with input i read from ``slots[i]``, its
-        branches included; returns the slots of its outputs."""
+    def call(self, program: Program, *slots: int, mat=None) -> list[int]:
+        """Append ``program`` with input i read from ``slots[i]`` and a
+        ``mat`` of None bound to ``mat``, its branches included; returns
+        the slots of its outputs."""
         start = len(self.code)
-        rename = self.splice(program.code, slots)
+        base = len(self.inputs) + start
+        rename = [*slots, *range(base, base + len(program.code))].__getitem__
+        self.code += [ins.renamed(rename, mat) for ins in program.code]
         self.cuts += [start + cut for cut in program.cuts]
         return [rename(out) for out in program.outputs]
 
@@ -387,12 +398,13 @@ class _Builder:
 
     def lower(self, node: PlanNode, y: int, x: int) -> tuple[int, int]:
         """Append a plan node's program applied to X at slot ``x`` with Y
-        at slot ``y``; returns (result slot, order).  A node that is the
-        root of a built plan is spliced, not lowered again."""
+        at slot ``y``, checking each child's order; returns (result slot,
+        order), the result the last instruction's slot (``x`` if none).  A
+        built plan's root is called, not lowered again."""
         lowered = getattr(node, "_lowered", None)
         if lowered is not None:
-            order, code = lowered
-            return self.splice_plan(code, y, x), order
+            order, program = lowered
+            return self.call(program, y, x)[0], order
         if isinstance(node, Horner):
             return self.horner(y, x, node.order), node.order
         if isinstance(node, Split):
@@ -422,9 +434,9 @@ class _Builder:
             return z, node.order
         raise TypeError(f"not a plan node: {node!r}")
 
-    def finish(self, *outputs: int) -> tuple[Instr, ...]:
-        """The code, with each instruction's drops: the slots it reads for
-        the last time, outputs excepted.  Each slot is written once."""
+    def build(self, *outputs: int, name: str) -> Program:
+        """The program, with each instruction's drops: the slots it reads
+        for the last time, outputs excepted.  Each slot is written once."""
         last_read = {reg: i for i, ins in enumerate(self.code) for reg in ins.reads()}
         drops: list[list[int]] = [[] for _ in self.code]
         for reg, i in last_read.items():
@@ -432,41 +444,17 @@ class _Builder:
                 drops[i].append(reg)
         for ins, d in zip(self.code, drops):
             object.__setattr__(ins, "drop", tuple(d))
-        return tuple(self.code)
-
-    def build(self, *outputs: int, name: str) -> Program:
-        code = self.finish(*outputs)
-        depth = [0] * len(self.inputs)
-        for ins in code:
-            longest = max((depth[reg] for reg in ins.reads()), default=0)
-            depth.append(longest + (ins.op in (_MUL, _RESIDUAL)))
-        return Program(
-            name=name,
-            inputs=self.inputs,
-            code=code,
-            outputs=outputs,
-            cuts=tuple(self.cuts),
-            mmm=sum(1 for ins in code if ins.op in (_MUL, _RESIDUAL)),
-            mvm=sum(1 for ins in code if ins.op == _MATVEC),
-            depth=max((depth[out] for out in outputs), default=0),
-        )
+        code = tuple(self.code)
+        mmm, mvm = _counts(code)
+        return Program(name, self.inputs, code, outputs, tuple(self.cuts), mmm, mvm)
 
 
-# ---------------------------------------------------------------------------
-# Validation and lowering, in one walk of the node tree.
-# ---------------------------------------------------------------------------
-
-
-def _lower(root: PlanNode) -> tuple[int, tuple[Instr, ...]]:
-    """Lower a node tree to one straight-line program over integer slots
-    (Y = 0, X = 1, instruction i writes i + 2), checking that each child
-    has the order its parent needs; returns (order, program).  The result
-    is the last instruction's slot (X if none).  Each node checks its own
-    fields when it is built."""
-    bld = _Builder("Y", "X")
-    order = bld.lower(root, 0, 1)[1]
-    # The result, written last, is never read and never dropped.
-    return order, bld.finish()
+def _keep(node: PlanNode, bld: _Builder, result: int, order: int) -> None:
+    """Keep on ``node``, which ``bld`` lowered with its result at slot
+    ``result``, its order and its plan program: a derived value of a
+    frozen node, which every plan on the node reads."""
+    program = bld.build(result, name=f"plan {_node_str(node)}")
+    object.__setattr__(node, "_lowered", (order, program))
 
 
 def plan_str(plan: FactorPlan) -> str:
@@ -505,7 +493,7 @@ def horner_eval(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> np.nda
     return _run_plan(_horner_plan(h), y, x, x, ctr)
 
 
-@lru_cache(maxsize=128)
+@cache
 def _horner_plan(h: int) -> FactorPlan:
     return FactorPlan(Horner(h))
 
@@ -515,7 +503,7 @@ def _split_node(p: int, w: int) -> Split:
     return Split(p=p, w=w, inner=Horner(p + 1), outer=outer)
 
 
-@lru_cache(maxsize=128)
+@cache
 def _split_plan(p: int, w: int) -> FactorPlan:
     """The plain two-level split with Horner stages, the plan behind
     :func:`factored_mmm`, :func:`efficiency_index` and :func:`factored_eval`."""
@@ -614,32 +602,31 @@ def _compile(name: str, params: str, code, head=(), tail=()) -> Callable:
     the lines of ``head``, one statement per instruction (two for a
     product with an addend or a ``Residual``), the count, then ``tail``.
 
-    Every program runs this way: each plan (for :func:`nested_eval`,
-    :func:`factored_eval`, :func:`geometric_apply` and :func:`horner_eval`)
-    and each start and step function of the iteration family (through
-    :func:`run_program`).  Operands are ``(n, n)`` matrices, or ``(k, n,
-    n)`` stacks of one shape (every instance in one pass, each bitwise
-    equal to its own 2-D run), and vectors for ``MatVec`` and ``Sub``.
-    Registers are locals, and a drop sets one to None, so only live arrays
-    are kept.  Each product runs as :func:`mat_mul` runs it
-    (``ndarray.dot`` on ``(n, n)`` operands with 2 <= n <=
-    ``DOT_MAX_DIM``, ``np.matmul`` on all others; the function is picked
-    once per call, from A, not per instruction) and the products are added
-    to the counter once the code has run, one per n x n product.
-    ``Residual`` forms ``I - src mat`` in the product's buffer, as
-    :func:`residual_of` does.  ``MatVec`` is :func:`mat_vec`'s ``mat @
-    vec``, one mvm, and ``Sub`` is ``lhs - rhs``.  A ``Lin`` is fused,
-    bitwise equal to ``const * I`` plus each ``coef * reg`` in turn,
-    signed zeros included (see :func:`_statements`).  Every register an
-    instruction writes is a fresh array, so inputs are never written.
+    Every program runs this way, through :func:`run_program`: each plan's
+    (for :func:`nested_eval`, :func:`factored_eval`, :func:`geometric_apply`
+    and :func:`horner_eval`) and each start and step function's of the
+    iteration family.  Operands are ``(n, n)`` matrices, or ``(k, n, n)``
+    stacks of one shape (every instance in one pass, each bitwise equal to
+    its own 2-D run), and vectors for ``MatVec`` and ``Sub``.  Registers
+    are locals, and a drop sets one to None, so only live arrays are kept.
+    Each product runs as :func:`mat_mul` runs it (``ndarray.dot`` on ``(n,
+    n)`` operands with 2 <= n <= ``DOT_MAX_DIM``, ``np.matmul`` on all
+    others; the function is picked once per call, from A, not per
+    instruction) and the products, :func:`_counts`, are added to the
+    counter once the code has run, one per n x n product.  ``Residual``
+    forms ``I - src mat`` in the product's buffer, as :func:`residual_of`
+    does.  ``MatVec`` is :func:`mat_vec`'s ``mat @ vec``, one mvm, and
+    ``Sub`` is ``lhs - rhs``.  A ``Lin`` is fused, bitwise equal to
+    ``const * I`` plus each ``coef * reg`` in turn, signed zeros included
+    (see :func:`_statements`).  Every register an instruction writes is a
+    fresh array, so inputs are never written.
 
     The source is registered under the filename ``<name>``, so a traceback
     through the code names the program and shows its line.  Callers keep
-    the function on the plan or program; threads that race on a first run
-    each compile an equal function.
+    the function on the program; threads that race on a first run each
+    compile an equal function.
     """
-    products = sum(1 for ins in code if ins.op in (_MUL, _RESIDUAL))
-    vectors = sum(1 for ins in code if ins.op == _MATVEC)
+    products, vectors = _counts(code)
     body = list(head)
     if products:
         body.append(f"mul = dot if a.ndim == 2 and 1 < a.shape[1] <= {DOT_MAX_DIM} else matmul")
@@ -680,7 +667,7 @@ def _compile_program(program: Program) -> Callable:
     """``run(*inputs, a, ctr)``, the whole program; kept on it."""
     params = ", ".join(f"r{slot}" for slot in range(len(program.inputs)))
     tail = [_returns(program.outputs, len(program.inputs))]
-    run = _compile(f"program {program.name}", params, program.code, tail=tail)
+    run = _compile(program.name, params, program.code, tail=tail)
     object.__setattr__(program, "_run", run)
     return run
 
@@ -705,7 +692,7 @@ def _compile_parts(program: Program) -> tuple[Callable, ...]:
             later = {reg for ins in code[hi:] for reg in ins.reads()}.union(outputs)
             tail = [f"regs[{ins.dst}] = r{ins.dst}" for ins in part if ins.dst in later]
         head = [f"r{reg} = regs[{reg}]" for reg in sorted(reads) if reg < inputs + lo]
-        parts.append(_compile(f"program {program.name}, {role}", "regs", part, head, tail))
+        parts.append(_compile(f"{program.name}, {role}", "regs", part, head, tail))
     object.__setattr__(program, "_parts", tuple(parts))
     return program._parts
 
@@ -737,17 +724,11 @@ def run_program(
 
 
 def _run_plan(plan: FactorPlan, y, x, a, ctr) -> np.ndarray:
-    """A plan's program on Y and X, compiled on the plan's first run; a
-    fresh array, a copy of X for the empty program."""
+    """A plan's program on Y and X (:func:`run_program`); a fresh array, a
+    copy of X for the empty program."""
     if not (y.shape == x.shape == a.shape):
         raise ValueError(f"dimension mismatch: y {y.shape}, x {x.shape}, a {a.shape}")
-    run = plan._run
-    if run is None:
-        code = plan.program
-        tail = [f"return r{code[-1].dst}" if code else "return array(r1)"]
-        run = _compile(f"plan {plan_str(plan)}", "r0, r1", code, tail=tail)
-        object.__setattr__(plan, "_run", run)
-    return run(y, x, a, ctr)
+    return run_program(plan.program, [y, x], a, ctr)[0]
 
 
 def nested_eval(
@@ -787,12 +768,13 @@ def geometric_apply(
 ) -> np.ndarray:
     """``S_order(Y) X`` for arbitrary order, Y supplied; the counter moves
     by the order's plan ``mmm_poly`` (see :func:`_geometric_plan`)."""
+    check_int("order", order)
     if order < 1:
         raise ValueError("order must be >= 1")
     return _run_plan(_geometric_plan(order), y, x, a, ctr)
 
 
-@lru_cache(maxsize=128)
+@cache
 def _geometric_plan(order: int) -> FactorPlan:
     """The plan :func:`geometric_apply` runs: the searched plan up to
     ``MAX_PLAN_ORDER`` (order 1 is ``Horner(1)``, the empty program); above
@@ -1003,7 +985,7 @@ TABLE_LABELS: dict[int, tuple[str, ...]] = {
 }
 
 
-@lru_cache(maxsize=1)
+@cache
 def table_plans() -> Mapping[int, tuple[FactorPlan, ...]]:
     """Catalogue of tabulated factorization plans, keyed by order: 2..19
     and 45.
@@ -1024,44 +1006,57 @@ def table_plans() -> Mapping[int, tuple[FactorPlan, ...]]:
 
 def split_candidates(h: int) -> list[tuple[int, int]]:
     """All (p, w) with w (p + 1) == h, p >= 1, w >= 2, in increasing p."""
+    check_int("h", h)
     return [(d - 1, h // d) for d in range(2, h // 2 + 1) if h % d == 0]
 
 
-@lru_cache(maxsize=None)
+@cache
 def _best(h: int, budget: int) -> FactorPlan:
     """Minimal-count plan of order h within a nesting budget.
 
-    The candidates are ranked by their lowered ``mmm_poly``; on a tie the
-    first one listed wins: splits in increasing p, then the wrap of a prime
-    order, then the table rows.  Horner is the fallback only when there is
-    no candidate (h == 1 or budget 0): every split and wrap lowers to at
-    most ``h - 1`` products, Horner's count, so Horner would never win.
+    The candidates are ranked by their lowered count, the ``mmm`` of their
+    code (a table row's ``mmm_poly``); on a tie the first one listed wins:
+    splits in increasing p, then the wrap of a prime order, then the table
+    rows.  Only the winner is built as a plan, on the program its ranking
+    lowered (a winning table row is the row itself).  Horner is the
+    fallback only when there is no candidate (h == 1 or budget 0): every
+    split and wrap lowers to at most ``h - 1`` products, Horner's count, so
+    Horner would never win.
     """
-    cands: list[FactorPlan] = []
+    cands: list = []  # (count, a table row or (node, builder, result, order))
     if budget >= 1:
         pairs = split_candidates(h)
-        for p, w in pairs:
-            inner = _best(p + 1, budget - 1).root
-            outer = _best(w, budget - 1).root
-            cands.append(FactorPlan(Split(p=p, w=w, inner=inner, outer=outer)))
+        nodes: list[PlanNode] = [
+            Split(p=p, w=w, inner=_best(p + 1, budget - 1).root, outer=_best(w, budget - 1).root)
+            for p, w in pairs
+        ]
         if not pairs and h >= 3:  # h is prime
-            cands.append(FactorPlan(PrimeWrap(_best(h - 1, budget).root)))
-        cands += table_plans().get(h, ())
+            nodes.append(PrimeWrap(_best(h - 1, budget).root))
+        for node in nodes:
+            bld = _Builder("Y", "X")
+            lowering = (node, bld, *bld.lower(node, 0, 1))
+            cands.append((_counts(bld.code)[0], lowering))
+        cands += ((plan.mmm_poly, plan) for plan in table_plans().get(h, ()))
     if not cands:
         return FactorPlan(Horner(h))
-    return min(cands, key=lambda plan: plan.mmm_poly)
+    best = min(cands, key=lambda cand: cand[0])[1]
+    if isinstance(best, FactorPlan):
+        return best
+    _keep(*best)
+    return FactorPlan(best[0])
 
 
-@lru_cache(maxsize=None)
+@cache
 def plan_order(h: int) -> FactorPlan:
     """Minimal-count plan for order h (2..64).
 
     Composite orders search over every divisor pair (p, w) with nested
     sub-plans (including the tabulated forms) down to three nesting levels;
     prime orders wrap the plan for h - 1.  Ties go to the split with the
-    smaller p.  Each order is searched and compiled once; later calls return
-    the same plan object.
+    smaller p.  Each order is searched once; later calls return the same
+    plan object, whose program is compiled on its first run.
     """
+    check_int("h", h)
     if h < 2:
         raise ValueError("plan_order requires h >= 2")
     if h > MAX_PLAN_ORDER:

@@ -331,9 +331,9 @@ def reference_run(program, inputs, a, ctr):
 def reference_plan(plan, y, x, a, ctr):
     """A plan's program on Y and X through :func:`reference_execute`: its
     last register, a copy of X for the empty program."""
-    if not plan.program:
+    if not plan.program.code:
         return np.array(x)
-    return reference_execute(plan.program, [y, x], a, ctr)[-1]
+    return reference_execute(plan.program.code, [y, x], a, ctr)[-1]
 
 
 def entry_coefs(entry):

@@ -192,7 +192,7 @@ def test_empty_program_returns_a_fresh_copy(problem, root):
     a, split, _ = problem
     y, x = split.residual, split.precond
     plan = FactorPlan(root)
-    assert plan.program == ()
+    assert plan.program.code == ()
     stacked = tuple(np.stack([m, m]) for m in (y, x, a))
     for yy, xx, aa in ((y, x, a), stacked):
         for form_y in (True, False):
@@ -325,7 +325,7 @@ class TestIdentityConstant:
         self._fresh(got, DIM)
         got[...] = 0.0
         plan = plan_order(7)
-        assert isinstance(plan.program[-1], Lin)
+        assert isinstance(plan.program.code[-1], Lin)
         got = nested_eval(y, x, sp.matrix, plan, MulCounter(), form_y=False)
         self._fresh(got, DIM)
         y2, x2, a2 = (np.stack([m, m]) for m in (y, x, sp.matrix))

@@ -1,7 +1,7 @@
 """Lowered programs compiled to straight-line Python.
 
 Each plan and each start or step program is compiled on its first run to
-one Python function, kept on the plan or program, and that function is the
+one Python function, kept on its program, and that function is the
 executor.  ``corpus.reference_execute`` is the interpreter it replaced: the
 compiled code must match it bit for bit and count for count, on the serial
 path and on the executor path, and compile each program once and only when
@@ -14,6 +14,7 @@ import subprocess
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -139,9 +140,9 @@ def test_compiled_programs_equal_the_reference_bitwise(kind, pool):
 
 
 def rebuilt_plan(plan):
-    """A plan equal to ``plan`` that has never run: built on the same
-    root, it splices the root's program and compiles nothing yet."""
-    return FactorPlan(plan.root)
+    """A plan equal to ``plan`` that has never run: built on a copy of its
+    root, it calls the children's programs and compiles nothing yet."""
+    return FactorPlan(replace(plan.root))
 
 
 def test_a_program_compiles_once_on_its_first_run(monkeypatch, pool):
@@ -157,12 +158,12 @@ def test_a_program_compiles_once_on_its_first_run(monkeypatch, pool):
     y, x, a = (rng.standard_normal((5, 5)) for _ in range(3))
 
     plan = rebuilt_plan(plan_order(45))
-    assert plan._run is None and compiled == []
+    assert plan.program._run is None and compiled == []
     first = series_toolkit._run_plan(plan, y, x, a, MulCounter())
     assert compiled == [f"plan {series_toolkit.plan_str(plan)}"]
-    run = plan._run
+    run = plan.program._run
     again = series_toolkit._run_plan(plan, y, x, a, MulCounter())
-    assert plan._run is run and len(compiled) == 1
+    assert plan.program._run is run and len(compiled) == 1
     assert same_bits(first, again)
 
     bld = _Builder("L", "G", "F")
@@ -171,7 +172,7 @@ def test_a_program_compiles_once_on_its_first_run(monkeypatch, pool):
     bld.cut()
     main = bld.emit(Mul, 2, 1, 1)
     bld.cut()
-    program = bld.build(bld.emit(Mul, lead, main), name="test two branches")
+    program = bld.build(bld.emit(Mul, lead, main), name="program test two branches")
     inputs = [x, y, a]
     compiled.clear()
     serial = run_program(program, inputs, a, MulCounter())
@@ -193,7 +194,9 @@ def test_a_second_run_of_any_program_compiles_nothing(monkeypatch, pool):
     plans, programs = every_plan(), every_method_program()
 
     def run_all():
-        for plan in plans:
+        # the plans above order 64 are fetched again: a cache that evicted
+        # them would hand back a new plan, whose program compiles again
+        for plan in plans + [series_toolkit._geometric_plan(h) for h in range(65, 201)]:
             series_toolkit._run_plan(plan, y, x, a, MulCounter())
         for program in programs:
             inputs = [rng.standard_normal(4) if n in ("theta", "b") else x for n in program.inputs]
@@ -255,7 +258,7 @@ def test_programs_sharing_a_name_keep_their_own_source():
     ]
     for plan in plans:
         series_toolkit._run_plan(plan, y, x, a, MulCounter())
-    files = [plan._run.__code__.co_filename for plan in plans]
+    files = [plan.program._run.__code__.co_filename for plan in plans]
     assert files[0] != files[1]
     assert all(name.startswith("<plan table(dup)") for name in files)
     assert "    r2 = mul(r0, r1)\n" in linecache.getlines(files[0])

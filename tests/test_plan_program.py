@@ -85,7 +85,7 @@ def test_executor_matches_dict_oracle(dim, k, seed):
     for name, plan in all_plans() + hand_plans():
         got_ctr, want_ctr = MulCounter(), MulCounter()
         got = execute(plan, y, x, a, got_ctr)
-        want = plan_oracle(plan.program, y, x, a, want_ctr)
+        want = plan_oracle(plan.program.code, y, x, a, want_ctr)
         assert got.shape == shape, name
         assert same_bits(got, want), name
         assert got_ctr.mmm == want_ctr.mmm == plan.mmm_poly * (1 if k is None else k), name
@@ -280,14 +280,14 @@ def test_every_intermediate_register_is_dropped_after_its_last_read():
     # lowered programs run on slots: Y is 0, X is 1, instruction i writes i + 2
     for name, plan in all_plans():
         live = {0, 1}
-        for i, ins in enumerate(plan.program):
+        for i, ins in enumerate(plan.program.code):
             assert ins.dst == i + 2, name
             assert set(ins.reads()) <= live, name
             assert ins.dst not in live and ins.dst not in ins.drop, name
             live.add(ins.dst)
             assert set(ins.drop) <= set(ins.reads()), name
             live -= set(ins.drop)
-        result = plan.program[-1].dst if plan.program else 1
+        result = plan.program.code[-1].dst if plan.program.code else 1
         assert live - {0, 1} == {result}, name
 
 
@@ -328,7 +328,7 @@ def test_evaluation_never_walks_the_tree(monkeypatch):
     def forbidden(*args):
         raise AssertionError("tree walker called during evaluation")
 
-    monkeypatch.setattr(series_toolkit, "_lower", forbidden)
+    monkeypatch.setattr(series_toolkit._Builder, "lower", forbidden)
     for _, plan in plans:
         nested_eval(None, x, a, plan, MulCounter())
         nested_eval(None, x[0], a[0], plan, MulCounter())
@@ -410,7 +410,7 @@ def test_default_check_runs_each_distinct_program_once(monkeypatch):
     counters = []
 
     def recording(plan, y, x, a, ctr):
-        programs.append(plan.program)
+        programs.append(plan.program.code)
         return run_plan(plan, y, x, a, ctr)
 
     def counter():
@@ -450,7 +450,7 @@ def test_stacked_norms_equal_fro_norm_bitwise():
 def test_dropped_instruction_fails_the_check(monkeypatch):
     # order 3 is a wrap around the order-2 split: without its last
     # instruction the program returns the order-2 sum.
-    assert len(plan_order(3).program) == 2
+    assert len(plan_order(3).program.code) == 2
     broken = FactorPlan(TableForm("h3-short", 3, (Mul("z", "Y", "X", "X"),)))
     monkeypatch.setattr(
         harness, "plan_order", lambda h: broken if h == 3 else plan_order(h)
@@ -466,10 +466,10 @@ def test_miscounted_product_fails_the_check(monkeypatch):
     # the executor counts one product too many for one program: its numbers
     # are right, its counter delta is not
     run_plan = series_toolkit._run_plan
-    target = plan_order(3).program
+    target = plan_order(3).program.code
 
     def miscounting(plan, y, x, a, ctr):
-        if plan.program == target:
+        if plan.program.code == target:
             ctr.mmm += 1
         return run_plan(plan, y, x, a, ctr)
 

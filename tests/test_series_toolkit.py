@@ -22,7 +22,7 @@ from seriesinv import (
     square_matrix,
     table_plans,
 )
-from seriesinv.series_toolkit import TABLE_LABELS, Split
+from seriesinv.series_toolkit import TABLE_LABELS, Lin, MatVec, Mul, Split, TableForm
 
 
 def toolkit_instance(rng, dim=5):
@@ -183,7 +183,7 @@ class TestOrder45:
     def test_catalogue_row_runs_the_searched_program(self):
         # a different tree from the search's, lowered to the same program
         assert TABLE_LABELS[45] == ("h45",)
-        assert table_plans()[45][0].program == plan_order(45).program
+        assert table_plans()[45][0].program.code == plan_order(45).program.code
 
 
 # Frozen (poly, full) counts for every catalogued factorization.
@@ -292,6 +292,17 @@ class TestPlanOrder:
         with pytest.raises(ValueError):
             plan_order(65)
 
+    @pytest.mark.parametrize("h", [4.0, True, "4"])
+    def test_order_must_be_an_integer(self, h):
+        # checked before the search, as every boundary checks an order
+        with pytest.raises(ValueError, match=f"h must be an integer, got {h!r}"):
+            plan_order(h)
+
+    @pytest.mark.parametrize("h", [6.0, True])
+    def test_split_candidates_order_must_be_an_integer(self, h):
+        with pytest.raises(ValueError, match=f"h must be an integer, got {h!r}"):
+            split_candidates(h)
+
     def test_order_18_candidates(self):
         # the four nontrivial single-level factorizations of 18
         assert split_candidates(18) == [(1, 9), (2, 6), (5, 3), (8, 2)]
@@ -360,6 +371,29 @@ class TestGeometricApply:
         x, y, a = toolkit_instance(rng)
         with pytest.raises(ValueError):
             geometric_apply(y, x, 0, a, MulCounter())
+
+    @pytest.mark.parametrize("order", [2.5, 2.0, True])
+    def test_order_must_be_an_integer(self, rng, order):
+        x, y, a = toolkit_instance(rng)
+        with pytest.raises(ValueError, match=f"order must be an integer, got {order!r}"):
+            geometric_apply(y, x, order, a, MulCounter())
+
+
+class TestTableFormValidation:
+    def test_only_mul_residual_and_lin(self):
+        # a MatVec of A and Y would run a full GEMM counted as one mvm
+        program = (MatVec("t", None, "Y"), Mul("z", "Y", "X", "X"))
+        with pytest.raises(ValueError, match="form 'mv': MatVec.* is not a Mul, Residual or Lin"):
+            TableForm("mv", 2, program)
+
+    def test_reads_only_written_registers(self):
+        program = (Mul("t", "Y", "W"), Lin("z", 0.0, ((1.0, "X"), (1.0, "t"))))
+        with pytest.raises(ValueError, match="form 'w': Mul.* reads 'W' before it is written"):
+            TableForm("w", 2, program)
+        # a register read before the instruction that writes it
+        program = (Mul("t", "Y", "u"), Mul("u", "Y", "X"))
+        with pytest.raises(ValueError, match="reads 'u' before it is written"):
+            TableForm("late", 3, program)
 
 
 @settings(max_examples=30, deadline=None)

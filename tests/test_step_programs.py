@@ -104,6 +104,22 @@ def test_planned_ns_step_counts(m):
     assert st.ctr.mmm - before == program.mmm == plan.mmm_poly + 1
 
 
+def test_a_planned_step_program_is_cached_by_its_plan():
+    # one step program per plan program: the same plan gives the same
+    # object, and so does a plan on the same root, which shares its
+    # program; another plan of that order (h5a against the searched h5b)
+    # gives its own, and so does an equal plan on a copy of the root
+    searched, h5a = plan_order(5), table_plans()[5][0]
+    assert searched.program is not h5a.program
+    program = ns_program(5, searched)
+    assert ns_program(5, searched) is program
+    assert ns_program(5, FactorPlan(searched.root)) is program
+    assert ns_program(5, h5a) is ns_program(5, h5a) is not program
+    assert ns_program(5, h5a).mmm == h5a.mmm_poly + 1 != program.mmm
+    copied = ns_program(5, FactorPlan(replace(searched.root)))
+    assert copied is not program and copied.code == program.code
+
+
 def test_double_n3_is_eight_products_on_a_path_of_six():
     # the abstract's "parallelizable": of a double:n3 step's 8 products, at
     # most 6 depend on each other; the branches run side by side
@@ -164,7 +180,7 @@ def test_spliced_programs_equal_full_lowering():
     for plan in plans:
         again = FactorPlan(rebuilt(plan.root))
         # instructions compare field by field, drops included
-        assert again.program == plan.program, plan.order_h
+        assert again.program.code == plan.program.code, plan.order_h
         assert (again.order_h, again.mmm_poly) == (plan.order_h, plan.mmm_poly)
 
 
