@@ -5,6 +5,10 @@ harmonic-regressor fixture, per-step comparison records with predicted
 bounds, the cost-surface and exponent-surface tables behind the CLI's
 ``surfaces`` subcommand, and the table-catalogue verification used by
 ``verify-tables``.
+
+The method kinds are one table, :data:`METHODS`: each row names its
+start, first-step and later-step programs, and the one run loop
+(:func:`_run_method`) runs them itself, over named slots, on one counter.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import time
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 from math import cos, inf, isfinite, pi, sin
 
 import numpy as np
@@ -32,32 +35,24 @@ from .matrix_core import (
 )
 from .newton_schulz import (
     CompositeSpec,
-    additive_correction_step,
+    _additive_start_program,
     additive_exponents,
     additive_program,
     classical_exponent,
     composite_exponent,
     composite_program,
-    composite_step,
     double_exponent,
-    double_ns_step,
     double_program,
     double_start_program,
-    initial_double,
-    initial_series,
     ns_program,
-    ns_step,
     series_program,
 )
 from .richardson import (
     cumulative_exponent,
     cumulative_exponent_closed,
-    initial_richardson,
     recursive_program,
     richardson_program,
-    richardson_recursive_step,
     richardson_start_program,
-    richardson_step,
 )
 from .series_toolkit import (
     TABLE_LABELS,
@@ -65,6 +60,7 @@ from .series_toolkit import (
     factored_mmm,
     nested_eval,
     plan_order,
+    run_program,
     split_candidates,
     table_plans,
 )
@@ -275,164 +271,148 @@ class MethodKind:
     """One row of :data:`METHODS`.
 
     ``command`` is ``invert`` (error ||I - G A||_F) or ``solve`` (error
-    ||theta - theta*||).  ``start(method, split, b, p, w)`` returns the
-    initial state and the step function, which steps on ``split.matrix``;
-    ``error(state, b, theta_star)`` measures a state; ``exponent(method,
-    k)`` is the predicted power of rho; ``name`` is formatted with the
-    spec's kind, order, h, q and rates; ``programs(method, p, w)`` returns
-    the lowered programs the start and step functions run (see
-    :func:`method_programs`); ``min_order`` is the smallest order the step
-    function accepts.
+    ||theta - theta*||).  ``programs(method, p, w)`` is the row's one
+    description of the method: its start, first-step and later-step
+    programs (see :func:`method_programs`), which the run loop runs over
+    named slots; ``error(slots, theta_star, ctr)`` measures the slots after
+    a program; ``exponent(method, k)`` is the predicted power of rho;
+    ``name`` is formatted with the spec's kind, order, h, q and rates;
+    ``min_order`` is the smallest order the step program accepts.
     """
 
     command: str
-    start: Callable
+    programs: Callable
     error: Callable
     exponent: Callable
     name: str
-    programs: Callable
     min_order: int = 1
     takes_q: bool = False
     q_is_order: bool = False
     takes_rates: bool = False
 
 
-@dataclass
-class SriState:
-    """The additive scheme's two estimates, with G's residual measured off
-    the counter: the scheme itself never forms it."""
-
-    z: np.ndarray
-    g: np.ndarray
-    residual: np.ndarray
-    ctr: MulCounter
+def _residual_error(slots, theta_star, ctr) -> float:
+    return fro_norm(slots["F"])
 
 
-def _start_plain(init, stepper, m: MethodSpec, split, b, p, w):
-    return init(split, p, w, order=m.order), partial(stepper, a=split.matrix)
+def _sri_error(slots, theta_star, ctr) -> float:
+    """||I - G A||_F: the start's F_0, then G's residual measured off the
+    counter, since the additive scheme itself never forms it."""
+    f = slots.get("F")
+    if f is None:
+        f = residual_of(slots["G"], slots["As"], MulCounter())
+    return fro_norm(f)
 
 
-def _start_composite(m: MethodSpec, split, b, p, w):
-    spec = CompositeSpec(rates=m.rates)
-    step = partial(composite_step, a=split.matrix, split=split, spec=spec, order_n=m.order)
-    return initial_series(split, p, w, order=m.order), step
-
-
-def _start_sri(m: MethodSpec, split, b, p, w):
-    st = initial_series(split, p, w, order=m.order)
-    a = split.matrix
-
-    def step(s: SriState) -> SriState:
-        z, g = additive_correction_step(s.z, s.g, a, m.order, s.ctr)
-        # residual recomputed for measurement only; stays off the counter
-        return SriState(z, g, residual_of(g, a, MulCounter()), s.ctr)
-
-    return SriState(st.estimate, st.estimate, st.residual, st.ctr), step
-
-
-def _start_richardson(stepper, m: MethodSpec, split, b, p, w):
-    st = initial_richardson(split, b, p, w, order=m.order, q=m.q)
-    return st, partial(stepper, a=split.matrix, b=b)
-
-
-def _residual_error(st, b, theta_star) -> float:
-    return fro_norm(st.residual)
-
-
-def _estimate_error(st, b, theta_star) -> float:
+def _estimate_error(slots, theta_star, ctr) -> float:
     """Mismatch of theta = G b (one counted mvm)."""
-    return float(np.linalg.norm(mat_vec(st.estimate, b, st.ctr) - theta_star))
+    return float(np.linalg.norm(mat_vec(slots["G"], slots["b"], ctr) - theta_star))
 
 
-def _theta_error(st, b, theta_star) -> float:
-    return float(np.linalg.norm(st.theta - theta_star))
+def _theta_error(slots, theta_star, ctr) -> float:
+    return float(np.linalg.norm(slots["theta"] - theta_star))
 
 
 # Keyed by kind; the CLI lists each command's kinds in this order.
 METHODS: dict[str, MethodKind] = {
     "ns": MethodKind(
-        "invert", partial(_start_plain, initial_series, ns_step), _residual_error,
-        lambda m, k: classical_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
+        "invert",
         lambda m, p, w: (series_program(p, w), ns_program(m.order), ns_program(m.order)),
+        _residual_error,
+        lambda m, k: classical_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
     ),
     "double": MethodKind(
-        "invert", partial(_start_plain, initial_double, double_ns_step), _residual_error,
-        lambda m, k: double_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
+        "invert",
         lambda m, p, w: (
             double_start_program(p, w, m.order), double_program(m.order), double_program(m.order)
         ),
+        _residual_error,
+        lambda m, k: double_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
     ),
     "composite": MethodKind(
-        "invert", _start_composite, _residual_error,
-        lambda m, k: composite_exponent(k, m.order, m.h, m.rates),
-        "{kind}:n{order}:h{h}:r{rates}",
+        "invert",
         lambda m, p, w: (
             series_program(p, w),
             composite_program(m.order, m.rates),
             composite_program(m.order, m.rates),
         ),
+        _residual_error,
+        lambda m, k: composite_exponent(k, m.order, m.h, m.rates),
+        "{kind}:n{order}:h{h}:r{rates}",
         takes_rates=True,
     ),
     "sri": MethodKind(
-        "invert", _start_sri, _residual_error,
-        lambda m, k: additive_exponents(k, m.order, m.h)[1], "{kind}:p{order}:h{h}",
+        "invert",
         lambda m, p, w: (
-            series_program(p, w), additive_program(m.order), additive_program(m.order)
+            _additive_start_program(p, w), additive_program(m.order), additive_program(m.order)
         ),
+        _sri_error,
+        lambda m, k: additive_exponents(k, m.order, m.h)[1], "{kind}:p{order}:h{h}",
         min_order=2,
     ),
     "richardson": MethodKind(
-        "solve", partial(_start_richardson, richardson_step), _theta_error,
-        lambda m, k: cumulative_exponent(k, m.order, m.h, m.q),
-        "{kind}:n{order}:q{q}:h{h}",
+        "solve",
         lambda m, p, w: (
             richardson_start_program(p, w, m.order),
             richardson_program(m.order, m.order if m.q is None else m.q),
             richardson_program(m.order, m.order if m.q is None else m.q),
         ),
+        _theta_error,
+        lambda m, k: cumulative_exponent(k, m.order, m.h, m.q),
+        "{kind}:n{order}:q{q}:h{h}",
         takes_q=True,
     ),
     "richardson-recursive": MethodKind(
-        "solve", partial(_start_richardson, richardson_recursive_step), _theta_error,
-        lambda m, k: cumulative_exponent(k, m.order, m.h, m.q),
-        "{kind}:n{order}:q{q}:h{h}",
+        "solve",
         lambda m, p, w: (
             richardson_start_program(p, w, m.order),
             recursive_program(m.order, True),
             recursive_program(m.order, False),
         ),
+        _theta_error,
+        lambda m, k: cumulative_exponent(k, m.order, m.h, m.q),
+        "{kind}:n{order}:q{q}:h{h}",
         takes_q=True, q_is_order=True,
     ),
     "ns-estimator": MethodKind(
-        "solve", partial(_start_plain, initial_series, ns_step), _estimate_error,
-        lambda m, k: classical_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
+        "solve",
         lambda m, p, w: (series_program(p, w), ns_program(m.order), ns_program(m.order)),
+        _estimate_error,
+        lambda m, k: classical_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
     ),
 }
 
 
 def method_programs(method: MethodSpec) -> tuple[Program, Program, Program]:
-    """The lowered programs a run of ``method`` executes: its start
-    function's, its first step's and every later step's (the first step
-    differs only for ``richardson-recursive``, which builds its carried
-    weight there).  Each program's ``mmm``, ``mvm`` and ``depth`` are the
-    counts one call adds and its critical path in products; the error
-    metrics' own products (``ns-estimator``'s ``G b``) are not part of
-    them."""
+    """The lowered programs a run of ``method`` executes, as
+    :func:`run_comparison` gets them: its start, its first step and every
+    later step (the first step differs only for ``richardson-recursive``,
+    which builds its carried weight there).  Each program's ``mmm``,
+    ``mvm`` and ``depth`` are the counts one run adds and its critical path
+    in products; the error metrics' own products (``ns-estimator``'s
+    ``G b``) are not part of them."""
     return METHODS[method.kind].programs(method, *series_params(method.h))
 
 
 def _run_method(method: MethodSpec, split, b, theta_star, steps, rho, timer):
+    """Run the method's programs in turn on one counter.  The run's state
+    is a set of named slots: the splitting's ``B``, ``Sinv`` and ``As``,
+    the caller's ``b``, and the outputs of the program run last; each
+    program reads its inputs from them by name."""
     started = timer()
     row = METHODS[method.kind]
     name = method.name()
-    state, step = row.start(method, split, b, *series_params(method.h))
+    start, first, later = method_programs(method)
+    given = {"B": split.residual, "Sinv": split.precond, "As": split.matrix, "b": b}
+    ctr = MulCounter()
     e0 = row.exponent(method, 0)
     records = []
+    slots = given
     for k in range(steps + 1):
-        if k > 0:
-            state = step(state)
-        err = row.error(state, b, theta_star)
+        program = start if k == 0 else first if k == 1 else later
+        outputs = run_program(program, [slots[key] for key in program.inputs], split.matrix, ctr)
+        slots = given | dict(zip(program.output_names, outputs))
+        err = row.error(slots, theta_star, ctr)
         if k == 0:
             err0 = err
         exponent = row.exponent(method, k)
@@ -443,7 +423,7 @@ def _run_method(method: MethodSpec, split, b, theta_star, steps, rho, timer):
                 error_norm=err,
                 predicted_bound=rho ** (exponent - e0) * err0,
                 exponent=exponent,
-                mmm_cum=state.ctr.mmm,
+                mmm_cum=ctr.mmm,
                 wall_ns=int(timer() - started),
                 diverged=bool(err > DIVERGENCE_FACTOR * max(err0, 1e-300)),
             )

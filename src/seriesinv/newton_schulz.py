@@ -136,9 +136,9 @@ def series_program(p: int, w: int) -> Program:
     bld = _Builder("B", "Sinv")
     name = f"program series:p{p},w{w} start"
     if w * (p + 1) == 1:
-        return bld.build(1, 0, name=name)
+        return bld.build(name, G=1, F=0)
     (g,) = bld.call(_split_plan(p, w).program, 0, 1)
-    return bld.build(g, bld.emit(Residual, g), name=name)
+    return bld.build(name, G=g, F=bld.emit(Residual, g))
 
 
 @cache
@@ -149,13 +149,15 @@ def double_start_program(p: int, w: int, order: int) -> Program:
     g, f = bld.call(series_program(p, w), 0, 1)
     lead = bld.horner(f, g, order)
     name = f"program double:n{order}:p{p},w{w} start"
-    return bld.build(g, f, lead, bld.emit(Residual, lead), name=name)
+    return bld.build(name, G=g, F=f, L=lead, R=bld.emit(Residual, lead))
 
 
 def ns_program(order: int, plan: FactorPlan | None = None) -> Program:
     """Inputs (F, G); outputs (G_k, F_k): G_k = S_n(F) G through Horner, or
-    through ``plan`` (of order n), and F_k = I - G_k A.  Built once per
-    order, and once per plan program."""
+    through ``plan``, which must have order n, and F_k = I - G_k A.  Built
+    once per order, and once per plan program."""
+    if plan is not None and plan.order_h != order:
+        raise ValueError(f"plan order {plan.order_h} != iteration order {order}")
     return _ns_program(order, None if plan is None else plan.program)
 
 
@@ -167,7 +169,7 @@ def _ns_program(order: int, plan: Program | None) -> Program:
         g, name = bld.horner(0, 1, order), f"program ns:n{order} step"
     else:
         (g,), name = bld.call(plan, 0, 1), f"program ns:n{order} step, {plan.name}"
-    return bld.build(g, bld.emit(Residual, g), name=name)
+    return bld.build(name, G=g, F=bld.emit(Residual, g))
 
 
 @cache
@@ -189,7 +191,7 @@ def composite_program(order_n: int, rates: tuple[int, ...]) -> Program:
     ns_part = bld.horner(0, 1, order_n)
     g = bld.emit(Mul, r_comp, ns_part, t_comp)
     name = f"program composite:n{order_n}:r{'-'.join(map(str, rates))} step"
-    return bld.build(g, bld.emit(Residual, g), name=name)
+    return bld.build(name, G=g, F=bld.emit(Residual, g))
 
 
 @cache
@@ -208,7 +210,7 @@ def double_program(order: int) -> Program:
     bld.cut()
     g = bld.emit(Mul, accel_res, ns_part, lead)
     name = f"program double:n{order} step"
-    return bld.build(g, bld.emit(Residual, g), lead, accel_res, name=name)
+    return bld.build(name, G=g, F=bld.emit(Residual, g), L=lead, R=accel_res)
 
 
 @cache
@@ -218,7 +220,17 @@ def additive_program(p: int) -> Program:
     bld = _Builder("Z", "G")
     z = bld.horner(bld.emit(Residual, 0), 0, p)
     f_prev = bld.emit(Residual, 1)
-    return bld.build(z, bld.emit(Mul, f_prev, z, 1), name=f"program additive:p{p} step")
+    return bld.build(f"program additive:p{p} step", Z=z, G=bld.emit(Mul, f_prev, z, 1))
+
+
+@cache
+def _additive_start_program(p: int, w: int) -> Program:
+    """Inputs (B, S^-1); outputs (Z_0, G_0, F_0): the series start, its
+    G_0 returned as both of the additive scheme's estimates (a copy, not a
+    product)."""
+    bld = _Builder("B", "Sinv")
+    g, f = bld.call(series_program(p, w), 0, 1)
+    return bld.build(f"program additive start, series:p{p},w{w}", Z=g, G=g, F=f)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +269,6 @@ def ns_step(st: NsState, a: np.ndarray, plan: FactorPlan | None = None) -> NsSta
     n = st.order
     if a.shape != st.estimate.shape:
         raise ValueError("dimension mismatch between state and matrix")
-    if plan is not None and plan.order_h != n:
-        raise ValueError(f"plan order {plan.order_h} != iteration order {n}")
     g, f = run_program(ns_program(n, plan), [st.residual, st.estimate], a, st.ctr)
     return NsState(estimate=g, residual=f, step=st.step + 1, order=n, ctr=st.ctr)
 

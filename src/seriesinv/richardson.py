@@ -86,7 +86,7 @@ def richardson_start_program(p: int, w: int, order: int) -> Program:
     g, f, lead, accel_res = bld.call(double_start_program(p, w, order), 0, 1)
     theta = bld.emit(MatVec, lead, 2)
     name = f"program richardson:n{order}:p{p},w{w} start"
-    return bld.build(g, f, lead, accel_res, theta, name=name)
+    return bld.build(name, G=g, F=f, L=lead, R=accel_res, theta=theta)
 
 
 @cache
@@ -98,7 +98,8 @@ def richardson_program(order: int, q: int) -> Program:
     g, f, lead, accel_res = bld.call(double_program(order), 0, 1, 2)
     weight = bld.emit(Mul, accel_res, bld.horner(f, g, q), lead)
     theta = _theta_update(bld, weight, 3, 4)
-    return bld.build(g, f, lead, accel_res, theta, name=f"program richardson:n{order}:q{q} step")
+    name = f"program richardson:n{order}:q{q} step"
+    return bld.build(name, G=g, F=f, L=lead, R=accel_res, theta=theta)
 
 
 @cache
@@ -116,8 +117,10 @@ def recursive_program(order: int, first: bool) -> Program:
         bld = _Builder("L", "R", "G", "F", "theta", "b")
         ns_prev = bld.horner(3, 2, order)
         omega_prev = bld.emit(Mul, 1, ns_prev, 0)
-        outs = bld.call(recursive_program(order, False), 0, 1, omega_prev, ns_prev, 4, 5)
-        return bld.build(*outs, name=f"program richardson-recursive:n{order} first step")
+        later = recursive_program(order, False)
+        outs = bld.call(later, 0, 1, omega_prev, ns_prev, 4, 5)
+        name = f"program richardson-recursive:n{order} first step"
+        return bld.build(name, **dict(zip(later.output_names, outs)))
     bld = _Builder("L", "R", "Omega", "P", "theta", "b")
     s_gamma = bld.power_sum(1, order)
     bld.cut()
@@ -131,7 +134,7 @@ def recursive_program(order: int, first: bool) -> Program:
     omega = bld.emit(Mul, accel_res, ns_new, lead)
     theta = _theta_update(bld, omega, 4, 5)
     name = f"program richardson-recursive:n{order} step"
-    return bld.build(g, f, lead, accel_res, omega, ns_new, theta, name=name)
+    return bld.build(name, G=g, F=f, L=lead, R=accel_res, Omega=omega, P=ns_new, theta=theta)
 
 
 # ---------------------------------------------------------------------------

@@ -268,8 +268,8 @@ class FactorPlan:
 
     ``FactorPlan(root)`` is the only way to build a plan; every other field
     is derived from ``root`` when the plan is built.  ``program``, the tree
-    lowered to a :class:`Program` with inputs ``("Y", "X")`` and one output,
-    is what every evaluation runs, and ``order_h`` is the tree's order.
+    lowered to a :class:`Program` with inputs ``("Y", "X")`` and one output
+    ``Z``, is what every evaluation runs, and ``order_h`` is the tree's order.
     ``mmm_poly`` is the program's ``mmm``, the count with Y supplied;
     ``mmm_cost`` is one more, the full-step count with the product forming
     Y.  ``efficiency_index`` is ``order_h ** (1 / mmm_cost)``.  An invalid
@@ -306,9 +306,10 @@ class Program:
 
     ``inputs`` names the input slots, in order; ``code`` runs over them and
     over A, the matrix the executor is given beside them; ``outputs`` are
-    the slots the function returns.  ``cuts`` is empty, or the three
-    indices where the code's two independent branches and their join
-    start: the code before the first branch is a shared prelude.  ``mmm``
+    the slots the function returns, and ``output_names`` their names, in
+    the same order (a plan's one output is ``Z``).  ``cuts`` is empty, or
+    the three indices where the code's two independent branches and their
+    join start: the code before the first branch is a shared prelude.  ``mmm``
     and ``mvm`` are the counted matrix-matrix and matrix-vector products
     one run adds (see :func:`_counts`).  ``name`` is what a traceback
     through its compiled code shows (``program double:n3 step``, ``plan
@@ -323,6 +324,7 @@ class Program:
     inputs: tuple[str, ...]
     code: tuple[Instr, ...]
     outputs: tuple[int, ...]
+    output_names: tuple[str, ...]
     cuts: tuple[int, ...]
     mmm: int
     mvm: int
@@ -434,26 +436,28 @@ class _Builder:
             return z, node.order
         raise TypeError(f"not a plan node: {node!r}")
 
-    def build(self, *outputs: int, name: str) -> Program:
-        """The program, with each instruction's drops: the slots it reads
+    def build(self, name: str, **outputs: int) -> Program:
+        """The program ``name`` with its outputs named by keyword, in order
+        (``G=g, F=f``), and each instruction's drops: the slots it reads
         for the last time, outputs excepted.  Each slot is written once."""
+        slots = tuple(outputs.values())
         last_read = {reg: i for i, ins in enumerate(self.code) for reg in ins.reads()}
         drops: list[list[int]] = [[] for _ in self.code]
         for reg, i in last_read.items():
-            if reg not in outputs:
+            if reg not in slots:
                 drops[i].append(reg)
         for ins, d in zip(self.code, drops):
             object.__setattr__(ins, "drop", tuple(d))
         code = tuple(self.code)
         mmm, mvm = _counts(code)
-        return Program(name, self.inputs, code, outputs, tuple(self.cuts), mmm, mvm)
+        return Program(name, self.inputs, code, slots, tuple(outputs), tuple(self.cuts), mmm, mvm)
 
 
 def _keep(node: PlanNode, bld: _Builder, result: int, order: int) -> None:
     """Keep on ``node``, which ``bld`` lowered with its result at slot
     ``result``, its order and its plan program: a derived value of a
     frozen node, which every plan on the node reads."""
-    program = bld.build(result, name=f"plan {_node_str(node)}")
+    program = bld.build(f"plan {_node_str(node)}", Z=result)
     object.__setattr__(node, "_lowered", (order, program))
 
 

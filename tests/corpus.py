@@ -256,7 +256,7 @@ def power_sum(gamma, n, ctr):
     power-sum sub-program that opens the recursive Richardson step, run by
     the executor on one matrix or a ``(k, n, n)`` stack."""
     bld = _Builder("R")
-    program = bld.build(bld.power_sum(0, n), name=f"power-sum:n{n}")
+    program = bld.build(f"power-sum:n{n}", S=bld.power_sum(0, n))
     return run_program(program, [gamma], gamma, ctr)[0]
 
 

@@ -172,7 +172,7 @@ def test_a_program_compiles_once_on_its_first_run(monkeypatch, pool):
     bld.cut()
     main = bld.emit(Mul, 2, 1, 1)
     bld.cut()
-    program = bld.build(bld.emit(Mul, lead, main), name="program test two branches")
+    program = bld.build("program test two branches", G=bld.emit(Mul, lead, main))
     inputs = [x, y, a]
     compiled.clear()
     serial = run_program(program, inputs, a, MulCounter())

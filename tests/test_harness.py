@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corpus import (
+    BENCH_SPECS,
     parse_exponent_surface,
     parse_mmm_surface,
     power_iteration_oracle,
@@ -344,6 +345,28 @@ class TestMethodTable:
             assert rec.exponent == exponent
             assert rec.mmm_cum == mmm
             assert rec.diverged == (err > DIVERGENCE_FACTOR * max(err0, 1e-300))
+
+    @pytest.mark.parametrize("system", ["harmonic", "spd8"])
+    def test_the_table_and_the_public_functions_agree_bitwise(self, fixture, system):
+        # run_comparison runs each row's programs itself, while the public
+        # start and step functions are driven by hand (as the benchmark's
+        # solve op drives them); both must give the same error norm and
+        # count at every step, bit for bit, for every spec the benchmark runs
+        if system == "harmonic":
+            a, b, theta = fixture
+        else:
+            rng = np.random.default_rng(8)
+            a = random_spd(8, rng)
+            theta = rng.standard_normal(8)
+            b = a @ theta
+        specs = [*BENCH_SPECS, MethodSpec("richardson", 2, 4, q=1), MethodSpec("sri", 2, 1)]
+        steps = 4
+        recs = run_comparison(a, b, theta, specs, steps, timer=FakeTimer())
+        split = split_scalar(a)
+        for m in specs:
+            got = [(r.error_norm.hex(), r.mmm_cum) for r in recs if r.method == m.name()]
+            ref = _reference_states(m, split, split.matrix, b, theta, steps)
+            assert got == [(err.hex(), mmm) for _, err, mmm in ref], m.name()
 
     def test_sri_first_row_is_the_splitting_residual(self):
         # On this matrix the splitting's B and a recomputed I - S^-1 A

@@ -28,6 +28,7 @@ from seriesinv import (
     square_matrix,
 )
 from seriesinv.harness import series_params
+from seriesinv.newton_schulz import ns_program
 
 
 def diag_system(dim, rho, rng):
@@ -103,10 +104,14 @@ class TestClassicalStep:
         assert planned.ctr.mmm - before == plan.mmm_poly + 1
 
     def test_plan_order_mismatch_rejected(self, rng):
+        # ns_program holds the check, so a direct call and ns_step both raise
         a, sp = diag_system(4, 0.9, rng)
         st = initial_series(sp, 0, 1, order=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="plan order 4 != iteration order 3"):
             ns_step(st, a, plan=plan_order(4))
+        with pytest.raises(ValueError, match="plan order 5 != iteration order 3"):
+            ns_program(3, plan_order(5))
+        assert ns_program(5, plan_order(5)) is ns_program(5, plan_order(5))
 
     def test_consistency_every_step(self, rng):
         a, sp = diag_system(4, 0.95, rng)

@@ -8,7 +8,9 @@ path relies on, the splicing of plan programs, the integer checks at the
 start functions, and every kind's result on exact polynomial operands.
 """
 
-from dataclasses import fields, replace
+import operator
+from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -41,18 +43,22 @@ from seriesinv import (
     TableForm,
     additive_correction_step,
     composite_step,
+    double_ns_step,
     gen_harmonic_matrix,
     initial_double,
     initial_richardson,
     initial_series,
     ns_step,
     plan_order,
+    richardson_recursive_step,
+    richardson_step,
+    run_comparison,
     split_scalar,
     table_plans,
 )
-from seriesinv import newton_schulz, richardson, series_toolkit
+from seriesinv import harness, newton_schulz, richardson, series_toolkit
 from seriesinv.harness import METHODS, method_programs, series_params
-from seriesinv.matrix_core import MulCounter
+from seriesinv.matrix_core import MulCounter, residual_of
 from seriesinv.newton_schulz import double_program, ns_program
 from seriesinv.richardson import cumulative_exponent, step_exponent_general
 from seriesinv.series_toolkit import run_program
@@ -63,10 +69,40 @@ def harmonic_split():
     return split_scalar(a), b
 
 
+@dataclass
+class SriState:
+    """The additive scheme's two estimates, with G's residual measured off
+    the counter: the scheme itself never forms it."""
+
+    z: np.ndarray
+    g: np.ndarray
+    residual: np.ndarray
+    ctr: MulCounter
+
+
 def started(m, split, b):
-    """A spec's start state and step function, as ``run_comparison`` makes
-    them."""
-    return METHODS[m.kind].start(m, split, b, *series_params(m.h))
+    """A spec's start state and step function from the public start and
+    step functions, wired by hand as a caller outside ``run_comparison``
+    (the benchmark's solve op) wires them."""
+    p, w = series_params(m.h)
+    a = split.matrix
+    if m.kind in ("richardson", "richardson-recursive"):
+        stepper = richardson_step if m.kind == "richardson" else richardson_recursive_step
+        return initial_richardson(split, b, p, w, m.order, m.q), partial(stepper, a=a, b=b)
+    if m.kind == "double":
+        return initial_double(split, p, w, m.order), partial(double_ns_step, a=a)
+    st = initial_series(split, p, w, m.order)
+    if m.kind == "composite":
+        spec = CompositeSpec(m.rates)
+        return st, partial(composite_step, a=a, split=split, spec=spec, order_n=m.order)
+    if m.kind == "sri":
+
+        def step(s):
+            z, g = additive_correction_step(s.z, s.g, a, m.order, s.ctr)
+            return SriState(z, g, residual_of(g, a, MulCounter()), s.ctr)
+
+        return SriState(st.estimate, st.estimate, st.residual, st.ctr), step
+    return st, partial(ns_step, a=a)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +125,25 @@ def test_static_counts_match_the_counter_and_the_oracle(m):
         if m.kind != "composite":
             assert program.depth == step_depth(m, k), k
         assert 1 <= program.depth <= program.mmm
+
+
+@pytest.mark.parametrize("m", BENCH_SPECS, ids=lambda m: m.name())
+def test_a_run_executes_its_method_programs(m, monkeypatch):
+    # what runs is what is counted: run_comparison runs exactly the
+    # programs method_programs returns, the first step's once and the
+    # later step's after it (richardson-recursive switches between them)
+    ran = []
+
+    def recording(program, inputs, a, ctr, executor=None):
+        ran.append(program)
+        return run_program(program, inputs, a, ctr, executor)
+
+    monkeypatch.setattr(harness, "run_program", recording)
+    a, b, theta = gen_harmonic_matrix(HarmonicRegressorSpec.default())
+    run_comparison(a, b, theta, [m], 4)
+    start, first, later = method_programs(m)
+    assert len(ran) == 5
+    assert all(map(operator.is_, ran, [start, first, later, later, later]))
 
 
 @pytest.mark.parametrize("m", [m for m in BENCH_SPECS if m.kind == "ns"], ids=lambda m: m.name())
