@@ -18,6 +18,7 @@ import time
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import cos, inf, isfinite, pi, sin
 
 import numpy as np
@@ -239,8 +240,12 @@ class RunRecord:
     diverged: bool = field(default=False, compare=False)
 
 
+# typed: an order that check_int rejects (5.0, True) never shares a key
+# with an integer order already cached (np.int64(5), 1), so it still raises.
+@lru_cache(maxsize=None, typed=True)
 def series_params(h: int) -> tuple[int, int]:
-    """A (p, w) factorization of the initial series order with minimal cost."""
+    """A (p, w) factorization of the initial series order with minimal cost;
+    computed once per order."""
     if h < 1:
         raise ValueError("h must be >= 1")
     # min keeps the first of equally cheap candidates, so (h - 1, 1) wins ties.

@@ -277,8 +277,8 @@ class FactorPlan:
 
     A root is lowered once (see :func:`_keep`): a later plan on it shares
     its program, and one that holds it as a child calls the program.
-    Building a plan compiles nothing; :func:`run_program` compiles the
-    program on its first run.
+    Building a plan compiles nothing; the program is compiled on its first
+    run.
     """
 
     root: PlanNode
@@ -606,12 +606,13 @@ def _compile(name: str, params: str, code, head=(), tail=()) -> Callable:
     the lines of ``head``, one statement per instruction (two for a
     product with an addend or a ``Residual``), the count, then ``tail``.
 
-    Every program runs this way, through :func:`run_program`: each plan's
+    Every program runs this way: each plan's through :func:`_run_plan`
     (for :func:`nested_eval`, :func:`factored_eval`, :func:`geometric_apply`
-    and :func:`horner_eval`) and each start and step function's of the
-    iteration family.  Operands are ``(n, n)`` matrices, or ``(k, n, n)``
-    stacks of one shape (every instance in one pass, each bitwise equal to
-    its own 2-D run), and vectors for ``MatVec`` and ``Sub``.  Registers
+    and :func:`horner_eval`), and each start and step function's of the
+    iteration family through :func:`run_program`.  Operands are ``(n, n)``
+    matrices, or ``(k, n, n)`` stacks of one shape (every instance in one
+    pass, each bitwise equal to its own 2-D run), and vectors for
+    ``MatVec`` and ``Sub``.  Registers
     are locals, and a drop sets one to None, so only live arrays are kept.
     Each product runs as :func:`mat_mul` runs it (``ndarray.dot`` on ``(n,
     n)`` operands with 2 <= n <= ``DOT_MAX_DIM``, ``np.matmul`` on all
@@ -728,11 +729,13 @@ def run_program(
 
 
 def _run_plan(plan: FactorPlan, y, x, a, ctr) -> np.ndarray:
-    """A plan's program on Y and X (:func:`run_program`); a fresh array, a
-    copy of X for the empty program."""
+    """A plan's program on Y and X, run serially as :func:`run_program`
+    would, through its compiled function; a fresh array, a copy of X for
+    the empty program."""
     if not (y.shape == x.shape == a.shape):
         raise ValueError(f"dimension mismatch: y {y.shape}, x {x.shape}, a {a.shape}")
-    return run_program(plan.program, [y, x], a, ctr)[0]
+    program = plan.program
+    return (program._run or _compile_program(program))(y, x, a, ctr)[0]
 
 
 def nested_eval(

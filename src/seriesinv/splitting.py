@@ -89,17 +89,24 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _symmetrized(a: np.ndarray) -> np.ndarray:
     """Reject clearly asymmetric input, then symmetrize exactly.
 
-    ``a`` is a validated matrix or stack; each matrix is tested on its own,
-    ||A - A^T||_F against ||A||_F, both taken on A scaled by a power of two
-    that brings max|A| into [1/2, 1).  The scaling is exact, so the test
-    decides as it would on A itself wherever those norms neither overflow
-    nor underflow, and it cannot overflow however large the entries are.
+    ``a`` is a validated matrix or stack, fresh and read-only.  When every
+    matrix equals its transpose bit for bit, A is already its own
+    symmetrization and no tolerance test runs; signed zeros compare by
+    their bits, as (0 + -0) / 2 is 0.  Otherwise each matrix is tested on
+    its own, ||A - A^T||_F against ||A||_F, both taken on A scaled by a
+    power of two that brings max|A| into [1/2, 1).  The scaling is exact,
+    so the test decides as it would on A itself wherever those norms
+    neither overflow nor underflow, and it cannot overflow however large
+    the entries are.
     """
     top = np.abs(a).max(axis=(-2, -1), keepdims=True)
-    unit = np.ldexp(a, -np.frexp(top)[1])
-    skew = unit - unit.swapaxes(-1, -2)
-    if (fro_norms(skew) > _SYMMETRY_RTOL * fro_norms(unit)).any():
-        raise ValueError("matrix must be symmetric")
+    bits = a.view(np.int64)
+    exact = (bits == bits.swapaxes(-1, -2)).all()
+    if not exact:
+        unit = np.ldexp(a, -np.frexp(top)[1])
+        skew = unit - unit.swapaxes(-1, -2)
+        if (fro_norms(skew) > _SYMMETRY_RTOL * fro_norms(unit)).any():
+            raise ValueError("matrix must be symmetric")
     # From 2**1023 / n, A + A^T or ||A||_inf may overflow: an error, not a warning.
     if (top >= 2.0**1023 / a.shape[-1]).any():
         with np.errstate(over="ignore"):
@@ -109,6 +116,8 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
             raise ValueError("matrix entries must be finite")
         if not np.isfinite(rows).all():
             raise ValueError("matrix entries too large: ||A||_inf overflows")
+    elif exact:
+        return a
     else:
         sym = (a + a.swapaxes(-1, -2)) / 2.0
     return _frozen(sym)
@@ -131,9 +140,14 @@ def is_positive_definite(a: np.ndarray) -> bool:
 def _passes_cholesky(sym: np.ndarray, norm: float | np.ndarray) -> bool:
     """True iff LAPACK factors the symmetric ``sym`` (each matrix of a
     stack) and every pivot ``diag(L)**2`` is above ``_PIVOT_RTOL * norm``
-    (``norm`` a float, or one per matrix of the stack)."""
+    (``norm`` a float, or one per matrix of the stack).
+
+    ``sym`` equals its transpose bit for bit, so LAPACK gets the transposed
+    view: numpy copies its input into column-major order, and from that
+    view the copy reads memory in order; the factor is the same.
+    """
     try:
-        lower = np.linalg.cholesky(sym)
+        lower = np.linalg.cholesky(sym.swapaxes(-1, -2))
     except np.linalg.LinAlgError:
         return False
     # The pivots are positive, so the smallest one of each matrix decides.
@@ -148,14 +162,17 @@ def split_scalar(a: np.ndarray, eps: float | None = None) -> Splitting:
     matrix gets its own alpha and passes the same checks, and a stack with
     one failing matrix raises the error that matrix alone would.  ``eps``
     defaults to ``1e-3 * ||A||_inf``; any positive value keeps rho(B) < 1,
-    and smaller values give a smaller radius for ill-conditioned A.
+    and smaller values give a smaller radius for ill-conditioned A.  Only
+    a given ``eps`` is checked: the default is 0 only when it underflows,
+    and such an A fails a later check (not positive definite, or S^-1
+    overflows).
     """
     a = _symmetrized(square_stack(a))
     norm = np.abs(a).sum(axis=-1).max(axis=-1)  # ||A||_inf of each matrix
     if eps is None:
         eps = 1e-3 * norm
-    # norm is finite, so norm / 2 + eps cannot overflow while eps <= DBL_MAX / 2
-    if not np.logical_and(0.0 < eps, eps <= _HALF_MAX).all():
+    elif not np.logical_and(0.0 < eps, eps <= _HALF_MAX).all():
+        # norm is finite, so norm / 2 + eps cannot overflow while eps <= DBL_MAX / 2
         _check_eps(eps, norm)
     if not _passes_cholesky(a, norm):
         raise NotSPDError("matrix is not positive definite")

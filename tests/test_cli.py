@@ -339,6 +339,20 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err == "error: eps too large: ||A||_inf / 2 + eps overflows, got 1.7e+308\n"
 
+    @pytest.mark.parametrize("eps, message", [
+        ([], "error: matrix is not positive definite\n"),
+        (["--eps", "0"], "error: eps must be positive and finite, got 0.0\n"),
+    ], ids=["default", "zero"])
+    def test_zero_matrix_names_eps_only_when_given(self, tmp_path, capsys, eps, message):
+        # the default eps of a zero matrix is 0; the error is the matrix's
+        mat = tmp_path / "zero.mat"
+        mat.write_text("2\n0 0\n0 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["invert", "--matrix", str(mat), "--method", "ns", *eps])
+        assert rc == 2
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize("argv, message", [
         (["invert", "--method", "composite", "--rates", "2.5"],
          "--rates: expected an integer, got '2.5' in '2.5'"),

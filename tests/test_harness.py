@@ -148,6 +148,17 @@ class TestSeriesParams:
         p, w = series_params(45)
         assert w * (p + 1) == 45
 
+    def test_computed_once_per_order(self):
+        assert series_params(45) is series_params(45)
+
+    def test_a_non_integer_order_raises_after_an_equal_integer(self):
+        # 5.0 == np.int64(5) and True == 1: the cache must not answer them
+        series_params(np.int64(5))
+        series_params(1)
+        for h in (5.0, True):
+            with pytest.raises(ValueError, match="h must be an integer"):
+                series_params(h)
+
 
 @pytest.fixture(scope="module")
 def fixture():

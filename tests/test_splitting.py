@@ -17,6 +17,7 @@ from seriesinv import (
     split_scalar,
     square_matrix,
 )
+from seriesinv import splitting
 from seriesinv.matrix_core import square_stack, subtract_from_identity
 from seriesinv.splitting import _passes_cholesky
 
@@ -89,10 +90,13 @@ class TestScalarSplit:
         np.array([[1.5e308, 1e308], [1e308, 1.5e308]]),  # a + a.T overflows
     ], ids=["tiny", "huge"])
     def test_non_finite_results_rejected(self, a):
+        # both are symmetric bit for bit, so they take the short cut past
+        # the tolerance test, but not past the overflow guard
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the error, not numpy's overflow warning
-            with pytest.raises(ValueError, match="entries must be finite"):
-                split_scalar(a)
+            for x in (a, np.stack([np.eye(len(a)), a])):
+                with pytest.raises(ValueError, match="entries must be finite"):
+                    split_scalar(x)
 
     @pytest.mark.parametrize("eps", [None, 1.0])
     def test_overflowing_norm_rejected(self, eps):
@@ -132,6 +136,24 @@ class TestScalarSplit:
         one = split_scalar(m)
         assert _same_bits(big.residual, one.residual)
         assert _same_bits(big.precond, 2.0**-1020 * one.precond)
+
+    @pytest.mark.parametrize("bad, kind, message", [
+        (np.zeros((2, 2)), NotSPDError, "matrix is not positive definite"),
+        (1e-322 * np.eye(3), ValueError, "S^-1 overflows: matrix entries must be finite"),
+    ], ids=["zero", "subnormal"])
+    def test_only_a_given_eps_is_named(self, bad, kind, message):
+        # The default eps 1e-3 ||A||_inf underflows to 0 here; the matrix
+        # then fails on its own account, and only an eps passed in is named.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (bad, np.stack([np.eye(len(bad)), bad])):
+                with pytest.raises(ValueError) as exc:
+                    split_scalar(a)
+                assert type(exc.value) is kind
+                assert str(exc.value) == message
+                with pytest.raises(ValueError) as exc:
+                    split_scalar(a, 0.0)
+                assert str(exc.value) == "eps must be positive and finite, got 0.0"
 
     def test_default_eps(self, rng):
         a = random_spd(4, rng)
@@ -280,14 +302,53 @@ class TestSymmetryCheck:
                 a = scale * (s + t * k)
                 expected = _old_symmetry_test_rejects(a)
                 decisions.add(expected)
-                try:
-                    split_scalar(a)
-                    rejected = False
-                except ValueError as exc:
-                    assert str(exc) == "matrix must be symmetric"
-                    rejected = True
-                assert rejected == expected, (t / t0, scale)
+                for x in (a, np.stack([s, a])):
+                    try:
+                        split_scalar(x)
+                        rejected = False
+                    except ValueError as exc:
+                        assert str(exc) == "matrix must be symmetric"
+                        rejected = True
+                    assert rejected == expected, (t / t0, scale, x.ndim)
         assert decisions == {True, False}
+
+
+class TestExactSymmetry:
+    """An A equal to its transpose bit for bit is taken as is, with no
+    tolerance test; any other A is tested and symmetrized as (A + A^T) / 2."""
+
+    def test_exactly_symmetric_input_is_taken_as_is(self, monkeypatch):
+        r = np.random.default_rng(0)
+        a = np.array(random_spd(6, r))
+        stack = np.stack([a, 3.0 * a, np.array(random_spd(6, r))])
+
+        def untaken(x):
+            raise AssertionError("the tolerance test ran")
+
+        monkeypatch.setattr(splitting, "fro_norms", untaken)
+        for x in (a, stack):
+            assert _same_bits(x, x.swapaxes(-1, -2))
+            assert _same_bits(split_scalar(x).matrix, x)
+
+    def test_signed_zeros_are_symmetrized(self):
+        # 0 and -0 compare equal but differ in their bits; (0 + -0) / 2 is 0
+        a = np.array([[2.0, 0.0, 1.0], [-0.0, 2.0, 0.5], [1.0, 0.5, 2.0]])
+        for x in (a, np.stack([np.eye(3), a])):
+            m = split_scalar(x).matrix
+            assert _same_bits(m, (x + x.swapaxes(-1, -2)) / 2.0)
+            assert not np.signbit(m).any()
+
+    def test_one_ulp_asymmetry_splits_as_its_symmetrization(self):
+        r = np.random.default_rng(1)
+        s = np.array(random_spd(6, r))
+        a = s.copy()
+        a[1, 4] = np.nextafter(a[1, 4], np.inf)
+        sym = (a + a.T) / 2.0
+        assert not _same_bits(sym, a)
+        for x, want in ((a, sym), (np.stack([s, a, s]), np.stack([s, sym, s]))):
+            got, ref = split_scalar(x), split_scalar(want)
+            for name in ("matrix", "alpha", "precond", "residual"):
+                assert _same_bits(getattr(got, name), getattr(ref, name)), name
 
 
 def _spd_stack(k, n, rng):

@@ -146,6 +146,27 @@ def test_a_run_executes_its_method_programs(m, monkeypatch):
     assert all(map(operator.is_, ran, [start, first, later, later, later]))
 
 
+@pytest.mark.parametrize("m", BENCH_SPECS, ids=lambda m: m.name())
+def test_a_run_counts_its_programs_and_its_error_reads(m, monkeypatch):
+    # the run's counter ends at the programs' static counts; the only
+    # counted work outside them is ns-estimator's G b, one mvm per record
+    counters = []
+
+    def recording(program, inputs, a, ctr, executor=None):
+        counters.append(ctr)
+        return run_program(program, inputs, a, ctr, executor)
+
+    monkeypatch.setattr(harness, "run_program", recording)
+    a, b, theta = gen_harmonic_matrix(HarmonicRegressorSpec.default())
+    records = run_comparison(a, b, theta, [m], 4)
+    start, first, later = method_programs(m)
+    assert all(ctr is counters[0] for ctr in counters)
+    ctr = counters[0]
+    reads = len(records) if m.kind == "ns-estimator" else 0
+    assert ctr.mvm == start.mvm + first.mvm + 3 * later.mvm + reads
+    assert ctr.mmm == start.mmm + first.mmm + 3 * later.mmm == records[-1].mmm_cum
+
+
 @pytest.mark.parametrize("m", [m for m in BENCH_SPECS if m.kind == "ns"], ids=lambda m: m.name())
 def test_planned_ns_step_counts(m):
     # the benchmark's ns solve steps through plan_order(n)
