@@ -18,7 +18,6 @@ import time
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import cos, inf, isfinite, pi, sin
 
 import numpy as np
@@ -27,6 +26,7 @@ from .matrix_core import (
     MulCounter,
     check_int,
     fro_norm,
+    int_keyed_cache,
     mat_vec,
     residual_of,
     spectral_radius,
@@ -240,9 +240,7 @@ class RunRecord:
     diverged: bool = field(default=False, compare=False)
 
 
-# typed: an order that check_int rejects (5.0, True) never shares a key
-# with an integer order already cached (np.int64(5), 1), so it still raises.
-@lru_cache(maxsize=None, typed=True)
+@int_keyed_cache("h")
 def series_params(h: int) -> tuple[int, int]:
     """A (p, w) factorization of the initial series order with minimal cost;
     computed once per order."""

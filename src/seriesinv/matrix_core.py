@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, wraps
 from numbers import Integral
 
 import numpy as np
@@ -49,6 +49,7 @@ __all__ = [
     "check_int",
     "identity_constant",
     "inf_norm",
+    "int_keyed_cache",
     "fro_norm",
     "fro_norms",
     "load_matrix",
@@ -84,12 +85,20 @@ def square_stack(entries) -> np.ndarray:
 
 
 def _square(entries, ndims: tuple[int, ...]) -> np.ndarray:
-    a = np.array(entries, dtype=np.float64)
-    if a.ndim not in ndims or a.shape[-1] != a.shape[-2] or 0 in a.shape:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = _square_copy(entries, ndims)
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     a.flags.writeable = False
+    return a
+
+
+def _square_copy(entries, ndims: tuple[int, ...]) -> np.ndarray:
+    """A fresh, writable float64 copy of ``entries`` with the shape checks
+    of :func:`square_stack` (``ndims`` the numbers of axes allowed), not
+    yet checked finite."""
+    a = np.array(entries, dtype=np.float64)
+    if a.ndim not in ndims or a.shape[-1] != a.shape[-2] or 0 in a.shape:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -111,6 +120,33 @@ def check_int(label: str, value) -> None:
     included."""
     if type(value) is not int and (type(value) is bool or not isinstance(value, Integral)):
         raise ValueError(f"{label} must be an integer, got {value!r}")
+
+
+def int_keyed_cache(*labels: str):
+    """Decorator: :func:`functools.cache`, with :func:`check_int` run on
+    every call for the leading positional arguments, named ``labels``.
+
+    The check cannot sit inside the cached function, which runs only on a
+    miss: the cache keys equal numbers alike, so once ``np.int64(5)`` is
+    cached a later ``5.0`` would be answered from the cache."""
+
+    def decorate(fn):
+        cached = cache(fn)
+        count = len(labels)
+
+        @wraps(fn)
+        def checked(*args):
+            for value in args[:count]:
+                # a plain int passes here; check_int judges any other type
+                if type(value) is not int:
+                    for label, arg in zip(labels, args):
+                        check_int(label, arg)
+                    break
+            return cached(*args)
+
+        return checked
+
+    return decorate
 
 
 @lru_cache(maxsize=8)

@@ -32,12 +32,11 @@ a join, which an executor may run side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from numbers import Integral
 
 import numpy as np
 
-from .matrix_core import MulCounter, check_int
+from .matrix_core import MulCounter, check_int, int_keyed_cache
 from .series_toolkit import (
     FactorPlan,
     Mul,
@@ -128,7 +127,7 @@ class CompositeSpec:
 # ---------------------------------------------------------------------------
 
 
-@cache
+@int_keyed_cache("p", "w")
 def series_program(p: int, w: int) -> Program:
     """Inputs (B, S^-1); outputs (G_0, F_0): G_0 = S_h(B) S^-1 through the
     two-level split of order h = w (p + 1), and F_0 = I - G_0 A.  For
@@ -141,7 +140,7 @@ def series_program(p: int, w: int) -> Program:
     return bld.build(name, G=g, F=bld.emit(Residual, g))
 
 
-@cache
+@int_keyed_cache("p", "w", "order")
 def double_start_program(p: int, w: int, order: int) -> Program:
     """Inputs (B, S^-1); outputs (G_0, F_0, L_0, R_0): the series start,
     then L_0 = S_n(F_0) G_0 and R_0 = I - L_0 A."""
@@ -161,7 +160,7 @@ def ns_program(order: int, plan: FactorPlan | None = None) -> Program:
     return _ns_program(order, None if plan is None else plan.program)
 
 
-@cache
+@int_keyed_cache("order")
 def _ns_program(order: int, plan: Program | None) -> Program:
     # cached by the plan's program, which hashes by identity
     bld = _Builder("F", "G")
@@ -172,7 +171,7 @@ def _ns_program(order: int, plan: Program | None) -> Program:
     return bld.build(name, G=g, F=bld.emit(Residual, g))
 
 
-@cache
+@int_keyed_cache("order_n")
 def composite_program(order_n: int, rates: tuple[int, ...]) -> Program:
     """Inputs (F, G, B, S^-1, A_s) with A_s the splitting's matrix; outputs
     (G_k, F_k).  Each unit's T_i runs the plan of ``geometric_apply`` on
@@ -194,7 +193,7 @@ def composite_program(order_n: int, rates: tuple[int, ...]) -> Program:
     return bld.build(name, G=g, F=bld.emit(Residual, g))
 
 
-@cache
+@int_keyed_cache("order")
 def double_program(order: int) -> Program:
     """Inputs (L, G, F); outputs (G_k, F_k, L_k, R_k).  Two independent
     branches and a join: the accelerator branch forms Gamma = I - L A,
@@ -213,7 +212,7 @@ def double_program(order: int) -> Program:
     return bld.build(name, G=g, F=bld.emit(Residual, g), L=lead, R=accel_res)
 
 
-@cache
+@int_keyed_cache("p")
 def additive_program(p: int) -> Program:
     """Inputs (Z, G); outputs (Z_k, G_k): Z_k = S_p(I - Z A) Z and
     G_k = G + (I - G A) Z_k."""
@@ -223,7 +222,7 @@ def additive_program(p: int) -> Program:
     return bld.build(f"program additive:p{p} step", Z=z, G=bld.emit(Mul, f_prev, z, 1))
 
 
-@cache
+@int_keyed_cache("p", "w")
 def _additive_start_program(p: int, w: int) -> Program:
     """Inputs (B, S^-1); outputs (Z_0, G_0, F_0): the series start, its
     G_0 returned as both of the additive scheme's estimates (a copy, not a

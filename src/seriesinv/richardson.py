@@ -24,11 +24,10 @@ which builds the carried weight before the common part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .matrix_core import MulCounter, check_int
+from .matrix_core import MulCounter, check_int, int_keyed_cache
 from .newton_schulz import DoubleNsState, _check_start, double_program, double_start_program
 from .series_toolkit import MatVec, Mul, Program, Residual, Sub, _Builder, run_program
 from .splitting import Splitting
@@ -78,7 +77,7 @@ def _theta_update(bld: _Builder, weight: int, theta: int, rhs: int) -> int:
     return bld.emit(Sub, theta, bld.emit(MatVec, weight, resid))
 
 
-@cache
+@int_keyed_cache("p", "w", "order")
 def richardson_start_program(p: int, w: int, order: int) -> Program:
     """Inputs (B, S^-1, b); outputs (G_0, F_0, L_0, R_0, theta_0): the
     two-loop start, then theta_0 = L_0 b."""
@@ -89,7 +88,7 @@ def richardson_start_program(p: int, w: int, order: int) -> Program:
     return bld.build(name, G=g, F=f, L=lead, R=accel_res, theta=theta)
 
 
-@cache
+@int_keyed_cache("order", "q")
 def richardson_program(order: int, q: int) -> Program:
     """Inputs (L, G, F, theta, b); outputs (G_k, F_k, L_k, R_k, theta_k):
     the two-loop step, the weight W = L_k + R_k S_q(F_k) G_k and
@@ -102,7 +101,7 @@ def richardson_program(order: int, q: int) -> Program:
     return bld.build(name, G=g, F=f, L=lead, R=accel_res, theta=theta)
 
 
-@cache
+@int_keyed_cache("order")
 def recursive_program(order: int, first: bool) -> Program:
     """The recursive step.  Later steps: inputs (L, R, Omega, P, theta, b),
     the carried weight Omega and sum P; the first step: inputs (L, R, G, F,

@@ -52,6 +52,7 @@ from .matrix_core import (
     check_int,
     fro_norm,
     identity_constant,
+    int_keyed_cache,
     residual_of,
     run_branches,
 )
@@ -1053,7 +1054,7 @@ def _best(h: int, budget: int) -> FactorPlan:
     return FactorPlan(best[0])
 
 
-@cache
+@int_keyed_cache("h")
 def plan_order(h: int) -> FactorPlan:
     """Minimal-count plan for order h (2..64).
 
@@ -1063,7 +1064,6 @@ def plan_order(h: int) -> FactorPlan:
     smaller p.  Each order is searched once; later calls return the same
     plan object, whose program is compiled on its first run.
     """
-    check_int("h", h)
     if h < 2:
         raise ValueError("plan_order requires h >= 2")
     if h > MAX_PLAN_ORDER:

@@ -7,7 +7,7 @@ once.  Every iteration in this package converges because rho(B) < 1, which
 ||A||_inf / 2; its B is symmetric, as A is symmetrized and S is scalar.
 
 A splitting may hold a ``(k, n, n)`` stack of k independent matrices:
-:func:`split_scalar` splits a whole stack in one pass, every check a
+:func:`split_scalar` splits a whole stack in one call, every check a
 reduction over each matrix, and each instance of the result is bitwise equal
 to the splitting of that matrix alone.
 """
@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrix_core import (
+    _square_copy,
     fro_norms,
     identity_constant,
     inf_norm,
     square_matrix,
-    square_stack,
     subtract_from_identity,
 )
 
@@ -68,12 +68,14 @@ class Splitting:
         fits = alpha.shape == self.matrix.shape[:-2]
         # 1 / alpha is finite exactly when alpha > 2**-1024.  One test
         # passes a valid alpha; the message is chosen only on failure.
-        if not (fits and ((alpha > 2.0**-1024) & (alpha < np.inf)).all()):
-            if fits and ((alpha > 0.0) & (alpha < np.inf)).all():
+        if not (fits and all(2.0**-1024 < s < np.inf for s in alpha.flat)):
+            if fits and all(0.0 < s < np.inf for s in alpha.flat):
                 raise ValueError("S^-1 overflows: matrix entries must be finite")
             raise ValueError("alpha must hold one positive, finite value per matrix")
-        precond = identity_constant(self.matrix.shape[-1]) * (1.0 / alpha)[..., None, None]
-        residual = subtract_from_identity(self.matrix / alpha[..., None, None])
+        # One column of alpha per matrix builds both S^-1 and B.
+        col = alpha[..., None, None]
+        precond = identity_constant(self.matrix.shape[-1]) * (1.0 / col)
+        residual = subtract_from_identity(self.matrix / col)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "precond", _frozen(precond))
         object.__setattr__(self, "residual", _frozen(residual))
@@ -86,22 +88,44 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """Reject clearly asymmetric input, then symmetrize exactly.
+def _equals_transpose(a: np.ndarray) -> bool:
+    """Whether every matrix equals its transpose bit for bit.  Signed zeros
+    compare by their bits, as (0 + -0) / 2 is 0."""
+    bits = a.view(np.int64)
+    return (bits == bits.swapaxes(-1, -2)).all()
 
-    ``a`` is a validated matrix or stack, fresh and read-only.  When every
-    matrix equals its transpose bit for bit, A is already its own
-    symmetrization and no tolerance test runs; signed zeros compare by
-    their bits, as (0 + -0) / 2 is 0.  Otherwise each matrix is tested on
-    its own, ||A - A^T||_F against ||A||_F, both taken on A scaled by a
-    power of two that brings max|A| into [1/2, 1).  The scaling is exact,
-    so the test decides as it would on A itself wherever those norms
-    neither overflow nor underflow, and it cannot overflow however large
-    the entries are.
+
+def _clean_norms(a: np.ndarray) -> np.ndarray | None:
+    """||A||_inf of each matrix of a bitwise symmetric ``a`` when every
+    entry is finite and below 2**1023 / n, else None: one ``|a|`` gives
+    both.  ``|a|`` is dropped on return, before the checks and arrays that
+    follow allocate theirs: at n = 512, keeping it alive through them
+    doubled the page faults of a split."""
+    mags = np.abs(a)
+    # a NaN fails the comparison, as an infinity does
+    if mags.max() < 2.0**1023 / a.shape[-1]:
+        return mags.sum(axis=-1).max(axis=-1)
+    return None
+
+
+def _symmetrized(a: np.ndarray, exact: bool) -> np.ndarray:
+    """Check an A that :func:`split_scalar` did not find clean, and
+    symmetrize it exactly.
+
+    ``a`` is a fresh read-only matrix or stack of a valid shape, and
+    ``exact`` tells whether every matrix equals its transpose bit for bit.
+    The checks run in this order, each naming its fault: every entry
+    finite; unless ``exact``, the symmetry tolerance test; then, where an
+    entry reaches 2**1023 / n, that (A + A^T) / 2 and ||A||_inf are finite.
+    The tolerance test compares ||A - A^T||_F with ||A||_F for each matrix,
+    both taken on A scaled by a power of two that brings max|A| into
+    [1/2, 1).  The scaling is exact, so the test decides as it would on A
+    itself wherever those norms neither overflow nor underflow, and it
+    cannot overflow however large the entries are.
     """
     top = np.abs(a).max(axis=(-2, -1), keepdims=True)
-    bits = a.view(np.int64)
-    exact = (bits == bits.swapaxes(-1, -2)).all()
+    if not (top < np.inf).all():  # a NaN fails too
+        raise ValueError("matrix entries must be finite")
     if not exact:
         unit = np.ldexp(a, -np.frexp(top)[1])
         skew = unit - unit.swapaxes(-1, -2)
@@ -116,8 +140,6 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
             raise ValueError("matrix entries must be finite")
         if not np.isfinite(rows).all():
             raise ValueError("matrix entries too large: ||A||_inf overflows")
-    elif exact:
-        return a
     else:
         sym = (a + a.swapaxes(-1, -2)) / 2.0
     return _frozen(sym)
@@ -152,7 +174,7 @@ def _passes_cholesky(sym: np.ndarray, norm: float | np.ndarray) -> bool:
         return False
     # The pivots are positive, so the smallest one of each matrix decides.
     smallest = lower.diagonal(axis1=-2, axis2=-1).min(axis=-1)
-    return bool((smallest**2 > _PIVOT_RTOL * norm).all())
+    return all((smallest * smallest > _PIVOT_RTOL * norm).flat)
 
 
 def split_scalar(a: np.ndarray, eps: float | None = None) -> Splitting:
@@ -166,9 +188,20 @@ def split_scalar(a: np.ndarray, eps: float | None = None) -> Splitting:
     a given ``eps`` is checked: the default is 0 only when it underflows,
     and such an A fails a later check (not positive definite, or S^-1
     overflows).
+
+    A clean A is decided in one pass: it is finite, equal to its transpose
+    bit for bit, so its own symmetrization, and has every entry below
+    2**1023 / n, so that A + A^T and ||A||_inf cannot overflow; one
+    ``|A|`` serves that test and ||A||_inf.  Any other A goes through the
+    full checks of :func:`_symmetrized`, which name its fault.  Then, for
+    every A: the eps check, the Cholesky test and the check on alpha.
     """
-    a = _symmetrized(square_stack(a))
-    norm = np.abs(a).sum(axis=-1).max(axis=-1)  # ||A||_inf of each matrix
+    a = _frozen(_square_copy(a, (2, 3)))
+    exact = _equals_transpose(a)
+    norm = _clean_norms(a) if exact else None
+    if norm is None:
+        a = _symmetrized(a, exact)
+        norm = np.abs(a).sum(axis=-1).max(axis=-1)  # ||A||_inf of each matrix
     if eps is None:
         eps = 1e-3 * norm
     elif not np.logical_and(0.0 < eps, eps <= _HALF_MAX).all():

@@ -41,7 +41,7 @@ from seriesinv.series_toolkit import (
     run_program,
     table_plans,
 )
-from seriesinv.splitting import split_scalar
+from seriesinv.splitting import NotSPDError, split_scalar
 
 
 def random_spd(dim, rng, shift=0.5):
@@ -100,6 +100,72 @@ def diagonal_split(a):
     for arr in (precond, residual):
         arr.flags.writeable = False
     return DiagonalSplit(a, precond, residual)
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceSplit:
+    matrix: np.ndarray
+    alpha: np.ndarray
+    precond: np.ndarray
+    residual: np.ndarray
+
+
+def reference_split_scalar(a, eps=None):
+    """``split_scalar`` as it was before clean inputs were decided in one
+    pass over A, kept as its oracle: a fresh finite copy, the symmetry
+    tolerance test unless A equals A^T bit for bit, the overflow guard, the
+    eps check, the Cholesky test and the checks and formulas of the
+    ``Splitting`` constructor, each in that order, with each message."""
+    a = np.array(a, dtype=np.float64)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or 0 in a.shape:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    n = a.shape[-1]
+    top = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    bits = a.view(np.int64)
+    exact = (bits == bits.swapaxes(-1, -2)).all()
+    if not exact:
+        unit = np.ldexp(a, -np.frexp(top)[1])
+        skew = unit - unit.swapaxes(-1, -2)
+        if (fro_norms(skew) > 1e-10 * fro_norms(unit)).any():
+            raise ValueError("matrix must be symmetric")
+    if (top >= 2.0**1023 / n).any():
+        with np.errstate(over="ignore"):
+            a = (a + a.swapaxes(-1, -2)) / 2.0
+            rows = np.abs(a).sum(axis=-1)
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
+        if not np.isfinite(rows).all():
+            raise ValueError("matrix entries too large: ||A||_inf overflows")
+    elif not exact:
+        a = (a + a.swapaxes(-1, -2)) / 2.0
+    norm = np.abs(a).sum(axis=-1).max(axis=-1)
+    if eps is None:
+        eps = 1e-3 * norm
+    elif not np.logical_and(0.0 < eps, eps <= np.finfo(np.float64).max / 2.0).all():
+        bad = ~np.logical_and(0.0 < eps, eps < np.inf)
+        if bad.any():
+            raise ValueError(f"eps must be positive and finite, got {np.extract(bad, eps)[0]}")
+        with np.errstate(over="ignore"):
+            bad = np.isinf(norm / 2.0 + eps)
+        if bad.any():
+            eps = np.extract(bad, np.broadcast_to(eps, bad.shape))[0]
+            raise ValueError(f"eps too large: ||A||_inf / 2 + eps overflows, got {eps}")
+    try:
+        lower = np.linalg.cholesky(a.swapaxes(-1, -2))
+    except np.linalg.LinAlgError:
+        raise NotSPDError("matrix is not positive definite") from None
+    if not ((lower.diagonal(axis1=-2, axis2=-1).min(axis=-1) ** 2 > 1e-12 * norm).all()):
+        raise NotSPDError("matrix is not positive definite")
+    alpha = np.array(norm / 2.0 + eps, dtype=np.float64)
+    if not ((alpha > 2.0**-1024) & (alpha < np.inf)).all():
+        if ((alpha > 0.0) & (alpha < np.inf)).all():
+            raise ValueError("S^-1 overflows: matrix entries must be finite")
+        raise ValueError("alpha must hold one positive, finite value per matrix")
+    precond = np.eye(n) * (1.0 / alpha)[..., None, None]
+    residual = np.eye(n) - a / alpha[..., None, None]
+    return ReferenceSplit(a, alpha, precond, residual)
 
 
 def step_exponent_qn(k, n, h):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import diagonal_split, random_sdd, random_spd
+from corpus import diagonal_split, random_sdd, random_spd, reference_split_scalar, same_bits
 from seriesinv import (
     NotSPDError,
     Splitting,
@@ -17,7 +17,7 @@ from seriesinv import (
     split_scalar,
     square_matrix,
 )
-from seriesinv import splitting
+from seriesinv import matrix_core, splitting
 from seriesinv.matrix_core import square_stack, subtract_from_identity
 from seriesinv.splitting import _passes_cholesky
 
@@ -373,6 +373,113 @@ def test_residual_is_bitwise_symmetric(k, n, eps, seed):
     for i in np.ndindex(sp.alpha.shape):
         norm = inf_norm(sp.matrix[i])
         assert sp.alpha[i] == norm / 2.0 + (1e-3 * norm if eps is None else eps)
+
+
+def _drawn_matrix(kind, n, rng):
+    """A matrix of one kind the split must take or reject as its reference
+    does: most of them SPD but for one change."""
+    a = np.array(random_spd(n, rng))
+    i, j = rng.integers(n, size=2)
+    if rng.integers(2):
+        j = i if kind == "near-overflow" else (i + 1) % n
+    if kind == "one-ulp":
+        a[i, j] = np.nextafter(a[i, j], rng.choice([-np.inf, np.inf]))
+    elif kind == "signed-zero":
+        a[i, j], a[j, i] = rng.choice([0.0, -0.0], size=2)
+    elif kind == "near-overflow":
+        # one entry, or a symmetric pair, within an ulp of 2**1023 / n
+        a *= rng.choice([1.0, 2.0**1000 / n])
+        big = 2.0**1023 / n
+        a[i, j] = a[j, i] = rng.choice([np.nextafter(big, 0.0), big, np.nextafter(big, np.inf)])
+    elif kind == "subnormal":
+        if rng.integers(2):
+            a *= rng.choice([2.0**-1060, 2.0**-1070, 2.0**-1074])
+        else:
+            a[i, j] = a[j, i] = rng.integers(1, 4) * 5e-324
+    elif kind == "non-finite":
+        a[i, j] = rng.choice([np.nan, np.inf, -np.inf])
+    elif kind == "indefinite":
+        a[i, i] = -a[i, i]
+    elif kind == "zero":
+        a = rng.choice([0.0, -0.0], size=(n, n))
+    return a
+
+
+_DRAWN_KINDS = ["spd", "one-ulp", "signed-zero", "near-overflow", "subnormal",
+                "non-finite", "indefinite", "zero"]
+
+
+def _split_outcome(split, a, eps):
+    """The four arrays of a splitting, or the error (warnings included)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sp = split(a, eps)
+    except (ValueError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+    return sp.matrix, sp.alpha, sp.precond, sp.residual
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    kind=st.sampled_from(_DRAWN_KINDS),
+    n=st.integers(1, 64),
+    k=st.integers(0, 3),
+    where=st.integers(0, 3),
+    eps=st.none() | st.sampled_from([1e-6, 0.3, 5e-324, 1.7e308, 0.0, np.nan]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_matches_its_reference(kind, n, k, where, eps, seed):
+    # alone (k == 0), or as one instance of a stack of k + 1 SPD matrices:
+    # the same bits, or the same error, as the reference split
+    rng = np.random.default_rng(seed)
+    a = _drawn_matrix(kind, n, rng)
+    if k:
+        a = np.stack([random_spd(n, rng) for _ in range(k)] + [a])
+        a[[where % (k + 1), k]] = a[[k, where % (k + 1)]]
+    got = _split_outcome(split_scalar, a, eps)
+    want = _split_outcome(reference_split_scalar, a, eps)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert len(got) == 4 and all(map(same_bits, got, want))
+
+
+class TestCleanInput:
+    """A clean A (finite, equal to its transpose bit for bit, every entry
+    below 2**1023 / n) is split without the full checks."""
+
+    def test_only_an_unclean_input_takes_the_full_checks(self, monkeypatch):
+        full, checked = splitting._symmetrized, []
+
+        def recording(*args):
+            checked.append(args[0].shape)
+            return full(*args)
+
+        def untaken(*args):
+            raise AssertionError("square_matrix or square_stack ran")
+
+        r = np.random.default_rng(3)
+        a = np.array(random_spd(6, r))
+        stack = np.stack([a, np.array(random_spd(6, r))])
+        monkeypatch.setattr(splitting, "_symmetrized", recording)
+        monkeypatch.setattr(matrix_core, "_square", untaken)
+        for x in (a, stack):
+            for eps in (None, 0.3):
+                split_scalar(x, eps)
+        assert checked == []
+        skewed = a.copy()
+        skewed[0, 3] = np.nextafter(skewed[0, 3], np.inf)
+        huge = 2.0**1023 / 6 * np.eye(6)
+        nan = a.copy()
+        nan[2, 2] = np.nan
+        for x in (skewed, np.stack([a, skewed]), huge, nan):
+            with np.errstate(over="ignore"):
+                try:
+                    split_scalar(x)
+                except ValueError:
+                    pass
+        assert checked == [(6, 6), (2, 6, 6), (6, 6), (6, 6)]
 
 
 class TestStackedSplit:

@@ -9,6 +9,7 @@ start functions, and every kind's result on exact polynomial operands.
 """
 
 import operator
+import re
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -332,6 +333,42 @@ def test_step_orders_reject_non_integers():
         composite_step(st, sp.matrix, sp, CompositeSpec((2,)), 1.5)
     with pytest.raises(ValueError, match="p must be an integer, got 2.5"):
         additive_correction_step(st.estimate, st.estimate, sp.matrix, 2.5, MulCounter())
+
+
+# Every cache keyed by an order, with integer arguments it accepts; each
+# named argument must be an integer.
+ORDER_KEYED_CACHES = [
+    (plan_order, (5,), ("h",)),
+    (newton_schulz.series_program, (1, 2), ("p", "w")),
+    (newton_schulz.double_start_program, (1, 2, 3), ("p", "w", "order")),
+    (ns_program, (3,), ("order",)),
+    (newton_schulz.composite_program, (1, (2, 3)), ("order_n",)),
+    (double_program, (3,), ("order",)),
+    (newton_schulz.additive_program, (2,), ("p",)),
+    (newton_schulz._additive_start_program, (1, 2), ("p", "w")),
+    (richardson.richardson_start_program, (1, 2, 3), ("p", "w", "order")),
+    (richardson.richardson_program, (3, 1), ("order", "q")),
+    (richardson.recursive_program, (3, True), ("order",)),
+]
+
+
+@pytest.mark.parametrize("build, args, labels", ORDER_KEYED_CACHES,
+                         ids=[build.__name__ for build, _, _ in ORDER_KEYED_CACHES])
+def test_a_cached_order_does_not_answer_an_equal_non_integer(build, args, labels):
+    # 5.0 == np.int64(5) and True == np.int64(1) hash alike: once the
+    # numpy integer is cached, its equals must still be rejected
+    build(*args)
+    build(*[np.int64(v) if i < len(labels) else v for i, v in enumerate(args)])
+    for i, label in enumerate(labels):
+        equals = [float(args[i])] + ([True] if args[i] == 1 else [])
+        for bad in equals:
+            message = re.escape(f"{label} must be an integer, got {bad!r}")
+            with pytest.raises(ValueError, match=message):
+                build(*args[:i], bad, *args[i + 1:])
+
+
+def test_a_numpy_order_shares_the_plan_of_an_int():
+    assert plan_order(np.int64(5)) is plan_order(5)
 
 
 # ---------------------------------------------------------------------------
