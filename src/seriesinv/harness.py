@@ -58,6 +58,7 @@ from .richardson import (
 from .series_toolkit import (
     TABLE_LABELS,
     Program,
+    _split_plan,
     factored_mmm,
     nested_eval,
     plan_order,
@@ -274,9 +275,10 @@ class MethodKind:
     """One row of :data:`METHODS`.
 
     ``command`` is ``invert`` (error ||I - G A||_F) or ``solve`` (error
-    ||theta - theta*||).  ``programs(method, p, w)`` is the row's one
+    ||theta - theta*||).  ``programs(method, series)`` is the row's one
     description of the method: its start, first-step and later-step
-    programs (see :func:`method_programs`), which the run loop runs over
+    programs (see :func:`method_programs`), given the plan program of the
+    initial series, ``series``, which the run loop runs over
     named slots; ``error(slots, theta_star, ctr)`` measures the slots after
     a program; ``exponent(method, k)`` is the predicted power of rho;
     ``name`` is formatted with the spec's kind, order, h, q and rates;
@@ -320,22 +322,22 @@ def _theta_error(slots, theta_star, ctr) -> float:
 METHODS: dict[str, MethodKind] = {
     "ns": MethodKind(
         "invert",
-        lambda m, p, w: (series_program(p, w), ns_program(m.order), ns_program(m.order)),
+        lambda m, series: (series_program(series), ns_program(m.order), ns_program(m.order)),
         _residual_error,
         lambda m, k: classical_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
     ),
     "double": MethodKind(
         "invert",
-        lambda m, p, w: (
-            double_start_program(p, w, m.order), double_program(m.order), double_program(m.order)
+        lambda m, series: (
+            double_start_program(m.order, series), double_program(m.order), double_program(m.order)
         ),
         _residual_error,
         lambda m, k: double_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
     ),
     "composite": MethodKind(
         "invert",
-        lambda m, p, w: (
-            series_program(p, w),
+        lambda m, series: (
+            series_program(series),
             composite_program(m.order, m.rates),
             composite_program(m.order, m.rates),
         ),
@@ -346,8 +348,8 @@ METHODS: dict[str, MethodKind] = {
     ),
     "sri": MethodKind(
         "invert",
-        lambda m, p, w: (
-            _additive_start_program(p, w), additive_program(m.order), additive_program(m.order)
+        lambda m, series: (
+            _additive_start_program(series), additive_program(m.order), additive_program(m.order)
         ),
         _sri_error,
         lambda m, k: additive_exponents(k, m.order, m.h)[1], "{kind}:p{order}:h{h}",
@@ -355,8 +357,8 @@ METHODS: dict[str, MethodKind] = {
     ),
     "richardson": MethodKind(
         "solve",
-        lambda m, p, w: (
-            richardson_start_program(p, w, m.order),
+        lambda m, series: (
+            richardson_start_program(m.order, series),
             richardson_program(m.order, m.order if m.q is None else m.q),
             richardson_program(m.order, m.order if m.q is None else m.q),
         ),
@@ -367,8 +369,8 @@ METHODS: dict[str, MethodKind] = {
     ),
     "richardson-recursive": MethodKind(
         "solve",
-        lambda m, p, w: (
-            richardson_start_program(p, w, m.order),
+        lambda m, series: (
+            richardson_start_program(m.order, series),
             recursive_program(m.order, True),
             recursive_program(m.order, False),
         ),
@@ -379,7 +381,7 @@ METHODS: dict[str, MethodKind] = {
     ),
     "ns-estimator": MethodKind(
         "solve",
-        lambda m, p, w: (series_program(p, w), ns_program(m.order), ns_program(m.order)),
+        lambda m, series: (series_program(series), ns_program(m.order), ns_program(m.order)),
         _estimate_error,
         lambda m, k: classical_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
     ),
@@ -394,7 +396,7 @@ def method_programs(method: MethodSpec) -> tuple[Program, Program, Program]:
     ``mvm`` and ``depth`` are the counts one run adds and its critical path
     in products; the error metrics' own products (``ns-estimator``'s
     ``G b``) are not part of them."""
-    return METHODS[method.kind].programs(method, *series_params(method.h))
+    return METHODS[method.kind].programs(method, _split_plan(*series_params(method.h)).program)
 
 
 def _run_method(method: MethodSpec, split, b, theta_star, steps, rho, timer):

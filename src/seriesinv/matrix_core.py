@@ -62,7 +62,6 @@ __all__ = [
     "save_vector",
     "spectral_radius",
     "square_matrix",
-    "square_stack",
     "subtract_from_identity",
     "vector",
 ]
@@ -75,17 +74,7 @@ def square_matrix(entries) -> np.ndarray:
     non-finite entries.  The returned array is frozen so it can be shared
     freely across concurrent workers.
     """
-    return _square(entries, (2,))
-
-
-def square_stack(entries) -> np.ndarray:
-    """:func:`square_matrix` for an ``(n, n)`` matrix or a ``(k, n, n)``
-    stack of them, with the same checks and messages."""
-    return _square(entries, (2, 3))
-
-
-def _square(entries, ndims: tuple[int, ...]) -> np.ndarray:
-    a = _square_copy(entries, ndims)
+    a = _square_copy(entries, (2,))
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     a.flags.writeable = False
@@ -94,8 +83,8 @@ def _square(entries, ndims: tuple[int, ...]) -> np.ndarray:
 
 def _square_copy(entries, ndims: tuple[int, ...]) -> np.ndarray:
     """A fresh, writable float64 copy of ``entries`` with the shape checks
-    of :func:`square_stack` (``ndims`` the numbers of axes allowed), not
-    yet checked finite."""
+    of :func:`square_matrix` (``ndims`` the numbers of axes allowed: 2,
+    or 3 for a ``(k, n, n)`` stack too), not yet checked finite."""
     a = np.array(entries, dtype=np.float64)
     if a.ndim not in ndims or a.shape[-1] != a.shape[-2] or 0 in a.shape:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -124,11 +113,13 @@ def check_int(label: str, value) -> None:
 
 def int_keyed_cache(*labels: str):
     """Decorator: :func:`functools.cache`, with :func:`check_int` run on
-    every call for the leading positional arguments, named ``labels``.
+    every call for the leading positional arguments, named ``labels``,
+    which the cached function then gets as plain ints: one entry, and one
+    result, per integer, whatever its type.
 
     The check cannot sit inside the cached function, which runs only on a
-    miss: the cache keys equal numbers alike, so once ``np.int64(5)`` is
-    cached a later ``5.0`` would be answered from the cache."""
+    miss: the cache keys equal numbers alike, so once ``5`` is cached a
+    later ``5.0`` would be answered from the cache."""
 
     def decorate(fn):
         cached = cache(fn)
@@ -141,6 +132,7 @@ def int_keyed_cache(*labels: str):
                 if type(value) is not int:
                     for label, arg in zip(labels, args):
                         check_int(label, arg)
+                    args = (*map(int, args[:count]), *args[count:])
                     break
             return cached(*args)
 

@@ -32,6 +32,7 @@ a join, which an executor may run side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from numbers import Integral
 
 import numpy as np
@@ -127,27 +128,28 @@ class CompositeSpec:
 # ---------------------------------------------------------------------------
 
 
-@int_keyed_cache("p", "w")
-def series_program(p: int, w: int) -> Program:
+@cache
+def series_program(series: Program) -> Program:
     """Inputs (B, S^-1); outputs (G_0, F_0): G_0 = S_h(B) S^-1 through the
-    two-level split of order h = w (p + 1), and F_0 = I - G_0 A.  For
-    h == 1 that is (S^-1, B) with no product."""
+    plan program ``series`` of the initial series, and F_0 = I - G_0 A.
+    An empty plan program (order 1) gives (S^-1, B) with no product.
+    Built once per plan program, which hashes by identity."""
     bld = _Builder("B", "Sinv")
-    name = f"program series:p{p},w{w} start"
-    if w * (p + 1) == 1:
+    name = f"program series start, {series.name}"
+    if not series.code:
         return bld.build(name, G=1, F=0)
-    (g,) = bld.call(_split_plan(p, w).program, 0, 1)
+    (g,) = bld.call(series, 0, 1)
     return bld.build(name, G=g, F=bld.emit(Residual, g))
 
 
-@int_keyed_cache("p", "w", "order")
-def double_start_program(p: int, w: int, order: int) -> Program:
+@int_keyed_cache("order")
+def double_start_program(order: int, series: Program) -> Program:
     """Inputs (B, S^-1); outputs (G_0, F_0, L_0, R_0): the series start,
     then L_0 = S_n(F_0) G_0 and R_0 = I - L_0 A."""
     bld = _Builder("B", "Sinv")
-    g, f = bld.call(series_program(p, w), 0, 1)
+    g, f = bld.call(series_program(series), 0, 1)
     lead = bld.horner(f, g, order)
-    name = f"program double:n{order}:p{p},w{w} start"
+    name = f"program double:n{order} start, {series.name}"
     return bld.build(name, G=g, F=f, L=lead, R=bld.emit(Residual, lead))
 
 
@@ -222,14 +224,14 @@ def additive_program(p: int) -> Program:
     return bld.build(f"program additive:p{p} step", Z=z, G=bld.emit(Mul, f_prev, z, 1))
 
 
-@int_keyed_cache("p", "w")
-def _additive_start_program(p: int, w: int) -> Program:
+@cache
+def _additive_start_program(series: Program) -> Program:
     """Inputs (B, S^-1); outputs (Z_0, G_0, F_0): the series start, its
     G_0 returned as both of the additive scheme's estimates (a copy, not a
     product)."""
     bld = _Builder("B", "Sinv")
-    g, f = bld.call(series_program(p, w), 0, 1)
-    return bld.build(f"program additive start, series:p{p},w{w}", Z=g, G=g, F=f)
+    g, f = bld.call(series_program(series), 0, 1)
+    return bld.build(f"program additive start, {series.name}", Z=g, G=g, F=f)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +239,14 @@ def _additive_start_program(p: int, w: int) -> Program:
 # ---------------------------------------------------------------------------
 
 
-def _check_start(p: int, w: int, order: int) -> None:
+def _start_series(p: int, w: int, order: int) -> Program:
+    """The plan program of the initial series of order w (p + 1), once
+    ``p``, ``w`` and ``order`` are checked."""
     for label, value in (("p", p), ("w", w), ("order", order)):
         check_int(label, value)
     if order < 1:
         raise ValueError("order must be >= 1")
+    return _split_plan(p, w).program
 
 
 def initial_series(split: Splitting, p: int, w: int, order: int = 2) -> NsState:
@@ -252,9 +257,9 @@ def initial_series(split: Splitting, p: int, w: int, order: int = 2) -> NsState:
     (S^-1, B) at no multiplication cost.  ``p``, ``w`` and ``order`` must
     be integers (not bool).
     """
-    _check_start(p, w, order)
+    program = series_program(_start_series(p, w, order))
     ctr = MulCounter()
-    g, f = run_program(series_program(p, w), [split.residual, split.precond], split.matrix, ctr)
+    g, f = run_program(program, [split.residual, split.precond], split.matrix, ctr)
     return NsState(estimate=g, residual=f, step=0, order=order, ctr=ctr)
 
 
@@ -308,11 +313,9 @@ def initial_double(split: Splitting, p: int, w: int, order: int = 2) -> DoubleNs
     R^(n-1)) T_0 where R = I - T_0 A; both precomputations are charged to
     the counter (:func:`double_start_program`).
     """
-    _check_start(p, w, order)
+    program = double_start_program(order, _start_series(p, w, order))
     ctr = MulCounter()
-    g, f, lead, accel_res = run_program(
-        double_start_program(p, w, order), [split.residual, split.precond], split.matrix, ctr
-    )
+    g, f, lead, accel_res = run_program(program, [split.residual, split.precond], split.matrix, ctr)
     return DoubleNsState(
         estimate=g,
         residual=f,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import MulCounter, check_int, int_keyed_cache
-from .newton_schulz import DoubleNsState, _check_start, double_program, double_start_program
+from .newton_schulz import DoubleNsState, _start_series, double_program, double_start_program
 from .series_toolkit import MatVec, Mul, Program, Residual, Sub, _Builder, run_program
 from .splitting import Splitting
 
@@ -77,14 +77,15 @@ def _theta_update(bld: _Builder, weight: int, theta: int, rhs: int) -> int:
     return bld.emit(Sub, theta, bld.emit(MatVec, weight, resid))
 
 
-@int_keyed_cache("p", "w", "order")
-def richardson_start_program(p: int, w: int, order: int) -> Program:
+@int_keyed_cache("order")
+def richardson_start_program(order: int, series: Program) -> Program:
     """Inputs (B, S^-1, b); outputs (G_0, F_0, L_0, R_0, theta_0): the
-    two-loop start, then theta_0 = L_0 b."""
+    two-loop start on the initial series' plan program ``series``, then
+    theta_0 = L_0 b."""
     bld = _Builder("B", "Sinv", "b")
-    g, f, lead, accel_res = bld.call(double_start_program(p, w, order), 0, 1)
+    g, f, lead, accel_res = bld.call(double_start_program(order, series), 0, 1)
     theta = bld.emit(MatVec, lead, 2)
-    name = f"program richardson:n{order}:p{p},w{w} start"
+    name = f"program richardson:n{order} start, {series.name}"
     return bld.build(name, G=g, F=f, L=lead, R=accel_res, theta=theta)
 
 
@@ -158,12 +159,12 @@ def initial_richardson(
         check_int("q", q)
         if q < 1:
             raise ValueError("q must be >= 1")
-    _check_start(p, w, order)
+    series = _start_series(p, w, order)
     if split.matrix.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {split.matrix.shape} @ {b.shape}")
     ctr = MulCounter()
     g, f, lead, accel_res, theta0 = run_program(
-        richardson_start_program(p, w, order),
+        richardson_start_program(order, series),
         [split.residual, split.precond, b],
         split.matrix,
         ctr,

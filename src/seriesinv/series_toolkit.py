@@ -15,8 +15,10 @@ orders.  This module provides:
 
 * :func:`horner_eval` / :func:`factored_eval` - the two baseline evaluators
   with pinned multiplication counts;
-* :class:`FactorPlan` - a node tree, lowered once when the plan is built
-  to a :class:`Program`, and :func:`nested_eval` to run it;
+* :class:`FactorPlan` - a plan, which is a node: :class:`Horner`,
+  :class:`Split`, :class:`PrimeWrap` or :class:`TableForm`, each built to
+  its :class:`Program` when it is constructed by calling its children's
+  programs; and :func:`nested_eval` to run it;
 * :func:`table_plans` - a catalogue of hand-factored evaluation DAGs for
   orders 2..19 and 45 (including the cheaper second variants for orders 5,
   9, 10, 11, the nested order-15 form and the ten-product order-45 plan);
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import linecache
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from math import copysign
 from types import MappingProxyType
@@ -83,48 +85,115 @@ _MAX_NESTING = 3
 
 
 # ---------------------------------------------------------------------------
-# Plan nodes.  A node evaluates S_h(Y) X for its order h, given Y.
+# Plans.  A plan is a node: it evaluates S_h(Y) X for its order h, given Y,
+# and is built to its program when it is constructed.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Horner:
+class FactorPlan:
+    """A plan: the base of the four node kinds, :class:`Horner`,
+    :class:`Split`, :class:`PrimeWrap` and :class:`TableForm`.
+
+    A node checks its fields and builds its program when it is
+    constructed (``ValueError``, and ``TypeError`` for a child that is not
+    a plan); a node that holds another calls the child's program.  The
+    derived fields take no part in the constructor, comparison or repr.
+    ``program``, a :class:`Program` with inputs ``("Y", "X")`` and one
+    output ``Z``, is what every evaluation runs, and ``order_h`` is the
+    node's order.  ``mmm_poly`` is the program's ``mmm``, the count with Y
+    supplied; ``mmm_cost`` is one more, the full-step count with the
+    product forming Y.  ``efficiency_index`` is ``order_h ** (1 /
+    mmm_cost)``.  Building a plan compiles nothing; the program is
+    compiled on its first run.
+    """
+
+    order_h: int = field(init=False, repr=False, compare=False)
+    program: Program = field(init=False, repr=False, compare=False)
+    mmm_poly: int = field(init=False, repr=False, compare=False)
+    mmm_cost: int = field(init=False, repr=False, compare=False)
+    efficiency_index: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bld = _Builder("Y", "X")
+        result, order = self._emit(bld)
+        program = bld.build(f"plan {plan_str(self)}", Z=result)
+        object.__setattr__(self, "order_h", order)
+        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "mmm_poly", program.mmm)
+        object.__setattr__(self, "mmm_cost", program.mmm + 1)
+        object.__setattr__(self, "efficiency_index", float(order) ** (1.0 / (program.mmm + 1)))
+
+    def _emit(self, bld: _Builder) -> tuple[int, int]:
+        """Check the node and append its code to ``bld``, Y at slot 0 and X
+        at slot 1; returns (result slot, order), the result the last
+        instruction's slot (slot 1 if none)."""
+        raise TypeError("a plan is a Horner, Split, PrimeWrap or TableForm node")
+
+
+def _program_of(child) -> Program:
+    if not isinstance(child, FactorPlan):
+        raise TypeError(f"not a plan node: {child!r}")
+    return child.program
+
+
+@dataclass(frozen=True)
+class Horner(FactorPlan):
     """Plain Horner recursion Z_i = Y Z_(i-1) + X."""
 
     order: int
 
-    def __post_init__(self):
+    def _emit(self, bld):
         check_int("order", self.order)
         if self.order < 1:
             raise ValueError("Horner order must be >= 1")
+        return bld.horner(0, 1, self.order), self.order
 
 
 @dataclass(frozen=True)
-class Split:
+class Split(FactorPlan):
     """Two-level factorization of order ``w * (p + 1)``.
 
     ``inner`` evaluates the (p+1)-term sum applied to X, ``outer`` the
-    w-term sum in Q = Y^(p+1) applied to U.  Either may be any node of the
-    matching order; Horner is the default leaf.
+    w-term sum in Q = Y^(p+1) applied to U, where Q = I - U A comes from
+    one ``Residual``.  Either may be any plan of the matching order;
+    Horner is the default leaf.
     """
 
     p: int
     w: int
-    inner: "PlanNode"
-    outer: "PlanNode | None" = None
+    inner: FactorPlan
+    outer: FactorPlan | None = None
 
-    def __post_init__(self):
+    def _emit(self, bld):
         check_int("p", self.p)
         check_int("w", self.w)
         if self.p < 0 or self.w < 1:
             raise ValueError("Split requires p >= 0 and w >= 1")
+        u = 1
+        if self.p >= 1:
+            (u,) = bld.call(_program_of(self.inner), 0, 1)
+            if self.inner.order_h != self.p + 1:
+                raise ValueError(f"Split inner order {self.inner.order_h} != p + 1 = {self.p + 1}")
+        if self.w >= 2:
+            if self.outer is None:
+                raise ValueError("Split with w >= 2 needs an outer node")
+            q = 0 if self.p == 0 else bld.emit(Residual, u)
+            (u,) = bld.call(_program_of(self.outer), q, u)
+            if self.outer.order_h != self.w:
+                raise ValueError(f"Split outer order {self.outer.order_h} != w = {self.w}")
+        return u, self.w * (self.p + 1)
 
 
 @dataclass(frozen=True)
-class PrimeWrap:
+class PrimeWrap(FactorPlan):
     """Degree bump Z' = X + Y Z, raising the inner order by one."""
 
-    inner: "PlanNode"
+    inner: FactorPlan
+
+    def _emit(self, bld):
+        (z,) = bld.call(_program_of(self.inner), 0, 1)
+        return bld.emit(Mul, 0, z, 1), self.inner.order_h + 1
 
 
 # Straight-line program instructions.  A tabulated form is written in them
@@ -234,71 +303,37 @@ Instr = Union[Mul, Residual, Lin, MatVec, Sub]
 
 
 @dataclass(frozen=True)
-class TableForm:
+class TableForm(FactorPlan):
     """A hand-factored evaluation DAG, stored as a straight-line program.
 
-    Programs read registers "Y" and "X" and leave the result in the last
-    instruction's destination.  Register names are local to the program.
-    Only ``Mul``, ``Residual`` and ``Lin`` are allowed, and each register an
-    instruction reads must be "Y", "X" or an earlier destination; a form
-    that breaks either rule raises ``ValueError`` when it is built.
+    ``code`` reads registers "Y" and "X" and leaves the result in the last
+    instruction's destination.  Register names are local to the form, and
+    its program renames them to slots.  Only ``Mul``, ``Residual`` and
+    ``Lin`` are allowed, and each register an instruction reads must be
+    "Y", "X" or an earlier destination; a form that breaks either rule
+    raises ``ValueError`` when it is built.
     """
 
     label: str
     order: int
-    program: tuple[Instr, ...]
+    code: tuple[Instr, ...]
 
-    def __post_init__(self):
+    def _emit(self, bld):
         check_int("order", self.order)
-        where, written = f"table form {self.label!r}", {"Y", "X"}
-        for ins in self.program:
+        where, slots = f"table form {self.label!r}", {"Y": 0, "X": 1}
+        z = 1
+        for ins in self.code:
             if not isinstance(ins, (Mul, Residual, Lin)):
                 raise ValueError(f"{where}: {ins!r} is not a Mul, Residual or Lin")
             for reg in ins.reads():
-                if reg not in written:
+                if reg not in slots:
                     raise ValueError(f"{where}: {ins!r} reads {reg!r} before it is written")
-            written.add(ins.dst)
-
-
-PlanNode = Union[Horner, Split, PrimeWrap, TableForm]
-
-
-@dataclass(frozen=True)
-class FactorPlan:
-    """A node tree, validated and lowered once, with its predicted counts.
-
-    ``FactorPlan(root)`` is the only way to build a plan; every other field
-    is derived from ``root`` when the plan is built.  ``program``, the tree
-    lowered to a :class:`Program` with inputs ``("Y", "X")`` and one output
-    ``Z``, is what every evaluation runs, and ``order_h`` is the tree's order.
-    ``mmm_poly`` is the program's ``mmm``, the count with Y supplied;
-    ``mmm_cost`` is one more, the full-step count with the product forming
-    Y.  ``efficiency_index`` is ``order_h ** (1 / mmm_cost)``.  An invalid
-    tree raises ``ValueError`` (``TypeError`` for a non-node).
-
-    A root is lowered once (see :func:`_keep`): a later plan on it shares
-    its program, and one that holds it as a child calls the program.
-    Building a plan compiles nothing; the program is compiled on its first
-    run.
-    """
-
-    root: PlanNode
-    order_h: int = field(init=False)
-    program: Program = field(init=False, repr=False, compare=False)
-    mmm_poly: int = field(init=False)
-    mmm_cost: int = field(init=False)
-    efficiency_index: float = field(init=False)
-
-    def __post_init__(self):
-        if not hasattr(self.root, "_lowered"):
-            bld = _Builder("Y", "X")
-            _keep(self.root, bld, *bld.lower(self.root, 0, 1))
-        order, program = self.root._lowered
-        object.__setattr__(self, "order_h", order)
-        object.__setattr__(self, "program", program)
-        object.__setattr__(self, "mmm_poly", program.mmm)
-        object.__setattr__(self, "mmm_cost", program.mmm + 1)
-        object.__setattr__(self, "efficiency_index", float(order) ** (1.0 / (program.mmm + 1)))
+            z = len(bld.inputs) + len(bld.code)
+            # reads take the slots written before; a name written again
+            # names the new slot from here on
+            bld.code.append(replace(ins.renamed(slots.get), dst=z))
+            slots[ins.dst] = z
+        return z, self.order
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,44 +434,6 @@ class _Builder:
             terms.append((1.0, power))
         return self.emit(Lin, 1.0, tuple(terms))
 
-    def lower(self, node: PlanNode, y: int, x: int) -> tuple[int, int]:
-        """Append a plan node's program applied to X at slot ``x`` with Y
-        at slot ``y``, checking each child's order; returns (result slot,
-        order), the result the last instruction's slot (``x`` if none).  A
-        built plan's root is called, not lowered again."""
-        lowered = getattr(node, "_lowered", None)
-        if lowered is not None:
-            order, program = lowered
-            return self.call(program, y, x)[0], order
-        if isinstance(node, Horner):
-            return self.horner(y, x, node.order), node.order
-        if isinstance(node, Split):
-            u = x
-            if node.p >= 1:
-                u, order = self.lower(node.inner, y, x)
-                if order != node.p + 1:
-                    raise ValueError(f"Split inner order {order} != p + 1 = {node.p + 1}")
-            if node.w >= 2:
-                if node.outer is None:
-                    raise ValueError("Split with w >= 2 needs an outer node")
-                q = y if node.p == 0 else self.emit(Residual, u)
-                u, order = self.lower(node.outer, q, u)
-                if order != node.w:
-                    raise ValueError(f"Split outer order {order} != w = {node.w}")
-            return u, node.w * (node.p + 1)
-        if isinstance(node, PrimeWrap):
-            z, order = self.lower(node.inner, y, x)
-            return self.emit(Mul, y, z, x), order + 1
-        if isinstance(node, TableForm):
-            # The form's own register names, renamed to the program's slots.
-            env = {"Y": y, "X": x}
-            z = x
-            for ins in node.program:
-                z = env[ins.dst] = len(self.inputs) + len(self.code)
-                self.code.append(ins.renamed(env.__getitem__))
-            return z, node.order
-        raise TypeError(f"not a plan node: {node!r}")
-
     def build(self, name: str, **outputs: int) -> Program:
         """The program ``name`` with its outputs named by keyword, in order
         (``G=g, F=f``), and each instruction's drops: the slots it reads
@@ -454,34 +451,22 @@ class _Builder:
         return Program(name, self.inputs, code, slots, tuple(outputs), tuple(self.cuts), mmm, mvm)
 
 
-def _keep(node: PlanNode, bld: _Builder, result: int, order: int) -> None:
-    """Keep on ``node``, which ``bld`` lowered with its result at slot
-    ``result``, its order and its plan program: a derived value of a
-    frozen node, which every plan on the node reads."""
-    program = bld.build(f"plan {_node_str(node)}", Z=result)
-    object.__setattr__(node, "_lowered", (order, program))
-
-
 def plan_str(plan: FactorPlan) -> str:
     """Canonical one-line text form, used by the CLI and golden tests."""
-    return _node_str(plan.root)
-
-
-def _node_str(node: PlanNode) -> str:
-    if isinstance(node, Horner):
-        return f"horner(h={node.order})"
-    if isinstance(node, Split):
-        parts = [f"p={node.p},w={node.w}"]
-        if node.p >= 1 and not isinstance(node.inner, Horner):
-            parts.append(f"inner={_node_str(node.inner)}")
-        if node.w >= 2 and node.outer is not None and not isinstance(node.outer, Horner):
-            parts.append(f"outer={_node_str(node.outer)}")
+    if isinstance(plan, Horner):
+        return f"horner(h={plan.order})"
+    if isinstance(plan, Split):
+        parts = [f"p={plan.p},w={plan.w}"]
+        if plan.p >= 1 and not isinstance(plan.inner, Horner):
+            parts.append(f"inner={plan_str(plan.inner)}")
+        if plan.w >= 2 and plan.outer is not None and not isinstance(plan.outer, Horner):
+            parts.append(f"outer={plan_str(plan.outer)}")
         return "split(" + ", ".join(parts) + ")"
-    if isinstance(node, PrimeWrap):
-        return f"wrap({_node_str(node.inner)})"
-    if isinstance(node, TableForm):
-        return f"table({node.label})"
-    raise TypeError(f"not a plan node: {node!r}")
+    if isinstance(plan, PrimeWrap):
+        return f"wrap({plan_str(plan.inner)})"
+    if isinstance(plan, TableForm):
+        return f"table({plan.label})"
+    raise TypeError(f"not a plan node: {plan!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +483,17 @@ def horner_eval(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> np.nda
     return _run_plan(_horner_plan(h), y, x, x, ctr)
 
 
-@cache
-def _horner_plan(h: int) -> FactorPlan:
-    return FactorPlan(Horner(h))
+@int_keyed_cache("order")
+def _horner_plan(h: int) -> Horner:
+    return Horner(h)
 
 
-def _split_node(p: int, w: int) -> Split:
-    outer = Horner(w) if w >= 2 else None
-    return Split(p=p, w=w, inner=Horner(p + 1), outer=outer)
-
-
-@cache
-def _split_plan(p: int, w: int) -> FactorPlan:
+@int_keyed_cache("p", "w")
+def _split_plan(p: int, w: int) -> Split:
     """The plain two-level split with Horner stages, the plan behind
-    :func:`factored_mmm`, :func:`efficiency_index` and :func:`factored_eval`."""
-    return FactorPlan(_split_node(p, w))
+    :func:`factored_mmm`, :func:`efficiency_index`, :func:`factored_eval`
+    and the initial series."""
+    return Split(p=p, w=w, inner=Horner(p + 1), outer=Horner(w) if w >= 2 else None)
 
 
 def factored_mmm(p: int, w: int) -> int:
@@ -792,9 +773,9 @@ def _geometric_plan(order: int) -> FactorPlan:
     if order <= MAX_PLAN_ORDER:
         return _best(order, _MAX_NESTING)
     if order % 2:
-        return FactorPlan(PrimeWrap(_geometric_plan(order - 1).root))
+        return PrimeWrap(_geometric_plan(order - 1))
     t = order // 2
-    return FactorPlan(Split(p=t - 1, w=2, inner=_geometric_plan(t).root, outer=Horner(2)))
+    return Split(p=t - 1, w=2, inner=_geometric_plan(t), outer=_horner_plan(2))
 
 
 # ---------------------------------------------------------------------------
@@ -802,209 +783,165 @@ def _geometric_plan(order: int) -> FactorPlan:
 # ---------------------------------------------------------------------------
 
 
-def _custom_forms() -> dict[str, TableForm]:
-    """The rows whose cheapest evaluation is a special DAG, not a plain
-    split or wrap: powers by squaring and folded factors get reused."""
-    forms: dict[str, TableForm] = {}
-
-    def add(label: str, order: int, program: tuple[Instr, ...]):
-        forms[label] = TableForm(label=label, order=order, program=program)
-
+# The rows whose cheapest evaluation is a special DAG, not a plain split or
+# wrap: powers by squaring and folded factors get reused.
+_TABLE_FORMS = {form.label: form for form in (
     # (I + Y + Y^2 + Y^2 (Y + Y^2)) X
-    add(
-        "h5b",
-        5,
-        (
-            Mul("y2", "Y", "Y"),
-            Lin("s", 0.0, ((1.0, "Y"), (1.0, "y2"))),
-            Mul("t", "y2", "s"),
-            Lin("m", 1.0, ((1.0, "Y"), (1.0, "y2"), (1.0, "t"))),
-            Mul("z", "m", "X"),
-        ),
-    )
+    TableForm("h5b", 5, (
+        Mul("y2", "Y", "Y"),
+        Lin("s", 0.0, ((1.0, "Y"), (1.0, "y2"))),
+        Mul("t", "y2", "s"),
+        Lin("m", 1.0, ((1.0, "Y"), (1.0, "y2"), (1.0, "t"))),
+        Mul("z", "m", "X"),
+    )),
     # (I + (Y + Y^4)(I + Y + Y^2)) X
-    add(
-        "h7",
-        7,
-        (
-            Mul("y2", "Y", "Y"),
-            Mul("y4", "y2", "y2"),
-            Lin("f1", 0.0, ((1.0, "Y"), (1.0, "y4"))),
-            Lin("f2", 1.0, ((1.0, "Y"), (1.0, "y2"))),
-            Mul("w", "f1", "f2"),
-            Mul("t", "w", "X"),
-            Lin("z", 0.0, ((1.0, "X"), (1.0, "t"))),
-        ),
-    )
+    TableForm("h7", 7, (
+        Mul("y2", "Y", "Y"),
+        Mul("y4", "y2", "y2"),
+        Lin("f1", 0.0, ((1.0, "Y"), (1.0, "y4"))),
+        Lin("f2", 1.0, ((1.0, "Y"), (1.0, "y2"))),
+        Mul("w", "f1", "f2"),
+        Mul("t", "w", "X"),
+        Lin("z", 0.0, ((1.0, "X"), (1.0, "t"))),
+    )),
     # (I + Y^4)(I + Y^2)(I + Y) X  -- the residual trick applied twice
-    add(
-        "h8",
-        8,
-        (
-            Mul("c0", "Y", "X"),
-            Lin("c1", 0.0, ((1.0, "X"), (1.0, "c0"))),
-            Residual("q2", "c1"),
-            Mul("c2", "q2", "c1"),
-            Lin("c3", 0.0, ((1.0, "c1"), (1.0, "c2"))),
-            Residual("q4", "c3"),
-            Mul("c4", "q4", "c3"),
-            Lin("z", 0.0, ((1.0, "c3"), (1.0, "c4"))),
-        ),
-    )
+    TableForm("h8", 8, (
+        Mul("c0", "Y", "X"),
+        Lin("c1", 0.0, ((1.0, "X"), (1.0, "c0"))),
+        Residual("q2", "c1"),
+        Mul("c2", "q2", "c1"),
+        Lin("c3", 0.0, ((1.0, "c1"), (1.0, "c2"))),
+        Residual("q4", "c3"),
+        Mul("c4", "q4", "c3"),
+        Lin("z", 0.0, ((1.0, "c3"), (1.0, "c4"))),
+    )),
     # (I + (I + Y^4)(I + Y^2)(Y + Y^2)) X
-    add(
-        "h9b",
-        9,
-        (
-            Mul("y2", "Y", "Y"),
-            Mul("y4", "y2", "y2"),
-            Lin("f1", 0.0, ((1.0, "Y"), (1.0, "y2"))),
-            Lin("f2", 1.0, ((1.0, "y2"),)),
-            Mul("w1", "f2", "f1"),
-            Lin("f3", 1.0, ((1.0, "y4"),)),
-            Mul("w2", "f3", "w1"),
-            Mul("t", "w2", "X"),
-            Lin("z", 0.0, ((1.0, "X"), (1.0, "t"))),
-        ),
-    )
+    TableForm("h9b", 9, (
+        Mul("y2", "Y", "Y"),
+        Mul("y4", "y2", "y2"),
+        Lin("f1", 0.0, ((1.0, "Y"), (1.0, "y2"))),
+        Lin("f2", 1.0, ((1.0, "y2"),)),
+        Mul("w1", "f2", "f1"),
+        Lin("f3", 1.0, ((1.0, "y4"),)),
+        Mul("w2", "f3", "w1"),
+        Mul("t", "w2", "X"),
+        Lin("z", 0.0, ((1.0, "X"), (1.0, "t"))),
+    )),
     # (I + Y^5)(I + (Y + Y^2)(I + Y^2)) X
-    add(
-        "h10b",
-        10,
-        (
-            Mul("y2", "Y", "Y"),
-            Lin("f1", 0.0, ((1.0, "Y"), (1.0, "y2"))),
-            Lin("f2", 1.0, ((1.0, "y2"),)),
-            Mul("w", "f1", "f2"),
-            Mul("t0", "w", "X"),
-            Lin("u", 0.0, ((1.0, "X"), (1.0, "t0"))),
-            Residual("q5", "u"),
-            Mul("t1", "q5", "u"),
-            Lin("z", 0.0, ((1.0, "u"), (1.0, "t1"))),
-        ),
-    )
+    TableForm("h10b", 10, (
+        Mul("y2", "Y", "Y"),
+        Lin("f1", 0.0, ((1.0, "Y"), (1.0, "y2"))),
+        Lin("f2", 1.0, ((1.0, "y2"),)),
+        Mul("w", "f1", "f2"),
+        Mul("t0", "w", "X"),
+        Lin("u", 0.0, ((1.0, "X"), (1.0, "t0"))),
+        Residual("q5", "u"),
+        Mul("t1", "q5", "u"),
+        Lin("z", 0.0, ((1.0, "u"), (1.0, "t1"))),
+    )),
     # (I + Y (I + (Y^2 + Y^4)(I + Y^4))(I + Y)) X
-    add(
-        "h11b",
-        11,
-        (
-            Mul("t0", "Y", "X"),
-            Lin("t1", 0.0, ((1.0, "X"), (1.0, "t0"))),
-            Residual("y2", "t1"),
-            Mul("y4", "y2", "y2"),
-            Lin("f1", 0.0, ((1.0, "y2"), (1.0, "y4"))),
-            Lin("f2", 1.0, ((1.0, "y4"),)),
-            Mul("w", "f1", "f2"),
-            Mul("t2", "w", "t1"),
-            Lin("t3", 0.0, ((1.0, "t1"), (1.0, "t2"))),
-            Mul("t4", "Y", "t3"),
-            Lin("z", 0.0, ((1.0, "X"), (1.0, "t4"))),
-        ),
-    )
+    TableForm("h11b", 11, (
+        Mul("t0", "Y", "X"),
+        Lin("t1", 0.0, ((1.0, "X"), (1.0, "t0"))),
+        Residual("y2", "t1"),
+        Mul("y4", "y2", "y2"),
+        Lin("f1", 0.0, ((1.0, "y2"), (1.0, "y4"))),
+        Lin("f2", 1.0, ((1.0, "y4"),)),
+        Mul("w", "f1", "f2"),
+        Mul("t2", "w", "t1"),
+        Lin("t3", 0.0, ((1.0, "t1"), (1.0, "t2"))),
+        Mul("t4", "Y", "t3"),
+        Lin("z", 0.0, ((1.0, "X"), (1.0, "t4"))),
+    )),
     # (I + (I + (Y^3)^2)((Y^3)^2 + Y^3))(I + Y + Y^2) X  -- nested form
-    add(
-        "h15b",
-        15,
-        (
-            Mul("c0", "Y", "X"),
-            Lin("c1", 0.0, ((1.0, "X"), (1.0, "c0"))),
-            Mul("c2", "Y", "c1"),
-            Lin("u", 0.0, ((1.0, "X"), (1.0, "c2"))),
-            Residual("q3", "u"),
-            Mul("q6", "q3", "q3"),
-            Lin("f1", 1.0, ((1.0, "q6"),)),
-            Lin("f2", 0.0, ((1.0, "q3"), (1.0, "q6"))),
-            Mul("w", "f1", "f2"),
-            Mul("t", "w", "u"),
-            Lin("z", 0.0, ((1.0, "u"), (1.0, "t"))),
-        ),
-    )
+    TableForm("h15b", 15, (
+        Mul("c0", "Y", "X"),
+        Lin("c1", 0.0, ((1.0, "X"), (1.0, "c0"))),
+        Mul("c2", "Y", "c1"),
+        Lin("u", 0.0, ((1.0, "X"), (1.0, "c2"))),
+        Residual("q3", "u"),
+        Mul("q6", "q3", "q3"),
+        Lin("f1", 1.0, ((1.0, "q6"),)),
+        Lin("f2", 0.0, ((1.0, "q3"), (1.0, "q6"))),
+        Mul("w", "f1", "f2"),
+        Mul("t", "w", "u"),
+        Lin("z", 0.0, ((1.0, "u"), (1.0, "t"))),
+    )),
     # (I + (Y + Y^2 + Y^3 + Y^4)(I + Y^4 + Y^8 + Y^12)) X
-    add(
-        "h17",
-        17,
-        (
-            Mul("y2", "Y", "Y"),
-            Lin("f1", 0.0, ((1.0, "Y"), (1.0, "y2"))),
-            Lin("f2", 1.0, ((1.0, "y2"),)),
-            Mul("g", "f1", "f2"),
-            Mul("y4", "y2", "y2"),
-            Mul("y8", "y4", "y4"),
-            Mul("y12", "y8", "y4"),
-            Lin("f3", 1.0, ((1.0, "y4"), (1.0, "y8"), (1.0, "y12"))),
-            Mul("w", "g", "f3"),
-            Mul("t", "w", "X"),
-            Lin("z", 0.0, ((1.0, "X"), (1.0, "t"))),
-        ),
-    )
+    TableForm("h17", 17, (
+        Mul("y2", "Y", "Y"),
+        Lin("f1", 0.0, ((1.0, "Y"), (1.0, "y2"))),
+        Lin("f2", 1.0, ((1.0, "y2"),)),
+        Mul("g", "f1", "f2"),
+        Mul("y4", "y2", "y2"),
+        Mul("y8", "y4", "y4"),
+        Mul("y12", "y8", "y4"),
+        Lin("f3", 1.0, ((1.0, "y4"), (1.0, "y8"), (1.0, "y12"))),
+        Mul("w", "g", "f3"),
+        Mul("t", "w", "X"),
+        Lin("z", 0.0, ((1.0, "X"), (1.0, "t"))),
+    )),
     # (I + (Y + Y^2)(I + Y^2 + Y^4)(I + Y^6 + Y^12)) X
-    add(
-        "h19",
-        19,
-        (
-            Mul("y2", "Y", "Y"),
-            Mul("y4", "y2", "y2"),
-            Lin("f1", 0.0, ((1.0, "Y"), (1.0, "y2"))),
-            Lin("f2", 1.0, ((1.0, "y2"), (1.0, "y4"))),
-            Mul("w1", "f1", "f2"),
-            Mul("y6", "y2", "y4"),
-            Mul("y12", "y6", "y6"),
-            Lin("f3", 1.0, ((1.0, "y6"), (1.0, "y12"))),
-            Mul("w2", "w1", "f3"),
-            Mul("t", "w2", "X"),
-            Lin("z", 0.0, ((1.0, "X"), (1.0, "t"))),
-        ),
-    )
-    return forms
-
-
-_TABLE_FORMS = _custom_forms()
+    TableForm("h19", 19, (
+        Mul("y2", "Y", "Y"),
+        Mul("y4", "y2", "y2"),
+        Lin("f1", 0.0, ((1.0, "Y"), (1.0, "y2"))),
+        Lin("f2", 1.0, ((1.0, "y2"), (1.0, "y4"))),
+        Mul("w1", "f1", "f2"),
+        Mul("y6", "y2", "y4"),
+        Mul("y12", "y6", "y6"),
+        Lin("f3", 1.0, ((1.0, "y6"), (1.0, "y12"))),
+        Mul("w2", "w1", "f3"),
+        Mul("t", "w2", "X"),
+        Lin("z", 0.0, ((1.0, "X"), (1.0, "t"))),
+    )),
+)}
 
 
 # Catalogue of tabulated factorizations, keyed by order.  Rows whose stated
 # form is the plain two-level split (or its degree bump) use the generic
 # nodes; the folded forms use their explicit programs.
-_TABLE_ROOTS: dict[int, tuple[tuple[str, PlanNode], ...]] = {
-    2: (("h2", _split_node(1, 1)),),
-    3: (("h3", PrimeWrap(_split_node(1, 1))),),
-    4: (("h4", _split_node(1, 2)),),
-    5: (("h5a", PrimeWrap(_split_node(1, 2))), ("h5b", _TABLE_FORMS["h5b"])),
-    6: (("h6", _split_node(2, 2)),),
+_TABLE_ROWS: dict[int, tuple[tuple[str, FactorPlan], ...]] = {
+    2: (("h2", _split_plan(1, 1)),),
+    3: (("h3", PrimeWrap(_split_plan(1, 1))),),
+    4: (("h4", _split_plan(1, 2)),),
+    5: (("h5a", PrimeWrap(_split_plan(1, 2))), ("h5b", _TABLE_FORMS["h5b"])),
+    6: (("h6", _split_plan(2, 2)),),
     7: (("h7", _TABLE_FORMS["h7"]),),
     8: (("h8", _TABLE_FORMS["h8"]),),
-    9: (("h9a", _split_node(2, 3)), ("h9b", _TABLE_FORMS["h9b"])),
-    10: (("h10a", PrimeWrap(_split_node(2, 3))), ("h10b", _TABLE_FORMS["h10b"])),
+    9: (("h9a", _split_plan(2, 3)), ("h9b", _TABLE_FORMS["h9b"])),
+    10: (("h10a", PrimeWrap(_split_plan(2, 3))), ("h10b", _TABLE_FORMS["h10b"])),
     11: (("h11a", PrimeWrap(_TABLE_FORMS["h10b"])), ("h11b", _TABLE_FORMS["h11b"])),
-    12: (("h12", _split_node(3, 3)),),
-    13: (("h13", PrimeWrap(_split_node(3, 3))),),
-    14: (("h14", _split_node(6, 2)),),
-    15: (("h15a", _split_node(2, 5)), ("h15b", _TABLE_FORMS["h15b"])),
-    16: (("h16", _split_node(3, 4)),),
+    12: (("h12", _split_plan(3, 3)),),
+    13: (("h13", PrimeWrap(_split_plan(3, 3))),),
+    14: (("h14", _split_plan(6, 2)),),
+    15: (("h15a", _split_plan(2, 5)), ("h15b", _TABLE_FORMS["h15b"])),
+    16: (("h16", _split_plan(3, 4)),),
     17: (("h17", _TABLE_FORMS["h17"]),),
-    18: (("h18", _split_node(5, 3)),),
+    18: (("h18", _split_plan(5, 3)),),
     19: (("h19", _TABLE_FORMS["h19"]),),
     # The showcase nested plan: a 3x3 split inner sum and the factored
     # quartic as the outer sum, ten products.
-    45: (("h45", Split(p=8, w=5, inner=_split_node(2, 3), outer=_TABLE_FORMS["h5b"])),),
+    45: (("h45", Split(p=8, w=5, inner=_split_plan(2, 3), outer=_TABLE_FORMS["h5b"])),),
 }
 
 TABLE_LABELS: dict[int, tuple[str, ...]] = {
-    order: tuple(label for label, _ in roots) for order, roots in _TABLE_ROOTS.items()
+    order: tuple(label for label, _ in rows) for order, rows in _TABLE_ROWS.items()
 }
 
+_TABLE_PLANS: Mapping[int, tuple[FactorPlan, ...]] = MappingProxyType({
+    order: tuple(plan for _, plan in rows) for order, rows in _TABLE_ROWS.items()
+})
 
-@cache
+
 def table_plans() -> Mapping[int, tuple[FactorPlan, ...]]:
     """Catalogue of tabulated factorization plans, keyed by order: 2..19
     and 45.
 
-    Built once and shared by every caller, the plan search included, so it
-    is read-only: a mapping proxy of tuples.
+    Built at import and shared by every caller, the plan search included,
+    so it is read-only: a mapping proxy of tuples.
     """
-    return MappingProxyType({
-        order: tuple(FactorPlan(root) for _, root in roots)
-        for order, roots in _TABLE_ROOTS.items()
-    })
+    return _TABLE_PLANS
 
 
 # ---------------------------------------------------------------------------
@@ -1022,36 +959,26 @@ def split_candidates(h: int) -> list[tuple[int, int]]:
 def _best(h: int, budget: int) -> FactorPlan:
     """Minimal-count plan of order h within a nesting budget.
 
-    The candidates are ranked by their lowered count, the ``mmm`` of their
-    code (a table row's ``mmm_poly``); on a tie the first one listed wins:
-    splits in increasing p, then the wrap of a prime order, then the table
-    rows.  Only the winner is built as a plan, on the program its ranking
-    lowered (a winning table row is the row itself).  Horner is the
-    fallback only when there is no candidate (h == 1 or budget 0): every
-    split and wrap lowers to at most ``h - 1`` products, Horner's count, so
-    Horner would never win.
+    The candidates are built plans, ranked by ``mmm_poly``, the count of
+    their programs; on a tie the first one listed wins: splits in
+    increasing p, then the wrap of a prime order, then the table rows.
+    Horner is the fallback only when there is no candidate (h == 1 or
+    budget 0): every split and wrap lowers to at most ``h - 1`` products,
+    Horner's count, so Horner would never win.
     """
-    cands: list = []  # (count, a table row or (node, builder, result, order))
+    cands: list[FactorPlan] = []
     if budget >= 1:
         pairs = split_candidates(h)
-        nodes: list[PlanNode] = [
-            Split(p=p, w=w, inner=_best(p + 1, budget - 1).root, outer=_best(w, budget - 1).root)
+        cands += [
+            Split(p=p, w=w, inner=_best(p + 1, budget - 1), outer=_best(w, budget - 1))
             for p, w in pairs
         ]
         if not pairs and h >= 3:  # h is prime
-            nodes.append(PrimeWrap(_best(h - 1, budget).root))
-        for node in nodes:
-            bld = _Builder("Y", "X")
-            lowering = (node, bld, *bld.lower(node, 0, 1))
-            cands.append((_counts(bld.code)[0], lowering))
-        cands += ((plan.mmm_poly, plan) for plan in table_plans().get(h, ()))
+            cands.append(PrimeWrap(_best(h - 1, budget)))
+        cands += table_plans().get(h, ())
     if not cands:
-        return FactorPlan(Horner(h))
-    best = min(cands, key=lambda cand: cand[0])[1]
-    if isinstance(best, FactorPlan):
-        return best
-    _keep(*best)
-    return FactorPlan(best[0])
+        return Horner(h)
+    return min(cands, key=lambda plan: plan.mmm_poly)
 
 
 @int_keyed_cache("h")

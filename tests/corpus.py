@@ -5,7 +5,7 @@ with e up to a few thousand, so the corpora control rho(B) tightly: the
 comparison is only meaningful while ||B**e|| sits well above float noise.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import copysign
 
 import numpy as np
@@ -28,11 +28,12 @@ from seriesinv.series_toolkit import (
     _MUL,
     _RESIDUAL,
     TABLE_LABELS,
-    FactorPlan,
     Horner,
     Lin,
     Mul,
+    PrimeWrap,
     Residual,
+    Split,
     TableForm,
     _Builder,
     factored_mmm,
@@ -402,6 +403,51 @@ def reference_plan(plan, y, x, a, ctr):
     return reference_execute(plan.program.code, [y, x], a, ctr)[-1]
 
 
+def reference_lowering(plan):
+    """(code, order, mmm) of a plan as the recursive tree walker lowers
+    it: the whole tree inlined into one program, from the nodes' fields
+    alone, never reading a child's program.  The code's drops are those
+    ``_Builder.build`` gives."""
+    bld = _Builder("Y", "X")
+    result, order = _walk(bld, plan, 0, 1)
+    code = bld.build("reference", Z=result).code
+    mmm = sum(isinstance(ins, (Mul, Residual)) for ins in code)
+    return code, order, mmm
+
+
+def _walk(bld, node, y, x):
+    """Append ``node`` applied to X at slot ``x`` with Y at slot ``y``;
+    returns (result slot, order)."""
+    if isinstance(node, Horner):
+        z = x
+        for _ in range(node.order - 1):
+            z = bld.emit(Mul, y, z, x)
+        return z, node.order
+    if isinstance(node, Split):
+        u = x
+        if node.p >= 1:
+            u, order = _walk(bld, node.inner, y, x)
+            assert order == node.p + 1
+        if node.w >= 2:
+            q = y if node.p == 0 else bld.emit(Residual, u)
+            u, order = _walk(bld, node.outer, q, u)
+            assert order == node.w
+        return u, node.w * (node.p + 1)
+    if isinstance(node, PrimeWrap):
+        z, order = _walk(bld, node.inner, y, x)
+        return bld.emit(Mul, y, z, x), order + 1
+    assert isinstance(node, TableForm)
+    # the form's register names renamed to slots: each read to the slot
+    # its name was last written to
+    env = {"Y": y, "X": x}
+    z = x
+    for ins in node.code:
+        z = len(bld.inputs) + len(bld.code)
+        bld.code.append(replace(ins.renamed(env.get), dst=z))
+        env[ins.dst] = z
+    return z, node.order
+
+
 def entry_coefs(entry):
     """An object array's entry as float coefficients: a polynomial's, or a
     plain float (a ``Lin`` with no terms writes const * I as floats)."""
@@ -442,7 +488,7 @@ def hand_plans():
         ((-1.0, "X"), (1.0, "Y"), (0.5, "X")),
     )
     plans = [
-        (f"lin:{const}:{i}", FactorPlan(TableForm("lin", 1, (Lin("z", const, terms),))))
+        (f"lin:{const}:{i}", TableForm("lin", 1, (Lin("z", const, terms),)))
         for const in (0.0, -0.0, 1.0, -1.0, 2.0)
         for i, terms in enumerate(term_sets)
     ]
@@ -456,8 +502,8 @@ def hand_plans():
         Lin("m", -0.0, ((1.0, "q"), (1.0, "X"))),
         Mul("z", "m", "X", "X"),
     )
-    plans.append(("chain", FactorPlan(TableForm("chain", 3, chain))))
-    return plans + [("horner:1", FactorPlan(Horner(1)))]
+    plans.append(("chain", TableForm("chain", 3, chain)))
+    return plans + [("horner:1", Horner(1))]
 
 
 def plan_oracle(program, y, x, a, ctr):

@@ -15,7 +15,6 @@ import pytest
 from corpus import power_sum, random_spd
 from seriesinv import (
     CompositeSpec,
-    FactorPlan,
     Horner,
     MulCounter,
     Split,
@@ -191,7 +190,8 @@ def test_empty_program_returns_a_fresh_copy(problem, root):
     # caller's array, as geometric_apply(order=1) does
     a, split, _ = problem
     y, x = split.residual, split.precond
-    plan = FactorPlan(root)
+    # a plan is its root node
+    plan = root
     assert plan.program.code == ()
     stacked = tuple(np.stack([m, m]) for m in (y, x, a))
     for yy, xx, aa in ((y, x, a), stacked):
@@ -320,7 +320,7 @@ class TestIdentityConstant:
     def test_lin_result_is_fresh(self, rng):
         sp = split_scalar(random_spd(DIM, rng))
         x, y = sp.precond, sp.residual
-        ident = FactorPlan(TableForm("I", 1, (Lin("Z", 1.0, ()),)))
+        ident = TableForm("I", 1, (Lin("Z", 1.0, ()),))
         got = nested_eval(y, x, sp.matrix, ident, MulCounter(), form_y=False)
         self._fresh(got, DIM)
         got[...] = 0.0

@@ -30,7 +30,7 @@ from corpus import (
     same_bits,
     signed_zero_matrix,
 )
-from seriesinv import FactorPlan, MulCounter, series_toolkit
+from seriesinv import MulCounter, series_toolkit
 from seriesinv.harness import method_programs
 from seriesinv.newton_schulz import double_program
 from seriesinv.series_toolkit import (
@@ -140,9 +140,9 @@ def test_compiled_programs_equal_the_reference_bitwise(kind, pool):
 
 
 def rebuilt_plan(plan):
-    """A plan equal to ``plan`` that has never run: built on a copy of its
-    root, it calls the children's programs and compiles nothing yet."""
-    return FactorPlan(replace(plan.root))
+    """A plan equal to ``plan`` that has never run: a copy of the node, it
+    calls the children's programs and compiles nothing yet."""
+    return replace(plan)
 
 
 def test_a_program_compiles_once_on_its_first_run(monkeypatch, pool):
@@ -253,8 +253,8 @@ def test_programs_sharing_a_name_keep_their_own_source():
     # its own source, so a traceback through either shows its own line
     y = x = a = np.eye(3)
     plans = [
-        FactorPlan(TableForm("dup", 2, (Mul("z", "Y", "X", "X"),))),
-        FactorPlan(TableForm("dup", 2, (Lin("z", 1.0, ((1.0, "Y"),)),))),
+        TableForm("dup", 2, (Mul("z", "Y", "X", "X"),)),
+        TableForm("dup", 2, (Lin("z", 1.0, ((1.0, "Y"),)),)),
     ]
     for plan in plans:
         series_toolkit._run_plan(plan, y, x, a, MulCounter())

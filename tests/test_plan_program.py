@@ -31,7 +31,6 @@ from corpus import (
     signed_zero_matrix,
 )
 from seriesinv import (
-    FactorPlan,
     Horner,
     MulCounter,
     PrimeWrap,
@@ -183,15 +182,15 @@ def test_no_split_or_wrap_candidate_costs_more_than_horner():
         for budget in range(1, 4):
             pairs = series_toolkit.split_candidates(h)
             nodes = [
-                Split(p=p, w=w, inner=best(p + 1, budget - 1).root, outer=best(w, budget - 1).root)
+                Split(p=p, w=w, inner=best(p + 1, budget - 1), outer=best(w, budget - 1))
                 for p, w in pairs
             ]
             if not pairs and h >= 3:
-                nodes.append(PrimeWrap(best(h - 1, budget).root))
+                nodes.append(PrimeWrap(best(h - 1, budget)))
             assert nodes or h == 2
             for node in nodes:
-                assert FactorPlan(node).mmm_poly <= h - 1, (h, budget, node)
-        assert best(h, 0).root == Horner(h)
+                assert node.mmm_poly <= h - 1, (h, budget, node)
+        assert best(h, 0) == Horner(h)
 
 
 def test_a_winning_catalogue_row_is_the_plan_itself():
@@ -325,10 +324,10 @@ def test_evaluation_never_walks_the_tree(monkeypatch):
     # a plan above order 64 is built once per order, then cached
     geometric_apply(y[0], x[0], 200, a[0], MulCounter())
 
-    def forbidden(*args):
-        raise AssertionError("tree walker called during evaluation")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a program built during evaluation")
 
-    monkeypatch.setattr(series_toolkit._Builder, "lower", forbidden)
+    monkeypatch.setattr(series_toolkit._Builder, "build", forbidden)
     for _, plan in plans:
         nested_eval(None, x, a, plan, MulCounter())
         nested_eval(None, x[0], a[0], plan, MulCounter())
@@ -451,7 +450,7 @@ def test_dropped_instruction_fails_the_check(monkeypatch):
     # order 3 is a wrap around the order-2 split: without its last
     # instruction the program returns the order-2 sum.
     assert len(plan_order(3).program.code) == 2
-    broken = FactorPlan(TableForm("h3-short", 3, (Mul("z", "Y", "X", "X"),)))
+    broken = TableForm("h3-short", 3, (Mul("z", "Y", "X", "X"),))
     monkeypatch.setattr(
         harness, "plan_order", lambda h: broken if h == 3 else plan_order(h)
     )
@@ -482,12 +481,12 @@ def test_miscounted_product_fails_the_check(monkeypatch):
 
 def test_non_finite_result_fails_the_check(monkeypatch):
     # a NaN error must not pass as "no worse than the instances before"
-    form = plan_order(5).root  # the tabulated h5b form
-    program = tuple(
+    form = plan_order(5)  # the tabulated h5b form
+    code = tuple(
         replace(ins, const=float("nan")) if isinstance(ins, Lin) and ins.const else ins
-        for ins in form.program
+        for ins in form.code
     )
-    broken = FactorPlan(TableForm("h5-nan", 5, program))
+    broken = TableForm("h5-nan", 5, code)
     monkeypatch.setattr(
         harness, "plan_order", lambda h: broken if h == 5 else plan_order(h)
     )
@@ -539,7 +538,7 @@ def test_warm_check_hashes_no_instruction(monkeypatch):
 def test_plan_swapped_in_after_a_warm_check_is_the_one_run(monkeypatch):
     expected = toolkit_check(instances=4, dim=5, seed=2)
     assert expected[0]
-    broken = FactorPlan(TableForm("h3-short", 3, (Mul("z", "Y", "X", "X"),)))
+    broken = TableForm("h3-short", 3, (Mul("z", "Y", "X", "X"),))
     with monkeypatch.context() as patched:
         patched.setattr(harness, "plan_order", lambda h: broken if h == 3 else plan_order(h))
         ok, lines = toolkit_check(instances=4, dim=5, seed=2)

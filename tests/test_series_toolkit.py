@@ -22,7 +22,7 @@ from seriesinv import (
     square_matrix,
     table_plans,
 )
-from seriesinv.series_toolkit import TABLE_LABELS, Lin, MatVec, Mul, Split, TableForm
+from seriesinv.series_toolkit import TABLE_LABELS, Lin, MatVec, Mul, PrimeWrap, Split, TableForm
 
 
 def toolkit_instance(rng, dim=5):
@@ -62,7 +62,7 @@ class TestHorner:
         ref = horner_eval(y, x, h, ctr)
         assert ctr.mmm == h - 1
         ctr = MulCounter()
-        out = nested_eval(None, x, a, FactorPlan(Horner(h)), ctr, form_y=True)
+        out = nested_eval(None, x, a, Horner(h), ctr, form_y=True)
         assert ctr.mmm == h
         assert fro_norm(out - ref) <= 1e-12 * fro_norm(ref)
 
@@ -85,7 +85,7 @@ class TestHorner:
         # Y is formed only on request; horner_eval takes no form_y option
         x, _, a = toolkit_instance(rng)
         with pytest.raises(ValueError, match="y is required"):
-            nested_eval(None, x, a, FactorPlan(Horner(3)), MulCounter(), form_y=False)
+            nested_eval(None, x, a, Horner(3), MulCounter(), form_y=False)
         with pytest.raises(TypeError):
             horner_eval(None, x, 3, MulCounter(), a=a, form_y=True)
 
@@ -337,17 +337,19 @@ class TestNestedEval:
             assert np.allclose(out, x, atol=1e-15)
 
     def test_malformed_plan_rejected(self):
-        # a plan is built from its tree alone: its counts cannot be stated
+        # a plan is built from its fields alone: its counts cannot be stated
         with pytest.raises(TypeError):
-            FactorPlan(order_h=5, root=Horner(4), mmm_cost=4, mmm_poly=3, efficiency_index=1.0)
+            Horner(4, order_h=5, mmm_cost=4, mmm_poly=3, efficiency_index=1.0)
         with pytest.raises(TypeError):
-            FactorPlan(Horner(4), 4)
+            Horner(4, 4)
         with pytest.raises(ValueError, match="inner order 3 != p \\+ 1 = 2"):
-            FactorPlan(Split(p=1, w=1, inner=Horner(3)))
+            Split(p=1, w=1, inner=Horner(3))
         with pytest.raises(ValueError, match="Horner order must be >= 1"):
-            FactorPlan(Horner(0))
+            Horner(0)
         with pytest.raises(TypeError, match="not a plan node"):
-            FactorPlan(plan_order(4))
+            PrimeWrap(plan_order(4).program)
+        with pytest.raises(TypeError, match="a plan is a Horner, Split, PrimeWrap or TableForm"):
+            FactorPlan()
 
     def test_identity_chain(self, rng):
         # I - Z A must equal Y**h: the series is exact in the residual power

@@ -18,7 +18,7 @@ from seriesinv import (
     square_matrix,
 )
 from seriesinv import matrix_core, splitting
-from seriesinv.matrix_core import square_stack, subtract_from_identity
+from seriesinv.matrix_core import subtract_from_identity
 from seriesinv.splitting import _passes_cholesky
 
 
@@ -190,7 +190,7 @@ class TestSplittingConstructor:
         np.ones((2, 3)),
     ], ids=["zero", "negative", "nan", "inf", "short", "long", "row", "square"])
     def test_rejects_bad_scale(self, alpha):
-        stack = square_stack(np.stack([np.eye(3), np.eye(3)]))
+        stack = np.stack([np.eye(3), np.eye(3)])
         with pytest.raises(ValueError, match="alpha must hold"):
             Splitting(matrix=stack, alpha=np.array(alpha))
 
@@ -205,7 +205,7 @@ class TestSplittingConstructor:
             with pytest.raises(ValueError, match="entries must be finite"):
                 Splitting(matrix=square_matrix(np.eye(2)), alpha=1e-320)
             with pytest.raises(ValueError, match="entries must be finite"):
-                Splitting(matrix=square_stack(np.ones((2, 1, 1))), alpha=np.array([1.0, 1e-320]))
+                Splitting(matrix=np.ones((2, 1, 1)), alpha=np.array([1.0, 1e-320]))
 
     def test_inverse_overflow_threshold_is_exact(self):
         # every alpha near 2**-1024 is accepted exactly when 1 / alpha is finite
@@ -457,13 +457,14 @@ class TestCleanInput:
             return full(*args)
 
         def untaken(*args):
-            raise AssertionError("square_matrix or square_stack ran")
+            raise AssertionError("square_matrix ran")
 
         r = np.random.default_rng(3)
         a = np.array(random_spd(6, r))
         stack = np.stack([a, np.array(random_spd(6, r))])
         monkeypatch.setattr(splitting, "_symmetrized", recording)
-        monkeypatch.setattr(matrix_core, "_square", untaken)
+        monkeypatch.setattr(splitting, "square_matrix", untaken)
+        monkeypatch.setattr(matrix_core, "square_matrix", untaken)
         for x in (a, stack):
             for eps in (None, 0.3):
                 split_scalar(x, eps)

@@ -10,7 +10,7 @@ start functions, and every kind's result on exact polynomial operands.
 
 import operator
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -28,6 +28,7 @@ from corpus import (
     poly_split,
     random_spd,
     reference_execute,
+    reference_lowering,
     same_bits,
     start_counts,
     step_counts,
@@ -35,7 +36,6 @@ from corpus import (
 )
 from seriesinv import (
     CompositeSpec,
-    FactorPlan,
     Horner,
     HarmonicRegressorSpec,
     MethodSpec,
@@ -62,7 +62,7 @@ from seriesinv.harness import METHODS, method_programs, series_params
 from seriesinv.matrix_core import MulCounter, residual_of
 from seriesinv.newton_schulz import double_program, ns_program
 from seriesinv.richardson import cumulative_exponent, step_exponent_general
-from seriesinv.series_toolkit import run_program
+from seriesinv.series_toolkit import Mul, run_program
 
 
 def harmonic_split():
@@ -183,18 +183,35 @@ def test_planned_ns_step_counts(m):
 
 def test_a_planned_step_program_is_cached_by_its_plan():
     # one step program per plan program: the same plan gives the same
-    # object, and so does a plan on the same root, which shares its
-    # program; another plan of that order (h5a against the searched h5b)
-    # gives its own, and so does an equal plan on a copy of the root
+    # object; another plan of that order (h5a against the searched h5b)
+    # gives its own, and so does an equal copy of the plan, which builds
+    # its own program
     searched, h5a = plan_order(5), table_plans()[5][0]
     assert searched.program is not h5a.program
     program = ns_program(5, searched)
     assert ns_program(5, searched) is program
-    assert ns_program(5, FactorPlan(searched.root)) is program
     assert ns_program(5, h5a) is ns_program(5, h5a) is not program
     assert ns_program(5, h5a).mmm == h5a.mmm_poly + 1 != program.mmm
-    copied = ns_program(5, FactorPlan(replace(searched.root)))
+    copy = replace(searched)
+    assert copy == searched and copy.program is not searched.program
+    copied = ns_program(5, copy)
     assert copied is not program and copied.code == program.code
+
+
+def test_a_start_program_is_cached_by_its_series_plan():
+    # one start program per initial-series plan program, as for ns_program
+    series = series_toolkit._split_plan(1, 2).program
+    copy = replace(series_toolkit._split_plan(1, 2)).program
+    for build in (
+        newton_schulz.series_program,
+        newton_schulz._additive_start_program,
+        partial(newton_schulz.double_start_program, 3),
+        partial(richardson.richardson_start_program, 3),
+    ):
+        program = build(series)
+        assert build(series) is program
+        again = build(copy)
+        assert again is not program and again.code == program.code
 
 
 def test_double_n3_is_eight_products_on_a_path_of_six():
@@ -234,31 +251,75 @@ def test_program_outputs_and_inputs_are_named():
 
 
 # ---------------------------------------------------------------------------
-# Programs compose: a plan that holds a built plan's root splices its
-# program, and the result equals lowering the whole tree again.
+# Programs compose: a plan that holds another calls its program, and the
+# result equals lowering the whole tree at once.
 # ---------------------------------------------------------------------------
 
 
-def rebuilt(node):
-    """The same tree from new node objects, which carry no lowered
-    program, so building a plan on it lowers every node."""
-    if isinstance(node, (Horner, TableForm)):
-        return type(node)(**{f.name: getattr(node, f.name) for f in fields(node)})
-    if isinstance(node, PrimeWrap):
-        return PrimeWrap(rebuilt(node.inner))
-    outer = None if node.outer is None else rebuilt(node.outer)
-    return Split(node.p, node.w, rebuilt(node.inner), outer)
+# Hand-built trees three levels deep, of every node kind: a Split with
+# p == 0 (its outer sum in Y itself), wraps of splits and of table forms,
+# and splits whose stages are splits, wraps and table forms.
+DEEP_TREES = (
+    Split(
+        p=8, w=5,
+        inner=Split(p=2, w=3, inner=PrimeWrap(Horner(2)), outer=PrimeWrap(Split(1, 1, Horner(2)))),
+        outer=PrimeWrap(
+            Split(p=1, w=2, inner=Horner(2), outer=TableForm("h2", 2, (Mul("z", "Y", "X", "X"),)))
+        ),
+    ),
+    PrimeWrap(PrimeWrap(Split(p=0, w=3, inner=Horner(1), outer=PrimeWrap(Split(1, 1, Horner(2)))))),
+    Split(p=4, w=2, inner=table_plans()[5][1], outer=Split(p=1, w=1, inner=PrimeWrap(Horner(1)))),
+    Split(p=0, w=6, inner=Horner(1), outer=Split(p=2, w=2, inner=table_plans()[3][0], outer=Horner(2))),
+    PrimeWrap(Split(p=5, w=2, inner=Split(p=1, w=3, inner=Horner(2), outer=PrimeWrap(Horner(2))),
+                    outer=Split(p=0, w=2, inner=Horner(1), outer=Horner(2)))),
+)
 
 
 def test_spliced_programs_equal_full_lowering():
-    plans = [plan_order(h) for h in range(2, 65)]
-    plans += [plan for row in table_plans().values() for plan in row]
-    plans += [series_toolkit._geometric_plan(order) for order in range(65, 201)]
+    plans = [plan for row in table_plans().values() for plan in row]
+    plans += [plan_order(h) for h in range(2, 65)]
+    plans += [series_toolkit._geometric_plan(order) for order in range(1, 201)]
+    plans += [series_toolkit._split_plan(p, w) for p in range(8) for w in range(1, 7)]
+    plans += DEEP_TREES
     for plan in plans:
-        again = FactorPlan(rebuilt(plan.root))
+        code, order, mmm = reference_lowering(plan)
         # instructions compare field by field, drops included
-        assert again.program.code == plan.program.code, plan.order_h
-        assert (again.order_h, again.mmm_poly) == (plan.order_h, plan.mmm_poly)
+        assert plan.program.code == code, series_toolkit.plan_str(plan)
+        assert (plan.order_h, plan.mmm_poly) == (order, mmm), series_toolkit.plan_str(plan)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Horner(0), ValueError, "Horner order must be >= 1"),
+        (lambda: Split(p=-1, w=2, inner=Horner(1), outer=Horner(2)), ValueError,
+         "Split requires p >= 0 and w >= 1"),
+        (lambda: Split(p=1, w=2, inner=Horner(3), outer=Horner(2)), ValueError,
+         r"Split inner order 3 != p \+ 1 = 2"),
+        (lambda: Split(p=1, w=2, inner=Horner(2), outer=Horner(3)), ValueError,
+         "Split outer order 3 != w = 2"),
+        (lambda: Split(p=1, w=2, inner=Horner(2)), ValueError,
+         "Split with w >= 2 needs an outer node"),
+        (lambda: Split(p=1, w=1, inner=2), TypeError, "not a plan node: 2"),
+        (lambda: Split(p=1, w=2, inner=Horner(2), outer=plan_order(2).program), TypeError,
+         "not a plan node"),
+        (lambda: PrimeWrap(Horner), TypeError, "not a plan node"),
+        (lambda: TableForm("late", 3, (Mul("t", "Y", "u"), Mul("u", "Y", "X"))), ValueError,
+         "table form 'late': Mul.* reads 'u' before it is written"),
+    ],
+    ids=["horner-0", "split-p", "inner-order", "outer-order", "no-outer", "inner-type",
+         "outer-type", "wrap-type", "table-read"],
+)
+def test_each_node_kind_checks_itself_when_built(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_a_table_form_may_write_a_register_again():
+    # each read takes the slot its name was last written to: Z = Y Z + X
+    # twice is Horner of order 3
+    form = TableForm("h3-again", 3, (Mul("z", "Y", "X", "X"), Mul("z", "Y", "z", "X")))
+    assert form.program.code == Horner(3).program.code
 
 
 def test_search_splices_its_children(monkeypatch):
@@ -273,7 +334,7 @@ def test_search_splices_its_children(monkeypatch):
         return horner(self, y, x, order)
 
     monkeypatch.setattr(series_toolkit._Builder, "horner", counting)
-    plan = FactorPlan(Split(p=3, w=5, inner=inner.root, outer=outer.root))
+    plan = Split(p=3, w=5, inner=inner, outer=outer)
     assert calls == []
     assert plan.mmm_poly == inner.mmm_poly + 1 + outer.mmm_poly
 
@@ -337,16 +398,17 @@ def test_step_orders_reject_non_integers():
 
 # Every cache keyed by an order, with integer arguments it accepts; each
 # named argument must be an integer.
+SERIES = series_toolkit._split_plan(1, 2).program
 ORDER_KEYED_CACHES = [
     (plan_order, (5,), ("h",)),
-    (newton_schulz.series_program, (1, 2), ("p", "w")),
-    (newton_schulz.double_start_program, (1, 2, 3), ("p", "w", "order")),
+    (series_toolkit._split_plan, (1, 2), ("p", "w")),
+    (series_toolkit._horner_plan, (4,), ("order",)),
+    (newton_schulz.double_start_program, (3, SERIES), ("order",)),
     (ns_program, (3,), ("order",)),
     (newton_schulz.composite_program, (1, (2, 3)), ("order_n",)),
     (double_program, (3,), ("order",)),
     (newton_schulz.additive_program, (2,), ("p",)),
-    (newton_schulz._additive_start_program, (1, 2), ("p", "w")),
-    (richardson.richardson_start_program, (1, 2, 3), ("p", "w", "order")),
+    (richardson.richardson_start_program, (3, SERIES), ("order",)),
     (richardson.richardson_program, (3, 1), ("order", "q")),
     (richardson.recursive_program, (3, True), ("order",)),
 ]
@@ -369,6 +431,31 @@ def test_a_cached_order_does_not_answer_an_equal_non_integer(build, args, labels
 
 def test_a_numpy_order_shares_the_plan_of_an_int():
     assert plan_order(np.int64(5)) is plan_order(5)
+
+
+@pytest.mark.parametrize("numpy_first", [True, False])
+def test_an_integer_has_one_cache_entry_whatever_its_type(numpy_first):
+    # the cached function gets int(k): one entry, and one result, per k,
+    # and a float or bool equal to k is still rejected
+    base = 40 if numpy_first else 50  # orders no other test caches
+    for offset, build, label in (
+        (0, double_program, "order"),
+        (1, newton_schulz.additive_program, "p"),
+        (2, plan_order, "h"),
+    ):
+        k = base + offset
+        first, second = (np.int64(k), k) if numpy_first else (k, np.int64(k))
+        assert build(first) is build(second)
+        for bad in (float(k), True):
+            with pytest.raises(ValueError, match=f"{label} must be an integer, got {bad!r}"):
+                build(bad)
+    h = base + 4
+    params = series_params(np.int64(h) if numpy_first else h)
+    assert series_params(np.int64(h)) is params is series_params(h)
+    assert all(type(v) is int for v in params)
+    assert series_params(np.int64(6)) == (1, 3) and all(
+        type(v) is int for v in series_params(np.int64(6))
+    )
 
 
 # ---------------------------------------------------------------------------
