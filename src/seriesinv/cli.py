@@ -118,6 +118,8 @@ def _cmd_run(args) -> int:
         q=args.q,
         rates=_items(args.rates, "--rates", int),
     )
+    if args.steps < 0:
+        raise ValueError("steps must be >= 0")
     a = load_matrix(args.matrix)
     b = theta_star = np.zeros(a.shape[0])
     if args.command == "solve":

@@ -26,7 +26,7 @@ Buffer rule: a kernel overwrites only arrays it has just allocated itself,
 such as the result of a counted product (``I - X A`` is formed in place in
 the product's buffer by :func:`residual_of`, a Horner ``+ X`` is added into
 the product it follows).  Inputs and the arrays held by an iteration state
-are never written, so concurrent branches can share them read-only, and
+are never written, so concurrent runs can share them read-only, and
 every array a step computes for the state it returns is freshly allocated.
 The rule holds for stacks alike: a stacked product is one fresh array.  The
 one shared array is the read-only n x n identity of
@@ -57,7 +57,6 @@ __all__ = [
     "mat_mul",
     "mat_vec",
     "residual_of",
-    "run_branches",
     "save_matrix",
     "save_vector",
     "spectral_radius",
@@ -154,35 +153,15 @@ def identity_constant(dim: int) -> np.ndarray:
 class MulCounter:
     """Running tally of matrix-matrix (mmm) and matrix-vector (mvm) products.
 
-    Counters are per-experiment; parallel branches use private counters that
-    are merged back by summation, so totals are independent of scheduling.
+    Counters are per-experiment: every product of one method run adds to
+    that run's counter, whichever thread runs it.
     """
 
     mmm: int = 0
     mvm: int = 0
 
-    def merge(self, other: "MulCounter") -> None:
-        """Fold another counter into this one (summation merge)."""
-        self.mmm += other.mmm
-        self.mvm += other.mvm
-
     def copy(self) -> "MulCounter":
         return MulCounter(self.mmm, self.mvm)
-
-
-def run_branches(ctr: MulCounter, executor, *branches) -> list:
-    """``branch(counter)`` for each branch, results in branch order.  Serial
-    on ``ctr`` without ``executor``; with one, concurrent on private
-    counters merged into ``ctr`` in branch order.  Branches that share only
-    read-only state give bitwise-identical results either way."""
-    if executor is None:
-        return [branch(ctr) for branch in branches]
-    counters = [MulCounter() for _ in branches]
-    futures = [executor.submit(branch, c) for branch, c in zip(branches, counters)]
-    results = [f.result() for f in futures]
-    for c in counters:
-        ctr.merge(c)
-    return results
 
 
 # The largest n whose 2-D products run through ``ndarray.dot``.  ``dot``

@@ -25,8 +25,7 @@ instructions over named input slots, built once per order, rates or plan
 by calling the plan programs the step sums with (the initial series'
 split plan, ``plan_order(n)`` for ``ns_step(plan=)``, each composite rate's
 ``geometric_apply`` plan).  A program states its counted products and its
-critical path; the two-loop step's program is two independent branches and
-a join, which an executor may run side by side.
+critical path, and runs as one compiled function.
 """
 
 from __future__ import annotations
@@ -197,18 +196,15 @@ def composite_program(order_n: int, rates: tuple[int, ...]) -> Program:
 
 @int_keyed_cache("order")
 def double_program(order: int) -> Program:
-    """Inputs (L, G, F); outputs (G_k, F_k, L_k, R_k).  Two independent
-    branches and a join: the accelerator branch forms Gamma = I - L A,
-    L_k = S_n(Gamma) L and R_k = I - L_k A; the main branch forms
-    P = S_n(F) G; the join forms G_k = L_k + R_k P and F_k = I - G_k A."""
+    """Inputs (L, G, F); outputs (G_k, F_k, L_k, R_k).  The accelerator
+    forms Gamma = I - L A, L_k = S_n(Gamma) L and R_k = I - L_k A; the
+    main sum, which does not depend on it, forms P = S_n(F) G; then
+    G_k = L_k + R_k P and F_k = I - G_k A."""
     bld = _Builder("L", "G", "F")
-    bld.cut()
     gamma = bld.emit(Residual, 0)
     lead = bld.horner(gamma, 0, order)
     accel_res = bld.emit(Residual, lead)
-    bld.cut()
     ns_part = bld.horner(2, 1, order)
-    bld.cut()
     g = bld.emit(Mul, accel_res, ns_part, lead)
     name = f"program double:n{order} step"
     return bld.build(name, G=g, F=bld.emit(Residual, g), L=lead, R=accel_res)
@@ -330,12 +326,11 @@ def initial_double(split: Splitting, p: int, w: int, order: int = 2) -> DoubleNs
 def double_ns_step(st: DoubleNsState, a: np.ndarray, executor=None) -> DoubleNsState:
     """One step of the two-loop iteration.
 
-    The accelerator branch advances L and its residual power; the main
-    branch forms the geometric sum of the old residual applied to the old
-    estimate (:func:`double_program`).  The branches share only read-only
-    state, so ``executor`` (any concurrent.futures executor) may run them
-    simultaneously; results are merged in a fixed order and are bitwise
-    identical to the serial path.  Residual law: F_k = (I - L_k A)
+    The accelerator advances L and its residual power; the main sum is
+    the geometric sum of the old residual applied to the old estimate
+    (:func:`double_program`).  ``executor`` (any concurrent.futures
+    executor) runs the step's program as one task, bitwise as the serial
+    path does (see :func:`run_program`).  Residual law: F_k = (I - L_k A)
     F_(k-1)^n.
     """
     n = st.order

@@ -109,10 +109,10 @@ def recursive_program(order: int, first: bool) -> Program:
     theta, b), from which it builds P = S_n(F) G and Omega = L + R P first.
     Outputs (G_k, F_k, L_k, R_k, Omega_k, P_k, theta_k).
 
-    After the shared S = I + R + ... + R^(n-1), two independent branches:
+    After the shared S = I + R + ... + R^(n-1), two independent parts:
     G_k = S (Omega - P) + P, F_k = I - G_k A and P_k = S_n(F_k) G_k; and
-    L_k = S L, R_k = I - L_k A.  The join forms Omega_k = L_k + R_k P_k and
-    the theta update."""
+    L_k = S L, R_k = I - L_k A.  Then Omega_k = L_k + R_k P_k and the theta
+    update."""
     if first:
         bld = _Builder("L", "R", "G", "F", "theta", "b")
         ns_prev = bld.horner(3, 2, order)
@@ -123,14 +123,11 @@ def recursive_program(order: int, first: bool) -> Program:
         return bld.build(name, **dict(zip(later.output_names, outs)))
     bld = _Builder("L", "R", "Omega", "P", "theta", "b")
     s_gamma = bld.power_sum(1, order)
-    bld.cut()
     g = bld.emit(Mul, s_gamma, bld.emit(Sub, 2, 3), 3)
     f = bld.emit(Residual, g)
     ns_new = bld.horner(f, g, order)
-    bld.cut()
     lead = bld.emit(Mul, s_gamma, 0)
     accel_res = bld.emit(Residual, lead)
-    bld.cut()
     omega = bld.emit(Mul, accel_res, ns_new, lead)
     theta = _theta_update(bld, omega, 4, 5)
     name = f"program richardson-recursive:n{order} step"
@@ -212,9 +209,9 @@ def richardson_recursive_step(
         G_k = S (omega_prev - P_prev) + P_prev,
         S = I + R + ... + R^(n-1),  R = previous (I - L A),
 
-    and otherwise mirrors the direct form.  After the shared S, the two
-    halves (G_k with its sums, and the L update) are independent;
-    ``executor`` runs them concurrently with bitwise-identical results.
+    and otherwise mirrors the direct form.  ``executor`` (any
+    concurrent.futures executor) runs the step's program as one task,
+    bitwise as the serial path does (see :func:`run_program`).
     The first call after initialization also has to build the carried
     weight, which is why the per-step saving starts at the second step.
     """

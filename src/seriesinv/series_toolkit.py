@@ -56,7 +56,6 @@ from .matrix_core import (
     identity_constant,
     int_keyed_cache,
     residual_of,
-    run_branches,
 )
 
 __all__ = [
@@ -343,17 +342,13 @@ class Program:
     ``inputs`` names the input slots, in order; ``code`` runs over them and
     over A, the matrix the executor is given beside them; ``outputs`` are
     the slots the function returns, and ``output_names`` their names, in
-    the same order (a plan's one output is ``Z``).  ``cuts`` is empty, or
-    the three indices where the code's two independent branches and their
-    join start: the code before the first branch is a shared prelude.  ``mmm``
-    and ``mvm`` are the counted matrix-matrix and matrix-vector products
-    one run adds (see :func:`_counts`).  ``name`` is what a traceback
-    through its compiled code shows (``program double:n3 step``, ``plan
-    table(h5b)``).  Built by :class:`_Builder`; run by :func:`run_program`,
-    which compiles the code (:func:`_compile_program`) on the first run and
-    keeps the function here: ``_run`` for a serial run, ``_parts`` for a
-    run of the branches on an executor.  A program compares and hashes by
-    identity.
+    the same order (a plan's one output is ``Z``).  ``mmm`` and ``mvm`` are
+    the counted matrix-matrix and matrix-vector products one run adds (see
+    :func:`_counts`).  ``name`` is what a traceback through its compiled
+    code shows (``program double:n3 step``, ``plan table(h5b)``).  Built by
+    :class:`_Builder`; run by :func:`run_program`, which compiles the code
+    (:func:`_compile_program`) on the first run and keeps the function
+    here, as ``_run``.  A program compares and hashes by identity.
     """
 
     name: str
@@ -361,11 +356,9 @@ class Program:
     code: tuple[Instr, ...]
     outputs: tuple[int, ...]
     output_names: tuple[str, ...]
-    cuts: tuple[int, ...]
     mmm: int
     mvm: int
     _run: Callable | None = field(default=None, init=False, repr=False)
-    _parts: tuple[Callable, ...] | None = field(default=None, init=False, repr=False)
 
     @property
     def depth(self) -> int:
@@ -392,27 +385,19 @@ class _Builder:
     def __init__(self, *inputs: str):
         self.inputs = inputs
         self.code: list[Instr] = []
-        self.cuts: list[int] = []
 
     def emit(self, instr, *args) -> int:
         dst = len(self.inputs) + len(self.code)
         self.code.append(instr(dst, *args))
         return dst
 
-    def cut(self) -> None:
-        """Mark where the next branch, or the join after the second
-        branch, starts; a program has no cuts or three."""
-        self.cuts.append(len(self.code))
-
     def call(self, program: Program, *slots: int, mat=None) -> list[int]:
         """Append ``program`` with input i read from ``slots[i]`` and a
-        ``mat`` of None bound to ``mat``, its branches included; returns
-        the slots of its outputs."""
-        start = len(self.code)
-        base = len(self.inputs) + start
+        ``mat`` of None bound to ``mat``; returns the slots of its
+        outputs."""
+        base = len(self.inputs) + len(self.code)
         rename = [*slots, *range(base, base + len(program.code))].__getitem__
         self.code += [ins.renamed(rename, mat) for ins in program.code]
-        self.cuts += [start + cut for cut in program.cuts]
         return [rename(out) for out in program.outputs]
 
     def horner(self, y: int, x: int, order: int) -> int:
@@ -448,7 +433,7 @@ class _Builder:
             object.__setattr__(ins, "drop", tuple(d))
         code = tuple(self.code)
         mmm, mvm = _counts(code)
-        return Program(name, self.inputs, code, slots, tuple(outputs), tuple(self.cuts), mmm, mvm)
+        return Program(name, self.inputs, code, slots, tuple(outputs), mmm, mvm)
 
 
 def plan_str(plan: FactorPlan) -> str:
@@ -583,10 +568,10 @@ def _statements(ins: Instr) -> list[str]:
     return lines
 
 
-def _compile(name: str, params: str, code, head=(), tail=()) -> Callable:
+def _compile(name: str, params: str, code, tail=()) -> Callable:
     """The one executor: ``code`` compiled to ``run(<params>, a, ctr)``,
-    the lines of ``head``, one statement per instruction (two for a
-    product with an addend or a ``Residual``), the count, then ``tail``.
+    one statement per instruction (two for a product with an addend or a
+    ``Residual``), the count, then ``tail``.
 
     Every program runs this way: each plan's through :func:`_run_plan`
     (for :func:`nested_eval`, :func:`factored_eval`, :func:`geometric_apply`
@@ -614,7 +599,7 @@ def _compile(name: str, params: str, code, head=(), tail=()) -> Callable:
     compile an equal function.
     """
     products, vectors = _counts(code)
-    body = list(head)
+    body = []
     if products:
         body.append(f"mul = dot if a.ndim == 2 and 1 < a.shape[1] <= {DOT_MAX_DIM} else matmul")
     if any(ins.op == _RESIDUAL or ins.op == _LIN for ins in code):
@@ -659,31 +644,6 @@ def _compile_program(program: Program) -> Callable:
     return run
 
 
-def _compile_parts(program: Program) -> tuple[Callable, ...]:
-    """The prelude, the two branches and the join of a program with cuts,
-    each ``run(regs, a, ctr)`` over one register list: a part reads the
-    registers it needs from the list and stores there those it writes
-    that a later part reads; the join returns the outputs.  Kept on the
-    program."""
-    code, inputs, outputs = program.code, len(program.inputs), program.outputs
-    bounds = (0, *program.cuts, len(code))
-    parts = []
-    for i, role in enumerate(("prelude", "branch 1", "branch 2", "join")):
-        lo, hi = bounds[i], bounds[i + 1]
-        part = code[lo:hi]
-        reads = {reg for ins in part for reg in ins.reads()}
-        if hi == len(code):
-            reads.update(outputs)
-            tail = [_returns(outputs, inputs)]
-        else:
-            later = {reg for ins in code[hi:] for reg in ins.reads()}.union(outputs)
-            tail = [f"regs[{ins.dst}] = r{ins.dst}" for ins in part if ins.dst in later]
-        head = [f"r{reg} = regs[{reg}]" for reg in sorted(reads) if reg < inputs + lo]
-        parts.append(_compile(f"{program.name}, {role}", "regs", part, head, tail))
-    object.__setattr__(program, "_parts", tuple(parts))
-    return program._parts
-
-
 def run_program(
     program: Program, inputs: list, a: np.ndarray, ctr: MulCounter, executor=None
 ) -> Sequence[np.ndarray]:
@@ -693,21 +653,16 @@ def run_program(
     output already returned, is copied).  The code is compiled on the
     program's first run (see :func:`_compile`) and the function kept.
 
-    Serially the whole code runs as one function.  With ``executor`` (any
-    concurrent.futures executor) a program with cuts runs as four compiled
-    parts over one register list: the prelude, then its two branches
-    through :func:`run_branches`, each on its own counter, merged in
-    branch order, then the join.  The branches read only registers
-    neither of them writes, and each stores only its own, so the results
-    are bitwise those of the serial run and the counts the same.
+    Every program runs as that one function.  ``executor`` (any
+    concurrent.futures executor) runs it as one task and waits for it, so
+    the results are bitwise the serial run's and ``ctr`` moves the same;
+    ``bench/layers.py``'s step probes check that path against the serial
+    one.
     """
-    if executor is None or not program.cuts:
-        return (program._run or _compile_program(program))(*inputs, a, ctr)
-    prelude, left, right, join = program._parts or _compile_parts(program)
-    regs = list(inputs) + [None] * len(program.code)
-    prelude(regs, a, ctr)
-    run_branches(ctr, executor, lambda c: left(regs, a, c), lambda c: right(regs, a, c))
-    return join(regs, a, ctr)
+    run = program._run or _compile_program(program)
+    if executor is None:
+        return run(*inputs, a, ctr)
+    return executor.submit(run, *inputs, a, ctr).result()
 
 
 def _run_plan(plan: FactorPlan, y, x, a, ctr) -> np.ndarray:
@@ -763,7 +718,7 @@ def geometric_apply(
     return _run_plan(_geometric_plan(order), y, x, a, ctr)
 
 
-@cache
+@int_keyed_cache("order")
 def _geometric_plan(order: int) -> FactorPlan:
     """The plan :func:`geometric_apply` runs: the searched plan up to
     ``MAX_PLAN_ORDER`` (order 1 is ``Horner(1)``, the empty program); above

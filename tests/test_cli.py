@@ -436,6 +436,7 @@ class TestMethodValidation:
         (["--method", "sri", "--order", "1"], "requires order >= 2"),
         (["--method", "ns", "--order", "0"], "requires order >= 1"),
         (["--method", "double", "--h", "0"], "h must be >= 1"),
+        (["--method", "ns", "--steps", "-1"], "steps must be >= 0"),
     ])
     def test_order_and_h_checked_before_any_matrix_work(
         self, monkeypatch, capsys, extra, message

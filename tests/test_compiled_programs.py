@@ -3,9 +3,9 @@
 Each plan and each start or step program is compiled on its first run to
 one Python function, kept on its program, and that function is the
 executor.  ``corpus.reference_execute`` is the interpreter it replaced: the
-compiled code must match it bit for bit and count for count, on the serial
-path and on the executor path, and compile each program once and only when
-it first runs.
+compiled code must match it bit for bit and count for count, run directly
+and as one task on a concurrent.futures executor, and compile each program
+once and only when it first runs.
 """
 
 import linecache
@@ -117,8 +117,8 @@ def test_compiled_plans_equal_the_reference_bitwise(kind):
 
 @pytest.mark.parametrize("kind", OPERANDS)
 def test_compiled_programs_equal_the_reference_bitwise(kind, pool):
-    # every start and step program the benchmark's methods run, serially
-    # and with its branches on an executor; a stack takes no vector input
+    # every start and step program the benchmark's methods run, directly
+    # and as one executor task; a stack takes no vector input
     rng = np.random.default_rng(len(kind))
     make = operand_maker(kind, rng)
     a = make("A")
@@ -167,24 +167,17 @@ def test_a_program_compiles_once_on_its_first_run(monkeypatch, pool):
     assert same_bits(first, again)
 
     bld = _Builder("L", "G", "F")
-    bld.cut()
     lead = bld.emit(Residual, 0)
-    bld.cut()
     main = bld.emit(Mul, 2, 1, 1)
-    bld.cut()
-    program = bld.build("program test two branches", G=bld.emit(Mul, lead, main))
+    program = bld.build("program test two sums", G=bld.emit(Mul, lead, main))
     inputs = [x, y, a]
     compiled.clear()
     serial = run_program(program, inputs, a, MulCounter())
-    assert compiled == ["program test two branches"]
+    assert compiled == ["program test two sums"]
     run_program(program, inputs, a, MulCounter())
-    assert len(compiled) == 1
+    # an executor runs the same compiled function as one task
     threaded = run_program(program, inputs, a, MulCounter(), pool)
-    assert compiled[1:] == [
-        f"program test two branches, {part}" for part in ("prelude", "branch 1", "branch 2", "join")
-    ]
-    run_program(program, inputs, a, MulCounter(), pool)
-    assert len(compiled) == 5
+    assert len(compiled) == 1
     assert same_bits(serial[0], threaded[0])
 
 

@@ -479,15 +479,13 @@ class TestCsv:
         from concurrent.futures import ThreadPoolExecutor
 
         a, b, theta = fixture
-        methods = [
-            MethodSpec(kind="ns", order=3),
-            MethodSpec(kind="double", order=2),
-            MethodSpec(kind="richardson", order=2),
-        ]
+        # the benchmark's specs at orders 2 and 3, every kind among them
+        methods = [m for m in BENCH_SPECS if m.order in (2, 3)]
+        assert {m.kind for m in methods} == set(harness.METHODS)
         # a constant clock keeps wall_ns out of the comparison; everything
         # else must merge deterministically regardless of scheduling
         serial = records_to_csv(run_comparison(a, b, theta, methods, 3, timer=lambda: 0))
-        with ThreadPoolExecutor(max_workers=3) as pool:
+        with ThreadPoolExecutor(max_workers=2) as pool:
             threaded = records_to_csv(
                 run_comparison(a, b, theta, methods, 3, timer=lambda: 0, executor=pool)
             )

@@ -19,7 +19,6 @@ from seriesinv import (
     square_matrix,
     vector,
 )
-from seriesinv.matrix_core import run_branches
 
 
 def mat_mul_naive(a, b):
@@ -141,11 +140,6 @@ class TestMatMul:
         for a, b in ((x, x.T), (x.T, x), (row, m[:n, :n]), (m[:n, :n], row.T)):
             got, want = mat_mul(a, b, MulCounter()), a @ b
             assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(a) @ np.abs(b)))
-
-    def test_counter_merge(self):
-        c1, c2 = MulCounter(2, 1), MulCounter(3, 4)
-        c1.merge(c2)
-        assert (c1.mmm, c1.mvm) == (5, 5)
 
 
 class TestMatPow:
@@ -508,30 +502,3 @@ class TestFileBytes:
         assert path.read_bytes() == b"# a\n# \n# b\n2\n2.5 -0\n0.10000000000000001 3\n"
         save_vector(path, [0.1, -0.0])
         assert path.read_bytes() == b"2\n0.10000000000000001\n-0\n"
-
-
-class TestRunBranches:
-    @staticmethod
-    def branches():
-        def first(ctr):
-            ctr.mmm += 2
-            return "first"
-
-        def second(ctr):
-            ctr.mvm += 1
-            return "second"
-
-        return first, second
-
-    def test_serial_runs_on_the_shared_counter(self):
-        ctr = MulCounter(1, 1)
-        assert run_branches(ctr, None, *self.branches()) == ["first", "second"]
-        assert (ctr.mmm, ctr.mvm) == (3, 2)
-
-    def test_executor_merges_private_counters(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        ctr = MulCounter(1, 1)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            assert run_branches(ctr, pool, *self.branches()) == ["first", "second"]
-        assert (ctr.mmm, ctr.mvm) == (3, 2)

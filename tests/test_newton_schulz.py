@@ -3,7 +3,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from corpus import assert_power_law, diagonal_split, mat_pow, random_spd, sdd_system
+from corpus import (
+    BENCH_SPECS,
+    assert_power_law,
+    diagonal_split,
+    mat_pow,
+    random_spd,
+    same_bits,
+    sdd_system,
+)
 from seriesinv import (
     CompositeSpec,
     HarmonicRegressorSpec,
@@ -250,17 +258,22 @@ class TestDoubleStep:
         assert fro_norm(st.residual) <= 1e-15
 
     def test_serial_and_threaded_runs_are_bitwise_equal(self, rng):
+        # the benchmark's double specs: with an executor each step runs as
+        # one task, with the serial step's bits and counter moves
         a, sp = diag_system(5, 0.95, rng)
-        serial = initial_double(sp, 1, 2, order=3)
-        threaded = initial_double(sp, 1, 2, order=3)
+        specs = [m for m in BENCH_SPECS if m.kind == "double"]
+        assert sorted(m.order for m in specs) == [2, 3]
         with ThreadPoolExecutor(max_workers=2) as pool:
-            for _ in range(3):
-                serial = double_ns_step(serial, a)
-                threaded = double_ns_step(threaded, a, executor=pool)
-        assert np.array_equal(serial.estimate, threaded.estimate)
-        assert np.array_equal(serial.residual, threaded.residual)
-        assert np.array_equal(serial.accel_estimate, threaded.accel_estimate)
-        assert serial.ctr.mmm == threaded.ctr.mmm
+            for m in specs:
+                serial = initial_double(sp, *series_params(m.h), order=m.order)
+                threaded = initial_double(sp, *series_params(m.h), order=m.order)
+                for _ in range(3):
+                    serial = double_ns_step(serial, a)
+                    threaded = double_ns_step(threaded, a, executor=pool)
+                    for name in ("estimate", "residual", "accel_estimate", "accel_residual"):
+                        got, want = getattr(threaded, name), getattr(serial, name)
+                        assert same_bits(got, want), (m.name(), name)
+                    assert threaded.ctr == serial.ctr, m.name()
 
 
 class TestAdditiveStep:

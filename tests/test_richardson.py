@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from corpus import (
+    BENCH_SPECS,
     contractive_scalar_system,
     diagonal_split,
     mat_pow,
     power_sum,
+    same_bits,
     sdd_system,
     step_exponent_qn,
 )
@@ -22,6 +24,7 @@ from seriesinv import (
     step_exponent_general,
 )
 from seriesinv import richardson
+from seriesinv.harness import series_params
 from seriesinv.series_toolkit import horner_eval
 from seriesinv.matrix_core import MulCounter
 
@@ -249,16 +252,32 @@ class TestRecursiveStep:
         assert fro_norm(st.omega - np.eye(3)) <= 1e-12
 
     def test_serial_and_threaded_runs_are_bitwise_equal(self, rng):
+        # the benchmark's recursive specs, over the first step and two later
+        # ones: with an executor each step runs as one task, with the serial
+        # step's bits and counter moves
         a, sp, theta_star, b = scalar_setup(5, 0.99, rng)
-        serial = initial_richardson(sp, b, 1, 2, order=2, q=2)
-        threaded = initial_richardson(sp, b, 1, 2, order=2, q=2)
+        specs = [m for m in BENCH_SPECS if m.kind == "richardson-recursive"]
+        assert sorted({m.order for m in specs}) == [2, 3]
         with ThreadPoolExecutor(max_workers=2) as pool:
-            for _ in range(3):
-                serial = richardson_recursive_step(serial, a, b)
-                threaded = richardson_recursive_step(threaded, a, b, executor=pool)
-        assert np.array_equal(serial.theta, threaded.theta)
-        assert np.array_equal(serial.omega, threaded.omega)
-        assert serial.ctr.mmm == threaded.ctr.mmm
+            for m in specs:
+                p, w = series_params(m.h)
+                serial = initial_richardson(sp, b, p, w, order=m.order, q=m.q)
+                threaded = initial_richardson(sp, b, p, w, order=m.order, q=m.q)
+                for _ in range(3):
+                    serial = richardson_recursive_step(serial, a, b)
+                    threaded = richardson_recursive_step(threaded, a, b, executor=pool)
+                    for got, want, names in (
+                        (threaded, serial, ("theta", "omega", "ns_part")),
+                        (
+                            threaded.inner,
+                            serial.inner,
+                            ("estimate", "residual", "accel_estimate", "accel_residual"),
+                        ),
+                    ):
+                        for name in names:
+                            same = same_bits(getattr(got, name), getattr(want, name))
+                            assert same, (m.name(), name)
+                    assert threaded.ctr == serial.ctr, m.name()
 
 
 class TestAgainstClassicalEstimator:

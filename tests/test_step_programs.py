@@ -3,9 +3,9 @@
 Every start and step function runs one cached program through the one
 executor.  These tests pin the programs' static counts and critical paths
 against a real run's counter and against counts written from each step's
-definition (``corpus.step_counts``), the two-branch structure the executor
-path relies on, the splicing of plan programs, the integer checks at the
-start functions, and every kind's result on exact polynomial operands.
+definition (``corpus.step_counts``), the splicing of plan programs, the
+integer checks at the start functions, and every kind's result on exact
+polynomial operands.
 """
 
 import operator
@@ -216,7 +216,7 @@ def test_a_start_program_is_cached_by_its_series_plan():
 
 def test_double_n3_is_eight_products_on_a_path_of_six():
     # the abstract's "parallelizable": of a double:n3 step's 8 products, at
-    # most 6 depend on each other; the branches run side by side
+    # most 6 depend on each other; the two sums are independent
     program = double_program(3)
     assert (program.mmm, program.mvm, program.depth) == (8, 0, 6)
     for n in range(1, 7):
@@ -227,27 +227,11 @@ def test_double_n3_is_eight_products_on_a_path_of_six():
         )
 
 
-@pytest.mark.parametrize("m", BENCH_SPECS, ids=lambda m: m.name())
-def test_branches_share_only_what_they_read(m):
-    # a program with cuts: neither branch reads a slot the other writes, so
-    # the executor path may run them side by side on copies of the registers
-    for program in method_programs(m):
-        if not program.cuts:
-            continue
-        first, second, join = program.cuts
-        assert 0 <= first <= second <= join <= len(program.code)
-        left, right = program.code[first:second], program.code[second:join]
-        written = [{ins.dst for ins in part} for part in (left, right)]
-        assert not {r for ins in right for r in ins.reads()} & written[0]
-        assert not {r for ins in left for r in ins.reads()} & written[1]
-
-
 def test_program_outputs_and_inputs_are_named():
     for m in BENCH_SPECS:
         for program in method_programs(m):
             assert len(set(program.inputs)) == len(program.inputs)
             assert all(out < len(program.inputs) + len(program.code) for out in program.outputs)
-            assert program.cuts == () or len(program.cuts) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +387,7 @@ ORDER_KEYED_CACHES = [
     (plan_order, (5,), ("h",)),
     (series_toolkit._split_plan, (1, 2), ("p", "w")),
     (series_toolkit._horner_plan, (4,), ("order",)),
+    (series_toolkit._geometric_plan, (70,), ("order",)),
     (newton_schulz.double_start_program, (3, SERIES), ("order",)),
     (ns_program, (3,), ("order",)),
     (newton_schulz.composite_program, (1, (2, 3)), ("order_n",)),
@@ -442,6 +427,8 @@ def test_an_integer_has_one_cache_entry_whatever_its_type(numpy_first):
         (0, double_program, "order"),
         (1, newton_schulz.additive_program, "p"),
         (2, plan_order, "h"),
+        # above order 64, where the plan is built per order, not searched
+        (200, series_toolkit._geometric_plan, "order"),
     ):
         k = base + offset
         first, second = (np.int64(k), k) if numpy_first else (k, np.int64(k))
