@@ -13,11 +13,11 @@ start, first-step and later-step programs, and the one run loop
 
 from __future__ import annotations
 
-import operator
 import time
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache
 from math import cos, inf, isfinite, pi, sin
 
 import numpy as np
@@ -123,9 +123,11 @@ def gen_harmonic_matrix(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build (A, b, theta_star) with A = sum(phi phi^T), b = A theta_star.
 
-    Raises if frequencies repeat or alias (the matrix would be singular) or
-    if the dimensions are inconsistent.
+    Raises if frequencies repeat or alias (the matrix would be singular),
+    if ``num_samples`` is not an integer or if the dimensions are
+    inconsistent.
     """
+    check_int("num_samples", spec.num_samples)
     freqs = spec.frequencies
     if not freqs:
         raise ValueError("need at least one frequency")
@@ -447,17 +449,19 @@ def run_comparison(
     timer=None,
     executor=None,
 ) -> list[RunRecord]:
-    """Run every method for ``steps`` steps on the same scalar splitting,
-    and every step on its symmetrized A.  ``b`` and ``theta_star`` must
-    have A's dimension; a length that does not is rejected before any
-    matrix work.  With ``theta_star=None`` the reference is a dense solve
-    of ``A theta = b``, run only once the splitting has accepted A.
+    """Run every method for ``steps`` steps (an integer >= 0) on the same
+    scalar splitting, and every step on its symmetrized A.  ``b`` and
+    ``theta_star`` must have A's dimension; a length that does not is
+    rejected before any matrix work.  With ``theta_star=None`` the
+    reference is a dense solve of ``A theta = b``, run only once the
+    splitting has accepted A.
 
     ``timer`` (default ``time.perf_counter_ns``) is injectable so runs can
     be made byte-deterministic.  Methods are independent; with ``executor``
     they run concurrently and the merged records are identical to a serial
     run (sorted by method name, then step).
     """
+    check_int("steps", steps)
     b = vector(b)
     if theta_star is not None:
         theta_star = vector(theta_star)
@@ -559,6 +563,7 @@ def emit_exponent_surface(
         raise ValueError("kind must be 'fig2' or 'fig3'")
     if not n_range or not k_range:
         raise ValueError("exponent surfaces need at least one n and one k")
+    check_int("h", h)
     if h < 1:
         raise ValueError("h must be >= 1")
     if not (isfinite(rho) and rho >= 0.0):
@@ -613,61 +618,37 @@ CHECK_REL_TOL = 1e-9
 class _CheckLayout:
     """What :func:`toolkit_check` derives from the plan set alone.
 
-    ``shape`` (each catalogue order with its row count, as the catalogue
-    lists them) and ``plans`` (every checked plan, catalogue first) are the
-    key; holding the plans keeps their ids theirs.  ``runs`` has one plan
-    per distinct (order, code), in order of h, and ``run_orders`` their
-    orders; each report line has its fixed ``heads`` part and the run it
-    reads, ``row_of``.
+    ``runs`` has one plan per distinct (order, code), in order of h, and
+    ``run_orders`` their orders; each report line has its fixed ``heads``
+    part and the run it reads, ``row_of``.
     """
 
-    shape: tuple[tuple[int, int], ...]
-    plans: tuple
     runs: tuple
     run_orders: list[int]
     heads: tuple[str, ...]
     row_of: tuple[int, ...]
 
 
-_layout: _CheckLayout | None = None
-
-
+@cache
 def _check_layout() -> _CheckLayout:
     """The layout of the plans :func:`table_plans` and :func:`plan_order`
-    return now, built once and kept while they return the same objects.
-
-    The key is compared by identity: hashing or comparing the plans by
-    value would walk every instruction of every program, the work the memo
-    saves.
-    """
-    global _layout
+    return, built once per process: both return the same objects for the
+    life of the process.  Threads that race on the first call each build
+    an equal layout."""
     catalogue = table_plans()
-    shape = tuple((order, len(row)) for order, row in catalogue.items())
-    searched = tuple(map(plan_order, range(2, CHECK_MAX_ORDER + 1)))
-    plans = (*(plan for row in catalogue.values() for plan in row), *searched)
-    memo = _layout
-    if (
-        memo is not None
-        and memo.shape == shape
-        and len(memo.plans) == len(plans)
-        and all(map(operator.is_, memo.plans, plans))
-    ):
-        return memo
     named = [
         (f"table:{label}", plan)
         for order in sorted(catalogue)
         for label, plan in zip(TABLE_LABELS[order], catalogue[order])
     ]
-    named += [(f"plan:{h}", plan) for h, plan in enumerate(searched, 2)]
+    named += [(f"plan:{h}", plan_order(h)) for h in range(2, CHECK_MAX_ORDER + 1)]
     # One run per distinct (order, code), in order of h; the code, not the
     # Program, which compares by identity.
     runs: dict = {}
     row_of = {}
     for name, plan in sorted(named, key=lambda item: item[1].order_h):
         row_of[name] = runs.setdefault((plan.order_h, plan.program.code), (len(runs), plan))[0]
-    layout = _CheckLayout(
-        shape=shape,
-        plans=plans,
+    return _CheckLayout(
         runs=tuple(plan for _, plan in runs.values()),
         run_orders=[plan.order_h for _, plan in runs.values()],
         heads=tuple(
@@ -675,9 +656,6 @@ def _check_layout() -> _CheckLayout:
         ),
         row_of=tuple(row_of[name] for name, _ in named),
     )
-    # Threads that race here each build an equal layout; each returns its own.
-    _layout = layout
-    return layout
 
 
 def toolkit_check(instances: int = 50, dim: int = 5, seed: int = 0) -> tuple[bool, list[str]]:
@@ -694,10 +672,13 @@ def toolkit_check(instances: int = 50, dim: int = 5, seed: int = 0) -> tuple[boo
     lower to the same code at the same order share one run, which must
     move the counter by its ``mmm_poly`` per instance; each plan still
     reports its own line and its ``mmm_cost``.  Which plans share a run,
-    and each line's fixed part, are built once per process (see
-    :func:`_check_layout`).  ``instances`` and ``dim`` must be at least
-    1 and ``seed`` at least 0.  Returns (all_ok, report_lines).
+    and each line's fixed part, are worked out on the first check and kept
+    for the process (see :func:`_check_layout`).  ``instances``, ``dim``
+    and ``seed`` must be integers, ``instances`` and ``dim`` at least 1 and
+    ``seed`` at least 0.  Returns (all_ok, report_lines).
     """
+    for label, value in (("instances", instances), ("dim", dim), ("seed", seed)):
+        check_int(label, value)
     if instances < 1:
         raise ValueError("instances must be >= 1")
     if dim < 1:

@@ -28,8 +28,8 @@ orders.  This module provides:
 * :class:`Program` and :func:`run_program` - the one lowered program
   type, and its one executor: a plan's program, and each start and step
   function of the iteration family, which calls the plan programs it sums
-  with; each is compiled by :func:`_compile_program`, on its first run, to
-  one straight-line Python function (see :func:`_compile`).
+  with; each is compiled by :func:`_compile`, on its first run, to one
+  straight-line Python function.
 
 Two counting conventions appear throughout and are kept explicit: the
 "full" count includes the product forming ``Y = I - X A``; the "poly" count
@@ -96,32 +96,37 @@ class FactorPlan:
 
     A node checks its fields and builds its program when it is
     constructed (``ValueError``, and ``TypeError`` for a child that is not
-    a plan); a node that holds another calls the child's program.  The
-    derived fields take no part in the constructor, comparison or repr.
+    a plan); a node that holds another calls the child's program.  The two
+    derived fields take no part in the constructor, comparison or repr:
     ``program``, a :class:`Program` with inputs ``("Y", "X")`` and one
     output ``Z``, is what every evaluation runs, and ``order_h`` is the
-    node's order.  ``mmm_poly`` is the program's ``mmm``, the count with Y
-    supplied; ``mmm_cost`` is one more, the full-step count with the
-    product forming Y.  ``efficiency_index`` is ``order_h ** (1 /
-    mmm_cost)``.  Building a plan compiles nothing; the program is
-    compiled on its first run.
+    node's order.  The counts are read from the program: ``mmm_poly`` is
+    its ``mmm``, the count with Y supplied; ``mmm_cost`` is one more, the
+    full-step count with the product forming Y.  ``efficiency_index`` is
+    ``order_h ** (1 / mmm_cost)``.  Building a plan compiles nothing; the
+    program is compiled on its first run.
     """
 
     order_h: int = field(init=False, repr=False, compare=False)
     program: Program = field(init=False, repr=False, compare=False)
-    mmm_poly: int = field(init=False, repr=False, compare=False)
-    mmm_cost: int = field(init=False, repr=False, compare=False)
-    efficiency_index: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bld = _Builder("Y", "X")
         result, order = self._emit(bld)
-        program = bld.build(f"plan {plan_str(self)}", Z=result)
         object.__setattr__(self, "order_h", order)
-        object.__setattr__(self, "program", program)
-        object.__setattr__(self, "mmm_poly", program.mmm)
-        object.__setattr__(self, "mmm_cost", program.mmm + 1)
-        object.__setattr__(self, "efficiency_index", float(order) ** (1.0 / (program.mmm + 1)))
+        object.__setattr__(self, "program", bld.build(f"plan {plan_str(self)}", Z=result))
+
+    @property
+    def mmm_poly(self) -> int:
+        return self.program.mmm
+
+    @property
+    def mmm_cost(self) -> int:
+        return self.program.mmm + 1
+
+    @property
+    def efficiency_index(self) -> float:
+        return float(self.order_h) ** (1.0 / self.mmm_cost)
 
     def _emit(self, bld: _Builder) -> tuple[int, int]:
         """Check the node and append its code to ``bld``, Y at slot 0 and X
@@ -201,11 +206,11 @@ class PrimeWrap(FactorPlan):
 # over integer slots: the inputs first (a plan's Y is slot 0 and X slot 1),
 # then instruction i writes slot (number of inputs) + i.  A ``mat`` of None
 # is the program's matrix A, which the executor is given beside the inputs.
-# ``drop`` names the registers an instruction reads for the last time: the
-# executor lets go of them once it has run, so only live arrays are kept.
-# ``op`` is the instruction kind, which the compiler dispatches on once.
+# An instruction holds only what it computes: which registers it reads for
+# the last time is the compiler's to find (see :func:`_drops`).  ``op`` is
+# the instruction kind, which the compiler dispatches on once.
 # ``renamed(f, mat)`` is the instruction with every register r read as
-# f(r) and no drops; a call binds a ``mat`` of None to ``mat``.
+# f(r); a call binds a ``mat`` of None to ``mat``.
 Reg = Union[str, int]
 _MUL, _RESIDUAL, _LIN, _MATVEC, _SUB = 0, 1, 2, 3, 4
 
@@ -219,7 +224,6 @@ class Mul:
     lhs: Reg
     rhs: Reg
     add: Reg | None = None
-    drop: tuple[Reg, ...] = ()
 
     def reads(self) -> tuple[Reg, ...]:
         return (self.lhs, self.rhs) if self.add is None else (self.lhs, self.rhs, self.add)
@@ -236,7 +240,6 @@ class Residual:
     dst: Reg
     src: Reg
     mat: Reg | None = None
-    drop: tuple[Reg, ...] = ()
 
     def reads(self) -> tuple[Reg, ...]:
         return (self.src,) if self.mat is None else (self.src, self.mat)
@@ -253,7 +256,6 @@ class Lin:
     dst: Reg
     const: float
     terms: tuple[tuple[float, Reg], ...]
-    drop: tuple[Reg, ...] = ()
 
     def reads(self) -> tuple[Reg, ...]:
         return tuple(reg for _, reg in self.terms)
@@ -271,7 +273,6 @@ class MatVec:
     dst: Reg
     mat: Reg | None
     vec: Reg
-    drop: tuple[Reg, ...] = ()
 
     def reads(self) -> tuple[Reg, ...]:
         return (self.vec,) if self.mat is None else (self.mat, self.vec)
@@ -289,7 +290,6 @@ class Sub:
     dst: Reg
     lhs: Reg
     rhs: Reg
-    drop: tuple[Reg, ...] = ()
 
     def reads(self) -> tuple[Reg, ...]:
         return (self.lhs, self.rhs)
@@ -347,8 +347,8 @@ class Program:
     :func:`_counts`).  ``name`` is what a traceback through its compiled
     code shows (``program double:n3 step``, ``plan table(h5b)``).  Built by
     :class:`_Builder`; run by :func:`run_program`, which compiles the code
-    (:func:`_compile_program`) on the first run and keeps the function
-    here, as ``_run``.  A program compares and hashes by identity.
+    (:func:`_compile`) on the first run, and the function is kept here, as
+    ``_run``.  A program compares and hashes by identity.
     """
 
     name: str
@@ -421,19 +421,10 @@ class _Builder:
 
     def build(self, name: str, **outputs: int) -> Program:
         """The program ``name`` with its outputs named by keyword, in order
-        (``G=g, F=f``), and each instruction's drops: the slots it reads
-        for the last time, outputs excepted.  Each slot is written once."""
-        slots = tuple(outputs.values())
-        last_read = {reg: i for i, ins in enumerate(self.code) for reg in ins.reads()}
-        drops: list[list[int]] = [[] for _ in self.code]
-        for reg, i in last_read.items():
-            if reg not in slots:
-                drops[i].append(reg)
-        for ins, d in zip(self.code, drops):
-            object.__setattr__(ins, "drop", tuple(d))
+        (``G=g, F=f``), and its counts.  Each slot is written once."""
         code = tuple(self.code)
         mmm, mvm = _counts(code)
-        return Program(name, self.inputs, code, slots, tuple(outputs), mmm, mvm)
+        return Program(name, self.inputs, code, tuple(outputs.values()), tuple(outputs), mmm, mvm)
 
 
 def plan_str(plan: FactorPlan) -> str:
@@ -531,9 +522,22 @@ _COMPILED_GLOBALS = {
 }
 
 
+def _drops(code, outputs) -> list[list[int]]:
+    """Liveness: for each instruction of ``code``, the slots it reads for
+    the last time, ``outputs`` excepted, in the order they are first
+    read.  Once it has run, the compiled code lets go of them, so only
+    live arrays are kept."""
+    last_read = {reg: i for i, ins in enumerate(code) for reg in ins.reads()}
+    drops: list[list[int]] = [[] for _ in code]
+    for reg, i in last_read.items():
+        if reg not in outputs:
+            drops[i].append(reg)
+    return drops
+
+
 def _statements(ins: Instr) -> list[str]:
-    """The Python statements of one instruction, its drops included.
-    Register r is the local ``rN`` for slot N; ``a`` is the matrix A."""
+    """The Python statements of one instruction.  Register r is the local
+    ``rN`` for slot N; ``a`` is the matrix A."""
     dst = f"r{ins.dst}"
     if ins.op == _MUL:
         lines = [f"{dst} = mul(r{ins.lhs}, r{ins.rhs})"]
@@ -563,83 +567,72 @@ def _statements(ins: Instr) -> list[str]:
         lines = [f"{dst} = matmul({mat}, r{ins.vec})"]
     else:
         lines = [f"{dst} = subtract(r{ins.lhs}, r{ins.rhs})"]
-    if ins.drop:
-        lines.append(" = ".join(f"r{slot}" for slot in ins.drop) + " = None")
     return lines
 
 
-def _compile(name: str, params: str, code, tail=()) -> Callable:
-    """The one executor: ``code`` compiled to ``run(<params>, a, ctr)``,
-    one statement per instruction (two for a product with an addend or a
-    ``Residual``), the count, then ``tail``.
+def _compile(program: Program) -> Callable:
+    """The one executor: ``program`` compiled to ``run(*inputs, a, ctr)``,
+    kept on it as ``_run``: one statement per instruction (two for a
+    product with an addend or a ``Residual``), then the count, then the
+    return of its outputs in order, each a fresh array (an output that is
+    an input, or that repeats an earlier output, is copied).
 
-    Every program runs this way: each plan's through :func:`_run_plan`
-    (for :func:`nested_eval`, :func:`factored_eval`, :func:`geometric_apply`
-    and :func:`horner_eval`), and each start and step function's of the
-    iteration family through :func:`run_program`.  Operands are ``(n, n)``
+    Every program runs this way, through :func:`run_program`: each plan's
+    (for :func:`nested_eval`, :func:`factored_eval`,
+    :func:`geometric_apply` and :func:`horner_eval`), and each start and
+    step function's of the iteration family.  Operands are ``(n, n)``
     matrices, or ``(k, n, n)`` stacks of one shape (every instance in one
     pass, each bitwise equal to its own 2-D run), and vectors for
-    ``MatVec`` and ``Sub``.  Registers
-    are locals, and a drop sets one to None, so only live arrays are kept.
-    Each product runs as :func:`mat_mul` runs it (``ndarray.dot`` on ``(n,
-    n)`` operands with 2 <= n <= ``DOT_MAX_DIM``, ``np.matmul`` on all
-    others; the function is picked once per call, from A, not per
-    instruction) and the products, :func:`_counts`, are added to the
-    counter once the code has run, one per n x n product.  ``Residual``
-    forms ``I - src mat`` in the product's buffer, as :func:`residual_of`
-    does.  ``MatVec`` is :func:`mat_vec`'s ``mat @ vec``, one mvm, and
-    ``Sub`` is ``lhs - rhs``.  A ``Lin`` is fused, bitwise equal to
-    ``const * I`` plus each ``coef * reg`` in turn, signed zeros included
-    (see :func:`_statements`).  Every register an instruction writes is a
-    fresh array, so inputs are never written.
+    ``MatVec`` and ``Sub``.  Registers are locals, and after each
+    instruction the slots it reads for the last time (:func:`_drops`) are
+    set to None, so only live arrays are kept.  Each product runs as
+    :func:`mat_mul` runs it (``ndarray.dot`` on ``(n, n)`` operands with
+    2 <= n <= ``DOT_MAX_DIM``, ``np.matmul`` on all others; the function
+    is picked once per call, from A, not per instruction) and the
+    program's ``mmm`` and ``mvm`` are added to the counter once the code
+    has run, one per n x n product.  ``Residual`` forms ``I - src mat`` in
+    the product's buffer, as :func:`residual_of` does.  ``MatVec`` is
+    :func:`mat_vec`'s ``mat @ vec``, one mvm, and ``Sub`` is ``lhs -
+    rhs``.  A ``Lin`` is fused, bitwise equal to ``const * I`` plus each
+    ``coef * reg`` in turn, signed zeros included (see
+    :func:`_statements`).  Every register an instruction writes is a fresh
+    array, so inputs are never written.
 
     The source is registered under the filename ``<name>``, so a traceback
-    through the code names the program and shows its line.  Callers keep
-    the function on the program; threads that race on a first run each
-    compile an equal function.
+    through the code names the program and shows its line.  Threads that
+    race on a first run each compile an equal function.
     """
-    products, vectors = _counts(code)
+    code, outputs, inputs = program.code, program.outputs, len(program.inputs)
     body = []
-    if products:
+    if program.mmm:
         body.append(f"mul = dot if a.ndim == 2 and 1 < a.shape[1] <= {DOT_MAX_DIM} else matmul")
     if any(ins.op == _RESIDUAL or ins.op == _LIN for ins in code):
         body.append("eye = identity_constant(a.shape[-1])")
-    for ins in code:
+    for ins, drop in zip(code, _drops(code, outputs)):
         body += _statements(ins)
-    if products:
-        body.append(f"ctr.mmm += {products} if a.ndim == 2 else {products} * len(a)")
-    if vectors:
-        body.append(f"ctr.mvm += {vectors}")
-    body += tail
-    source = f"def run({params}, a, ctr):\n" + "".join(f"    {line}\n" for line in body or ["pass"])
-    lines = source.splitlines(True)
-    # Two programs with one name (table forms that share a label) each
-    # keep their own source under a numbered filename.
-    filename, copy = f"<{name}>", 1
-    while linecache.cache.setdefault(filename, (len(source), None, lines, filename))[2] != lines:
-        copy += 1
-        filename = f"<{name} #{copy}>"
-    namespace: dict = {}
-    exec(compile(source, filename, "exec"), _COMPILED_GLOBALS, namespace)
-    return namespace["run"]
-
-
-def _returns(outputs: tuple[int, ...], inputs: int) -> str:
-    """The return statement of a program: its outputs in order, each a
-    fresh array (an output that is an input, or that repeats an earlier
-    output, is copied)."""
-    names = [
+        if drop:
+            body.append(" = ".join(f"r{slot}" for slot in drop) + " = None")
+    if program.mmm:
+        body.append(f"ctr.mmm += {program.mmm} if a.ndim == 2 else {program.mmm} * len(a)")
+    if program.mvm:
+        body.append(f"ctr.mvm += {program.mvm}")
+    returned = [
         f"array(r{out})" if out < inputs or out in outputs[:i] else f"r{out}"
         for i, out in enumerate(outputs)
     ]
-    return f"return ({', '.join(names)},)"
-
-
-def _compile_program(program: Program) -> Callable:
-    """``run(*inputs, a, ctr)``, the whole program; kept on it."""
-    params = ", ".join(f"r{slot}" for slot in range(len(program.inputs)))
-    tail = [_returns(program.outputs, len(program.inputs))]
-    run = _compile(program.name, params, program.code, tail=tail)
+    body.append(f"return ({', '.join(returned)},)")
+    params = ", ".join(f"r{slot}" for slot in range(inputs))
+    source = f"def run({params}, a, ctr):\n" + "".join(f"    {line}\n" for line in body)
+    lines = source.splitlines(True)
+    # Two programs with one name (table forms that share a label) each
+    # keep their own source under a numbered filename.
+    filename, copy = f"<{program.name}>", 1
+    while linecache.cache.setdefault(filename, (len(source), None, lines, filename))[2] != lines:
+        copy += 1
+        filename = f"<{program.name} #{copy}>"
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), _COMPILED_GLOBALS, namespace)
+    run = namespace["run"]
     object.__setattr__(program, "_run", run)
     return run
 
@@ -650,8 +643,8 @@ def run_program(
     """Run ``program`` on its ``inputs`` (in the order of
     ``program.inputs``) and the matrix A; returns its outputs in order,
     each a fresh array (an output that is an input, or that an earlier
-    output already returned, is copied).  The code is compiled on the
-    program's first run (see :func:`_compile`) and the function kept.
+    output already returned, is copied).  The code is compiled by
+    :func:`_compile` on the program's first run.
 
     Every program runs as that one function.  ``executor`` (any
     concurrent.futures executor) runs it as one task and waits for it, so
@@ -659,20 +652,18 @@ def run_program(
     ``bench/layers.py``'s step probes check that path against the serial
     one.
     """
-    run = program._run or _compile_program(program)
+    run = program._run or _compile(program)
     if executor is None:
         return run(*inputs, a, ctr)
     return executor.submit(run, *inputs, a, ctr).result()
 
 
 def _run_plan(plan: FactorPlan, y, x, a, ctr) -> np.ndarray:
-    """A plan's program on Y and X, run serially as :func:`run_program`
-    would, through its compiled function; a fresh array, a copy of X for
-    the empty program."""
+    """A plan's program on Y and X, run serially by :func:`run_program`;
+    a fresh array, a copy of X for the empty program."""
     if not (y.shape == x.shape == a.shape):
         raise ValueError(f"dimension mismatch: y {y.shape}, x {x.shape}, a {a.shape}")
-    program = plan.program
-    return (program._run or _compile_program(program))(y, x, a, ctr)[0]
+    return run_program(plan.program, [y, x], a, ctr)[0]
 
 
 def nested_eval(

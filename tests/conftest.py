@@ -3,6 +3,8 @@ import time
 import numpy as np
 import pytest
 
+from seriesinv import harness
+
 
 def pytest_configure(config):
     config._suite_started = time.monotonic()
@@ -16,3 +18,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def fresh_layout():
+    """verify-tables' layout, which is built once per process, built anew
+    in this test and again after it: for a test that swaps a plan in with
+    monkeypatch."""
+    harness._check_layout.cache_clear()
+    yield
+    harness._check_layout.cache_clear()

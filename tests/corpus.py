@@ -36,6 +36,7 @@ from seriesinv.series_toolkit import (
     Split,
     TableForm,
     _Builder,
+    _drops,
     factored_mmm,
     nested_eval,
     plan_order,
@@ -327,12 +328,15 @@ def power_sum(gamma, n, ctr):
     return run_program(program, [gamma], gamma, ctr)[0]
 
 
-def reference_execute(code, regs, a, ctr):
+def reference_execute(code, regs, a, ctr, outputs=None):
     """The interpreter every lowered program ran through before programs
     were compiled, kept as the reference the compiled code must match bit
     for bit and count for count: run ``code`` on the register list
     ``regs`` (the slots before the code's first one) and return it,
-    extended by one slot per instruction, each dropped slot set to None.
+    extended by one slot per instruction.  Given the program's
+    ``outputs``, each slot an instruction reads for the last time
+    (``_drops``) is set to None once it has run; without, every register
+    is kept.
 
     One dispatch on ``ins.op`` per instruction; each product through
     ``ndarray.dot`` on ``(n, n)`` operands with 2 <= n <= ``DOT_MAX_DIM``
@@ -347,7 +351,8 @@ def reference_execute(code, regs, a, ctr):
     mul = np.ndarray.dot if small else np.matmul
     eye = identity_constant(a.shape[-1])
     products = vectors = 0
-    for ins in code:
+    drops = _drops(code, outputs) if outputs is not None else [()] * len(code)
+    for ins, drop in zip(code, drops):
         op = ins.op
         if op == _MUL:
             z = mul(regs[ins.lhs], regs[ins.rhs])
@@ -377,7 +382,7 @@ def reference_execute(code, regs, a, ctr):
         else:
             z = np.subtract(regs[ins.lhs], regs[ins.rhs])
         regs.append(z)
-        for slot in ins.drop:
+        for slot in drop:
             regs[slot] = None
     ctr.mmm += products if a.ndim == 2 else products * len(a)
     ctr.mvm += vectors
@@ -388,7 +393,7 @@ def reference_run(program, inputs, a, ctr):
     """``run_program``'s serial run through :func:`reference_execute`: the
     outputs in order, an output that is an input or repeats an earlier
     output copied."""
-    regs = reference_execute(program.code, list(inputs), a, ctr)
+    regs = reference_execute(program.code, list(inputs), a, ctr, program.outputs)
     return [
         np.array(regs[out]) if out < len(inputs) or out in program.outputs[:i] else regs[out]
         for i, out in enumerate(program.outputs)
@@ -398,16 +403,16 @@ def reference_run(program, inputs, a, ctr):
 def reference_plan(plan, y, x, a, ctr):
     """A plan's program on Y and X through :func:`reference_execute`: its
     last register, a copy of X for the empty program."""
-    if not plan.program.code:
+    program = plan.program
+    if not program.code:
         return np.array(x)
-    return reference_execute(plan.program.code, [y, x], a, ctr)[-1]
+    return reference_execute(program.code, [y, x], a, ctr, program.outputs)[-1]
 
 
 def reference_lowering(plan):
     """(code, order, mmm) of a plan as the recursive tree walker lowers
     it: the whole tree inlined into one program, from the nodes' fields
-    alone, never reading a child's program.  The code's drops are those
-    ``_Builder.build`` gives."""
+    alone, never reading a child's program."""
     bld = _Builder("Y", "X")
     result, order = _walk(bld, plan, 0, 1)
     code = bld.build("reference", Z=result).code
@@ -511,10 +516,12 @@ def plan_oracle(program, y, x, a, ctr):
     bit and count for count: registers kept by key, an ``isinstance``
     dispatch per instruction, and every ``Lin`` formed as ``const * I``
     plus a ``coef * reg`` temporary per term.  Runs a lowered program (Y
-    in slot 0, X in slot 1); for the empty program it returns X itself."""
+    in slot 0, X in slot 1), whose result is its last register; for the
+    empty program it returns X itself."""
     env = {0: y, 1: x}
     dst = 1
-    for ins in program:
+    drops = _drops(program, (program[-1].dst,) if program else ())
+    for ins, drop in zip(program, drops):
         dst = ins.dst
         if isinstance(ins, Mul):
             z = mat_mul(env[ins.lhs], env[ins.rhs], ctr)
@@ -528,7 +535,7 @@ def plan_oracle(program, y, x, a, ctr):
             for coef, reg in ins.terms:
                 z += coef * env[reg]
         env[dst] = z
-        for reg in ins.drop:
+        for reg in drop:
             del env[reg]
     return env[dst]
 

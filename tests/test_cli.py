@@ -85,7 +85,7 @@ CATALOGUE_ROWS = (
 
 
 @pytest.mark.parametrize("dim", ["5", "8"])
-def test_verify_tables_adds_one_h45_line_after_h19(monkeypatch, capsys, dim):
+def test_verify_tables_adds_one_h45_line_after_h19(monkeypatch, capsys, fresh_layout, dim):
     # the order-45 row shares the plan:45 run, so every other line is the
     # one the catalogue without that row prints
     assert main(["verify-tables", "--dim", dim]) == 0
@@ -97,6 +97,7 @@ def test_verify_tables_adds_one_h45_line_after_h19(monkeypatch, capsys, dim):
     assert re.fullmatch(r"table:h45    order=45  mmm=10  max_rel_err=\S+ ok", lines[23])
     without_45 = {order: plans for order, plans in table_plans().items() if order != 45}
     monkeypatch.setattr(harness, "table_plans", lambda: without_45)
+    harness._check_layout.cache_clear()
     assert main(["verify-tables", "--dim", dim]) == 0
     assert capsys.readouterr().out.splitlines() == lines[:23] + lines[24:]
 

@@ -149,9 +149,9 @@ def test_a_program_compiles_once_on_its_first_run(monkeypatch, pool):
     compiled = []
     compile_ = series_toolkit._compile
 
-    def counting(name, *args, **kwargs):
-        compiled.append(name)
-        return compile_(name, *args, **kwargs)
+    def counting(program):
+        compiled.append(program.name)
+        return compile_(program)
 
     monkeypatch.setattr(series_toolkit, "_compile", counting)
     rng = np.random.default_rng(2)
@@ -198,8 +198,8 @@ def test_a_second_run_of_any_program_compiles_nothing(monkeypatch, pool):
 
     run_all()
 
-    def forbidden(name, *args, **kwargs):
-        raise AssertionError(f"{name} compiled again")
+    def forbidden(program):
+        raise AssertionError(f"{program.name} compiled again")
 
     monkeypatch.setattr(series_toolkit, "_compile", forbidden)
     run_all()
@@ -212,7 +212,7 @@ def test_plan_search_and_programs_compile_nothing_until_run():
     script = "\n".join([
         "from seriesinv import harness, series_toolkit",
         "compiled = []",
-        "series_toolkit._compile = lambda name, *args, **kwargs: compiled.append(name)",
+        "series_toolkit._compile = lambda program: compiled.append(program.name)",
         "for h in range(2, 65):",
         "    series_toolkit.plan_order(h)",
         "series_toolkit.table_plans()",

@@ -132,6 +132,13 @@ class TestHarmonicFixture:
                 )
             )
 
+    def test_non_integer_sample_count_rejected(self):
+        spec = HarmonicRegressorSpec.default()
+        with pytest.raises(ValueError, match=r"^num_samples must be an integer, got 80\.0$"):
+            gen_harmonic_matrix(
+                HarmonicRegressorSpec(spec.frequencies, 80.0, spec.theta_star)
+            )
+
     def test_bias_column(self):
         spec = HarmonicRegressorSpec(
             frequencies=(0.5,), num_samples=30, theta_star=(1.0, 2.0, 3.0), bias=True
@@ -181,6 +188,16 @@ class TestRunComparison:
             run_comparison(a, vectors["b"], vectors["theta_star"],
                            [MethodSpec(kind="richardson", order=2)], 1)
         assert str(info.value) == f"{label} has 5 entries, expected 6 to match A"
+
+    @pytest.mark.parametrize("steps", [-1, 2.5, True])
+    def test_bad_steps_rejected_before_any_matrix_work(self, fixture, monkeypatch, steps):
+        # 2.5 raised range()'s TypeError after the splitting, and True ran one step
+        a, b, theta = fixture
+        monkeypatch.setattr(harness, "split_scalar", lambda *args: pytest.fail("split"))
+        with pytest.raises(ValueError) as info:
+            run_comparison(a, b, theta, [MethodSpec(kind="ns", order=2)], steps)
+        bad = "must be >= 0" if steps == -1 else f"must be an integer, got {steps!r}"
+        assert str(info.value) == f"steps {bad}"
 
     def test_zero_steps_yields_initialization_rows(self, fixture):
         a, b, theta = fixture
@@ -556,6 +573,13 @@ class TestSurfaces:
     @pytest.mark.parametrize("h", [0, -1])
     def test_h_below_one_rejected(self, kind, h):
         with pytest.raises(ValueError, match="h must be >= 1"):
+            emit_exponent_surface(kind, h=h)
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig3"])
+    @pytest.mark.parametrize("h", [1.5, True])
+    def test_non_integer_h_rejected(self, kind, h):
+        # 1.5 wrote fractional exponents, and True ran as h = 1
+        with pytest.raises(ValueError, match=f"^h must be an integer, got {h!r}$"):
             emit_exponent_surface(kind, h=h)
 
     @pytest.mark.parametrize("rho", [float("nan"), float("inf"), -float("inf"), -2.0, -1e-300])

@@ -20,12 +20,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from corpus import (
     hand_plans,
     horner_iterates,
     per_plan_toolkit_check,
     plan_oracle,
+    poly_equal,
+    poly_split,
     random_spd,
     same_bits,
     signed_zero_matrix,
@@ -50,7 +53,7 @@ from seriesinv import (
 )
 from seriesinv import harness, series_toolkit
 from seriesinv.matrix_core import fro_norms
-from seriesinv.series_toolkit import TABLE_LABELS, Lin, Mul, Residual
+from seriesinv.series_toolkit import TABLE_LABELS, Lin, Mul, Residual, _drops
 
 
 def all_plans():
@@ -275,18 +278,37 @@ PLAN_ORDER_STRUCTURES = {
 }
 
 
+def test_every_plan_is_exact_on_polynomial_operands():
+    # Y = b, X = 1 and A = 1 - b, exact 1 x 1 polynomials: each plan's
+    # compiled program must give S_h(b) = 1 + b + ... + b^(h-1), every
+    # coefficient exactly 1.0, for every searched order, every catalogue
+    # row and the doubled and wrapped plans above order 64
+    split = poly_split()
+    y, x, a = split.residual, split.precond, split.matrix
+    plans = all_plans() + [
+        (f"geometric:{h}", series_toolkit._geometric_plan(h)) for h in (70, 100, 200)
+    ]
+    assert len(plans) == 90
+    inexact = []
+    for name, plan in plans:
+        z = execute(plan, y, x, a, MulCounter())
+        if not (z.shape == (1, 1) and poly_equal(z[0, 0], Polynomial(np.ones(plan.order_h)))):
+            inexact.append(f"{name} {plan_str(plan)}")
+    assert inexact == []
+
+
 def test_every_intermediate_register_is_dropped_after_its_last_read():
     # lowered programs run on slots: Y is 0, X is 1, instruction i writes i + 2
     for name, plan in all_plans():
-        live = {0, 1}
-        for i, ins in enumerate(plan.program.code):
+        code, live = plan.program.code, {0, 1}
+        for i, (ins, drop) in enumerate(zip(code, _drops(code, plan.program.outputs))):
             assert ins.dst == i + 2, name
             assert set(ins.reads()) <= live, name
-            assert ins.dst not in live and ins.dst not in ins.drop, name
+            assert ins.dst not in live and ins.dst not in drop, name
             live.add(ins.dst)
-            assert set(ins.drop) <= set(ins.reads()), name
-            live -= set(ins.drop)
-        result = plan.program.code[-1].dst if plan.program.code else 1
+            assert set(drop) <= set(ins.reads()), name
+            live -= set(drop)
+        result = code[-1].dst if code else 1
         assert live - {0, 1} == {result}, name
 
 
@@ -446,7 +468,7 @@ def test_stacked_norms_equal_fro_norm_bitwise():
         assert float(fro_norms(stack[0])) == fro_norm(stack[0])
 
 
-def test_dropped_instruction_fails_the_check(monkeypatch):
+def test_dropped_instruction_fails_the_check(monkeypatch, fresh_layout):
     # order 3 is a wrap around the order-2 split: without its last
     # instruction the program returns the order-2 sum.
     assert len(plan_order(3).program.code) == 2
@@ -479,7 +501,7 @@ def test_miscounted_product_fails_the_check(monkeypatch):
     assert sum("FAIL" in ln for ln in lines) == 1
 
 
-def test_non_finite_result_fails_the_check(monkeypatch):
+def test_non_finite_result_fails_the_check(monkeypatch, fresh_layout):
     # a NaN error must not pass as "no worse than the instances before"
     form = plan_order(5)  # the tabulated h5b form
     code = tuple(
@@ -496,20 +518,19 @@ def test_non_finite_result_fails_the_check(monkeypatch):
     assert "max_rel_err=nan" in line and line.endswith("FAIL")
 
 
-def test_first_and_warm_checks_agree_with_the_per_plan_check(monkeypatch):
-    monkeypatch.setattr(harness, "_layout", None)
+def test_first_and_warm_checks_agree_with_the_per_plan_check(fresh_layout):
     first = toolkit_check(instances=5, dim=5, seed=3)
-    layout = harness._layout
-    assert layout is not None
+    layout = harness._check_layout()
     warm = toolkit_check(instances=5, dim=5, seed=3)
-    assert harness._layout is layout
+    assert harness._check_layout() is layout
+    assert harness._check_layout.cache_info().misses == 1
     assert first == warm == per_plan_toolkit_check(5, 5, 3)
     assert first[0]
 
 
-def test_concurrent_checks_share_the_memo_safely(monkeypatch):
+def test_concurrent_checks_share_the_memo_safely():
     expected = [toolkit_check(instances=2, dim=3, seed=s) for s in range(8)]
-    monkeypatch.setattr(harness, "_layout", None)
+    harness._check_layout.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -522,8 +543,8 @@ def test_concurrent_checks_share_the_memo_safely(monkeypatch):
 
 
 def test_warm_check_hashes_no_instruction(monkeypatch):
-    # the memo is keyed on the plans' identities: a warm check neither
-    # hashes nor compares a program
+    # the layout is built once per process: a warm check neither hashes
+    # nor compares a program
     expected = toolkit_check(instances=5, dim=5, seed=4)
 
     def forbidden(self, *args):
@@ -535,18 +556,21 @@ def test_warm_check_hashes_no_instruction(monkeypatch):
     assert toolkit_check(instances=5, dim=5, seed=4) == expected
 
 
-def test_plan_swapped_in_after_a_warm_check_is_the_one_run(monkeypatch):
+def test_plan_swapped_in_after_a_warm_check_is_the_one_run(monkeypatch, fresh_layout):
+    # the layout is kept for the process, so a swap takes a cleared cache
     expected = toolkit_check(instances=4, dim=5, seed=2)
     assert expected[0]
     broken = TableForm("h3-short", 3, (Mul("z", "Y", "X", "X"),))
     with monkeypatch.context() as patched:
         patched.setattr(harness, "plan_order", lambda h: broken if h == 3 else plan_order(h))
+        harness._check_layout.cache_clear()
         ok, lines = toolkit_check(instances=4, dim=5, seed=2)
     assert not ok
     assert [ln for ln in lines if ln.endswith("FAIL")] == [
         ln for ln in lines if ln.startswith("plan:3 ")
     ]
     # and the real plan again once the patch is gone
+    harness._check_layout.cache_clear()
     assert toolkit_check(instances=4, dim=5, seed=2) == expected
 
 
@@ -563,6 +587,20 @@ def test_negative_seed_rejected_before_any_instance_is_drawn(monkeypatch):
     monkeypatch.setattr(harness.np.random, "default_rng", no_draw)
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         toolkit_check(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "option, value", [("instances", 2.5), ("instances", True), ("dim", 2.5), ("seed", 1.5)]
+)
+def test_non_integer_option_rejected_before_any_instance_is_drawn(monkeypatch, option, value):
+    # numpy's own TypeError would name neither the option nor the value
+    def no_draw(*args, **kwargs):
+        raise AssertionError(f"instances drawn before {option} was checked")
+
+    monkeypatch.setattr(harness.np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError) as info:
+        toolkit_check(**{option: value})
+    assert str(info.value) == f"{option} must be an integer, got {value!r}"
 
 
 @pytest.mark.parametrize("dim", [0, -1])

@@ -495,14 +495,13 @@ def exact_run(m, steps, patched):
     its (mmm, mvm), and every register of every program the run executed.
 
     The run is the package's own, its compiled code.  Each program it runs
-    also runs, without drops, through the reference interpreter, whose
-    registers are kept and whose outputs must equal the compiled ones."""
+    also runs through the reference interpreter, which keeps every
+    register, and whose outputs must equal the compiled ones."""
     registers = []
 
     def recording(program, inputs, a, ctr, executor=None):
         outputs = run_program(program, inputs, a, ctr, executor)
-        code = tuple(replace(ins, drop=()) for ins in program.code)
-        regs = reference_execute(code, list(inputs), a, MulCounter())
+        regs = reference_execute(program.code, list(inputs), a, MulCounter())
         registers.extend(regs)
         for got, slot in zip(outputs, program.outputs):
             assert same_bits(got, regs[slot]), program.name
