@@ -198,28 +198,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify_tables)
 
-    p_inv = sub.add_parser("invert", help="run an inversion method on a matrix file")
-    p_inv.add_argument("--matrix", required=True)
+    # the options of invert and solve, which add their own to them
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--matrix", required=True)
+    run.add_argument("--order", type=int, default=2)
+    run.add_argument("--h", type=int, default=1)
+    run.add_argument("--steps", type=int, default=5)
+    run.add_argument("--eps", type=float, default=None)
+    run.add_argument("--csv", default=None)
+
+    p_inv = sub.add_parser("invert", parents=[run], help="run an inversion method on a matrix file")
     p_inv.add_argument("--method", choices=_kinds("invert"), required=True)
-    p_inv.add_argument("--order", type=int, default=2)
-    p_inv.add_argument("--h", type=int, default=1)
-    p_inv.add_argument("--steps", type=int, default=5)
     p_inv.add_argument("--rates", default="", help="comma-separated composite rates")
-    p_inv.add_argument("--eps", type=float, default=None)
-    p_inv.add_argument("--csv", default=None)
     p_inv.set_defaults(func=_cmd_run, q=None, error_norm="||I - G A||_F")
 
-    p_solve = sub.add_parser("solve", help="run an estimation method on matrix + rhs")
-    p_solve.add_argument("--matrix", required=True)
+    p_solve = sub.add_parser(
+        "solve", parents=[run], help="run an estimation method on matrix + rhs"
+    )
     p_solve.add_argument("--rhs", required=True)
     p_solve.add_argument("--method", choices=_kinds("solve"), required=True)
-    p_solve.add_argument("--order", type=int, default=2)
     p_solve.add_argument("--q", type=int, default=None)
-    p_solve.add_argument("--h", type=int, default=1)
-    p_solve.add_argument("--steps", type=int, default=5)
     p_solve.add_argument("--theta-star", default=None)
-    p_solve.add_argument("--eps", type=float, default=None)
-    p_solve.add_argument("--csv", default=None)
     p_solve.set_defaults(func=_cmd_run, rates="", error_norm="||theta - theta*||")
 
     fixture = HarmonicRegressorSpec.default()

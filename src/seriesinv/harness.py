@@ -428,7 +428,7 @@ def _run_method(method: MethodSpec, split, b, theta_star, steps, rho, timer):
                 method=name,
                 k=k,
                 error_norm=err,
-                predicted_bound=rho ** (exponent - e0) * err0,
+                predicted_bound=_rho_power(rho, exponent - e0) * err0,
                 exponent=exponent,
                 mmm_cum=ctr.mmm,
                 wall_ns=int(timer() - started),
@@ -570,9 +570,13 @@ def emit_exponent_surface(
         raise ValueError(f"rho must be finite and >= 0, got {rho}")
     lines = ["n,k,exponent_new,exponent_baseline,rho_pow_new,rho_pow_baseline"]
     for n in n_range:
+        check_int("n", n)
         if n < 2:
             raise ValueError("exponent surfaces need n >= 2")
         for k in k_range:
+            check_int("k", k)
+            # plain ints: the exponents of numpy integers would overflow
+            n, k, h = int(n), int(k), int(h)
             try:
                 if kind == "fig2":
                     e_new = double_exponent(k, n, h)
@@ -618,13 +622,12 @@ CHECK_REL_TOL = 1e-9
 class _CheckLayout:
     """What :func:`toolkit_check` derives from the plan set alone.
 
-    ``runs`` has one plan per distinct (order, code), in order of h, and
-    ``run_orders`` their orders; each report line has its fixed ``heads``
-    part and the run it reads, ``row_of``.
+    ``runs`` has one plan per distinct (order, code), in order of h; each
+    report line has its fixed ``heads`` part and the run it reads,
+    ``row_of``.
     """
 
     runs: tuple
-    run_orders: list[int]
     heads: tuple[str, ...]
     row_of: tuple[int, ...]
 
@@ -650,7 +653,6 @@ def _check_layout() -> _CheckLayout:
         row_of[name] = runs.setdefault((plan.order_h, plan.program.code), (len(runs), plan))[0]
     return _CheckLayout(
         runs=tuple(plan for _, plan in runs.values()),
-        run_orders=[plan.order_h for _, plan in runs.values()],
         heads=tuple(
             f"{name:<12} order={plan.order_h:<3} mmm={plan.mmm_cost:<3} " for name, plan in named
         ),
@@ -713,7 +715,7 @@ def toolkit_check(instances: int = 50, dim: int = 5, seed: int = 0) -> tuple[boo
             count_ok = False
         z -= ref
         np.add.reduce(np.square(z, out=z), axis=(-2, -1), out=err_sq[row])
-    ref_norms = np.sqrt(ref_sq[layout.run_orders])
+    ref_norms = np.sqrt(ref_sq[[plan.order_h for plan in layout.runs]])
     worst = (np.sqrt(err_sq) / np.maximum(ref_norms, 1e-300)).max(axis=1).tolist()
 
     ok = count_ok and all(v <= CHECK_REL_TOL for v in worst)

@@ -2,12 +2,14 @@
 
 Everything downstream (splittings, series evaluation, the iteration family)
 works on plain float64 numpy arrays validated by :func:`square_matrix` /
-:func:`vector`.  Matrix products that belong to an algorithm's cost model go
-through :func:`mat_mul` / :func:`mat_vec`, which tick a :class:`MulCounter`;
-the one exception is the executor in ``series_toolkit``, whose compiled
-code runs the products of every lowered program (each plan, and each start
-and step function of the iteration family) inline and counts them by the
-same rule.
+:func:`vector`.  Matrix products that belong to an algorithm's cost model
+tick a :class:`MulCounter`.  Most run in the executor in
+``series_toolkit``, whose compiled code runs the products of every lowered
+program (each plan, and each start and step function of the iteration
+family) inline and counts them by the rule of :func:`mat_mul` /
+:func:`mat_vec`.  Those two count the few products outside a program: the
+``Y = I - X A`` that :func:`residual_of` forms before a plan runs, and the
+``G b`` of the estimator's error metric.
 Uncounted oracles, such as the ``mat_pow`` the exponent-law tests compare
 against, live with the tests.
 

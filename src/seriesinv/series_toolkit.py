@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 from functools import cache
 from math import copysign
 from types import MappingProxyType
-from typing import ClassVar, Union
+from typing import Union
 
 import numpy as np
 
@@ -207,19 +207,16 @@ class PrimeWrap(FactorPlan):
 # then instruction i writes slot (number of inputs) + i.  A ``mat`` of None
 # is the program's matrix A, which the executor is given beside the inputs.
 # An instruction holds only what it computes: which registers it reads for
-# the last time is the compiler's to find (see :func:`_drops`).  ``op`` is
-# the instruction kind, which the compiler dispatches on once.
-# ``renamed(f, mat)`` is the instruction with every register r read as
-# f(r); a call binds a ``mat`` of None to ``mat``.
+# the last time is the compiler's to find (see :func:`_drops`), and its
+# kind is its class.  ``renamed(f, mat)`` is the instruction with every
+# register r read as f(r); a call binds a ``mat`` of None to ``mat``.
 Reg = Union[str, int]
-_MUL, _RESIDUAL, _LIN, _MATVEC, _SUB = 0, 1, 2, 3, 4
 
 
 @dataclass(frozen=True, slots=True)
 class Mul:
     """dst = lhs @ rhs (one counted product), plus register ``add`` if given."""
 
-    op: ClassVar[int] = _MUL
     dst: Reg
     lhs: Reg
     rhs: Reg
@@ -236,7 +233,6 @@ class Mul:
 class Residual:
     """dst = I - src @ mat (one counted product); ``mat`` None is A."""
 
-    op: ClassVar[int] = _RESIDUAL
     dst: Reg
     src: Reg
     mat: Reg | None = None
@@ -252,7 +248,6 @@ class Residual:
 class Lin:
     """Free linear combination dst = const * I + sum(coef * reg)."""
 
-    op: ClassVar[int] = _LIN
     dst: Reg
     const: float
     terms: tuple[tuple[float, Reg], ...]
@@ -269,7 +264,6 @@ class MatVec:
     """dst = mat @ vec for a vector ``vec`` (one counted matrix-vector
     product); ``mat`` None is A."""
 
-    op: ClassVar[int] = _MATVEC
     dst: Reg
     mat: Reg | None
     vec: Reg
@@ -286,7 +280,6 @@ class Sub:
     """dst = lhs - rhs, free: the vector differences of a theta update and
     the carried-weight difference of the recursive Richardson step."""
 
-    op: ClassVar[int] = _SUB
     dst: Reg
     lhs: Reg
     rhs: Reg
@@ -367,15 +360,15 @@ class Program:
         depth = [0] * len(self.inputs)
         for ins in self.code:
             longest = max((depth[reg] for reg in ins.reads()), default=0)
-            depth.append(longest + (ins.op in (_MUL, _RESIDUAL)))
+            depth.append(longest + isinstance(ins, (Mul, Residual)))
         return max((depth[out] for out in self.outputs), default=0)
 
 
 def _counts(code) -> tuple[int, int]:
     """The one count rule: ``(mmm, mvm)`` of one run of ``code``, one mmm
     per ``Mul`` and ``Residual`` and one mvm per ``MatVec``."""
-    ops = [ins.op for ins in code]
-    return ops.count(_MUL) + ops.count(_RESIDUAL), ops.count(_MATVEC)
+    kinds = [type(ins) for ins in code]
+    return kinds.count(Mul) + kinds.count(Residual), kinds.count(MatVec)
 
 
 class _Builder:
@@ -539,14 +532,14 @@ def _statements(ins: Instr) -> list[str]:
     """The Python statements of one instruction.  Register r is the local
     ``rN`` for slot N; ``a`` is the matrix A."""
     dst = f"r{ins.dst}"
-    if ins.op == _MUL:
+    if isinstance(ins, Mul):
         lines = [f"{dst} = mul(r{ins.lhs}, r{ins.rhs})"]
         if ins.add is not None:
             lines.append(f"{dst} += r{ins.add}")
-    elif ins.op == _RESIDUAL:
+    elif isinstance(ins, Residual):
         mat = "a" if ins.mat is None else f"r{ins.mat}"
         lines = [f"{dst} = mul(r{ins.src}, {mat})", f"subtract(eye, {dst}, out={dst})"]
-    elif ins.op == _LIN:
+    elif isinstance(ins, Lin):
         # A coefficient of 1.0 adds its register without a multiply; a
         # constant of 1.0 or +0.0 starts from the first term, I + t or
         # t + 0.0 (which turns a -0.0 of t into +0.0, as that sum does),
@@ -562,7 +555,7 @@ def _statements(ins: Instr) -> list[str]:
         else:
             start = f"multiply(eye, {float(const)!r}, out=empty_like(a))"
         lines = [f"{dst} = {start}", *(f"{dst} += {term(*t)}" for t in terms)]
-    elif ins.op == _MATVEC:
+    elif isinstance(ins, MatVec):
         mat = "a" if ins.mat is None else f"r{ins.mat}"
         lines = [f"{dst} = matmul({mat}, r{ins.vec})"]
     else:
@@ -606,7 +599,7 @@ def _compile(program: Program) -> Callable:
     body = []
     if program.mmm:
         body.append(f"mul = dot if a.ndim == 2 and 1 < a.shape[1] <= {DOT_MAX_DIM} else matmul")
-    if any(ins.op == _RESIDUAL or ins.op == _LIN for ins in code):
+    if any(isinstance(ins, (Residual, Lin)) for ins in code):
         body.append("eye = identity_constant(a.shape[-1])")
     for ins, drop in zip(code, _drops(code, outputs)):
         body += _statements(ins)

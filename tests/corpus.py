@@ -23,13 +23,10 @@ from seriesinv.matrix_core import (
     subtract_from_identity,
 )
 from seriesinv.series_toolkit import (
-    _LIN,
-    _MATVEC,
-    _MUL,
-    _RESIDUAL,
     TABLE_LABELS,
     Horner,
     Lin,
+    MatVec,
     Mul,
     PrimeWrap,
     Residual,
@@ -338,7 +335,7 @@ def reference_execute(code, regs, a, ctr, outputs=None):
     (``_drops``) is set to None once it has run; without, every register
     is kept.
 
-    One dispatch on ``ins.op`` per instruction; each product through
+    One dispatch on each instruction's class; each product through
     ``ndarray.dot`` on ``(n, n)`` operands with 2 <= n <= ``DOT_MAX_DIM``
     and ``np.matmul`` on all others, picked once per call from A; the
     products added to the counter once the code has run, one per n x n
@@ -353,17 +350,16 @@ def reference_execute(code, regs, a, ctr, outputs=None):
     products = vectors = 0
     drops = _drops(code, outputs) if outputs is not None else [()] * len(code)
     for ins, drop in zip(code, drops):
-        op = ins.op
-        if op == _MUL:
+        if isinstance(ins, Mul):
             z = mul(regs[ins.lhs], regs[ins.rhs])
             products += 1
             if ins.add is not None:
                 z += regs[ins.add]
-        elif op == _RESIDUAL:
+        elif isinstance(ins, Residual):
             z = mul(regs[ins.src], a if ins.mat is None else regs[ins.mat])
             products += 1
             np.subtract(eye, z, out=z)
-        elif op == _LIN:
+        elif isinstance(ins, Lin):
             const, terms = ins.const, ins.terms
             if terms and (const == 1.0 or (const == 0.0 and copysign(1.0, const) > 0.0)):
                 # 1.0 * I + t is I + t; +0.0 * I + t is t + 0.0, which turns
@@ -376,7 +372,7 @@ def reference_execute(code, regs, a, ctr, outputs=None):
                 z = np.multiply(eye, const, out=np.empty_like(a))
             for coef, slot in terms:
                 z += regs[slot] if coef == 1.0 else coef * regs[slot]
-        elif op == _MATVEC:
+        elif isinstance(ins, MatVec):
             z = np.matmul(a if ins.mat is None else regs[ins.mat], regs[ins.vec])
             vectors += 1
         else:

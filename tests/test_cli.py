@@ -172,6 +172,21 @@ class TestInvert:
         assert [r.k for r in recs] == [0, 1, 2, 3]
         assert recs[-1].error_norm < recs[0].error_norm
 
+    @pytest.mark.parametrize("method, order, steps", [("double", "3", "700"), ("ns", "2", "1100")])
+    def test_runs_past_the_float_range_of_the_bound(
+        self, harmonic_files, tmp_path, method, order, steps
+    ):
+        # rho ** (e - e0) past float range raised OverflowError (exit 1);
+        # the bound is now its limit, 0.0
+        mat, _, _ = harmonic_files
+        csv_path = tmp_path / "long.csv"
+        rc = main(["invert", "--matrix", str(mat), "--method", method, "--order", order,
+                   "--steps", steps, "--csv", str(csv_path)])
+        assert rc == 0
+        lines = csv_path.read_text().splitlines()
+        assert len(lines) == int(steps) + 2
+        assert lines[-1].split(",")[3] == "0.0000000000000000e+00"
+
 
 class TestSolve:
     @pytest.fixture
@@ -467,6 +482,41 @@ class TestMethodValidation:
         err = capsys.readouterr().err
         assert "method ns" in err
         assert "positive definite" not in err
+
+
+class TestSharedRunOptions:
+    """``invert`` and ``solve`` declare --matrix, --order, --h, --steps,
+    --eps and --csv once, and each adds its own options."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--rhs", "b.vec", "--method", "richardson", "--rates", "2,3"],
+        ["invert", "--method", "ns", "--q", "3"],
+        ["invert", "--method", "ns", "--rhs", "f"],
+    ], ids=["solve-rates", "invert-q", "invert-rhs"])
+    def test_an_option_of_the_other_command_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], "--matrix", str(tmp_path / "a.mat"), *argv[1:]])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["invert", "solve"])
+    def test_options_in_any_order_write_the_same_csv(self, harmonic_files, tmp_path, command):
+        mat, rhs, theta = (str(path) for path in harmonic_files)
+        pairs = [["--matrix", mat], ["--order", "3"], ["--h", "2"], ["--steps", "3"],
+                 ["--eps", "0.5"]]
+        if command == "invert":
+            pairs += [["--method", "composite"], ["--rates", "2,3"]]
+        else:
+            pairs += [["--method", "richardson"], ["--rhs", rhs], ["--q", "2"],
+                      ["--theta-star", theta]]
+        rows = []
+        for i, order in enumerate((pairs, pairs[::-1], pairs[1::2] + pairs[::2])):
+            csv_path = tmp_path / f"{i}.csv"
+            argv = [command] + [arg for pair in order for arg in pair]
+            assert main(argv[:3] + ["--csv", str(csv_path)] + argv[3:]) == 0
+            rows.append([line.rsplit(",", 1)[0] for line in csv_path.read_text().splitlines()])
+        assert len(rows[0]) == 5
+        assert rows[0] == rows[1] == rows[2]
 
 
 class TestParserReuse:

@@ -264,6 +264,42 @@ class TestRunComparison:
         assert not recs[0].diverged
         assert recs[-1].diverged
 
+    @pytest.mark.parametrize(
+        "spec, steps",
+        [
+            (MethodSpec("double", 3), 700),
+            (MethodSpec("ns", 2), 1100),
+            (MethodSpec("richardson", 3, q=3), 700),
+            (MethodSpec("sri", 3), 700),
+        ],
+        ids=lambda v: v.name() if isinstance(v, MethodSpec) else str(v),
+    )
+    def test_runs_past_the_float_range_of_the_bound(self, fixture, spec, steps):
+        # Once e - e0 is past float range, rho ** (e - e0) raised
+        # OverflowError and ended the run; the bound is now its limit
+        # rho ** inf, 0.0 for rho < 1, and the rows before are unchanged.
+        a, b, theta = fixture
+        row = METHODS[spec.kind]
+        e0 = row.exponent(spec, 0)
+
+        def in_range(k):
+            try:
+                float(row.exponent(spec, k) - e0)
+            except OverflowError:
+                return False
+            return True
+
+        last = max(k for k in range(steps + 1) if in_range(k))
+        assert last < steps
+        recs = run_comparison(a, b, theta, [spec], steps, timer=lambda: 0)
+        assert [r.k for r in recs] == list(range(steps + 1))
+        assert all(r.predicted_bound == 0.0 for r in recs[last + 1:])
+        assert parse_run_records(records_to_csv(recs)) == recs
+        rho, err0 = _measure_rho(split_scalar(a)), recs[0].error_norm
+        assert all(r.predicted_bound == rho ** (r.exponent - e0) * err0 for r in recs[: last + 1])
+        short = run_comparison(a, b, theta, [spec], last, timer=lambda: 0)
+        assert records_to_csv(recs[: last + 1]) == records_to_csv(short)
+
     def test_method_name_labels(self):
         assert MethodSpec(kind="ns", order=8, h=2).name() == "ns:n8:h2"
         assert MethodSpec(kind="sri", order=3).name() == "sri:p3:h1"
@@ -581,6 +617,31 @@ class TestSurfaces:
         # 1.5 wrote fractional exponents, and True ran as h = 1
         with pytest.raises(ValueError, match=f"^h must be an integer, got {h!r}$"):
             emit_exponent_surface(kind, h=h)
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig3"])
+    @pytest.mark.parametrize("label", ["n", "k"])
+    @pytest.mark.parametrize("value", [2.5, 1.5, True])
+    def test_non_integer_n_or_k_rejected(self, kind, label, value):
+        # 2.5 wrote a row of fractional exponents, and a k of True ran as 1
+        with pytest.raises(ValueError, match=f"^{label} must be an integer, got {value!r}$"):
+            emit_exponent_surface(kind, **{f"{label}_range": [value]})
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig3"])
+    def test_n_below_two_rejected(self, kind):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            emit_exponent_surface(kind, n_range=[2, 1])
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig3"])
+    def test_numpy_integers_accepted_as_ints(self, kind):
+        # int64 arithmetic would overflow these exponents (6**31 > 2**63)
+        grid = {"n_range": [2, 6], "k_range": [1, 30], "h": 3}
+        as_int64 = {
+            "n_range": [np.int64(n) for n in grid["n_range"]],
+            "k_range": [np.int64(k) for k in grid["k_range"]],
+            "h": np.int64(3),
+        }
+        with np.errstate(all="raise"):
+            assert emit_exponent_surface(kind, **as_int64) == emit_exponent_surface(kind, **grid)
 
     @pytest.mark.parametrize("rho", [float("nan"), float("inf"), -float("inf"), -2.0, -1e-300])
     def test_non_finite_or_negative_rho_rejected(self, rho):
