@@ -33,7 +33,6 @@ from .series_toolkit import (
     factored_eval,
     factored_mmm,
     geometric_apply,
-    horner_eval,
     nested_eval,
     plan_order,
     plan_str,

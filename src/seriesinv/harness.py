@@ -13,10 +13,12 @@ start, first-step and later-step programs, and the one run loop
 
 from __future__ import annotations
 
+import re
 import time
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cache
 from math import cos, inf, isfinite, pi, sin
 
@@ -179,10 +181,10 @@ class MethodSpec:
 
     ``kind`` is a key of :data:`METHODS`, the one list of method kinds.
     ``order`` is n (or p for sri), ``h`` the initial series order; ``q``
-    (Richardson kinds only, at least 1) defaults to the order; ``rates``
-    feeds the composite kind, which needs them.  A spec is checked against
-    its table row when it is built, so a bad one fails before any matrix
-    work.
+    (Richardson kinds only, at least 1) is set to the order if not given;
+    ``rates`` feeds the composite kind, which needs them.  A spec is
+    checked against its table row when it is built, so a bad one fails
+    before any matrix work, and then holds its numbers as plain ints.
     """
 
     kind: str
@@ -197,30 +199,33 @@ class MethodSpec:
             raise ValueError(
                 f"unknown method kind {self.kind!r}; expected one of {', '.join(METHODS)}"
             )
-        for label, value in (("order", self.order), ("h", self.h), ("q", self.q)):
-            if value is not None:
-                check_int(label, value)
-        if self.order < row.min_order:
+        order, h = check_int("order", self.order), check_int("h", self.h)
+        q = self.q if self.q is None else check_int("q", self.q)
+        if order < row.min_order:
             raise ValueError(f"method {self.kind} requires order >= {row.min_order}")
-        if self.h < 1:
+        if h < 1:
             raise ValueError("initial series order h must be >= 1")
         if row.takes_rates:
             CompositeSpec(rates=self.rates)
         elif self.rates:
             raise ValueError(f"method {self.kind} takes no rates")
-        if self.q is not None and not row.takes_q:
+        if q is not None and not row.takes_q:
             raise ValueError(f"method {self.kind} takes no q")
-        if self.q is not None and self.q < 1:
+        if q is not None and q < 1:
             raise ValueError("q must be >= 1")
-        if row.q_is_order and self.q not in (None, self.order):
+        q = order if q is None and row.takes_q else q
+        if row.q_is_order and q != order:
             raise ValueError(f"method {self.kind} requires q == order")
+        for label, value in (("order", order), ("h", h), ("q", q)):
+            object.__setattr__(self, label, value)
+        object.__setattr__(self, "rates", tuple(map(int, self.rates)))
 
     def name(self) -> str:
         return METHODS[self.kind].name.format(
             kind=self.kind,
             order=self.order,
             h=self.h,
-            q=self.order if self.q is None else self.q,
+            q=self.q,
             rates="-".join(str(x) for x in self.rates),
         )
 
@@ -361,8 +366,8 @@ METHODS: dict[str, MethodKind] = {
         "solve",
         lambda m, series: (
             richardson_start_program(m.order, series),
-            richardson_program(m.order, m.order if m.q is None else m.q),
-            richardson_program(m.order, m.order if m.q is None else m.q),
+            richardson_program(m.order, m.q),
+            richardson_program(m.order, m.q),
         ),
         _theta_error,
         lambda m, k: cumulative_exponent(k, m.order, m.h, m.q),
@@ -497,9 +502,12 @@ def run_comparison(
 
 # ---------------------------------------------------------------------------
 # CSV emission.  Floats use 17 significant digits so parsing round-trips.
+# Exponents go through Decimal, which has no limit on the digits it converts
+# (int's is 4300); a token other than plain digits goes to int() to judge.
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "method,k,error_norm,predicted_bound,exponent,mmm_cum,wall_ns"
+_DIGITS = re.compile(r"-?[0-9]+")
 
 
 def records_to_csv(records: list[RunRecord]) -> str:
@@ -507,7 +515,7 @@ def records_to_csv(records: list[RunRecord]) -> str:
     for r in records:
         lines.append(
             f"{r.method},{r.k},{r.error_norm:.16e},{r.predicted_bound:.16e},"
-            f"{r.exponent},{r.mmm_cum},{r.wall_ns}"
+            f"{Decimal(r.exponent)},{r.mmm_cum},{r.wall_ns}"
         )
     return "\n".join(lines) + "\n"
 
@@ -527,7 +535,7 @@ def parse_run_records(text: str) -> list[RunRecord]:
                 k=int(parts[1]),
                 error_norm=float(parts[2]),
                 predicted_bound=float(parts[3]),
-                exponent=int(parts[4]),
+                exponent=int(Decimal(parts[4]) if _DIGITS.fullmatch(parts[4]) else parts[4]),
                 mmm_cum=int(parts[5]),
                 wall_ns=int(parts[6]),
             )
@@ -563,20 +571,19 @@ def emit_exponent_surface(
         raise ValueError("kind must be 'fig2' or 'fig3'")
     if not n_range or not k_range:
         raise ValueError("exponent surfaces need at least one n and one k")
-    check_int("h", h)
+    # plain ints: the baselines of numpy integers would overflow
+    h = check_int("h", h)
     if h < 1:
         raise ValueError("h must be >= 1")
     if not (isfinite(rho) and rho >= 0.0):
         raise ValueError(f"rho must be finite and >= 0, got {rho}")
     lines = ["n,k,exponent_new,exponent_baseline,rho_pow_new,rho_pow_baseline"]
     for n in n_range:
-        check_int("n", n)
+        n = check_int("n", n)
         if n < 2:
             raise ValueError("exponent surfaces need n >= 2")
         for k in k_range:
-            check_int("k", k)
-            # plain ints: the exponents of numpy integers would overflow
-            n, k, h = int(n), int(k), int(h)
+            k = check_int("k", k)
             try:
                 if kind == "fig2":
                     e_new = double_exponent(k, n, h)

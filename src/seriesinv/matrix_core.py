@@ -103,13 +103,15 @@ def vector(entries) -> np.ndarray:
     return v
 
 
-def check_int(label: str, value) -> None:
-    """Reject a ``value`` that is not an integer, or is a bool, with the
-    message every boundary gives (``"order must be an integer, got 1.5"``).
-    Any ``numbers.Integral`` other than bool passes, numpy integers
-    included."""
+def check_int(label: str, value) -> int:
+    """``value`` as a plain int.  Rejects a ``value`` that is not an
+    integer, or is a bool, with the message every boundary gives
+    (``"order must be an integer, got 1.5"``).  Any ``numbers.Integral``
+    other than bool passes, numpy integers included, so a caller that
+    computes with the returned int gets exact arithmetic."""
     if type(value) is not int and (type(value) is bool or not isinstance(value, Integral)):
         raise ValueError(f"{label} must be an integer, got {value!r}")
+    return int(value)
 
 
 def int_keyed_cache(*labels: str):
@@ -131,9 +133,7 @@ def int_keyed_cache(*labels: str):
             for value in args[:count]:
                 # a plain int passes here; check_int judges any other type
                 if type(value) is not int:
-                    for label, arg in zip(labels, args):
-                        check_int(label, arg)
-                    args = (*map(int, args[:count]), *args[count:])
+                    args = (*map(check_int, labels, args), *args[count:])
                     break
             return cached(*args)
 

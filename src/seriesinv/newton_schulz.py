@@ -378,18 +378,20 @@ def additive_correction_step(
 
 def classical_exponent(k: int, n: int, h: int) -> int:
     """Classical law F_k = B^(h n^k)."""
+    k, n, h = check_int("k", k), check_int("n", n), check_int("h", h)
     return h * n**k
 
 
 def double_exponent(k: int, n: int, h: int) -> int:
     """Two-loop law F_k = B^(h (k n^(k+1) + n^k))."""
+    k, n, h = check_int("k", k), check_int("n", n), check_int("h", h)
     return h * (k * n ** (k + 1) + n**k)
 
 
 def composite_exponent(k: int, n: int, h: int, rates: tuple[int, ...]) -> int:
     """Composite law by recursion e_k = sum(x_i) + n e_(k-1), e_0 = h."""
-    total = sum(rates)
-    e = h
+    k, n, e = check_int("k", k), check_int("n", n), check_int("h", h)
+    total = sum(check_int("rates", x) for x in rates)
     for _ in range(k):
         e = total + n * e
     return e
@@ -398,6 +400,7 @@ def composite_exponent(k: int, n: int, h: int, rates: tuple[int, ...]) -> int:
 def additive_exponents(k: int, p: int, h: int) -> tuple[int, int]:
     """(e_L, e_F) for the additive scheme: e_L doubles-loop at rate p,
     e_F_k = e_F_(k-1) + p e_L_(k-1)."""
+    k, p, h = check_int("k", k), check_int("p", p), check_int("h", h)
     e_l, e_f = h, h
     for _ in range(k):
         e_f = e_f + p * e_l

@@ -249,27 +249,28 @@ def richardson_recursive_step(
 
 def step_exponent_general(k: int, n: int, h: int, q: int) -> int:
     """Step-k mismatch exponent for general Neumann order q."""
+    k, n, h, q = check_int("k", k), check_int("n", n), check_int("h", h), check_int("q", q)
     return h * ((k * n ** (k + 1) + n**k) * q + n ** (k + 1))
 
 
 def cumulative_exponent(k: int, n: int, h: int, q: int | None = None) -> int:
     """Sum of per-step exponents over steps 1..k; ``q`` defaults to n."""
-    q = n if q is None else q
+    k, n, h = check_int("k", k), check_int("n", n), check_int("h", h)
+    q = n if q is None else check_int("q", q)
     return sum(step_exponent_general(j, n, h, q) for j in range(1, k + 1))
 
 
 def cumulative_exponent_closed(k: int, n: int, h: int) -> int:
     """Closed form of the cumulative exponent for q == n, n >= 2.
 
-    The division by (n - 1)^2 must be exact in integer arithmetic; a
-    non-zero remainder means the formula was fed invalid arguments.
+    (n - 1)^2 divides the numerator h n^2 f(n) exactly: f(n) = k n^(k+2)
+    - (k-1) n^(k+1) - 2 n^k - n + 2 has integer coefficients and f(1) =
+    f'(1) = 0, so (n - 1)^2 is a factor of f.
     """
+    k, n, h = check_int("k", k), check_int("n", n), check_int("h", h)
     if n < 2:
         raise ValueError("closed form requires n >= 2")
     if k < 1 or h < 1:
         raise ValueError("requires k >= 1 and h >= 1")
     num = h * n * n * (k * n ** (k + 2) - (k - 1) * n ** (k + 1) - 2 * n**k - n + 2)
-    quo, rem = divmod(num, (n - 1) ** 2)
-    if rem:
-        raise ArithmeticError(f"closed form not divisible: {num} / {(n - 1) ** 2}")
-    return quo
+    return num // (n - 1) ** 2

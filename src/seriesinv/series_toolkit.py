@@ -13,12 +13,12 @@ trick nests: inner and outer sums may themselves be evaluated by any plan of
 matching order, and a degree bump ("wrap", ``Z' = X + Y Z``) covers prime
 orders.  This module provides:
 
-* :func:`horner_eval` / :func:`factored_eval` - the two baseline evaluators
-  with pinned multiplication counts;
 * :class:`FactorPlan` - a plan, which is a node: :class:`Horner`,
   :class:`Split`, :class:`PrimeWrap` or :class:`TableForm`, each built to
   its :class:`Program` when it is constructed by calling its children's
   programs; and :func:`nested_eval` to run it;
+* :func:`factored_eval` - the baseline two-level evaluator with pinned
+  multiplication counts;
 * :func:`table_plans` - a catalogue of hand-factored evaluation DAGs for
   orders 2..19 and 45 (including the cheaper second variants for orders 5,
   9, 10, 11, the nested order-15 form and the ten-product order-45 plan);
@@ -70,7 +70,6 @@ __all__ = [
     "factored_eval",
     "factored_mmm",
     "geometric_apply",
-    "horner_eval",
     "nested_eval",
     "plan_order",
     "plan_str",
@@ -443,20 +442,6 @@ def plan_str(plan: FactorPlan) -> str:
 # ---------------------------------------------------------------------------
 
 
-def horner_eval(y: np.ndarray, x: np.ndarray, h: int, ctr: MulCounter) -> np.ndarray:
-    """``(I + Y + ... + Y^(h-1)) X`` by the Horner recursion, Y supplied;
-    exactly ``h - 1`` products.  The result is always a fresh array, a copy
-    of X for h == 1."""
-    if h < 1:
-        raise ValueError("order h must be >= 1")
-    return _run_plan(_horner_plan(h), y, x, x, ctr)
-
-
-@int_keyed_cache("order")
-def _horner_plan(h: int) -> Horner:
-    return Horner(h)
-
-
 @int_keyed_cache("p", "w")
 def _split_plan(p: int, w: int) -> Split:
     """The plain two-level split with Horner stages, the plan behind
@@ -571,9 +556,9 @@ def _compile(program: Program) -> Callable:
     an input, or that repeats an earlier output, is copied).
 
     Every program runs this way, through :func:`run_program`: each plan's
-    (for :func:`nested_eval`, :func:`factored_eval`,
-    :func:`geometric_apply` and :func:`horner_eval`), and each start and
-    step function's of the iteration family.  Operands are ``(n, n)``
+    (for :func:`nested_eval`, :func:`factored_eval` and
+    :func:`geometric_apply`), and each start and step function's of the
+    iteration family.  Operands are ``(n, n)``
     matrices, or ``(k, n, n)`` stacks of one shape (every instance in one
     pass, each bitwise equal to its own 2-D run), and vectors for
     ``MatVec`` and ``Sub``.  Registers are locals, and after each
@@ -714,7 +699,7 @@ def _geometric_plan(order: int) -> FactorPlan:
     if order % 2:
         return PrimeWrap(_geometric_plan(order - 1))
     t = order // 2
-    return Split(p=t - 1, w=2, inner=_geometric_plan(t), outer=_horner_plan(2))
+    return Split(p=t - 1, w=2, inner=_geometric_plan(t), outer=Horner(2))
 
 
 # ---------------------------------------------------------------------------

@@ -306,8 +306,9 @@ def power_iteration_oracle(a, tol=1e-12, max_iter=10000, seed=0):
 
 def horner_iterates(y, x, h, ctr):
     """Every Horner iterate ``[S_1 X, ..., S_h X]`` from one pass of
-    ``h - 1`` products, entry ``i`` bitwise equal to ``horner_eval(y, x,
-    i + 1)``: the references of the per-instance verify-tables oracle."""
+    ``h - 1`` products, entry ``i`` bitwise equal to ``nested_eval(y, x, a,
+    Horner(i + 1), ctr, form_y=False)``: the Horner references of the
+    tests and of the per-instance verify-tables oracle."""
     sums = [x]
     for _ in range(h - 1):
         z = mat_mul(y, sums[-1], ctr)

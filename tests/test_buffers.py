@@ -24,7 +24,6 @@ from seriesinv import (
     double_ns_step,
     factored_eval,
     geometric_apply,
-    horner_eval,
     initial_double,
     initial_richardson,
     initial_series,
@@ -307,7 +306,7 @@ class TestIdentityConstant:
         # order 1: the sum is the input itself, returned as a copy
         sp = split_scalar(random_spd(DIM, rng))
         y, x = sp.residual, sp.precond
-        got = horner_eval(y, x, 1, MulCounter())
+        got = nested_eval(y, x, sp.matrix, Horner(1), MulCounter(), form_y=False)
         assert not np.shares_memory(got, x) and got.flags.writeable
         st = initial_series(sp, 1, 1, order=1)
         new = ns_step(st, sp.matrix)

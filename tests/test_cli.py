@@ -187,6 +187,17 @@ class TestInvert:
         assert len(lines) == int(steps) + 2
         assert lines[-1].split(",")[3] == "0.0000000000000000e+00"
 
+    def test_writes_exponents_past_the_int_string_limit(self, harmonic_files, tmp_path):
+        # near 9000 double:n3 steps the exponent passes Python's 4300-digit
+        # int-to-string limit, which stopped the run with exit 2
+        mat, _, _ = harmonic_files
+        csv_path = tmp_path / "huge.csv"
+        rc = main(["invert", "--matrix", str(mat), "--method", "double", "--order", "3",
+                   "--steps", "9100", "--csv", str(csv_path)])
+        assert rc == 0
+        lines = csv_path.read_text().splitlines()
+        assert len(lines) == 9102 and len(lines[-1].split(",")[4]) > 4300
+
 
 class TestSolve:
     @pytest.fixture

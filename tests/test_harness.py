@@ -13,6 +13,7 @@ from corpus import (
 from seriesinv import (
     HarmonicRegressorSpec,
     MethodSpec,
+    RunRecord,
     SpectralRadiusError,
     condition_number,
     emit_exponent_surface,
@@ -54,6 +55,7 @@ from seriesinv.richardson import (
     cumulative_exponent_closed,
     richardson_recursive_step,
     richardson_step,
+    step_exponent_general,
 )
 
 
@@ -115,6 +117,11 @@ class TestHarmonicFixture:
                     theta_star=(1.0,) * 6,
                 )
             )
+        # fewer samples than the four parameters of two frequencies
+        with pytest.raises(ValueError, match="need at least as many samples as parameters"):
+            gen_harmonic_matrix(
+                HarmonicRegressorSpec(frequencies=(0.3, 0.8), num_samples=3, theta_star=(1.0,) * 4)
+            )
 
     def test_out_of_band_frequency_rejected(self):
         with pytest.raises(ValueError):
@@ -122,6 +129,10 @@ class TestHarmonicFixture:
                 HarmonicRegressorSpec(
                     frequencies=(0.0,), num_samples=10, theta_star=(1.0, 1.0)
                 )
+            )
+        with pytest.raises(ValueError, match="need at least one frequency"):
+            gen_harmonic_matrix(
+                HarmonicRegressorSpec(frequencies=(), num_samples=10, theta_star=())
             )
 
     def test_theta_length_checked(self):
@@ -165,6 +176,8 @@ class TestSeriesParams:
         for h in (5.0, True):
             with pytest.raises(ValueError, match="h must be an integer"):
                 series_params(h)
+        with pytest.raises(ValueError, match="h must be >= 1"):
+            series_params(0)
 
 
 @pytest.fixture(scope="module")
@@ -504,6 +517,70 @@ class TestMethodTable:
         with pytest.raises(ValueError, match="ns, double, composite, sri"):
             MethodSpec(kind="newton")
 
+    def test_a_spec_holds_plain_ints_and_its_q(self):
+        assert MethodSpec("richardson", 3) == MethodSpec("richardson", 3, q=3)
+        assert MethodSpec("richardson-recursive", 2).q == 2
+        assert MethodSpec("double", 3).q is None
+        # a list of rates built a spec that failed only when first hashed
+        listed = MethodSpec("composite", 2, rates=[2, 3])
+        assert listed == MethodSpec("composite", 2, rates=(2, 3))
+        assert hash(listed) == hash(MethodSpec("composite", 2, rates=(2, 3)))
+        spec = MethodSpec("richardson", np.int64(3), np.int32(16), np.int64(2))
+        assert [type(v) for v in (spec.order, spec.h, spec.q)] == [int, int, int]
+        spec = MethodSpec("composite", np.int64(3), rates=[np.int64(5), np.uint8(7)])
+        assert spec.rates == (5, 7) and {type(r) for r in spec.rates} == {int}
+
+    @pytest.mark.parametrize("steps", [45, 70])
+    @pytest.mark.parametrize("spec", [
+        MethodSpec("ns", 3, 16),
+        MethodSpec("double", 3, 16),
+        MethodSpec("composite", 3, 16, rates=(5, 7)),
+        MethodSpec("sri", 3, 16),
+        MethodSpec("richardson", 3, 16, q=2),
+        MethodSpec("richardson-recursive", 3, 16),
+        MethodSpec("ns-estimator", 3, 16),
+    ], ids=lambda m: m.kind)
+    def test_a_numpy_integer_spec_writes_the_plain_int_csv(self, fixture, spec, steps):
+        # int64 exponents wrapped past 2**63: negative exponents, inf bounds
+        # and, for a numpy h, OverflowError
+        a, b, theta = fixture
+        as_numpy = MethodSpec(
+            spec.kind, np.int64(spec.order), np.int64(spec.h),
+            None if spec.q is None else np.int64(spec.q), tuple(map(np.int64, spec.rates)),
+        )
+        got = records_to_csv(run_comparison(a, b, theta, [as_numpy], steps, timer=lambda: 0))
+        assert got == records_to_csv(run_comparison(a, b, theta, [spec], steps, timer=lambda: 0))
+        assert as_numpy == spec
+
+
+LAWS = [
+    (classical_exponent, (50, 3, 1)),
+    (double_exponent, (40, 3, 1)),
+    (composite_exponent, (40, 3, 1, (5, 7))),
+    (additive_exponents, (50, 3, 1)),
+    (step_exponent_general, (40, 3, 1, 2)),
+    (cumulative_exponent, (40, 3, 1, 2)),
+    (cumulative_exponent_closed, (40, 3, 1)),
+]
+
+
+@pytest.mark.parametrize("law, args", LAWS, ids=[law.__name__ for law, _ in LAWS])
+class TestExponentLaws:
+    def test_exact_for_numpy_integers(self, law, args):
+        # with an np.int64 n the laws computed in int64 and wrapped around
+        want = law(*args)
+        assert max(want if isinstance(want, tuple) else (want,)) > 2**63
+        as_numpy = [
+            tuple(map(np.int64, v)) if isinstance(v, tuple) else np.int64(v) for v in args
+        ]
+        assert law(*as_numpy) == want
+
+    def test_a_float_rejected(self, law, args):
+        for i, v in enumerate(args):
+            bad = (1.5,) if isinstance(v, tuple) else 1.5
+            with pytest.raises(ValueError, match=r" must be an integer, got 1\.5$"):
+                law(*args[:i], bad, *args[i + 1:])
+
 
 class TestCsv:
     def test_header_is_pinned(self):
@@ -544,9 +621,23 @@ class TestCsv:
             )
         assert serial == threaded
 
+    def test_exponent_past_the_int_string_limit_round_trips(self):
+        # int <-> str stops at 4300 digits; the exponent column has no limit
+        rec = RunRecord("double:n3:h1", 9100, 4.45e-13, 0.0, 10**5000 + 7, 72803, 0)
+        text = records_to_csv([rec])
+        assert text.splitlines()[1].split(",")[4] == "1" + "0" * 4999 + "7"
+        assert parse_run_records(text) == [rec]
+
     def test_parse_rejects_bad_header(self):
         with pytest.raises(ValueError):
             parse_run_records("not,a,header\n")
+        # and a record line of six columns
+        with pytest.raises(ValueError, match="bad record line: 'ns:n2:h1,0,1.0,1.0,2,0'"):
+            parse_run_records(f"{CSV_HEADER}\nns:n2:h1,0,1.0,1.0,2,0\n")
+        # and an exponent int() rejects, however long
+        for token in ["1e5", "1.0", "nan", "", "0x10", "--1", "1" * 4301 + ".0"]:
+            with pytest.raises(ValueError):
+                parse_run_records(f"{CSV_HEADER}\nns:n2:h1,0,1.0,1.0,{token},0,0\n")
 
 
 class TestSurfaces:

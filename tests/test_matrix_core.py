@@ -49,6 +49,10 @@ class TestConstruction:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             square_matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        with pytest.raises(ValueError, match="spectral_radius expects a square matrix"):
+            spectral_radius(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="vector must have at least one entry"):
+            vector([])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -117,6 +117,8 @@ class TestClassicalStep:
         st = initial_series(sp, 0, 1, order=3)
         with pytest.raises(ValueError, match="plan order 4 != iteration order 3"):
             ns_step(st, a, plan=plan_order(4))
+        with pytest.raises(ValueError, match="dimension mismatch between state and matrix"):
+            ns_step(st, np.eye(3))
         with pytest.raises(ValueError, match="plan order 5 != iteration order 3"):
             ns_program(3, plan_order(5))
         assert ns_program(5, plan_order(5)) is ns_program(5, plan_order(5))
@@ -193,9 +195,12 @@ class TestCompositeStep:
             assert_power_law(st.residual, sp.residual, e, rel=1e-9)
         assert e == composite_exponent(2, 2, 2, (2, 2))
 
-    def test_spec_validation(self):
+    def test_spec_validation(self, rng):
         with pytest.raises(ValueError):
             CompositeSpec(())
+        a, sp = diag_system(3, 0.9, rng)
+        with pytest.raises(ValueError, match="order_n must be >= 1"):
+            composite_step(initial_series(sp, 0, 1), a, sp, CompositeSpec((2,)), order_n=0)
         with pytest.raises(ValueError):
             CompositeSpec((0, 2))
 

@@ -42,7 +42,6 @@ from seriesinv import (
     fro_norm,
     factored_eval,
     geometric_apply,
-    horner_eval,
     nested_eval,
     plan_order,
     plan_str,
@@ -168,7 +167,7 @@ def test_geometric_apply_above_64_runs_one_plan(order):
         zi = geometric_apply(y[i], x[i], order, a[i], one)
         assert one.mmm == plan.mmm_poly
         assert same_bits(z[i], zi)
-        ref = horner_eval(y[i], x[i], order, MulCounter())
+        ref = horner_iterates(y[i], x[i], order, MulCounter())[-1]
         assert fro_norm(zi - ref) <= 1e-9 * fro_norm(ref)
 
 
@@ -340,7 +339,8 @@ def test_plan_order_is_searched_and_compiled_once():
 def test_evaluation_never_walks_the_tree(monkeypatch):
     x, y, a = stacked_instances(5, 2, seed=3)
     factored_eval(y[0], x[0], a[0], 8, 5, MulCounter())
-    horner_eval(y[0], x[0], 5, MulCounter())
+    horner = Horner(5)
+    nested_eval(y[0], x[0], a[0], horner, MulCounter(), form_y=False)
     toolkit_check(instances=2, dim=5, seed=1)  # every plan compiled beforehand
     plans = all_plans()
     # a plan above order 64 is built once per order, then cached
@@ -355,7 +355,7 @@ def test_evaluation_never_walks_the_tree(monkeypatch):
         nested_eval(None, x[0], a[0], plan, MulCounter())
     geometric_apply(y[0], x[0], 200, a[0], MulCounter())
     factored_eval(y[0], x[0], a[0], 8, 5, MulCounter())
-    horner_eval(y, x, 5, MulCounter())
+    nested_eval(y, x, a, horner, MulCounter(), form_y=False)
     assert toolkit_check(instances=2, dim=5, seed=1)[0]
 
 

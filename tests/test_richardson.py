@@ -7,6 +7,7 @@ from corpus import (
     BENCH_SPECS,
     contractive_scalar_system,
     diagonal_split,
+    horner_iterates,
     mat_pow,
     power_sum,
     same_bits,
@@ -25,7 +26,6 @@ from seriesinv import (
 )
 from seriesinv import richardson
 from seriesinv.harness import series_params
-from seriesinv.series_toolkit import horner_eval
 from seriesinv.matrix_core import MulCounter
 
 
@@ -88,8 +88,10 @@ class TestStepExponents:
                         assert step == step_oracle(k, n, h, q)
 
     def test_closed_form_rejects_first_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="closed form requires n >= 2"):
             cumulative_exponent_closed(3, 1, 1)
+        with pytest.raises(ValueError, match="requires k >= 1 and h >= 1"):
+            cumulative_exponent_closed(0, 2, 1)
 
 
 class TestDirectStep:
@@ -106,6 +108,8 @@ class TestDirectStep:
         monkeypatch.setattr(richardson, "run_program", fail)
         with pytest.raises(ValueError, match="q must be >= 1"):
             initial_richardson(split_scalar(np.eye(3)), np.ones(3), 0, 1, order=2, q=0)
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(3, 3\) @ \(2,\)"):
+            initial_richardson(split_scalar(np.eye(3)), np.ones(2))
 
     def test_first_step_contraction_power(self, rng):
         a, sp, theta_star, b = scalar_setup(4, 0.98, rng)
@@ -188,6 +192,9 @@ class TestRecursiveStep:
         st = initial_richardson(sp, b, order=2, q=3)
         with pytest.raises(ValueError):
             richardson_recursive_step(st, a, b)
+        # and a right-hand side of the wrong length
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            richardson_step(st, a, b[:3])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_direct_form_every_step(self, rng, n):
@@ -222,7 +229,7 @@ class TestRecursiveStep:
         for _ in range(3):
             st = richardson_recursive_step(st, a, b)
             inner = st.inner
-            sum_fg = horner_eval(inner.residual, inner.estimate, st.q, MulCounter())
+            sum_fg = horner_iterates(inner.residual, inner.estimate, st.q, MulCounter())[-1]
             direct_weight = inner.accel_estimate + inner.accel_residual @ sum_fg
             assert fro_norm(st.omega - direct_weight) <= 1e-9 * fro_norm(st.omega)
 

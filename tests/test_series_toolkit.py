@@ -13,7 +13,6 @@ from seriesinv import (
     factored_mmm,
     fro_norm,
     geometric_apply,
-    horner_eval,
     nested_eval,
     plan_order,
     plan_str,
@@ -33,61 +32,61 @@ def toolkit_instance(rng, dim=5):
 
 
 class TestHorner:
+    # The Horner recursion is the Horner(h) plan run on a given Y.
     def test_order_one_is_x(self, rng):
         x, y, a = toolkit_instance(rng)
         ctr = MulCounter()
-        assert np.array_equal(horner_eval(y, x, 1, ctr), x)
+        assert np.array_equal(nested_eval(y, x, a, Horner(1), ctr, form_y=False), x)
         assert ctr.mmm == 0
 
     def test_zero_y_returns_x(self, rng):
-        x = rng.standard_normal((3, 3))
+        x, y = rng.standard_normal((3, 3)), np.zeros((3, 3))
         for h in (1, 2, 7):
-            out = horner_eval(np.zeros((3, 3)), x, h, MulCounter())
+            out = nested_eval(y, x, np.eye(3), Horner(h), MulCounter(), form_y=False)
             assert np.array_equal(out, x)
 
     def test_scalar_geometric_sum(self):
         y = square_matrix([[0.5]])
         x = square_matrix([[1.0]])
         ctr = MulCounter()
-        out = horner_eval(y, x, 4, ctr)
+        out = nested_eval(y, x, square_matrix([[0.5]]), Horner(4), ctr, form_y=False)
         assert out[0, 0] == pytest.approx(1.875, abs=0)
         assert ctr.mmm == 3
 
     @pytest.mark.parametrize("h", [1, 2, 5, 11])
     def test_counts_both_conventions(self, rng, h):
-        # Y supplied: h - 1 products; Y formed (through the plan executor,
-        # the one evaluator that forms it): h, the same sum to rounding
+        # Y supplied: h - 1 products; Y formed: h, the same sum to rounding
         x, y, a = toolkit_instance(rng)
         ctr = MulCounter()
-        ref = horner_eval(y, x, h, ctr)
+        ref = nested_eval(y, x, a, Horner(h), ctr, form_y=False)
         assert ctr.mmm == h - 1
         ctr = MulCounter()
         out = nested_eval(None, x, a, Horner(h), ctr, form_y=True)
         assert ctr.mmm == h
         assert fro_norm(out - ref) <= 1e-12 * fro_norm(ref)
 
-    def test_order_below_one_rejected(self, rng):
-        x, y, _ = toolkit_instance(rng)
-        with pytest.raises(ValueError):
-            horner_eval(y, x, 0, MulCounter())
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="Horner order must be >= 1"):
+            Horner(0)
 
     def test_one_pass_gives_every_order_bitwise(self, rng):
         # the per-instance verify-tables oracle's references: one pass of
         # 44 products, order h bitwise equal to its own Horner evaluation
-        x, y, _ = toolkit_instance(rng)
+        x, y, a = toolkit_instance(rng)
         ctr = MulCounter()
         sums = horner_iterates(y, x, 45, ctr)
         assert ctr.mmm == 44 and len(sums) == 45
         for h in range(1, 46):
-            assert sums[h - 1].tobytes() == horner_eval(y, x, h, MulCounter()).tobytes()
+            own = nested_eval(y, x, a, Horner(h), MulCounter(), form_y=False)
+            assert sums[h - 1].tobytes() == own.tobytes()
 
     def test_missing_y_rejected(self, rng):
-        # Y is formed only on request; horner_eval takes no form_y option
+        # Y is formed only on request
         x, _, a = toolkit_instance(rng)
         with pytest.raises(ValueError, match="y is required"):
             nested_eval(None, x, a, Horner(3), MulCounter(), form_y=False)
-        with pytest.raises(TypeError):
-            horner_eval(None, x, 3, MulCounter(), a=a, form_y=True)
+        with pytest.raises(ValueError, match=r"dimension mismatch: x \(5, 5\) vs a \(4, 4\)"):
+            nested_eval(None, x, a[:4, :4], Horner(3), MulCounter())
 
 
 class TestFactored:
@@ -103,13 +102,13 @@ class TestFactored:
         ctr = MulCounter()
         out = factored_eval(y, x, a, 8, 5, ctr)
         assert ctr.mmm == 14
-        ref = horner_eval(y, x, 45, MulCounter())
+        ref = horner_iterates(y, x, 45, MulCounter())[-1]
         assert fro_norm(out - ref) <= 1e-10 * fro_norm(ref)
 
     def test_matches_horner(self, rng):
         x, y, a = toolkit_instance(rng, dim=4)
         out = factored_eval(y, x, a, 2, 3, MulCounter())
-        ref = horner_eval(y, x, 9, MulCounter())
+        ref = horner_iterates(y, x, 9, MulCounter())[-1]
         assert fro_norm(out - ref) <= 1e-10 * fro_norm(ref)
 
     @pytest.mark.parametrize("p", range(0, 8))
@@ -174,7 +173,7 @@ class TestOrder45:
         ctr = MulCounter()
         out = nested_eval(y, x, a, plan, ctr)
         assert ctr.mmm == 10
-        ref = horner_eval(y, x, 45, MulCounter())
+        ref = horner_iterates(y, x, 45, MulCounter())[-1]
         assert fro_norm(out - ref) <= 1e-8 * fro_norm(ref)
 
     def test_search_finds_ten(self):
@@ -260,12 +259,10 @@ class TestTableCatalogue:
 
     def test_every_plan_matches_horner(self, rng):
         x, y, a = toolkit_instance(rng)
-        refs = {}
+        refs = horner_iterates(y, x, 45, MulCounter())
         for label, order, plan in catalogue():
-            if order not in refs:
-                refs[order] = horner_eval(y, x, order, MulCounter())
             out = nested_eval(y, x, a, plan, MulCounter())
-            rel = fro_norm(out - refs[order]) / fro_norm(refs[order])
+            rel = fro_norm(out - refs[order - 1]) / fro_norm(refs[order - 1])
             assert rel <= 1e-9, f"{label}: {rel}"
 
     def test_count_soundness_both_modes(self, rng):
@@ -319,7 +316,7 @@ class TestPlanOrder:
         ctr = MulCounter()
         out = nested_eval(y, x, a, plan, ctr)
         assert ctr.mmm == plan.mmm_cost
-        ref = horner_eval(y, x, h, MulCounter())
+        ref = horner_iterates(y, x, h, MulCounter())[-1]
         assert fro_norm(out - ref) <= 1e-9 * fro_norm(ref)
 
     @pytest.mark.parametrize("h", [h for h in range(4, 65) if any(h % d == 0 for d in range(2, h))])
@@ -350,6 +347,8 @@ class TestNestedEval:
             PrimeWrap(plan_order(4).program)
         with pytest.raises(TypeError, match="a plan is a Horner, Split, PrimeWrap or TableForm"):
             FactorPlan()
+        with pytest.raises(TypeError, match="not a plan node: <object object"):
+            plan_str(object())
 
     def test_identity_chain(self, rng):
         # I - Z A must equal Y**h: the series is exact in the residual power
@@ -366,13 +365,16 @@ class TestGeometricApply:
     def test_matches_horner(self, rng, order):
         x, y, a = toolkit_instance(rng, dim=4)
         out = geometric_apply(y, x, order, a, MulCounter())
-        ref = horner_eval(y, x, order, MulCounter())
+        ref = horner_iterates(y, x, order, MulCounter())[-1]
         assert fro_norm(out - ref) <= 1e-9 * fro_norm(ref)
 
     def test_rejects_zero_order(self, rng):
         x, y, a = toolkit_instance(rng)
         with pytest.raises(ValueError):
             geometric_apply(y, x, 0, a, MulCounter())
+        message = r"dimension mismatch: y \(5, 5\), x \(5, 5\), a \(4, 4\)"
+        with pytest.raises(ValueError, match=message):
+            geometric_apply(y, x, 3, a[:4, :4], MulCounter())
 
     @pytest.mark.parametrize("order", [2.5, 2.0, True])
     def test_order_must_be_an_integer(self, rng, order):
@@ -403,7 +405,7 @@ class TestTableFormValidation:
 def test_plan_equivalence_property(dim, order, seed):
     r = np.random.default_rng(seed)
     x, y, a = toolkit_instance(r, dim=dim)
-    ref = horner_eval(y, x, order, MulCounter())
+    ref = horner_iterates(y, x, order, MulCounter())[-1]
     scale = max(fro_norm(ref), 1e-300)
     for plan in table_plans()[order] + (plan_order(order),):
         out = nested_eval(y, x, a, plan, MulCounter())

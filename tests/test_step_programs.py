@@ -341,6 +341,7 @@ def test_search_splices_its_children(monkeypatch):
         (lambda sp, b: initial_richardson(sp, b, 0, 1, 2, q=2.0), "q must be an integer, got 2.0"),
         (lambda sp, b: initial_richardson(sp, b, 0.5, 1), "p must be an integer, got 0.5"),
         (lambda sp, b: initial_richardson(sp, b, 0, 1, "2"), "order must be an integer, got '2'"),
+        (lambda sp, b: initial_series(sp, 0, 1, order=0), "order must be >= 1"),
     ],
 )
 def test_start_functions_reject_non_integers(call, message):
@@ -386,7 +387,6 @@ SERIES = series_toolkit._split_plan(1, 2).program
 ORDER_KEYED_CACHES = [
     (plan_order, (5,), ("h",)),
     (series_toolkit._split_plan, (1, 2), ("p", "w")),
-    (series_toolkit._horner_plan, (4,), ("order",)),
     (series_toolkit._geometric_plan, (70,), ("order",)),
     (newton_schulz.double_start_program, (3, SERIES), ("order",)),
     (ns_program, (3,), ("order",)),
