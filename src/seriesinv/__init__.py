@@ -29,7 +29,6 @@ from .series_toolkit import (
     PrimeWrap,
     Split,
     TableForm,
-    efficiency_index,
     factored_eval,
     factored_mmm,
     geometric_apply,

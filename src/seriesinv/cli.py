@@ -31,14 +31,7 @@ from .harness import (
     toolkit_check,
 )
 from .matrix_core import load_matrix, load_vector, save_matrix, save_vector
-from .series_toolkit import (
-    efficiency_index,
-    factored_mmm,
-    plan_order,
-    plan_str,
-    split_candidates,
-    table_plans,
-)
+from .series_toolkit import _split_plan, plan_order, plan_str, split_candidates, table_plans
 
 __all__ = ["main"]
 
@@ -60,10 +53,8 @@ def _cmd_plan(args) -> int:
     if cands:
         print("  single-level factorizations:")
         for p, w in cands:
-            print(
-                f"    p={p} w={w}: mmm={factored_mmm(p, w)}"
-                f"  EI={efficiency_index(p, w):.4f}"
-            )
+            split = _split_plan(p, w)
+            print(f"    p={p} w={w}: mmm={split.mmm_cost}  EI={split.efficiency_index:.4f}")
     return 0
 
 

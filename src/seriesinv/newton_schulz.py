@@ -122,7 +122,7 @@ class CompositeSpec:
 # Programs.  Each start and step function is one lowered program, built
 # once per (order, q, rates, plan) by calling the plan programs it sums
 # with, and run by the one executor (``series_toolkit.run_program``).  The
-# matrix A of a program is the ``a`` its step function is given (the
+# one matrix A a program reads is the ``a`` its step function is given (the
 # splitting's matrix for a start function).
 # ---------------------------------------------------------------------------
 
@@ -174,14 +174,14 @@ def _ns_program(order: int, plan: Program | None) -> Program:
 
 @int_keyed_cache("order_n")
 def composite_program(order_n: int, rates: tuple[int, ...]) -> Program:
-    """Inputs (F, G, B, S^-1, A_s) with A_s the splitting's matrix; outputs
-    (G_k, F_k).  Each unit's T_i runs the plan of ``geometric_apply`` on
-    (B, S^-1), its residuals against A_s, then R_i = I - T_i A; the units
-    are combined in order, and G_k = T_comp + R_comp S_n(F) G."""
-    bld = _Builder("F", "G", "B", "Sinv", "As")
+    """Inputs (F, G, B, S^-1); outputs (G_k, F_k).  Each unit's T_i runs
+    the plan of ``geometric_apply`` on (B, S^-1), then R_i = I - T_i A,
+    every residual against the one matrix A; the units are combined in
+    order, and G_k = T_comp + R_comp S_n(F) G."""
+    bld = _Builder("F", "G", "B", "Sinv")
     series, residuals = [], []
     for rate in rates:
-        (t_i,) = bld.call(_geometric_plan(rate).program, 2, 3, mat=4)
+        (t_i,) = bld.call(_geometric_plan(rate).program, 2, 3)
         series.append(t_i)
         residuals.append(bld.emit(Residual, t_i))
     t_comp, r_comp = series[0], residuals[0]
@@ -283,7 +283,7 @@ def composite_step(
     """Composite step: precomputed series push extra residual powers in.
 
     Each unit contributes T_i = (I + B + ... + B^(x_i - 1)) S^-1 with
-    residual I - T_i A = B^(x_i); the T_i are independent of each other and
+    residual I - T_i a = B^(x_i); the T_i are independent of each other and
     of the running state, so they can be computed on parallel units.  The
     step assembles
 
@@ -292,12 +292,12 @@ def composite_step(
     with T_comp the residual-weighted sum of the T_i and R_comp the product
     of their residuals, giving F_k = B^(sum x_i) F_(k-1)^n.  ``order_n`` may
     be 1, which degenerates to G_k = T_comp + R_comp G_(k-1).  The whole
-    step is one program (:func:`composite_program`).
+    step is one program (:func:`composite_program`), on the one matrix ``a``.
     """
     check_int("order_n", order_n)
     if order_n < 1:
         raise ValueError("order_n must be >= 1")
-    inputs = [st.residual, st.estimate, split.residual, split.precond, split.matrix]
+    inputs = [st.residual, st.estimate, split.residual, split.precond]
     g, f = run_program(composite_program(order_n, spec.rates), inputs, a, st.ctr)
     return NsState(estimate=g, residual=f, step=st.step + 1, order=order_n, ctr=st.ctr)
 
@@ -329,20 +329,19 @@ def double_ns_step(st: DoubleNsState, a: np.ndarray, executor=None) -> DoubleNsS
     The accelerator advances L and its residual power; the main sum is
     the geometric sum of the old residual applied to the old estimate
     (:func:`double_program`).  ``executor`` (any concurrent.futures
-    executor) runs the step's program as one task, bitwise as the serial
-    path does (see :func:`run_program`).  Residual law: F_k = (I - L_k A)
-    F_(k-1)^n.
+    executor) gets :func:`run_program` as one task, so the step is bitwise
+    the serial one.  Residual law: F_k = (I - L_k A) F_(k-1)^n.
     """
-    n = st.order
-    inputs = [st.accel_estimate, st.estimate, st.residual]
-    g, f, lead, accel_res = run_program(double_program(n), inputs, a, st.ctr, executor)
+    args = (double_program(st.order), [st.accel_estimate, st.estimate, st.residual], a, st.ctr)
+    out = run_program(*args) if executor is None else executor.submit(run_program, *args).result()
+    g, f, lead, accel_res = out
     return DoubleNsState(
         estimate=g,
         residual=f,
         accel_estimate=lead,
         accel_residual=accel_res,
         step=st.step + 1,
-        order=n,
+        order=st.order,
         ctr=st.ctr,
     )
 
@@ -389,20 +388,25 @@ def double_exponent(k: int, n: int, h: int) -> int:
 
 
 def composite_exponent(k: int, n: int, h: int, rates: tuple[int, ...]) -> int:
-    """Composite law by recursion e_k = sum(x_i) + n e_(k-1), e_0 = h."""
-    k, n, e = check_int("k", k), check_int("n", n), check_int("h", h)
+    """Composite law e_k = sum(x_i) + n e_(k-1), e_0 = h, in closed form:
+    e_k = h n^k + sum(x_i) (n^k - 1) / (n - 1), or h + k sum(x_i) at
+    n = 1; h for k < 1.  The division is exact: n - 1 divides n^k - 1."""
+    k, n, h = check_int("k", k), check_int("n", n), check_int("h", h)
     total = sum(check_int("rates", x) for x in rates)
-    for _ in range(k):
-        e = total + n * e
-    return e
+    if k < 1:
+        return h
+    if n == 1:
+        return h + k * total
+    return h * n**k + total * (n**k - 1) // (n - 1)
 
 
 def additive_exponents(k: int, p: int, h: int) -> tuple[int, int]:
-    """(e_L, e_F) for the additive scheme: e_L doubles-loop at rate p,
-    e_F_k = e_F_(k-1) + p e_L_(k-1)."""
+    """(e_L, e_F) for the additive scheme, e_L_k = p e_L_(k-1) and
+    e_F_k = e_F_(k-1) + p e_L_(k-1) from h and h, in closed form:
+    e_L = h p^k and e_F = h + h p (p^k - 1) / (p - 1), or h + h k at
+    p = 1; (h, h) for k < 1.  The division is exact."""
     k, p, h = check_int("k", k), check_int("p", p), check_int("h", h)
-    e_l, e_f = h, h
-    for _ in range(k):
-        e_f = e_f + p * e_l
-        e_l = p * e_l
-    return e_l, e_f
+    if k < 1:
+        return h, h
+    e_f = h + h * k if p == 1 else h + h * p * (p**k - 1) // (p - 1)
+    return h * p**k, e_f

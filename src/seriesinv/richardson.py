@@ -7,11 +7,11 @@ combined weight
               G_k] (A theta_(k-1) - b)
 
 which contracts the mismatch theta_k - theta_star by (I - L_k A) F_k^q, a
-pure power of the splitting residual B.  With q == n the cumulative
-exponent has a closed form (:func:`cumulative_exponent_closed`), and the
-weight admits a recursive evaluation (:func:`richardson_recursive_step`)
-that re-derives G_k from the previous step's weight with a single product
-and splits the remaining work into two independent parts.
+pure power of the splitting residual B.  The cumulative exponent has a
+closed form (:func:`cumulative_exponent`), and with q == n the weight
+admits a recursive evaluation (:func:`richardson_recursive_step`) that
+re-derives G_k from the previous step's weight with a single product and
+splits the remaining work into two independent parts.
 
 Like the inversion steps, each start and step function runs one lowered
 program: the two-loop programs of ``newton_schulz`` called, then the
@@ -210,10 +210,10 @@ def richardson_recursive_step(
         S = I + R + ... + R^(n-1),  R = previous (I - L A),
 
     and otherwise mirrors the direct form.  ``executor`` (any
-    concurrent.futures executor) runs the step's program as one task,
-    bitwise as the serial path does (see :func:`run_program`).
-    The first call after initialization also has to build the carried
-    weight, which is why the per-step saving starts at the second step.
+    concurrent.futures executor) gets :func:`run_program` as one task, so
+    the step is bitwise the serial one.  The first call after
+    initialization also has to build the carried weight, which is why the
+    per-step saving starts at the second step.
     """
     n = st.inner.order
     if st.q != n:
@@ -226,10 +226,9 @@ def richardson_recursive_step(
     else:
         program = recursive_program(n, False)
         inputs = [prev.accel_estimate, prev.accel_residual, st.omega, st.ns_part]
-    inputs += [st.theta, b]
-    g, f, lead, accel_res, omega, ns_part, theta = run_program(
-        program, inputs, a, st.ctr, executor
-    )
+    args = (program, inputs + [st.theta, b], a, st.ctr)
+    out = run_program(*args) if executor is None else executor.submit(run_program, *args).result()
+    g, f, lead, accel_res, omega, ns_part, theta = out
     inner = DoubleNsState(g, f, lead, accel_res, step=prev.step + 1, order=n, ctr=st.ctr)
     return RichardsonState(
         theta=theta,
@@ -254,23 +253,36 @@ def step_exponent_general(k: int, n: int, h: int, q: int) -> int:
 
 
 def cumulative_exponent(k: int, n: int, h: int, q: int | None = None) -> int:
-    """Sum of per-step exponents over steps 1..k; ``q`` defaults to n."""
+    """Sum of the per-step exponents over steps 1..k (0 for k < 1); ``q``
+    defaults to n.  In closed form h [q W + (q + n) G], with the sums over
+    j = 1..k
+
+        G = sum n^j = (n^(k+1) - n) / (n - 1),
+        W = sum j n^(j+1) = n^2 f(n) / (n - 1)^2,
+        f(n) = k n^(k+1) - (k+1) n^k + 1,
+
+    and G = k, W = k (k + 1) / 2 at n = 1.  Each division is exact: n - 1
+    divides n^(k+1) - n, and f has integer coefficients and f(1) = f'(1)
+    = 0, so (n - 1)^2 is a factor of f.
+    """
     k, n, h = check_int("k", k), check_int("n", n), check_int("h", h)
     q = n if q is None else check_int("q", q)
-    return sum(step_exponent_general(j, n, h, q) for j in range(1, k + 1))
+    if k < 1:
+        return 0
+    if n == 1:
+        g, w = k, k * (k + 1) // 2
+    else:
+        g = (n ** (k + 1) - n) // (n - 1)
+        w = n * n * (k * n ** (k + 1) - (k + 1) * n**k + 1) // (n - 1) ** 2
+    return h * (q * w + (q + n) * g)
 
 
 def cumulative_exponent_closed(k: int, n: int, h: int) -> int:
-    """Closed form of the cumulative exponent for q == n, n >= 2.
-
-    (n - 1)^2 divides the numerator h n^2 f(n) exactly: f(n) = k n^(k+2)
-    - (k-1) n^(k+1) - 2 n^k - n + 2 has integer coefficients and f(1) =
-    f'(1) = 0, so (n - 1)^2 is a factor of f.
-    """
+    """The cumulative exponent for q == n, on the domain of the paper's
+    closed form: n >= 2, k >= 1 and h >= 1 (:func:`cumulative_exponent`)."""
     k, n, h = check_int("k", k), check_int("n", n), check_int("h", h)
     if n < 2:
         raise ValueError("closed form requires n >= 2")
     if k < 1 or h < 1:
         raise ValueError("requires k >= 1 and h >= 1")
-    num = h * n * n * (k * n ** (k + 2) - (k - 1) * n ** (k + 1) - 2 * n**k - n + 2)
-    return num // (n - 1) ** 2
+    return cumulative_exponent(k, n, h)

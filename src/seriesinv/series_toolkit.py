@@ -24,7 +24,6 @@ orders.  This module provides:
   9, 10, 11, the nested order-15 form and the ten-product order-45 plan);
 * :func:`plan_order` - a bounded search for a minimal-count plan of any
   order up to 64;
-* :func:`efficiency_index` - order per multiplication, ``h**(1/count)``;
 * :class:`Program` and :func:`run_program` - the one lowered program
   type, and its one executor: a plan's program, and each start and step
   function of the iteration family, which calls the plan programs it sums
@@ -66,7 +65,6 @@ __all__ = [
     "Split",
     "TABLE_LABELS",
     "TableForm",
-    "efficiency_index",
     "factored_eval",
     "factored_mmm",
     "geometric_apply",
@@ -148,8 +146,6 @@ class Horner(FactorPlan):
 
     def _emit(self, bld):
         check_int("order", self.order)
-        if self.order < 1:
-            raise ValueError("Horner order must be >= 1")
         return bld.horner(0, 1, self.order), self.order
 
 
@@ -203,12 +199,12 @@ class PrimeWrap(FactorPlan):
 # over readable register names ("Y", "X", "y2", ...); every plan, and every
 # start and step function of the iteration family, is lowered to them once
 # over integer slots: the inputs first (a plan's Y is slot 0 and X slot 1),
-# then instruction i writes slot (number of inputs) + i.  A ``mat`` of None
-# is the program's matrix A, which the executor is given beside the inputs.
-# An instruction holds only what it computes: which registers it reads for
-# the last time is the compiler's to find (see :func:`_drops`), and its
-# kind is its class.  ``renamed(f, mat)`` is the instruction with every
-# register r read as f(r); a call binds a ``mat`` of None to ``mat``.
+# then instruction i writes slot (number of inputs) + i.  A program reads
+# one matrix, A, which the executor is given beside the inputs: a
+# ``Residual`` is against A, as is a ``MatVec`` whose ``mat`` is None.  An
+# instruction holds only what it computes: which registers it reads for the
+# last time is the compiler's to find (see :func:`_drops`), and its kind is
+# its class.  ``renamed(f)`` is it with every register r read as f(r).
 Reg = Union[str, int]
 
 
@@ -224,23 +220,22 @@ class Mul:
     def reads(self) -> tuple[Reg, ...]:
         return (self.lhs, self.rhs) if self.add is None else (self.lhs, self.rhs, self.add)
 
-    def renamed(self, f, mat=None) -> "Mul":
+    def renamed(self, f) -> "Mul":
         return Mul(f(self.dst), f(self.lhs), f(self.rhs), None if self.add is None else f(self.add))
 
 
 @dataclass(frozen=True, slots=True)
 class Residual:
-    """dst = I - src @ mat (one counted product); ``mat`` None is A."""
+    """dst = I - src @ A (one counted product)."""
 
     dst: Reg
     src: Reg
-    mat: Reg | None = None
 
     def reads(self) -> tuple[Reg, ...]:
-        return (self.src,) if self.mat is None else (self.src, self.mat)
+        return (self.src,)
 
-    def renamed(self, f, mat=None) -> "Residual":
-        return Residual(f(self.dst), f(self.src), mat if self.mat is None else f(self.mat))
+    def renamed(self, f) -> "Residual":
+        return Residual(f(self.dst), f(self.src))
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,7 +249,7 @@ class Lin:
     def reads(self) -> tuple[Reg, ...]:
         return tuple(reg for _, reg in self.terms)
 
-    def renamed(self, f, mat=None) -> "Lin":
+    def renamed(self, f) -> "Lin":
         return Lin(f(self.dst), self.const, tuple((c, f(reg)) for c, reg in self.terms))
 
 
@@ -270,8 +265,8 @@ class MatVec:
     def reads(self) -> tuple[Reg, ...]:
         return (self.vec,) if self.mat is None else (self.mat, self.vec)
 
-    def renamed(self, f, mat=None) -> "MatVec":
-        return MatVec(f(self.dst), mat if self.mat is None else f(self.mat), f(self.vec))
+    def renamed(self, f) -> "MatVec":
+        return MatVec(f(self.dst), None if self.mat is None else f(self.mat), f(self.vec))
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,7 +281,7 @@ class Sub:
     def reads(self) -> tuple[Reg, ...]:
         return (self.lhs, self.rhs)
 
-    def renamed(self, f, mat=None) -> "Sub":
+    def renamed(self, f) -> "Sub":
         return Sub(f(self.dst), f(self.lhs), f(self.rhs))
 
 
@@ -383,17 +378,19 @@ class _Builder:
         self.code.append(instr(dst, *args))
         return dst
 
-    def call(self, program: Program, *slots: int, mat=None) -> list[int]:
-        """Append ``program`` with input i read from ``slots[i]`` and a
-        ``mat`` of None bound to ``mat``; returns the slots of its
-        outputs."""
+    def call(self, program: Program, *slots: int) -> list[int]:
+        """Append ``program`` with input i read from ``slots[i]``; it reads
+        the same A.  Returns the slots of its outputs."""
         base = len(self.inputs) + len(self.code)
         rename = [*slots, *range(base, base + len(program.code))].__getitem__
-        self.code += [ins.renamed(rename, mat) for ins in program.code]
+        self.code += [ins.renamed(rename) for ins in program.code]
         return [rename(out) for out in program.outputs]
 
     def horner(self, y: int, x: int, order: int) -> int:
-        """``(I + Y + ... + Y^(order-1)) X`` in ``order - 1`` products."""
+        """``(I + Y + ... + Y^(order-1)) X`` in ``order - 1`` products;
+        every Horner sum is built here, so an order below 1 fails here."""
+        if order < 1:
+            raise ValueError("Horner order must be >= 1")
         z = x
         for _ in range(order - 1):
             z = self.emit(Mul, y, z, x)
@@ -445,8 +442,7 @@ def plan_str(plan: FactorPlan) -> str:
 @int_keyed_cache("p", "w")
 def _split_plan(p: int, w: int) -> Split:
     """The plain two-level split with Horner stages, the plan behind
-    :func:`factored_mmm`, :func:`efficiency_index`, :func:`factored_eval`
-    and the initial series."""
+    :func:`factored_mmm`, :func:`factored_eval` and the initial series."""
     return Split(p=p, w=w, inner=Horner(p + 1), outer=Horner(w) if w >= 2 else None)
 
 
@@ -458,11 +454,6 @@ def factored_mmm(p: int, w: int) -> int:
     just X).
     """
     return _split_plan(p, w).mmm_cost
-
-
-def efficiency_index(p: int, w: int) -> float:
-    """Convergence order gained per multiplication: ``(w(p+1))**(1/count)``."""
-    return _split_plan(p, w).efficiency_index
 
 
 def factored_eval(
@@ -522,8 +513,7 @@ def _statements(ins: Instr) -> list[str]:
         if ins.add is not None:
             lines.append(f"{dst} += r{ins.add}")
     elif isinstance(ins, Residual):
-        mat = "a" if ins.mat is None else f"r{ins.mat}"
-        lines = [f"{dst} = mul(r{ins.src}, {mat})", f"subtract(eye, {dst}, out={dst})"]
+        lines = [f"{dst} = mul(r{ins.src}, a)", f"subtract(eye, {dst}, out={dst})"]
     elif isinstance(ins, Lin):
         # A coefficient of 1.0 adds its register without a multiply; a
         # constant of 1.0 or +0.0 starts from the first term, I + t or
@@ -568,7 +558,7 @@ def _compile(program: Program) -> Callable:
     2 <= n <= ``DOT_MAX_DIM``, ``np.matmul`` on all others; the function
     is picked once per call, from A, not per instruction) and the
     program's ``mmm`` and ``mvm`` are added to the counter once the code
-    has run, one per n x n product.  ``Residual`` forms ``I - src mat`` in
+    has run, one per n x n product.  ``Residual`` forms ``I - src A`` in
     the product's buffer, as :func:`residual_of` does.  ``MatVec`` is
     :func:`mat_vec`'s ``mat @ vec``, one mvm, and ``Sub`` is ``lhs -
     rhs``.  A ``Lin`` is fused, bitwise equal to ``const * I`` plus each
@@ -616,24 +606,16 @@ def _compile(program: Program) -> Callable:
 
 
 def run_program(
-    program: Program, inputs: list, a: np.ndarray, ctr: MulCounter, executor=None
+    program: Program, inputs: list, a: np.ndarray, ctr: MulCounter
 ) -> Sequence[np.ndarray]:
     """Run ``program`` on its ``inputs`` (in the order of
     ``program.inputs``) and the matrix A; returns its outputs in order,
     each a fresh array (an output that is an input, or that an earlier
     output already returned, is copied).  The code is compiled by
-    :func:`_compile` on the program's first run.
-
-    Every program runs as that one function.  ``executor`` (any
-    concurrent.futures executor) runs it as one task and waits for it, so
-    the results are bitwise the serial run's and ``ctr`` moves the same;
-    ``bench/layers.py``'s step probes check that path against the serial
-    one.
+    :func:`_compile` on the program's first run, and every program runs
+    as that one function, in one call.
     """
-    run = program._run or _compile(program)
-    if executor is None:
-        return run(*inputs, a, ctr)
-    return executor.submit(run, *inputs, a, ctr).result()
+    return (program._run or _compile(program))(*inputs, a, ctr)
 
 
 def _run_plan(plan: FactorPlan, y, x, a, ctr) -> np.ndarray:

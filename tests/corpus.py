@@ -40,6 +40,7 @@ from seriesinv.series_toolkit import (
     run_program,
     table_plans,
 )
+from seriesinv.richardson import step_exponent_general
 from seriesinv.splitting import NotSPDError, split_scalar
 
 
@@ -171,6 +172,37 @@ def step_exponent_qn(k, n, h):
     """Step-k mismatch exponent for q == n, the paper's closed form of
     ``step_exponent_general(k, n, h, n)``."""
     return h * (k * n ** (k + 2) + 2 * n ** (k + 1))
+
+
+# The transient laws in their loop and sum forms, computed on plain ints:
+# the oracles of the package's closed forms.
+
+
+def composite_exponent_loop(k, n, h, rates):
+    """The composite law by its recursion e_k = sum(x_i) + n e_(k-1),
+    e_0 = h."""
+    e, n, total = int(h), int(n), sum(map(int, rates))
+    for _ in range(int(k)):
+        e = total + n * e
+    return e
+
+
+def additive_exponents_loop(k, p, h):
+    """(e_L, e_F) of the additive scheme by its recursion: e_L_k =
+    p e_L_(k-1) and e_F_k = e_F_(k-1) + p e_L_(k-1), both h at k = 0."""
+    p = int(p)
+    e_l = e_f = int(h)
+    for _ in range(int(k)):
+        e_f += p * e_l
+        e_l *= p
+    return e_l, e_f
+
+
+def cumulative_exponent_sum(k, n, h, q=None):
+    """The Richardson law as the sum of its per-step exponents over steps
+    1..k, ``q`` n if None."""
+    q = n if q is None else q
+    return sum(step_exponent_general(j, int(n), int(h), int(q)) for j in range(1, int(k) + 1))
 
 
 def parse_mmm_surface(text):
@@ -357,7 +389,7 @@ def reference_execute(code, regs, a, ctr, outputs=None):
             if ins.add is not None:
                 z += regs[ins.add]
         elif isinstance(ins, Residual):
-            z = mul(regs[ins.src], a if ins.mat is None else regs[ins.mat])
+            z = mul(regs[ins.src], a)
             products += 1
             np.subtract(eye, z, out=z)
         elif isinstance(ins, Lin):

@@ -96,6 +96,13 @@ def operand_maker(kind, rng):
     return lambda name: rng.standard_normal(shape[-1]) if name in ("theta", "b") else matrix()
 
 
+def run_on(executor, program, inputs, a, ctr):
+    """``run_program`` in this thread, or as one task on ``executor``."""
+    if executor is None:
+        return run_program(program, inputs, a, ctr)
+    return executor.submit(run_program, program, inputs, a, ctr).result()
+
+
 @pytest.fixture(scope="module")
 def pool():
     with ThreadPoolExecutor(2) as ex:
@@ -130,7 +137,7 @@ def test_compiled_programs_equal_the_reference_bitwise(kind, pool):
         want = reference_run(program, inputs, a, want_ctr)
         for executor in (None, pool):
             ctr = MulCounter()
-            got = run_program(program, list(inputs), a, ctr, executor)
+            got = run_on(executor, program, list(inputs), a, ctr)
             assert len(got) == len(want), program.name
             for i, (g, w) in enumerate(zip(got, want)):
                 assert same_bits(g, w), (program.name, executor, i)
@@ -176,7 +183,7 @@ def test_a_program_compiles_once_on_its_first_run(monkeypatch, pool):
     assert compiled == ["program test two sums"]
     run_program(program, inputs, a, MulCounter())
     # an executor runs the same compiled function as one task
-    threaded = run_program(program, inputs, a, MulCounter(), pool)
+    threaded = run_on(pool, program, inputs, a, MulCounter())
     assert len(compiled) == 1
     assert same_bits(serial[0], threaded[0])
 
@@ -194,7 +201,7 @@ def test_a_second_run_of_any_program_compiles_nothing(monkeypatch, pool):
         for program in programs:
             inputs = [rng.standard_normal(4) if n in ("theta", "b") else x for n in program.inputs]
             for executor in (None, pool):
-                run_program(program, inputs, a, MulCounter(), executor)
+                run_on(executor, program, inputs, a, MulCounter())
 
     run_all()
 

@@ -1,3 +1,4 @@
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 
 from corpus import (
     BENCH_SPECS,
+    additive_exponents_loop,
+    composite_exponent_loop,
     contractive_scalar_system,
+    cumulative_exponent_sum,
     diagonal_split,
     horner_iterates,
     mat_pow,
@@ -15,6 +19,8 @@ from corpus import (
     step_exponent_qn,
 )
 from seriesinv import (
+    additive_exponents,
+    composite_exponent,
     cumulative_exponent,
     cumulative_exponent_closed,
     fro_norm,
@@ -62,9 +68,22 @@ class TestStepExponents:
         for n in range(2, 7):
             for h in range(1, 5):
                 for k in range(1, 13):
-                    assert cumulative_exponent_closed(k, n, h) == cumulative_exponent(
-                        k, n, h
-                    )
+                    assert cumulative_exponent_closed(k, n, h) == cumulative_exponent_sum(k, n, h)
+
+    def test_closed_laws_equal_their_loop_oracles(self):
+        # every k, n, h and q of the grid, negatives and 0 included, as
+        # ints and as numpy integers: the closed forms are the loops' sums
+        grid = itertools.product(range(-2, 12), range(-4, 7), range(-1, 4), (int, np.int64))
+        for k, n, h, cast in grid:
+            args = cast(k), cast(n), cast(h)
+            for rates in ((), (2,), (5, 7), (-1, 3)):
+                got = composite_exponent(*args, tuple(map(cast, rates)))
+                assert got == composite_exponent_loop(k, n, h, rates), (k, n, h, rates)
+            assert additive_exponents(*args) == additive_exponents_loop(k, n, h), (k, n, h)
+            for q in (None, *range(-1, 6)):
+                got = cumulative_exponent(*args, q if q is None else cast(q))
+                assert got == cumulative_exponent_sum(k, n, h, q), (k, n, h, q)
+                assert type(got) is int
 
     def test_laws_match_the_branching_oracle(self):
         # the former q == n branch, kept here as the oracle

@@ -8,7 +8,6 @@ from seriesinv import (
     FactorPlan,
     Horner,
     MulCounter,
-    efficiency_index,
     factored_eval,
     factored_mmm,
     fro_norm,
@@ -21,7 +20,16 @@ from seriesinv import (
     square_matrix,
     table_plans,
 )
-from seriesinv.series_toolkit import TABLE_LABELS, Lin, MatVec, Mul, PrimeWrap, Split, TableForm
+from seriesinv.series_toolkit import (
+    TABLE_LABELS,
+    Lin,
+    MatVec,
+    Mul,
+    PrimeWrap,
+    Split,
+    TableForm,
+    _split_plan,
+)
 
 
 def toolkit_instance(rng, dim=5):
@@ -145,14 +153,15 @@ class TestFactored:
 
 
 class TestEfficiencyIndex:
+    # the index is a plan's property; these are the plain two-level splits
     def test_values(self):
-        assert efficiency_index(8, 5) == pytest.approx(45.0 ** (1.0 / 14.0), rel=1e-12)
-        assert efficiency_index(1, 1) == pytest.approx(np.sqrt(2.0), rel=1e-12)
-        assert efficiency_index(0, 1) == 1.0
+        assert _split_plan(8, 5).efficiency_index == pytest.approx(45.0 ** (1.0 / 14.0), rel=1e-12)
+        assert _split_plan(1, 1).efficiency_index == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        assert _split_plan(0, 1).efficiency_index == 1.0
 
     def test_second_order_baseline(self):
         # the most robust order-2 step: two products, index sqrt(2) = 1.4142
-        assert efficiency_index(1, 1) == pytest.approx(1.4142, abs=5e-5)
+        assert _split_plan(1, 1).efficiency_index == pytest.approx(1.4142, abs=5e-5)
 
 
 class TestOrder45:

@@ -135,9 +135,9 @@ def test_a_run_executes_its_method_programs(m, monkeypatch):
     # later step's after it (richardson-recursive switches between them)
     ran = []
 
-    def recording(program, inputs, a, ctr, executor=None):
+    def recording(program, inputs, a, ctr):
         ran.append(program)
-        return run_program(program, inputs, a, ctr, executor)
+        return run_program(program, inputs, a, ctr)
 
     monkeypatch.setattr(harness, "run_program", recording)
     a, b, theta = gen_harmonic_matrix(HarmonicRegressorSpec.default())
@@ -153,9 +153,9 @@ def test_a_run_counts_its_programs_and_its_error_reads(m, monkeypatch):
     # counted work outside them is ns-estimator's G b, one mvm per record
     counters = []
 
-    def recording(program, inputs, a, ctr, executor=None):
+    def recording(program, inputs, a, ctr):
         counters.append(ctr)
-        return run_program(program, inputs, a, ctr, executor)
+        return run_program(program, inputs, a, ctr)
 
     monkeypatch.setattr(harness, "run_program", recording)
     a, b, theta = gen_harmonic_matrix(HarmonicRegressorSpec.default())
@@ -418,6 +418,30 @@ def test_a_numpy_order_shares_the_plan_of_an_int():
     assert plan_order(np.int64(5)) is plan_order(5)
 
 
+# Every step-program builder, given the order of one of its Horner sums.
+HORNER_ORDER_BUILDS = {
+    "ns_program": ns_program,
+    "double_program": double_program,
+    "composite_program": lambda order: newton_schulz.composite_program(order, (2,)),
+    "additive_program": newton_schulz.additive_program,
+    "richardson_program-q": lambda order: richardson.richardson_program(3, order),
+    "richardson_program-n": lambda order: richardson.richardson_program(order, 3),
+    "recursive_program-first": lambda order: richardson.recursive_program(order, True),
+    "recursive_program-later": lambda order: richardson.recursive_program(order, False),
+    "double_start_program": lambda order: newton_schulz.double_start_program(order, SERIES),
+    "richardson_start_program": lambda order: richardson.richardson_start_program(order, SERIES),
+}
+
+
+@pytest.mark.parametrize("build", HORNER_ORDER_BUILDS.values(), ids=HORNER_ORDER_BUILDS)
+def test_a_step_program_rejects_a_horner_sum_below_order_1(build):
+    # such a sum sums nothing: the program would be named for a sum it
+    # does not form, so it is refused where the sum is built
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="Horner order must be >= 1"):
+            build(order)
+
+
 @pytest.mark.parametrize("numpy_first", [True, False])
 def test_an_integer_has_one_cache_entry_whatever_its_type(numpy_first):
     # the cached function gets int(k): one entry, and one result, per k,
@@ -499,8 +523,8 @@ def exact_run(m, steps, patched):
     register, and whose outputs must equal the compiled ones."""
     registers = []
 
-    def recording(program, inputs, a, ctr, executor=None):
-        outputs = run_program(program, inputs, a, ctr, executor)
+    def recording(program, inputs, a, ctr):
+        outputs = run_program(program, inputs, a, ctr)
         regs = reference_execute(program.code, list(inputs), a, MulCounter())
         registers.extend(regs)
         for got, slot in zip(outputs, program.outputs):
