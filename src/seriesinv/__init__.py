@@ -9,7 +9,6 @@ from .matrix_core import (
     load_matrix,
     load_vector,
     mat_mul,
-    mat_vec,
     residual_of,
     save_matrix,
     save_vector,

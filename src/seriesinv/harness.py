@@ -29,7 +29,6 @@ from .matrix_core import (
     check_int,
     fro_norm,
     int_keyed_cache,
-    mat_vec,
     residual_of,
     spectral_radius,
     SpectralRadiusError,
@@ -47,6 +46,7 @@ from .newton_schulz import (
     double_exponent,
     double_program,
     double_start_program,
+    estimator_program,
     ns_program,
     series_program,
 )
@@ -205,8 +205,9 @@ class MethodSpec:
             raise ValueError(f"method {self.kind} requires order >= {row.min_order}")
         if h < 1:
             raise ValueError("initial series order h must be >= 1")
+        rates = ()
         if row.takes_rates:
-            CompositeSpec(rates=self.rates)
+            rates = CompositeSpec(self.rates).rates
         elif self.rates:
             raise ValueError(f"method {self.kind} takes no rates")
         if q is not None and not row.takes_q:
@@ -216,9 +217,8 @@ class MethodSpec:
         q = order if q is None and row.takes_q else q
         if row.q_is_order and q != order:
             raise ValueError(f"method {self.kind} requires q == order")
-        for label, value in (("order", order), ("h", h), ("q", q)):
+        for label, value in (("order", order), ("h", h), ("q", q), ("rates", rates)):
             object.__setattr__(self, label, value)
-        object.__setattr__(self, "rates", tuple(map(int, self.rates)))
 
     def name(self) -> str:
         return METHODS[self.kind].name.format(
@@ -282,19 +282,18 @@ class MethodKind:
     """One row of :data:`METHODS`.
 
     ``command`` is ``invert`` (error ||I - G A||_F) or ``solve`` (error
-    ||theta - theta*||).  ``programs(method, series)`` is the row's one
-    description of the method: its start, first-step and later-step
-    programs (see :func:`method_programs`), given the plan program of the
-    initial series, ``series``, which the run loop runs over
-    named slots; ``error(slots, theta_star, ctr)`` measures the slots after
-    a program; ``exponent(method, k)`` is the predicted power of rho;
+    ||theta - theta*||; every program of a solve row outputs theta).
+    ``programs(method, series)`` is the row's one description of the
+    method: its start, first-step and later-step programs (see
+    :func:`method_programs`), given the plan program of the initial
+    series, ``series``, which the run loop runs over named slots;
+    ``exponent(method, k)`` is the predicted power of rho;
     ``name`` is formatted with the spec's kind, order, h, q and rates;
     ``min_order`` is the smallest order the step program accepts.
     """
 
     command: str
     programs: Callable
-    error: Callable
     exponent: Callable
     name: str
     min_order: int = 1
@@ -303,34 +302,11 @@ class MethodKind:
     takes_rates: bool = False
 
 
-def _residual_error(slots, theta_star, ctr) -> float:
-    return fro_norm(slots["F"])
-
-
-def _sri_error(slots, theta_star, ctr) -> float:
-    """||I - G A||_F: the start's F_0, then G's residual measured off the
-    counter, since the additive scheme itself never forms it."""
-    f = slots.get("F")
-    if f is None:
-        f = residual_of(slots["G"], slots["As"], MulCounter())
-    return fro_norm(f)
-
-
-def _estimate_error(slots, theta_star, ctr) -> float:
-    """Mismatch of theta = G b (one counted mvm)."""
-    return float(np.linalg.norm(mat_vec(slots["G"], slots["b"], ctr) - theta_star))
-
-
-def _theta_error(slots, theta_star, ctr) -> float:
-    return float(np.linalg.norm(slots["theta"] - theta_star))
-
-
 # Keyed by kind; the CLI lists each command's kinds in this order.
 METHODS: dict[str, MethodKind] = {
     "ns": MethodKind(
         "invert",
         lambda m, series: (series_program(series), ns_program(m.order), ns_program(m.order)),
-        _residual_error,
         lambda m, k: classical_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
     ),
     "double": MethodKind(
@@ -338,7 +314,6 @@ METHODS: dict[str, MethodKind] = {
         lambda m, series: (
             double_start_program(m.order, series), double_program(m.order), double_program(m.order)
         ),
-        _residual_error,
         lambda m, k: double_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
     ),
     "composite": MethodKind(
@@ -348,7 +323,6 @@ METHODS: dict[str, MethodKind] = {
             composite_program(m.order, m.rates),
             composite_program(m.order, m.rates),
         ),
-        _residual_error,
         lambda m, k: composite_exponent(k, m.order, m.h, m.rates),
         "{kind}:n{order}:h{h}:r{rates}",
         takes_rates=True,
@@ -358,7 +332,6 @@ METHODS: dict[str, MethodKind] = {
         lambda m, series: (
             _additive_start_program(series), additive_program(m.order), additive_program(m.order)
         ),
-        _sri_error,
         lambda m, k: additive_exponents(k, m.order, m.h)[1], "{kind}:p{order}:h{h}",
         min_order=2,
     ),
@@ -369,7 +342,6 @@ METHODS: dict[str, MethodKind] = {
             richardson_program(m.order, m.q),
             richardson_program(m.order, m.q),
         ),
-        _theta_error,
         lambda m, k: cumulative_exponent(k, m.order, m.h, m.q),
         "{kind}:n{order}:q{q}:h{h}",
         takes_q=True,
@@ -381,15 +353,17 @@ METHODS: dict[str, MethodKind] = {
             recursive_program(m.order, True),
             recursive_program(m.order, False),
         ),
-        _theta_error,
         lambda m, k: cumulative_exponent(k, m.order, m.h, m.q),
         "{kind}:n{order}:q{q}:h{h}",
         takes_q=True, q_is_order=True,
     ),
     "ns-estimator": MethodKind(
         "solve",
-        lambda m, series: (series_program(series), ns_program(m.order), ns_program(m.order)),
-        _estimate_error,
+        lambda m, series: (
+            estimator_program(series_program(series)),
+            estimator_program(ns_program(m.order)),
+            estimator_program(ns_program(m.order)),
+        ),
         lambda m, k: classical_exponent(k, m.order, m.h), "{kind}:n{order}:h{h}",
     ),
 }
@@ -401,21 +375,33 @@ def method_programs(method: MethodSpec) -> tuple[Program, Program, Program]:
     later step (the first step differs only for ``richardson-recursive``,
     which builds its carried weight there).  Each program's ``mmm``,
     ``mvm`` and ``depth`` are the counts one run adds and its critical path
-    in products; the error metrics' own products (``ns-estimator``'s
-    ``G b``) are not part of them."""
+    in products."""
     return METHODS[method.kind].programs(method, _split_plan(*series_params(method.h)).program)
+
+
+def _error(slots, a, theta_star) -> float:
+    """||theta - theta*|| where the program output theta (every solve
+    kind), else ||F||_F, F = I - G A formed off the counter where the
+    program output no F (sri's steps: the additive scheme never forms it)."""
+    if "theta" in slots:
+        return float(np.linalg.norm(slots["theta"] - theta_star))
+    f = slots.get("F")
+    if f is None:
+        f = residual_of(slots["G"], a, MulCounter())
+    return fro_norm(f)
 
 
 def _run_method(method: MethodSpec, split, b, theta_star, steps, rho, timer):
     """Run the method's programs in turn on one counter.  The run's state
-    is a set of named slots: the splitting's ``B``, ``Sinv`` and ``As``,
-    the caller's ``b``, and the outputs of the program run last; each
-    program reads its inputs from them by name."""
+    is a set of named slots: the splitting's ``B`` and ``Sinv``, the
+    caller's ``b``, and the outputs of the program run last; each program
+    reads its inputs from them by name, and each record's error is read
+    from them (:func:`_error`)."""
     started = timer()
     row = METHODS[method.kind]
     name = method.name()
     start, first, later = method_programs(method)
-    given = {"B": split.residual, "Sinv": split.precond, "As": split.matrix, "b": b}
+    given = {"B": split.residual, "Sinv": split.precond, "b": b}
     ctr = MulCounter()
     e0 = row.exponent(method, 0)
     records = []
@@ -424,7 +410,7 @@ def _run_method(method: MethodSpec, split, b, theta_star, steps, rho, timer):
         program = start if k == 0 else first if k == 1 else later
         outputs = run_program(program, [slots[key] for key in program.inputs], split.matrix, ctr)
         slots = given | dict(zip(program.output_names, outputs))
-        err = row.error(slots, theta_star, ctr)
+        err = _error(slots, split.matrix, theta_star)
         if k == 0:
             err0 = err
         exponent = row.exponent(method, k)

@@ -3,13 +3,12 @@
 Everything downstream (splittings, series evaluation, the iteration family)
 works on plain float64 numpy arrays validated by :func:`square_matrix` /
 :func:`vector`.  Matrix products that belong to an algorithm's cost model
-tick a :class:`MulCounter`.  Most run in the executor in
+tick a :class:`MulCounter`.  All of them but one run in the executor in
 ``series_toolkit``, whose compiled code runs the products of every lowered
 program (each plan, and each start and step function of the iteration
-family) inline and counts them by the rule of :func:`mat_mul` /
-:func:`mat_vec`.  Those two count the few products outside a program: the
-``Y = I - X A`` that :func:`residual_of` forms before a plan runs, and the
-``G b`` of the estimator's error metric.
+family) inline and counts them by the rule of :func:`mat_mul`.  The one
+counted outside a program is the ``Y = I - X A`` that :func:`residual_of`
+forms before a plan runs.
 Uncounted oracles, such as the ``mat_pow`` the exponent-law tests compare
 against, live with the tests.
 
@@ -57,7 +56,6 @@ __all__ = [
     "load_matrix",
     "load_vector",
     "mat_mul",
-    "mat_vec",
     "residual_of",
     "save_matrix",
     "save_vector",
@@ -212,14 +210,6 @@ def residual_of(x: np.ndarray, a: np.ndarray, ctr: MulCounter) -> np.ndarray:
     """``I - x @ a`` in a fresh array; one counted product (k for stacked
     ``(k, n, n)`` operands)."""
     return subtract_from_identity(mat_mul(x, a, ctr))
-
-
-def mat_vec(a: np.ndarray, v: np.ndarray, ctr: MulCounter) -> np.ndarray:
-    """Matrix-vector product; increments ``ctr.mvm`` by exactly one."""
-    if a.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {v.shape}")
-    ctr.mvm += 1
-    return a @ v
 
 
 def fro_norm(a: np.ndarray) -> float:

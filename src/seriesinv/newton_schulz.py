@@ -39,6 +39,7 @@ import numpy as np
 from .matrix_core import MulCounter, check_int, int_keyed_cache
 from .series_toolkit import (
     FactorPlan,
+    MatVec,
     Mul,
     Program,
     Residual,
@@ -64,6 +65,7 @@ __all__ = [
     "double_ns_step",
     "double_program",
     "double_start_program",
+    "estimator_program",
     "initial_double",
     "initial_series",
     "ns_program",
@@ -107,15 +109,18 @@ class DoubleNsState:
 
 @dataclass(frozen=True)
 class CompositeSpec:
-    """Expansion rates x_i for the composite step, one per parallel unit."""
+    """Expansion rates x_i for the composite step, one per parallel unit,
+    given as any iterable of integers and held as a tuple of plain ints."""
 
     rates: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.rates:
+        rates = tuple(self.rates)
+        if not rates:
             raise ValueError("composite spec needs at least one rate")
-        if not all(isinstance(x, Integral) and type(x) is not bool and x >= 1 for x in self.rates):
+        if not all(isinstance(x, Integral) and type(x) is not bool and x >= 1 for x in rates):
             raise ValueError("rates must be positive integers")
+        object.__setattr__(self, "rates", tuple(int(x) for x in rates))
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +144,17 @@ def series_program(series: Program) -> Program:
         return bld.build(name, G=1, F=0)
     (g,) = bld.call(series, 0, 1)
     return bld.build(name, G=g, F=bld.emit(Residual, g))
+
+
+@cache
+def estimator_program(program: Program) -> Program:
+    """Inputs those of ``program``, then b; outputs those of ``program``,
+    then theta = G b (one counted mvm) of its output G.  Built once per
+    program, which hashes by identity."""
+    bld = _Builder(*program.inputs, "b")
+    outputs = dict(zip(program.output_names, bld.call(program, *range(len(program.inputs)))))
+    theta = bld.emit(MatVec, outputs["G"], len(program.inputs))
+    return bld.build(f"{program.name}, theta = G b", **outputs, theta=theta)
 
 
 @int_keyed_cache("order")

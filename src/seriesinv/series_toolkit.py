@@ -560,11 +560,11 @@ def _compile(program: Program) -> Callable:
     program's ``mmm`` and ``mvm`` are added to the counter once the code
     has run, one per n x n product.  ``Residual`` forms ``I - src A`` in
     the product's buffer, as :func:`residual_of` does.  ``MatVec`` is
-    :func:`mat_vec`'s ``mat @ vec``, one mvm, and ``Sub`` is ``lhs -
-    rhs``.  A ``Lin`` is fused, bitwise equal to ``const * I`` plus each
-    ``coef * reg`` in turn, signed zeros included (see
-    :func:`_statements`).  Every register an instruction writes is a fresh
-    array, so inputs are never written.
+    ``np.matmul(mat, vec)``, one mvm, and ``Sub`` is ``lhs - rhs``.  A
+    ``Lin`` is fused, bitwise equal to ``const * I`` plus each ``coef *
+    reg`` in turn, signed zeros included (see :func:`_statements`).  Every
+    register an instruction writes is a fresh array, so inputs are never
+    written.
 
     The source is registered under the filename ``<name>``, so a traceback
     through the code names the program and shows its line.  Threads that

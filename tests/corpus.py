@@ -647,18 +647,20 @@ BENCH_SPECS = (
 def start_counts(m):
     """(mmm, mvm) of the start function: the two-level initial series (no
     product for h = 1), then L_0 = S_n(F_0) G_0 and I - L_0 A for the
-    two-loop kinds, and theta_0 = L_0 b for the Richardson kinds."""
+    two-loop kinds, theta_0 = L_0 b for the Richardson kinds and
+    theta_0 = G_0 b for the estimator."""
     mmm = 0 if m.h == 1 else factored_mmm(*series_params(m.h))
     if m.kind in ("double", "richardson", "richardson-recursive"):
         mmm += m.order
-    return mmm, 1 if m.kind in ("richardson", "richardson-recursive") else 0
+    return mmm, 1 if m.kind in ("richardson", "richardson-recursive", "ns-estimator") else 0
 
 
 def step_counts(m, k):
     """(mmm, mvm) of step ``k >= 1``."""
     n = m.order
     if m.kind in ("ns", "ns-estimator"):
-        return n, 0  # n - 1 Horner products and the new residual
+        # n - 1 Horner products and the new residual; the estimator's theta = G b
+        return n, 1 if m.kind == "ns-estimator" else 0
     if m.kind == "double":
         return 2 * n + 2, 0  # accelerator 1 + (n - 1) + 1, main n - 1, join 2
     if m.kind == "composite":

@@ -49,7 +49,7 @@ from seriesinv.newton_schulz import (
     initial_series,
     ns_step,
 )
-from seriesinv.matrix_core import fro_norm, mat_vec
+from seriesinv.matrix_core import fro_norm
 from seriesinv.richardson import (
     cumulative_exponent,
     cumulative_exponent_closed,
@@ -357,11 +357,11 @@ def _reference_states(method, split, a, b, theta_star, steps):
             yield k, fro_norm(np.eye(a.shape[0]) - g @ a), st.ctr.mmm
     elif kind == "ns-estimator":
         st = initial_series(split, p, w, order=n)
-        theta = mat_vec(st.estimate, b, st.ctr)
+        theta = st.estimate @ b
         yield 0, float(np.linalg.norm(theta - theta_star)), st.ctr.mmm
         for _ in range(steps):
             st = ns_step(st, a)
-            theta = mat_vec(st.estimate, b, st.ctr)
+            theta = st.estimate @ b
             yield st.step, float(np.linalg.norm(theta - theta_star)), st.ctr.mmm
     else:
         stepper = richardson_step if kind == "richardson" else richardson_recursive_step

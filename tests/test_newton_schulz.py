@@ -209,8 +209,17 @@ class TestCompositeStep:
         with pytest.raises(ValueError, match="rates must be positive integers"):
             CompositeSpec(rates)
 
-    def test_numpy_integer_rates_accepted(self):
-        assert CompositeSpec((np.int64(2), 3)).rates == (2, 3)
+    def test_numpy_integer_rates_accepted(self, rng):
+        # a tuple, list or array of rates is held as a tuple of plain ints,
+        # which composite_program's cache keys on
+        for rates in ((np.int64(2), 3), [2, 3], np.array([2, 3])):
+            spec = CompositeSpec(rates)
+            assert spec.rates == (2, 3) and all(type(x) is int for x in spec.rates)
+        a, sp = diag_system(3, 0.9, rng)
+        st = initial_series(sp, 0, 1)
+        listed = composite_step(st, a, sp, CompositeSpec([2, 3]), 2)
+        tupled = composite_step(st, a, sp, CompositeSpec((2, 3)), 2)
+        assert np.array_equal(listed.residual, tupled.residual)
 
     def test_step_dependent_rates_run(self, rng):
         # rates m**k per step: e_k = w m^k + n e_(k-1)
